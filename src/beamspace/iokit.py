@@ -523,7 +523,7 @@ def load_config(path) -> RunConfig:
     if threads < 1:
         raise ConfigError(f"monte_carlo.threads must be >= 1, got {threads}")
     condition_cap = float(mc_sec.get("condition_cap", defaults.condition_cap))
-    if condition_cap <= 1.0:
+    if not condition_cap > 1.0:
         raise ConfigError("monte_carlo.condition_cap must exceed 1")
     nv = mc_sec.get("noise_variance", [0.0, 0.0])
     if isinstance(nv, (int, float)):

@@ -8,17 +8,21 @@ absorbed the perturbation.  Decoding is a plain zero-forcing inverse, so
 symbol pairs whose ratio is +-1 always recover exactly while the other
 states land away from their ideal constellation points.
 
-The Monte-Carlo sweep draws receive geometries area-uniformly, evaluates
-every symbol pair of the constellation noiselessly, and accumulates
-per-stream constellation-error CDFs.  All randomness is drawn up front
-from one seeded generator and scenarios are processed in fixed-size
-chunks, so results are bitwise independent of the worker count.
+For unit-modulus PSK the antenna radiates x1 times the state pattern of
+ratio index k = (k2 - k1) mod M, so zero forcing returns x1 * g_k, with
+G = H^-1 F and F the receivers' responses to the M states.  One batched
+kernel computes G for every decode path.
+
+The Monte-Carlo sweep draws receive geometries area-uniformly and keeps,
+per accepted geometry, one noiseless error per stream and ratio state:
+|g1_k - 1| and |g2_k - r_k|.  All randomness is drawn up front from one
+seeded generator and scenarios are processed in fixed-size chunks, so
+results are bitwise independent of the worker count.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +35,7 @@ from .errors import (
 )
 from .modulation import PskConstellation
 from .patterns import BasisPair, StatePatternSet
-from .sphere import require_same_grid, sample_pattern
+from .sphere import apply_stencil, bilinear_stencil, require_same_grid, sample_pattern
 
 __all__ = [
     "DEFAULT_CONDITION_CAP",
@@ -122,14 +126,49 @@ class LinkScenario:
         return not np.isfinite(self.condition_number)
 
 
-def _condition_2x2(h: np.ndarray) -> float:
-    """Spectral condition number of a single 2x2 complex matrix."""
-    det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-    if det == 0.0:
-        return np.inf
-    f2 = float(np.sum(np.abs(h) ** 2))
-    s2max = 0.5 * (f2 + np.sqrt(max(f2 * f2 - 4.0 * abs(det) ** 2, 0.0)))
-    return float(s2max / abs(det))
+def _condition_2x2(h: np.ndarray):
+    """Spectral condition numbers of 2x2 complex matrices (last two axes).
+
+    Singular matrices report inf.
+    """
+    det = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
+    f2 = np.sum(np.abs(h) ** 2, axis=(-2, -1))
+    s2max = 0.5 * (f2 + np.sqrt(np.maximum(f2 * f2 - 4.0 * np.abs(det) ** 2, 0.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(det) > 0.0, s2max / np.abs(det), np.inf)[()]
+
+
+def _responses(patterns, theta, phi, pols) -> np.ndarray:
+    """Responses p_r^H e(theta_r, phi_r) of two receivers to each pattern.
+
+    ``theta`` and ``phi`` are (2, n) receive angles and ``pols`` the two
+    receive polarizations; one bilinear stencil serves each receiver.
+    Returns an (n, 2, len(patterns)) complex array.
+    """
+    out = np.empty((np.shape(theta)[1], 2, len(patterns)), dtype=complex)
+    for rx in range(2):
+        stencil = bilinear_stencil(patterns[0].grid, theta[rx], phi[rx])
+        pt, pp = np.conj(pols[rx])
+        for k, p in enumerate(patterns):
+            out[:, rx, k] = (pt * apply_stencil(stencil, p.e_theta)
+                             + pp * apply_stencil(stencil, p.e_phi))
+    return out
+
+
+def _zf_gains(h: np.ndarray, f: np.ndarray, condition_cap: float):
+    """Condition cap and closed-form zero-forcing gains G = H^-1 F.
+
+    ``h`` is (n, 2, 2) and ``f`` (n, 2, M).  Returns the (n,) mask of
+    channels conditioned within the cap and G (kept, 2, M) for them.
+    """
+    cond = _condition_2x2(h)
+    keep = np.isfinite(cond) & (cond <= condition_cap)
+    h, f = h[keep], f[keep]
+    det = (h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0])[:, None]
+    g = np.empty_like(f)
+    g[:, 0] = (h[:, 1, 1, None] * f[:, 0] - h[:, 0, 1, None] * f[:, 1]) / det
+    g[:, 1] = (h[:, 0, 0, None] * f[:, 1] - h[:, 1, 0, None] * f[:, 0]) / det
+    return keep, g
 
 
 def build_channel(
@@ -148,15 +187,12 @@ def build_channel(
     """
     angles = np.asarray(rx_angles, dtype=float)
     pols = np.asarray(rx_polarizations, dtype=complex)
-    h = np.empty((2, 2), dtype=complex)
-    for n, b in enumerate((basis_hat.b1, basis_hat.b2)):
-        et, ep = sample_pattern(b, angles[:, 0], angles[:, 1])
-        h[:, n] = np.conj(pols[:, 0]) * et + np.conj(pols[:, 1]) * ep
+    h = _responses((basis_hat.b1, basis_hat.b2), angles[:, :1], angles[:, 1:], pols)[0]
     return LinkScenario(
         rx_angles=angles,
         rx_polarizations=pols,
         channel=h,
-        condition_number=_condition_2x2(h),
+        condition_number=float(_condition_2x2(h)),
         constellation=constellation,
         noise=noise if noise is not None else NoiseModel(),
     )
@@ -235,25 +271,37 @@ class ConstellationPoint:
     actual: complex
 
 
-def _decode_all_pairs(
-    s_hat: StatePatternSet,
-    scenario: LinkScenario,
-    condition_cap: float,
-) -> list[ConstellationPoint]:
-    # constellation products are reference (noiseless) quantities even
-    # when the scenario itself carries a noise model
-    if scenario.noise.enabled:
-        scenario = dataclasses.replace(scenario, noise=NoiseModel())
-    points = scenario.constellation.points
-    m = scenario.constellation.order
+def _states(s_hat: StatePatternSet, constellation: PskConstellation):
+    """The M state patterns in ratio-index order, checked against the alphabet."""
+    if constellation.order != s_hat.ratios.order:
+        raise RatioSetMismatchError(
+            "constellation order does not match the state-pattern alphabet"
+        )
+    return tuple(s_hat.state(k) for k in range(s_hat.ratios.order))
+
+
+def _gains_or_raise(h: np.ndarray, f: np.ndarray, condition_cap: float) -> np.ndarray:
+    """Kernel gains (2, M) of a single geometry; raises when it is rejected."""
+    keep, g = _zf_gains(h, f, condition_cap)
+    if not keep[0]:
+        raise SingularChannelError(
+            f"channel condition number {float(_condition_2x2(h[0])):.3g} "
+            f"exceeds cap {condition_cap:.3g}"
+        )
+    return g[0]
+
+
+def _pair_points(constellation: PskConstellation, g: np.ndarray):
+    """Expand ratio-state gains to every symbol pair: x_hat = x1 * g_k."""
+    points = constellation.points
+    m = constellation.order
     out = []
     for k1 in range(m):
         for k2 in range(m):
-            x = np.array([points[k1], points[k2]])
-            y = transmit_and_receive(s_hat, x[0], x[1], scenario)
-            xhat = zf_equalize(y, scenario, condition_cap)
-            out.append(ConstellationPoint(1, k1, k2, complex(x[0]), complex(xhat[0])))
-            out.append(ConstellationPoint(2, k1, k2, complex(x[1]), complex(xhat[1])))
+            x1, k = points[k1], (k2 - k1) % m
+            out.append(ConstellationPoint(1, k1, k2, complex(x1), complex(x1 * g[0, k])))
+            out.append(ConstellationPoint(2, k1, k2, complex(points[k2]),
+                                          complex(x1 * g[1, k])))
     return out
 
 
@@ -262,8 +310,16 @@ def received_constellation(
     scenario: LinkScenario,
     condition_cap: float = DEFAULT_CONDITION_CAP,
 ) -> list[ConstellationPoint]:
-    """Equalized constellation for every symbol pair, noiselessly."""
-    return _decode_all_pairs(s_hat, scenario, condition_cap)
+    """Equalized constellation for every symbol pair, noiselessly.
+
+    Raises:
+        SingularChannelError: channel singular or conditioned above the cap.
+    """
+    angles = scenario.rx_angles
+    f = _responses(_states(s_hat, scenario.constellation), angles[:, :1],
+                   angles[:, 1:], scenario.rx_polarizations)
+    g = _gains_or_raise(scenario.channel[None], f, condition_cap)
+    return _pair_points(scenario.constellation, g)
 
 
 def evaluate_scenario(
@@ -273,19 +329,12 @@ def evaluate_scenario(
 ) -> list[ErrorRecord]:
     """Noiseless per-pair error records for one receive geometry."""
     m = scenario.constellation.order
-    records = []
-    for pt in _decode_all_pairs(s_hat, scenario, condition_cap):
-        err = pt.actual - pt.ideal
-        records.append(
-            ErrorRecord(
-                stream=pt.stream,
-                ratio_index=(pt.k2 - pt.k1) % m,
-                transmitted=pt.ideal,
-                error=err,
-                magnitude=abs(err),
-            )
-        )
-    return records
+    return [
+        ErrorRecord(stream=pt.stream, ratio_index=(pt.k2 - pt.k1) % m,
+                    transmitted=pt.ideal, error=pt.actual - pt.ideal,
+                    magnitude=abs(pt.actual - pt.ideal))
+        for pt in received_constellation(s_hat, scenario, condition_cap)
+    ]
 
 
 def constellation_at_angle(
@@ -301,30 +350,18 @@ def constellation_at_angle(
     The physical field of each symbol pair is decomposed onto the two
     basis patterns sampled at the same angle (a 2x2 solve across the two
     polarization components); ideal points are the transmitted symbols.
+
+    Raises:
+        SingularChannelError: the basis polarization matrix at the angle
+            is singular or conditioned above the cap.
     """
-    b = np.empty((2, 2), dtype=complex)
-    for n, bp in enumerate((basis_hat.b1, basis_hat.b2)):
-        et, ep = sample_pattern(bp, theta, phi)
-        b[0, n] = et
-        b[1, n] = ep
-    cond = _condition_2x2(b)
-    if not np.isfinite(cond) or cond > condition_cap:
-        raise SingularChannelError(
-            f"basis polarization matrix at the angle is degenerate (cond {cond:.3g})"
-        )
-    points = constellation.points
-    m = constellation.order
-    ratios = constellation.ratio_set
-    out = []
-    for k1 in range(m):
-        for k2 in range(m):
-            x1, x2 = points[k1], points[k2]
-            k = ratios.index_of(x2 / x1)
-            et, ep = sample_pattern(s_hat.state(k), theta, phi)
-            c = np.linalg.solve(b, x1 * np.array([et, ep]))
-            out.append(ConstellationPoint(1, k1, k2, complex(x1), complex(c[0])))
-            out.append(ConstellationPoint(2, k1, k2, complex(x2), complex(c[1])))
-    return out
+    require_same_grid(basis_hat.grid, s_hat.grid)
+    patterns = (basis_hat.b1, basis_hat.b2) + _states(s_hat, constellation)
+    # two co-located "receivers", one per polarization component
+    resp = _responses(patterns, np.full((2, 1), theta, dtype=float),
+                      np.full((2, 1), phi, dtype=float), (THETA_POL, PHI_POL))
+    g = _gains_or_raise(resp[:, :, :2], resp[:, :, 2:], condition_cap)
+    return _pair_points(constellation, g)
 
 
 def great_circle_offset(theta, phi, distance, bearing):
@@ -370,7 +407,10 @@ def cdf_summary(records) -> CdfSummary:
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloResult:
-    """Per-stream sorted error magnitudes plus the rejection tally."""
+    """Per-stream sorted error magnitudes plus the rejection tally.
+
+    Each stream holds one error per ratio state of every kept scenario.
+    """
 
     stream_errors: tuple[np.ndarray, np.ndarray]
     n_scenarios: int
@@ -387,71 +427,14 @@ class MonteCarloResult:
         return cdf_summary(self.stream_errors[0]), cdf_summary(self.stream_errors[1])
 
 
-def _sample_fields(pattern_stack, grid, theta, phi):
-    """Bilinear sample of stacked complex fields (k, nt, np) at (theta, phi)."""
-    ht, hp = grid.theta_step, grid.phi_step
-    it = np.minimum((theta / ht).astype(int), grid.n_theta - 2)
-    ft = theta / ht - it
-    jr = np.floor(phi / hp).astype(int)
-    fp = phi / hp - jr
-    j0 = jr % grid.n_phi
-    j1 = (jr + 1) % grid.n_phi
-    return (
-        (1.0 - ft) * (1.0 - fp) * pattern_stack[:, it, j0]
-        + (1.0 - ft) * fp * pattern_stack[:, it, j1]
-        + ft * (1.0 - fp) * pattern_stack[:, it + 1, j0]
-        + ft * fp * pattern_stack[:, it + 1, j1]
-    )
-
-
 def _mc_chunk(args):
     """Evaluate one scenario chunk; pure function of its inputs."""
-    (basis_fields, state_fields, grid, pols, points, theta, phi,
-     condition_cap) = args
-    m = points.size
-    n = theta.shape[1]
-
-    # Receiver responses to the two basis patterns and the M states:
-    # project the sampled (theta, phi) components onto each polarization.
-    resp = []
-    for rx in range(2):
-        et = _sample_fields(basis_fields[0], grid, theta[rx], phi[rx])
-        ep = _sample_fields(basis_fields[1], grid, theta[rx], phi[rx])
-        resp.append(np.conj(pols[rx, 0]) * et + np.conj(pols[rx, 1]) * ep)
-    h = np.empty((n, 2, 2), dtype=complex)
-    h[:, 0, :] = resp[0].T
-    h[:, 1, :] = resp[1].T
-
-    f = np.empty((n, 2, m), dtype=complex)
-    for rx in range(2):
-        et = _sample_fields(state_fields[0], grid, theta[rx], phi[rx])
-        ep = _sample_fields(state_fields[1], grid, theta[rx], phi[rx])
-        f[:, rx, :] = (np.conj(pols[rx, 0]) * et + np.conj(pols[rx, 1]) * ep).T
-
-    det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-    f2 = np.sum(np.abs(h) ** 2, axis=(1, 2))
-    s2max = 0.5 * (f2 + np.sqrt(np.maximum(f2 * f2 - 4.0 * np.abs(det) ** 2, 0.0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(np.abs(det) > 0.0, s2max / np.abs(det), np.inf)
-    keep = cond <= condition_cap
-    n_rejected = int(n - np.count_nonzero(keep))
-
-    hk, fk, detk = h[keep], f[keep], det[keep]
-    e1 = np.empty((hk.shape[0], m * m))
-    e2 = np.empty_like(e1)
-    col = 0
-    for k1 in range(m):
-        for k2 in range(m):
-            x1, x2 = points[k1], points[k2]
-            k = (k2 - k1) % m
-            y1 = x1 * fk[:, 0, k]
-            y2 = x1 * fk[:, 1, k]
-            xh1 = (hk[:, 1, 1] * y1 - hk[:, 0, 1] * y2) / detk
-            xh2 = (hk[:, 0, 0] * y2 - hk[:, 1, 0] * y1) / detk
-            e1[:, col] = np.abs(xh1 - x1)
-            e2[:, col] = np.abs(xh2 - x2)
-            col += 1
-    return e1.ravel(), e2.ravel(), n_rejected
+    patterns, pols, ratios, theta, phi, condition_cap = args
+    resp = _responses(patterns, theta, phi, pols)
+    keep, g = _zf_gains(resp[:, :, :2], resp[:, :, 2:], condition_cap)
+    e1 = np.abs(g[:, 0] - 1.0)
+    e2 = np.abs(g[:, 1] - ratios)
+    return e1.ravel(), e2.ravel(), int(keep.size - np.count_nonzero(keep))
 
 
 def run_monte_carlo(
@@ -469,14 +452,19 @@ def run_monte_carlo(
 
     Per scenario the first receive angle is drawn area-uniformly on the
     sphere and the second lies at a great-circle distance uniform in
-    ``separation_deg`` along a uniform random bearing.  Every symbol pair
-    of the constellation is evaluated noiselessly; geometries whose
-    channel condition number exceeds ``condition_cap`` are rejected and
-    tallied.  Identical (seed, parameters) give bitwise-identical output
-    for any ``threads``.
+    ``separation_deg`` along a uniform random bearing.  Each accepted
+    geometry contributes one noiseless error per stream and ratio state:
+    for unit-modulus PSK every symbol pair with that ratio has exactly
+    this error magnitude, so the streams hold M samples per geometry and
+    the same empirical CDF as all M^2 pairs.  Geometries whose channel
+    condition number exceeds ``condition_cap`` are rejected and tallied.
+    Identical (seed, parameters) give bitwise-identical output for any
+    ``threads``.
     """
     if n_scenarios < 1:
         raise InvalidArgumentError("n_scenarios must be >= 1")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     lo, hi = float(separation_deg[0]), float(separation_deg[1])
     if not (0.0 < lo <= hi):
         raise InvalidArgumentError(
@@ -484,10 +472,7 @@ def run_monte_carlo(
         )
     if threads < 1:
         raise InvalidArgumentError("threads must be >= 1")
-    if constellation.order != s_hat.ratios.order:
-        raise RatioSetMismatchError(
-            "constellation order does not match the state-pattern alphabet"
-        )
+    patterns = (basis_hat.b1, basis_hat.b2) + _states(s_hat, constellation)
     require_same_grid(s_hat.grid, basis_hat.grid)
     pols = np.asarray(rx_polarizations, dtype=complex)
     if pols.shape != (2, 2) or np.any(np.abs(np.linalg.norm(pols, axis=1) - 1.0) > 1e-6):
@@ -504,21 +489,10 @@ def run_monte_carlo(
     theta = np.stack([theta1, theta2])
     phi = np.stack([phi1, phi2])
 
-    grid = s_hat.grid
-    m = constellation.order
-    basis_fields = (
-        np.stack([basis_hat.b1.e_theta, basis_hat.b2.e_theta]),
-        np.stack([basis_hat.b1.e_phi, basis_hat.b2.e_phi]),
-    )
-    state_fields = (
-        np.stack([s_hat.state(k).e_theta for k in range(m)]),
-        np.stack([s_hat.state(k).e_phi for k in range(m)]),
-    )
-    points = constellation.points
-
+    ratios = np.asarray(constellation.ratio_set.values)
     chunks = [
-        (basis_fields, state_fields, grid, pols, points,
-         theta[:, i:i + _CHUNK], phi[:, i:i + _CHUNK], condition_cap)
+        (patterns, pols, ratios, theta[:, i:i + _CHUNK], phi[:, i:i + _CHUNK],
+         condition_cap)
         for i in range(0, n, _CHUNK)
     ]
     if threads == 1 or len(chunks) == 1:
@@ -527,13 +501,13 @@ def run_monte_carlo(
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_mc_chunk, chunks))
 
-    e1 = np.sort(np.concatenate([r[0] for r in results]))
-    e2 = np.sort(np.concatenate([r[1] for r in results]))
+    streams = tuple(np.concatenate([r[s] for r in results]) for s in (0, 1))
+    for e in streams:
+        e.sort()
+        e.setflags(write=False)
     n_rejected = sum(r[2] for r in results)
-    e1.setflags(write=False)
-    e2.setflags(write=False)
     return MonteCarloResult(
-        stream_errors=(e1, e2),
+        stream_errors=streams,
         n_scenarios=n,
         n_rejected=n_rejected,
         seed=int(seed),

@@ -199,16 +199,20 @@ def perturbed_basis(s_hat: StatePatternSet) -> BasisPair:
     return compute_basis(e_plus, e_minus)
 
 
-def _evm_terms(basis_hat: BasisPair, s_hat: StatePatternSet, ratios: RatioSet):
-    """Numerator and denominator power maps of the EVM ratio."""
+def _evm_terms(basis_hat: BasisPair, s_hat: StatePatternSet, ratios: RatioSet,
+               node=...):
+    """Numerator and denominator powers of the EVM ratio.
+
+    Maps over the whole grid by default; scalars at one ``node`` index.
+    """
     b1, b2 = basis_hat.b1, basis_hat.b2
-    num = np.zeros(basis_hat.grid.shape)
-    den = np.zeros(basis_hat.grid.shape)
+    num = den = 0.0
     for k, xbar in enumerate(ratios.values):
         e = s_hat.state(k)
-        ideal_t = b1.e_theta + xbar * b2.e_theta
-        ideal_p = b1.e_phi + xbar * b2.e_phi
-        num += np.abs(ideal_t - e.e_theta) ** 2 + np.abs(ideal_p - e.e_phi) ** 2
+        ideal_t = b1.e_theta[node] + xbar * b2.e_theta[node]
+        ideal_p = b1.e_phi[node] + xbar * b2.e_phi[node]
+        num += (np.abs(ideal_t - e.e_theta[node]) ** 2
+                + np.abs(ideal_p - e.e_phi[node]) ** 2)
         den += np.abs(ideal_t) ** 2 + np.abs(ideal_p) ** 2
     return num, den
 
@@ -245,15 +249,7 @@ def evm_at_angle(
     nt, npz = basis_hat.grid.shape
     if not (0 <= i < nt and 0 <= j < npz):
         raise InvalidArgumentError(f"grid index {omega} outside shape {(nt, npz)}")
-    b1, b2 = basis_hat.b1, basis_hat.b2
-    num = 0.0
-    den = 0.0
-    for k, xbar in enumerate(ratios.values):
-        e = s_hat.state(k)
-        ideal_t = b1.e_theta[i, j] + xbar * b2.e_theta[i, j]
-        ideal_p = b1.e_phi[i, j] + xbar * b2.e_phi[i, j]
-        num += abs(ideal_t - e.e_theta[i, j]) ** 2 + abs(ideal_p - e.e_phi[i, j]) ** 2
-        den += abs(ideal_t) ** 2 + abs(ideal_p) ** 2
+    num, den = _evm_terms(basis_hat, s_hat, ratios, (i, j))
     if den == 0.0:
         raise DegenerateAngleError(f"zero constellation power at grid index {omega}")
     value = float(np.sqrt(num / den))

@@ -33,6 +33,8 @@ __all__ = [
     "uniform_pattern",
     "zero_pattern",
     "sample_pattern",
+    "bilinear_stencil",
+    "apply_stencil",
     "great_circle_distance",
 ]
 
@@ -266,8 +268,23 @@ def zero_pattern(grid: SphericalGrid) -> VectorPattern:
     return uniform_pattern(grid, 0.0, 0.0)
 
 
-def _bilinear(grid: SphericalGrid, field: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation, periodic in phi and exact at grid nodes."""
+def bilinear_stencil(grid: SphericalGrid, theta, phi):
+    """Flat node indices and weights of the bilinear sample at each angle.
+
+    Periodic in phi and exact at grid nodes (the node's weight is exactly
+    one and the others exactly zero).  Accepts scalars or
+    broadcast-compatible arrays of radians; apply the result to any
+    number of fields on ``grid`` with :func:`apply_stencil`.
+
+    Raises:
+        AngleOutOfRangeError: theta outside [0, pi] or non-finite input.
+    """
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                     np.asarray(phi, dtype=float))
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
+        raise AngleOutOfRangeError("sample angles must be finite")
+    if np.any(theta < -1e-12) or np.any(theta > np.pi + 1e-12):
+        raise AngleOutOfRangeError("theta outside grid coverage [0, pi]")
     tq = np.clip(theta, 0.0, np.pi)
     it = np.clip(np.searchsorted(grid.theta, tq, side="right") - 1, 0, grid.n_theta - 2)
     ft = (tq - grid.theta[it]) / (grid.theta[it + 1] - grid.theta[it])
@@ -277,12 +294,22 @@ def _bilinear(grid: SphericalGrid, field: np.ndarray, theta: np.ndarray, phi: np
     # last azimuth cell wraps to phi = 2*pi
     upper = np.where(j1 == 0, 2.0 * np.pi, grid.phi[j1])
     fp = (pq - grid.phi[j0]) / (upper - grid.phi[j0])
-    return (
-        (1.0 - ft) * (1.0 - fp) * field[it, j0]
-        + (1.0 - ft) * fp * field[it, j1]
-        + ft * (1.0 - fp) * field[it + 1, j0]
-        + ft * fp * field[it + 1, j1]
-    )
+    row0 = it * grid.n_phi
+    row1 = row0 + grid.n_phi
+    nodes = (row0 + j0, row0 + j1, row1 + j0, row1 + j1)
+    weights = ((1.0 - ft) * (1.0 - fp), (1.0 - ft) * fp, ft * (1.0 - fp), ft * fp)
+    return nodes, weights
+
+
+def apply_stencil(stencil, fields: np.ndarray) -> np.ndarray:
+    """Bilinear samples of fields (..., n_theta, n_phi) at a stencil's angles.
+
+    Returns an array of shape (..., *angle shape).
+    """
+    (n00, n01, n10, n11), (w00, w01, w10, w11) = stencil
+    flat = fields.reshape(fields.shape[:-2] + (-1,))
+    return (w00 * flat.take(n00, axis=-1) + w01 * flat.take(n01, axis=-1)
+            + w10 * flat.take(n10, axis=-1) + w11 * flat.take(n11, axis=-1))
 
 
 def sample_pattern(p: VectorPattern, theta, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -294,17 +321,8 @@ def sample_pattern(p: VectorPattern, theta, phi) -> tuple[np.ndarray, np.ndarray
     Raises:
         AngleOutOfRangeError: theta outside [0, pi] or non-finite input.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    theta, phi = np.broadcast_arrays(theta, phi)
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
-        raise AngleOutOfRangeError("sample angles must be finite")
-    if np.any(theta < -1e-12) or np.any(theta > np.pi + 1e-12):
-        raise AngleOutOfRangeError("theta outside grid coverage [0, pi]")
-    return (
-        _bilinear(p.grid, p.e_theta, theta, phi),
-        _bilinear(p.grid, p.e_phi, theta, phi),
-    )
+    stencil = bilinear_stencil(p.grid, theta, phi)
+    return apply_stencil(stencil, p.e_theta), apply_stencil(stencil, p.e_phi)
 
 
 def great_circle_distance(theta1, phi1, theta2, phi2) -> np.ndarray:

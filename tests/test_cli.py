@@ -188,6 +188,18 @@ class TestMonteCarloCommand:
         assert main(["monte-carlo", "--config", str(hand_config),
                      "--scenarios", "0"]) == 2
 
+    def test_negative_seed_exit_2(self, hand_config, capsys):
+        assert main(["monte-carlo", "--config", str(hand_config),
+                     "--scenarios", "10", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err
+        assert "Traceback" not in err
+
+    def test_nan_condition_cap_exit_2(self, tmp_path, capsys):
+        config = _write_config(tmp_path, {"monte_carlo": {"condition_cap": float("nan")}})
+        assert main(["monte-carlo", "--config", str(config)]) == 2
+        assert "monte_carlo.condition_cap" in capsys.readouterr().err
+
 
 class TestPatternFilePipeline:
     def test_metrics_from_files_match_generator(self, tmp_path):

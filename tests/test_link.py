@@ -76,6 +76,33 @@ RX1 = (D(45.0), D(294.0))
 RX2 = (D(45.0), D(298.0))
 
 
+def _mc_geometries(n, seed, separation_deg=(3.0, 5.0)):
+    """Receive angles of the first ``n`` scenarios drawn by run_monte_carlo."""
+    u = np.random.default_rng(seed).random((4, n))
+    theta1 = np.arccos(1 - 2 * u[0])
+    phi1 = 2 * np.pi * u[1]
+    lo, hi = D(separation_deg[0]), D(separation_deg[1])
+    theta2, phi2 = great_circle_offset(theta1, phi1, lo + (hi - lo) * u[2],
+                                       2 * np.pi * u[3])
+    return [((theta1[s], phi1[s]), (theta2[s], phi2[s])) for s in range(n)]
+
+
+def _pair_errors_oracle(states, basis, con, geometries):
+    """Per-pair error magnitudes |x_hat - x| by transmit_and_receive + LAPACK.
+
+    Returns one (scenario, k1, k2) array per stream.
+    """
+    m = con.order
+    errors = np.empty((2, len(geometries), m, m))
+    for s, angles in enumerate(geometries):
+        scenario = build_channel(basis, angles, con)
+        for k1, x1 in enumerate(con.points):
+            for k2, x2 in enumerate(con.points):
+                y = transmit_and_receive(states, x1, x2, scenario)
+                errors[:, s, k1, k2] = np.abs(zf_equalize(y, scenario) - [x1, x2])
+    return errors
+
+
 class TestBuildChannel:
     def test_zero_b2_is_flagged_singular(self, grid, free_basis):
         basis = BasisPair(b1=free_basis.b1, b2=zero_pattern(grid))
@@ -130,6 +157,12 @@ class TestBuildChannel:
             h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             assert _condition_2x2(h) == pytest.approx(np.linalg.cond(h), rel=1e-9)
         assert _condition_2x2(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)) == np.inf
+        batch = rng.standard_normal((3, 5, 2, 2)) + 1j * rng.standard_normal((3, 5, 2, 2))
+        got = _condition_2x2(batch)
+        assert got.shape == (3, 5)
+        assert got == pytest.approx(np.linalg.cond(batch), rel=1e-9)
+        batch[1, 2] = 1.0
+        assert _condition_2x2(batch)[1, 2] == np.inf
 
 
 class TestTransmitAndReceive:
@@ -301,25 +334,39 @@ class TestMonteCarlo:
                 assert runs[0].stream_errors[s].tobytes() == r.stream_errors[s].tobytes()
 
     def test_record_path_cross_check(self, hand_states, hand_basis):
-        # the vectorized closed-form solver must agree with the
-        # scenario-at-a-time LAPACK path
+        # the closed-form ratio-state kernel must agree with the per-pair
+        # LAPACK path: each state's error, once per pair of that ratio
         mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=3, seed=21)
-        rng = np.random.default_rng(21)
-        u = rng.random((4, 3))
-        theta1 = np.arccos(1 - 2 * u[0])
-        phi1 = 2 * np.pi * u[1]
-        dist = D(3.0) + (D(5.0) - D(3.0)) * u[2]
-        bearing = 2 * np.pi * u[3]
-        theta2, phi2 = great_circle_offset(theta1, phi1, dist, bearing)
-        errors = {1: [], 2: []}
-        for s in range(3):
-            scenario = build_channel(
-                hand_basis, ((theta1[s], phi1[s]), (theta2[s], phi2[s])), QPSK)
-            for rec in evaluate_scenario(hand_states, scenario):
-                errors[rec.stream].append(rec.magnitude)
+        errors = _pair_errors_oracle(hand_states, hand_basis, QPSK,
+                                     _mc_geometries(3, seed=21))
         for stream in (1, 2):
-            want = np.sort(np.asarray(errors[stream]))
-            got = mc.stream_errors[stream - 1]
+            want = np.sort(errors[stream - 1].ravel())
+            got = np.repeat(mc.stream_errors[stream - 1], 4)
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_ratio_state_reduction_8psk_with_offset(self, grid):
+        con = PskConstellation(8, phase_offset=0.3)
+        ratios = con.ratio_set
+        states = generate_mirror_pair(default_mirror_profile(), grid, ratios)
+        psi = generate_perturbation(
+            [PerturbationLobe(theta=D(50 + 10 * k), phi=D(290 - 25 * k), width=D(70),
+                              amplitude=0.35, phase=D(47 * k), states=(k,))
+             for k in range(8)], grid, ratios)
+        s_hat = apply_perturbation(states, psi)
+        b_hat = perturbed_basis(s_hat)
+        mc = run_monte_carlo(s_hat, b_hat, con, n_scenarios=6, seed=8)
+        assert mc.n_rejected == 0
+        errors = _pair_errors_oracle(s_hat, b_hat, con, _mc_geometries(6, seed=8))
+        k1 = np.arange(8)
+        for e in errors:
+            for k in range(8):
+                # every pair of one ratio index has the same error magnitude
+                same_ratio = e[:, k1, (k1 + k) % 8]
+                assert np.allclose(same_ratio, same_ratio[:, :1], rtol=1e-12, atol=1e-12)
+        assert np.max(errors[1]) > 1e-2
+        for stream in (1, 2):
+            want = np.sort(errors[stream - 1].ravel())
+            got = np.repeat(mc.stream_errors[stream - 1], 8)
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_ratio_index_recorded(self, hand_states, hand_basis):
@@ -348,7 +395,7 @@ class TestMonteCarlo:
         # min == max is a valid (single-distance) interval
         mc = run_monte_carlo(free_states, free_basis, QPSK, n_scenarios=50,
                              separation_deg=(4.0, 4.0), seed=3)
-        assert mc.stream_errors[0].size == 50 * 16
+        assert mc.stream_errors[0].size == 50 * 4
 
     def test_grid_mismatch_rejected(self, free_states):
         from beamspace import GridMismatchError
