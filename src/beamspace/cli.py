@@ -32,6 +32,7 @@ from .iokit import (
     RunConfig,
     load_config,
     load_pattern_csv,
+    save_constellation_csv,
     save_metrics_json,
     save_results,
 )
@@ -189,22 +190,6 @@ def cmd_evm_map(args) -> int:
     return 0
 
 
-def _write_constellation_csv(path: Path, rows) -> None:
-    with path.open("w", newline="") as fh:
-        fh.write(
-            "side,k1,k2,x1_ideal_re,x1_ideal_im,x1_actual_re,x1_actual_im,"
-            "x2_ideal_re,x2_ideal_im,x2_actual_re,x2_actual_im\n"
-        )
-        for side, k1, k2, p1, p2 in rows:
-            fh.write(
-                f"{side},{k1},{k2},"
-                f"{p1.ideal.real!r},{p1.ideal.imag!r},"
-                f"{p1.actual.real!r},{p1.actual.imag!r},"
-                f"{p2.ideal.real!r},{p2.ideal.imag!r},"
-                f"{p2.actual.real!r},{p2.actual.imag!r}\n"
-            )
-
-
 def _pair_rows(side: str, points):
     by_pair = {}
     for pt in points:
@@ -231,8 +216,7 @@ def cmd_constellation(args) -> int:
                                 condition_cap=cfg.condition_cap)
     rows = _pair_rows("transmit", tx) + _pair_rows("receive", rx)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / "constellation.csv"
-    _write_constellation_csv(path, rows)
+    path = save_constellation_csv(cfg.out_dir / "constellation.csv", rows)
     m = asm.constellation.order
     print(f"constellation written to {path} ({m * m} pairs per side)")
     print(f"channel condition number: {scenario.condition_number!r}")

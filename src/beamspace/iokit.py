@@ -1,16 +1,18 @@
 """File formats: pattern CSV, result tables, metrics JSON, run configs.
 
 Angle columns are degrees at every file boundary (radians in memory).
-All numeric columns are written with shortest round-trip formatting, so
-writer/reader pairs are lossless at double precision.  Non-finite metric
-values are encoded as the JSON strings "inf", "-inf", "nan".
+One writer puts floats in shortest round-trip form and one reader parses
+tables with ``np.loadtxt``, so writer/reader pairs are lossless at double
+precision.  Monte-Carlo CDF tables have at most 10^4 rows; ``errors.npz``
+holds the exact samples.  Non-finite metric values are encoded as the
+JSON strings "inf", "-inf", "nan".
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -30,6 +32,7 @@ __all__ = [
     "parse_pattern_header",
     "save_cdf_csv",
     "load_cdf_csv",
+    "save_constellation_csv",
     "save_metrics_json",
     "load_metrics_json",
     "save_results",
@@ -42,14 +45,61 @@ CDF_COLUMNS = ("error", "cumulative_probability")
 _ANGLE_MATCH_TOL = 1e-9  # radians; any looser is an irregular grid
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal string that round-trips the double exactly."""
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return repr(x)
+def _write_table(path: Path, header, columns) -> Path:
+    """Header lines, then row i: element i of each column (floats by repr, others by str)."""
+    # .tolist() first: numpy 2 spells repr(np.float64(x)) as "np.float64(x)"
+    cells = [map(repr if c.dtype.kind == "f" else str, c.tolist())
+             for c in map(np.asarray, columns)]
+    with path.open("w", newline="") as fh:
+        fh.writelines(line + "\n" for line in header)
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+    return path
+
+
+def _read_table(path: Path, columns) -> np.ndarray:
+    """Data rows (bitwise equal to float() of each field) under the column row.
+
+    The column row is the first line that is neither blank nor a ``#`` comment.
+    """
+    with path.open() as fh:
+        for n_header, line in enumerate(iter(fh.readline, ""), start=1):
+            if line.strip() and not line.lstrip().startswith("#"):
+                break
+        else:
+            raise PatternFormatError(f"{path}: no column row {','.join(columns)}")
+        names = [c.strip().strip('"') for c in line.split(",")]
+        missing = [c for c in columns if c not in names]
+        if missing:
+            raise PatternFormatError(f"{path}: missing column(s) {', '.join(missing)}")
+        if names != list(columns):
+            raise PatternFormatError(f"{path}: columns must be exactly {','.join(columns)}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2)
+        except ValueError as exc:
+            bad = _first_bad_line(path, n_header, len(columns))
+            raise PatternFormatError(bad or f"{path}: {exc}") from exc
+    if data.size and data.shape[1] != len(columns):
+        raise PatternFormatError(_first_bad_line(path, n_header, len(columns)))
+    return data.reshape(-1, len(columns))
+
+
+def _first_bad_line(path: Path, n_header: int, n_fields: int) -> str | None:
+    """Name the first data line with a wrong field count or a non-numeric field."""
+    with path.open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            body = line.split("#", 1)[0].rstrip("\n")
+            if lineno <= n_header or not body:
+                continue
+            fields = body.split(",")
+            if len(fields) != n_fields:
+                return f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}"
+            try:
+                [float(f.strip().strip('"')) for f in fields]
+            except ValueError as exc:
+                return f"{path}:{lineno}: {exc}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -73,29 +123,22 @@ def save_pattern_csv(
     pattern: VectorPattern, path, state: str = "", frequency: str = ""
 ) -> Path:
     """Write a pattern in theta-major order with a commented header."""
-    path = Path(path)
     grid = pattern.grid
-    theta_deg = np.rad2deg(grid.theta)
-    phi_deg = np.rad2deg(grid.phi)
-    with path.open("w", newline="") as fh:
-        fh.write(f"# n_theta: {grid.n_theta}\n")
-        fh.write(f"# n_phi: {grid.n_phi}\n")
-        fh.write("# angle_unit: deg\n")
-        if frequency:
-            fh.write(f"# frequency: {frequency}\n")
-        if state:
-            fh.write(f"# state: {state}\n")
-        fh.write(",".join(PATTERN_COLUMNS) + "\n")
-        for i in range(grid.n_theta):
-            for j in range(grid.n_phi):
-                et = pattern.e_theta[i, j]
-                ep = pattern.e_phi[i, j]
-                fh.write(
-                    f"{_fmt(theta_deg[i])},{_fmt(phi_deg[j])},"
-                    f"{_fmt(et.real)},{_fmt(et.imag)},"
-                    f"{_fmt(ep.real)},{_fmt(ep.imag)}\n"
-                )
-    return path
+    header = [f"# n_theta: {grid.n_theta}", f"# n_phi: {grid.n_phi}", "# angle_unit: deg"]
+    if frequency:
+        header.append(f"# frequency: {frequency}")
+    if state:
+        header.append(f"# state: {state}")
+    header.append(",".join(PATTERN_COLUMNS))
+    et, ep = pattern.e_theta.ravel(), pattern.e_phi.ravel()
+    return _write_table(Path(path), header,
+                        (*_grid_columns(grid), et.real, et.imag, ep.real, ep.imag))
+
+
+def _grid_columns(grid) -> tuple[np.ndarray, np.ndarray]:
+    """theta_deg and phi_deg of every node in theta-major order."""
+    return (np.repeat(np.rad2deg(grid.theta), grid.n_phi),
+            np.tile(np.rad2deg(grid.phi), grid.n_theta))
 
 
 def parse_pattern_header(path) -> PatternFileHeader:
@@ -132,38 +175,9 @@ def load_pattern_csv(path) -> VectorPattern:
     """
     path = Path(path)
     header = parse_pattern_header(path)
-    rows: list[tuple[float, ...]] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        column_row = None
-        for lineno, row in enumerate(reader, start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if column_row is None:
-                column_row = [c.strip() for c in row]
-                missing = [c for c in PATTERN_COLUMNS if c not in column_row]
-                if missing:
-                    raise PatternFormatError(
-                        f"{path}: missing column(s) {', '.join(missing)}"
-                    )
-                if column_row != list(PATTERN_COLUMNS):
-                    raise PatternFormatError(
-                        f"{path}: columns must be exactly {','.join(PATTERN_COLUMNS)}"
-                    )
-                continue
-            if len(row) != len(PATTERN_COLUMNS):
-                raise PatternFormatError(
-                    f"{path}:{lineno}: expected {len(PATTERN_COLUMNS)} fields, "
-                    f"got {len(row)}"
-                )
-            try:
-                rows.append(tuple(float(v) for v in row))
-            except ValueError as exc:
-                raise PatternFormatError(f"{path}:{lineno}: {exc}") from exc
-    if column_row is None or not rows:
+    data = _read_table(path, PATTERN_COLUMNS)
+    if data.shape[0] == 0:
         raise PatternFormatError(f"{path}: no data rows")
-
-    data = np.asarray(rows, dtype=float)
     if np.any(np.isnan(data)):
         bad = int(np.argwhere(np.isnan(data))[0][0])
         raise PatternFormatError(f"{path}: NaN value in data row {bad + 1}")
@@ -202,8 +216,9 @@ def load_pattern_csv(path) -> VectorPattern:
             f"{path}: angles are not a regular theta-major "
             f"{n_theta}x{n_phi} full-sphere grid"
         )
-    e_theta = (data[:, 2] + 1j * data[:, 3]).reshape(n_theta, n_phi)
-    e_phi = (data[:, 4] + 1j * data[:, 5]).reshape(n_theta, n_phi)
+    fields = np.ascontiguousarray(data[:, 2:]).view(complex)  # a + 1j*b loses -0.0
+    e_theta = fields[:, 0].reshape(n_theta, n_phi)
+    e_phi = fields[:, 1].reshape(n_theta, n_phi)
     try:
         return VectorPattern(grid=grid, e_theta=e_theta, e_phi=e_phi)
     except InvalidArgumentError as exc:
@@ -211,37 +226,26 @@ def load_pattern_csv(path) -> VectorPattern:
 
 
 def save_cdf_csv(path, errors, probabilities) -> Path:
-    path = Path(path)
     errors = np.asarray(errors, dtype=float)
     probabilities = np.asarray(probabilities, dtype=float)
     if errors.shape != probabilities.shape:
         raise InvalidArgumentError("errors and probabilities must have equal length")
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(CDF_COLUMNS) + "\n")
-        for e, p in zip(errors, probabilities):
-            fh.write(f"{_fmt(e)},{_fmt(p)}\n")
-    return path
+    return _write_table(Path(path), [",".join(CDF_COLUMNS)], (errors, probabilities))
 
 
 def load_cdf_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        head = next(reader, None)
-        if head is None or [c.strip() for c in head] != list(CDF_COLUMNS):
-            raise PatternFormatError(f"{path}: expected header {','.join(CDF_COLUMNS)}")
-        errors, probs = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise PatternFormatError(f"{path}:{lineno}: expected 2 fields")
-            try:
-                errors.append(float(row[0]))
-                probs.append(float(row[1]))
-            except ValueError as exc:
-                raise PatternFormatError(f"{path}:{lineno}: {exc}") from exc
-    return np.asarray(errors), np.asarray(probs)
+    data = _read_table(Path(path), CDF_COLUMNS)
+    return data[:, 0], data[:, 1]
+
+
+def save_constellation_csv(path, rows) -> Path:
+    """One row per (side, k1, k2, stream-1 point, stream-2 point) of ``rows``."""
+    side, k1, k2, p1, p2 = zip(*rows)
+    points = np.array([(a.ideal, a.actual, b.ideal, b.actual) for a, b in zip(p1, p2)])
+    return _write_table(Path(path), [
+        "side,k1,k2,x1_ideal_re,x1_ideal_im,x1_actual_re,x1_actual_im,"
+        "x2_ideal_re,x2_ideal_im,x2_actual_re,x2_actual_im"],
+        (side, k1, k2, *points.view(float).T))
 
 
 def _json_encode(obj: Any) -> Any:
@@ -252,9 +256,7 @@ def _json_encode(obj: Any) -> Any:
         return [_json_encode(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
-        if math.isfinite(x):
-            return x
-        return _fmt(x)
+        return x if math.isfinite(x) else repr(x)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
@@ -280,43 +282,37 @@ def load_metrics_json(path) -> dict:
     return _json_decode(json.loads(Path(path).read_text()))
 
 
-def _write_evm_csv(evm: EvmMap, path: Path) -> None:
-    grid = evm.grid
-    theta_deg = np.rad2deg(grid.theta)
-    phi_deg = np.rad2deg(grid.phi)
-    values = np.asarray(evm.evm.values, dtype=float)
+def _write_evm_csv(evm: EvmMap, path: Path) -> Path:
+    values = np.asarray(evm.evm.values, dtype=float).ravel()
     with np.errstate(divide="ignore"):
         values_db = np.where(values > 0.0, 20.0 * np.log10(np.maximum(values, 1e-300)),
                              -np.inf)
-    with path.open("w", newline="") as fh:
-        fh.write("theta_deg,phi_deg,evm_linear,evm_db,masked\n")
-        for i in range(grid.n_theta):
-            for j in range(grid.n_phi):
-                fh.write(
-                    f"{_fmt(theta_deg[i])},{_fmt(phi_deg[j])},"
-                    f"{_fmt(values[i, j])},{_fmt(values_db[i, j])},"
-                    f"{int(evm.degenerate_mask[i, j])}\n"
-                )
+    return _write_table(path, ["theta_deg,phi_deg,evm_linear,evm_db,masked"], (
+        *_grid_columns(evm.grid), values, values_db, evm.degenerate_mask.ravel().astype(int)))
 
 
 def save_results(out_dir, metrics: dict | None = None, evm: EvmMap | None = None,
                  mc=None) -> dict[str, Path]:
-    """Write whichever of metrics.json, evm_map.csv, cdf_stream{1,2}.csv apply."""
+    """Write whichever of metrics.json, evm_map.csv, cdf_stream{1,2}.csv apply.
+
+    With ``mc`` also errors.npz, ``mc.stream_errors`` as arrays ``stream1``
+    and ``stream2``: uncompressed, so that they reload bitwise.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
     if metrics is not None:
         written["metrics"] = save_metrics_json(metrics, out_dir / "metrics.json")
     if evm is not None:
-        path = out_dir / "evm_map.csv"
-        _write_evm_csv(evm, path)
-        written["evm_map"] = path
+        written["evm_map"] = _write_evm_csv(evm, out_dir / "evm_map.csv")
     if mc is not None:
         for stream in (1, 2):
             errors, probs = mc.cdf(stream)
             written[f"cdf_stream{stream}"] = save_cdf_csv(
                 out_dir / f"cdf_stream{stream}.csv", errors, probs
             )
+        written["errors"] = out_dir / "errors.npz"
+        np.savez(written["errors"], stream1=mc.stream_errors[0], stream2=mc.stream_errors[1])
     return written
 
 

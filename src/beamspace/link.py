@@ -23,6 +23,7 @@ results are bitwise independent of the worker count.
 from __future__ import annotations
 
 import concurrent.futures
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,7 @@ DEFAULT_CONDITION_CAP = 1e8
 # Scenario chunk size; fixed (not derived from the worker count) so the
 # processing order and therefore the output bytes never depend on it.
 _CHUNK = 4096
+_CDF_LEVELS = 10_000  # rows of MonteCarloResult.cdf at most
 
 THETA_POL = (1.0 + 0.0j, 0.0j)
 PHI_POL = (0.0j, 1.0 + 0.0j)
@@ -419,12 +421,26 @@ class MonteCarloResult:
     separation_deg: tuple[float, float]
 
     def cdf(self, stream: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted errors and empirical cumulative probabilities for a stream."""
+        """Empirical CDF of n errors at m = min(n, _CDF_LEVELS) levels.
+
+        Row i = 1..m is (``sorted[ceil(i*n/m) - 1]``, i/m): every sample when
+        n <= m, else within 1/m of the exact CDF, finer than its 95% DKW band
+        (+-1.1e-3 at 1.4e6 scenarios).  ``stream_errors`` holds the samples.
+        """
         e = self.stream_errors[stream - 1]
-        return e, np.arange(1, e.size + 1) / e.size
+        m = min(e.size, _CDF_LEVELS)
+        i = np.arange(1, m + 1)
+        return e[(i * e.size + m - 1) // m - 1], i / m  # integer ceil; a float ceil can be 1 off
 
     def summaries(self) -> tuple[CdfSummary, CdfSummary]:
         return cdf_summary(self.stream_errors[0]), cdf_summary(self.stream_errors[1])
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _mc_chunk(args):
@@ -461,10 +477,15 @@ def run_monte_carlo(
     Identical (seed, parameters) give bitwise-identical output for any
     ``threads``.
     """
-    if n_scenarios < 1:
+    n = _integer(n_scenarios, "n_scenarios")
+    seed = _integer(seed, "seed")
+    threads = _integer(threads, "threads")
+    if n < 1:
         raise InvalidArgumentError("n_scenarios must be >= 1")
     if seed < 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
+    if not condition_cap > 1.0:
+        raise InvalidArgumentError(f"condition_cap must exceed 1, got {condition_cap!r}")
     lo, hi = float(separation_deg[0]), float(separation_deg[1])
     if not (0.0 < lo <= hi):
         raise InvalidArgumentError(
@@ -478,7 +499,6 @@ def run_monte_carlo(
     if pols.shape != (2, 2) or np.any(np.abs(np.linalg.norm(pols, axis=1) - 1.0) > 1e-6):
         raise InvalidArgumentError("rx_polarizations must be two unit 2-vectors")
 
-    n = int(n_scenarios)
     rng = np.random.default_rng(seed)
     u = rng.random((4, n))
     theta1 = np.arccos(1.0 - 2.0 * u[0])
@@ -510,6 +530,6 @@ def run_monte_carlo(
         stream_errors=streams,
         n_scenarios=n,
         n_rejected=n_rejected,
-        seed=int(seed),
+        seed=seed,
         separation_deg=(lo, hi),
     )

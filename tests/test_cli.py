@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamspace import load_metrics_json
+from beamspace import cdf_summary, load_metrics_json
 from beamspace.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -153,6 +153,11 @@ class TestMonteCarloCommand:
         assert report["seconds"] > 0
         assert set(report["stream1"]["quantiles"]) == {
             "1.0", "5.0", "25.0", "50.0", "75.0", "95.0", "99.0"}
+        # the exact streams reload from errors.npz and reproduce the report
+        with np.load(tmp_path / "a" / "errors.npz") as exact:
+            for stream in ("stream1", "stream2"):
+                quantiles = {str(q): v for q, v in cdf_summary(exact[stream]).quantiles.items()}
+                assert quantiles == report[stream]["quantiles"]
 
     def test_seed_override(self, hand_config, tmp_path):
         assert main(["monte-carlo", "--config", str(hand_config),

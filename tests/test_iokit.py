@@ -48,12 +48,16 @@ class TestPatternCsv:
     def test_round_trip_small_grid_bitwise(self, tmp_path):
         grid = build_grid(3, 4)
         rng = np.random.default_rng(0)
-        pattern = _random_pattern(grid, rng)
+        random = _random_pattern(grid, rng)
+        e_theta, e_phi = random.e_theta.copy(), random.e_phi.copy()
+        e_theta[0, 1] = complex(-0.0, 5e-324)
+        e_phi[2, 3] = complex(1.7976931348623157e308, -0.0)
+        pattern = VectorPattern(grid=grid, e_theta=e_theta, e_phi=e_phi)
         path = save_pattern_csv(pattern, tmp_path / "p.csv", state="+1",
                                 frequency="2.45 GHz")
         loaded = load_pattern_csv(path)
-        assert np.array_equal(loaded.e_theta, pattern.e_theta)
-        assert np.array_equal(loaded.e_phi, pattern.e_phi)
+        assert loaded.e_theta.tobytes() == pattern.e_theta.tobytes()
+        assert loaded.e_phi.tobytes() == pattern.e_phi.tobytes()
         assert loaded.grid.shape == grid.shape
         header = parse_pattern_header(path)
         assert header.n_theta == 3
@@ -82,14 +86,20 @@ class TestPatternCsv:
             load_pattern_csv(path)
 
     def test_malformed_row_reports_line_number(self, tmp_path):
-        grid = build_grid(3, 4)
-        pattern = _random_pattern(grid, np.random.default_rng(2))
-        path = save_pattern_csv(pattern, tmp_path / "p.csv")
-        lines = path.read_text().splitlines()
-        lines[7] = "0.0,90.0,not_a_number,0.0,0.0,0.0"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(PatternFormatError, match=":8:"):
-            load_pattern_csv(path)
+        # a non-numeric field, a short last row, a bad field deep in the file
+        for shape, index, row, message in [
+            ((3, 4), 7, "0.0,90.0,not_a_number,0.0,0.0,0.0", ":8: could not convert"),
+            ((3, 4), 15, "180.0,270.0,0.0,0.0,0.0", ":16: expected 6 fields, got 5"),
+            ((91, 180), 8999, "0.0,90.0,1.0,0.0,0.0,x", ":9000: could not convert"),
+        ]:
+            grid = build_grid(*shape)
+            pattern = _random_pattern(grid, np.random.default_rng(2))
+            path = save_pattern_csv(pattern, tmp_path / "p.csv")
+            lines = path.read_text().splitlines()
+            lines[index] = row
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(PatternFormatError, match=message):
+                load_pattern_csv(path)
 
     def test_nan_rejected(self, tmp_path):
         grid = build_grid(3, 4)
@@ -125,27 +135,29 @@ class TestPatternCsv:
             load_pattern_csv(path)
 
     def test_hand_written_small_file_lands_on_indices(self, tmp_path):
-        # 3x4 grid written by hand with two marked samples
-        rows = []
-        for i, theta in enumerate((0.0, 90.0, 180.0)):
-            for j, phi in enumerate((0.0, 90.0, 180.0, 270.0)):
-                val = "0.0"
-                if (i, j) == (1, 2):
-                    rows.append(f"{theta},{phi},3.5,-1.25,0.0,0.5")
-                elif (i, j) == (2, 0):
-                    rows.append(f"{theta},{phi},0.0,0.0,-7.0,0.125")
-                else:
-                    rows.append(f"{theta},{phi},{val},0.0,0.0,0.0")
-        path = tmp_path / "hand.csv"
-        path.write_text(
-            "theta_deg,phi_deg,re_etheta,im_etheta,re_ephi,im_ephi\n"
-            + "\n".join(rows) + "\n"
-        )
-        loaded = load_pattern_csv(path)
-        assert loaded.e_theta[1, 2] == 3.5 - 1.25j
-        assert loaded.e_phi[1, 2] == 0.5j
-        assert loaded.e_phi[2, 0] == -7.0 + 0.125j
-        assert loaded.e_theta[0, 0] == 0.0
+        # 3x4 grid written by hand with two marked samples; then again with
+        # comment and blank lines between data rows and quoted numbers
+        for between_rows, marked in [("", "3.5,-1.25"), ("# comment\n\n", '"3.5","-1.25"')]:
+            rows = []
+            for i, theta in enumerate((0.0, 90.0, 180.0)):
+                for j, phi in enumerate((0.0, 90.0, 180.0, 270.0)):
+                    val = "0.0"
+                    if (i, j) == (1, 2):
+                        rows.append(f"{between_rows}{theta},{phi},{marked},0.0,0.5")
+                    elif (i, j) == (2, 0):
+                        rows.append(f"{theta},{phi},0.0,0.0,-7.0,0.125")
+                    else:
+                        rows.append(f"{theta},{phi},{val},0.0,0.0,0.0")
+            path = tmp_path / "hand.csv"
+            path.write_text(
+                "theta_deg,phi_deg,re_etheta,im_etheta,re_ephi,im_ephi\n"
+                + "\n".join(rows) + "\n"
+            )
+            loaded = load_pattern_csv(path)
+            assert loaded.e_theta[1, 2] == 3.5 - 1.25j
+            assert loaded.e_phi[1, 2] == 0.5j
+            assert loaded.e_phi[2, 0] == -7.0 + 0.125j
+            assert loaded.e_theta[0, 0] == 0.0
 
     def test_radian_unit_header(self, tmp_path):
         grid = build_grid(3, 4)
@@ -191,11 +203,12 @@ class TestCdfCsv:
     def test_round_trip_preserves_quantiles(self, tmp_path):
         rng = np.random.default_rng(6)
         errors = np.sort(rng.exponential(0.2, size=500))
+        errors[:2], errors[-1] = (-0.0, 5e-324), 1.7976931348623157e308
         probs = np.arange(1, 501) / 500
         path = save_cdf_csv(tmp_path / "cdf.csv", errors, probs)
         re_err, re_probs = load_cdf_csv(path)
-        assert np.array_equal(re_err, errors)
-        assert np.array_equal(re_probs, probs)
+        assert re_err.tobytes() == errors.tobytes()
+        assert re_probs.tobytes() == probs.tobytes()
         assert cdf_summary(re_err).quantiles == cdf_summary(errors).quantiles
 
     def test_length_mismatch(self, tmp_path):
@@ -203,10 +216,16 @@ class TestCdfCsv:
             save_cdf_csv(tmp_path / "c.csv", [1.0, 2.0], [0.5])
 
     def test_bad_header(self, tmp_path):
+        # and bad rows, named by their line
         path = tmp_path / "c.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(PatternFormatError):
-            load_cdf_csv(path)
+        for text, message in [
+            ("a,b\n1,2\n", "missing column"),
+            ("error,cumulative_probability\n0.1,0.5\n\n0.2\n", ":4: expected 2 fields, got 1"),
+            ("error,cumulative_probability\n0.1,0.5\nx,1.0\n", ":3: could not convert"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(PatternFormatError, match=message):
+                load_cdf_csv(path)
 
 
 class TestMetricsJson:
@@ -282,6 +301,30 @@ class TestSaveResults:
             errors, probs = load_cdf_csv(written[f"cdf_stream{stream}"])
             assert np.array_equal(errors, mc.stream_errors[stream - 1])
             assert np.all(np.diff(probs) > 0)
+
+    def test_mc_cdf_files_bounded_above_10k_samples(self, tmp_path):
+        grid = build_grid(11, 16)
+        states = generate_mirror_pair(default_mirror_profile(), grid, QPSK.ratio_set)
+        psi = generate_perturbation(example_perturbation(), grid, QPSK.ratio_set)
+        from beamspace import run_monte_carlo
+        s_hat = apply_perturbation(states, psi)
+        mc = run_monte_carlo(s_hat, perturbed_basis(s_hat), QPSK, n_scenarios=3000, seed=1)
+        written = save_results(tmp_path, mc=mc)
+        with np.load(written["errors"]) as npz:
+            reloaded = {name: npz[name] for name in npz.files}
+        for stream in (1, 2):
+            exact = mc.stream_errors[stream - 1]
+            n = exact.size
+            assert n > 10_000
+            assert reloaded[f"stream{stream}"].tobytes() == exact.tobytes()
+            errors, probs = load_cdf_csv(written[f"cdf_stream{stream}"])
+            i = np.arange(1, 10_001)
+            assert np.array_equal(probs, i / 10_000)
+            assert np.array_equal(errors, exact[[-(-k * n // 10_000) - 1 for k in range(1, 10_001)]])
+            # the file's step CDF stays within 1/10^4 of the exact empirical CDF
+            file_cdf = np.concatenate([[0.0], probs])[np.searchsorted(errors, exact, "right")]
+            exact_cdf = np.searchsorted(exact, exact, "right") / n
+            assert np.max(np.abs(file_cdf - exact_cdf)) <= 1e-4
 
 
 class TestRunConfig:

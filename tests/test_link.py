@@ -391,6 +391,14 @@ class TestMonteCarlo:
             run_monte_carlo(free_states, free_basis, PskConstellation(8),
                             n_scenarios=10, seed=1)
 
+    @pytest.mark.parametrize("bad", [
+        {"condition_cap": float("nan")}, {"condition_cap": 0.5}, {"condition_cap": 1.0},
+        {"seed": 1.5}, {"n_scenarios": 2.5}, {"threads": 1.5},
+    ])
+    def test_untrusted_arguments_rejected(self, free_states, free_basis, bad):
+        with pytest.raises(InvalidArgumentError, match=next(iter(bad))):
+            run_monte_carlo(free_states, free_basis, QPSK, **({"n_scenarios": 10, "seed": 1} | bad))
+
     def test_degenerate_separation_interval_allowed(self, free_states, free_basis):
         # min == max is a valid (single-distance) interval
         mc = run_monte_carlo(free_states, free_basis, QPSK, n_scenarios=50,
