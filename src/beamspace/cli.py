@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     AngleOutOfRangeError,
     ConfigError,
@@ -39,7 +37,6 @@ from .iokit import (
 from .link import (
     PHI_POL,
     THETA_POL,
-    NoiseModel,
     build_channel,
     constellation_at_angle,
     received_constellation,
@@ -76,7 +73,6 @@ _DEGENERATE_ERRORS = (DegenerateBasisError, DegenerateAngleError, SingularChanne
 class Assembly:
     """Domain objects instantiated from one run configuration."""
 
-    config: RunConfig
     constellation: PskConstellation
     ratios: RatioSet
     free_states: StatePatternSet
@@ -99,7 +95,6 @@ def _assemble(cfg: RunConfig) -> Assembly:
     psi = generate_perturbation(cfg.perturbation_lobes, grid, ratios)
     perturbed = apply_perturbation(free, psi)
     return Assembly(
-        config=cfg,
         constellation=constellation,
         ratios=ratios,
         free_states=free,
@@ -115,32 +110,12 @@ def _rx_polarizations(cfg: RunConfig):
 
 
 def _load_config_with_overrides(args) -> RunConfig:
-    cfg = load_config(args.config)
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        updates["out_dir"] = Path(args.out)
-    if getattr(args, "threads", None) is not None:
-        updates["threads"] = args.threads
-    if getattr(args, "scenarios", None) is not None:
-        updates["scenarios"] = args.scenarios
-    rx1 = list(cfg.rx1)
-    rx2 = list(cfg.rx2)
-    for field_, idx, name in (
-        (rx1, 0, "rx1_theta"), (rx1, 1, "rx1_phi"),
-        (rx2, 0, "rx2_theta"), (rx2, 1, "rx2_phi"),
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            field_[idx] = float(np.deg2rad(value))
-    updates["rx1"] = tuple(rx1)
-    updates["rx2"] = tuple(rx2)
-    cfg = dataclasses.replace(cfg, **updates)
-    if cfg.scenarios < 1:
-        raise ConfigError(f"scenarios must be >= 1, got {cfg.scenarios}")
-    if cfg.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
+    """The config with each flag whose ``dest`` is a key path written over its key."""
+    overrides = [(key, value) for key, value in vars(args).items()
+                 if "." in key and value is not None]
+    cfg = load_config(args.config, overrides)
+    if args.out is not None:
+        cfg = dataclasses.replace(cfg, out_dir=Path(args.out))
     return cfg
 
 
@@ -210,7 +185,6 @@ def cmd_constellation(args) -> int:
     scenario = build_channel(
         asm.perturbed_basis, (cfg.rx1, cfg.rx2), asm.constellation,
         rx_polarizations=_rx_polarizations(cfg),
-        noise=NoiseModel(cfg.noise_variances),
     )
     rx = received_constellation(asm.perturbed_states, scenario,
                                 condition_cap=cfg.condition_cap)
@@ -224,9 +198,9 @@ def cmd_constellation(args) -> int:
 
 
 def cmd_monte_carlo(args) -> int:
+    start = time.perf_counter()
     cfg = _load_config_with_overrides(args)
     asm = _assemble(cfg)
-    start = time.perf_counter()
     mc = run_monte_carlo(
         asm.perturbed_states,
         asm.perturbed_basis,
@@ -238,7 +212,6 @@ def cmd_monte_carlo(args) -> int:
         rx_polarizations=_rx_polarizations(cfg),
         condition_cap=cfg.condition_cap,
     )
-    elapsed = time.perf_counter() - start
     if mc.stream_errors[0].size == 0:
         print("all scenarios were rejected as ill-conditioned", file=sys.stderr)
         return 1
@@ -248,11 +221,11 @@ def cmd_monte_carlo(args) -> int:
         "rejected": mc.n_rejected,
         "seed": mc.seed,
         "separation_deg": list(mc.separation_deg),
-        "seconds": elapsed,
         "stream1": {"quantiles": s1.quantiles, "exceedance": s1.exceedance},
         "stream2": {"quantiles": s2.quantiles, "exceedance": s2.exceedance},
     }
     written = save_results(cfg.out_dir, mc=mc)
+    report["seconds"] = elapsed = time.perf_counter() - start
     report_path = save_metrics_json(report, cfg.out_dir / "mc_report.json")
     print(f"cdfs written to {written['cdf_stream1']} and {written['cdf_stream2']}")
     print(f"report written to {report_path}")
@@ -283,12 +256,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to config.json")
-        p.add_argument("--seed", type=int, help="override the configured seed")
-        p.add_argument("--out", help="override the output directory")
-        p.add_argument("--threads", type=int, help="cap worker count (results unchanged)")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="path to config.json")
+        p.add_argument("--seed", type=int, dest="monte_carlo.seed", metavar="N",
+                       help="override monte_carlo.seed")
+        p.add_argument("--out", help="output directory, relative to the working directory")
+        p.add_argument("--threads", type=int, dest="monte_carlo.threads", metavar="N",
+                       help="override monte_carlo.threads (results unchanged)")
 
     p = sub.add_parser("metrics", help="basis correlation/imbalance and state power ratios")
     add_common(p)
@@ -300,14 +274,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constellation", help="transmit- and receive-side I/Q points")
     add_common(p)
-    for name in ("rx1-theta", "rx1-phi", "rx2-theta", "rx2-phi"):
-        p.add_argument(f"--{name}", type=float, dest=name.replace("-", "_"),
-                       help=f"override {name} in degrees")
+    for key in ("rx1.theta", "rx1.phi", "rx2.theta", "rx2.phi"):
+        p.add_argument("--" + key.replace(".", "-"), type=float, dest=f"receive.{key}_deg",
+                       metavar="DEG", help=f"override receive.{key}_deg")
     p.set_defaults(func=cmd_constellation)
 
     p = sub.add_parser("monte-carlo", help="seeded sweep producing per-stream error CDFs")
     add_common(p)
-    p.add_argument("--scenarios", type=int, help="override the scenario count")
+    p.add_argument("--scenarios", type=int, dest="monte_carlo.scenarios", metavar="N",
+                   help="override monte_carlo.scenarios")
     p.set_defaults(func=cmd_monte_carlo)
 
     p = sub.add_parser("selftest", help="run the built-in verification suite")

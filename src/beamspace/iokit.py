@@ -10,17 +10,19 @@ JSON strings "inf", "-inf", "nan".
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, PatternFormatError
-from .modulation import parse_ratio_label, ratio_label
+from .modulation import ratio_label
 from .patterns import EvmMap, GaussianLobe, PerturbationLobe
 from .sphere import VectorPattern, build_grid
 
@@ -56,12 +58,22 @@ def _write_table(path: Path, header, columns) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def _text(path: Path):
+    """``path`` opened as UTF-8 text; an undecodable byte is a PatternFormatError."""
+    try:
+        with path.open(encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise PatternFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _read_table(path: Path, columns) -> np.ndarray:
     """Data rows (bitwise equal to float() of each field) under the column row.
 
     The column row is the first line that is neither blank nor a ``#`` comment.
     """
-    with path.open() as fh:
+    with _text(path) as fh:
         for n_header, line in enumerate(iter(fh.readline, ""), start=1):
             if line.strip() and not line.lstrip().startswith("#"):
                 break
@@ -87,7 +99,7 @@ def _read_table(path: Path, columns) -> np.ndarray:
 
 def _first_bad_line(path: Path, n_header: int, n_fields: int) -> str | None:
     """Name the first data line with a wrong field count or a non-numeric field."""
-    with path.open() as fh:
+    with _text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.split("#", 1)[0].rstrip("\n")
             if lineno <= n_header or not body:
@@ -144,7 +156,7 @@ def _grid_columns(grid) -> tuple[np.ndarray, np.ndarray]:
 def parse_pattern_header(path) -> PatternFileHeader:
     """Read the leading comment metadata of a pattern CSV."""
     meta: dict[str, str] = {}
-    with Path(path).open() as fh:
+    with _text(Path(path)) as fh:
         for line in fh:
             if not line.startswith("#"):
                 break
@@ -324,234 +336,223 @@ def save_results(out_dir, metrics: dict | None = None, evm: EvmMap | None = None
 class RunConfig:
     """Validated run parameters; all angles radians, paths resolved."""
 
-    n_theta: int = 91
-    n_phi: int = 180
-    constellation_order: int = 4
-    constellation_offset: float = 0.0
-    antenna_lobes: tuple[GaussianLobe, ...] | None = None  # None -> default profile
-    pattern_files: dict[int, Path] | None = None
-    perturbation_lobes: tuple[PerturbationLobe, ...] = ()
-    scenarios: int = 10000
-    separation_deg: tuple[float, float] = (3.0, 5.0)
-    seed: int = 1
-    threads: int = 1
-    condition_cap: float = 1e8
-    noise_variances: tuple[float, float] = (0.0, 0.0)
-    rx1: tuple[float, float] = (np.deg2rad(45.0), np.deg2rad(294.0))
-    rx2: tuple[float, float] = (np.deg2rad(45.0), np.deg2rad(298.0))
-    rx_polarization: str = "theta"
-    out_dir: Path = field(default_factory=lambda: Path("out"))
+    n_theta: int
+    n_phi: int
+    constellation_order: int
+    constellation_offset: float
+    antenna_lobes: tuple[GaussianLobe, ...] | None  # None -> default profile
+    pattern_files: dict[int, Path] | None
+    perturbation_lobes: tuple[PerturbationLobe, ...]
+    scenarios: int
+    separation_deg: tuple[float, float]
+    seed: int
+    threads: int
+    condition_cap: float
+    rx1: tuple[float, float]
+    rx2: tuple[float, float]
+    rx_polarization: str
+    out_dir: Path
 
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+def _finite(value) -> float | None:
+    """A JSON number (not a bool) as a finite double, else None."""
+    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max  # NaN fails
+    return float(value) if finite else None
 
 
-def _parse_polarization_vector(value, where: str) -> tuple[complex, complex]:
+class _Section:
+    """One JSON object of a run config at dotted path ``where``; unknown keys are errors.
+
+    A read returns the key's value, or ``default`` if the key is absent (None:
+    required), and raises ConfigError naming ``where.key`` if the value is wrong.
+    """
+
+    def __init__(self, raw, where: str, keys) -> None:
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{where or 'config'} must be a JSON object; got {raw!r:.60}")
+        unknown = set(raw) - set(keys)
+        if unknown:
+            raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where or 'config'}")
+        self.raw, self.where = raw, where
+
+    def path(self, key) -> str:
+        return f"{self.where}.{key}" if self.where else key
+
+    def fail(self, key, rule: str):
+        got = f"got {self.raw[key]!r:.60}" if key in self.raw else "missing"
+        raise ConfigError(f"{self.path(key)} must be {rule}; {got}")
+
+    def integer(self, key, default: int, lo: int) -> int:
+        """A JSON integer or integral float (``1.4e6``) >= lo; never a bool."""
+        value = self.raw.get(key, default)
+        if type(value) is float and value.is_integer():
+            value = int(value)
+        if type(value) is not int or value < lo:
+            self.fail(key, f"an integer >= {lo}")
+        return value
+
+    def number(self, key, default: float | None, lo=-math.inf, hi=math.inf) -> float:
+        value = _finite(self.raw.get(key, default))
+        if value is None or not lo <= value <= hi:
+            self.fail(key, "a finite number" + (f" in [{lo:g}, {hi:g}]" if lo > -math.inf else ""))
+        return value
+
+    def angle(self, key, default: float | None, lo=-math.inf, hi=math.inf) -> float:
+        """A number of degrees, returned in radians."""
+        return float(np.deg2rad(self.number(key, default, lo, hi)))
+
+    def pair(self, key, default: list, lo: float, hi: float) -> tuple[float, float]:
+        """[min, max], two numbers with lo < min <= max <= hi."""
+        value = self.raw.get(key, default)
+        pair = tuple(map(_finite, value)) if isinstance(value, list) else ()
+        if len(pair) != 2 or None in pair or not lo < pair[0] <= pair[1] <= hi:
+            self.fail(key, f"[min, max] with {lo:g} < min <= max <= {hi:g}")
+        return pair
+
+    def string(self, key, default: str | None, choices=()) -> str:
+        """A string; one of ``choices`` if any are given."""
+        value = self.raw.get(key, default)
+        if not isinstance(value, str) or choices and value not in choices:
+            self.fail(key, "one of " + ", ".join(map(repr, choices)) if choices else "a string")
+        return value
+
+    def labels(self, key, known: list[str]) -> tuple[int, ...] | None:
+        """null (or absent) or a list of ratio labels, as indices into ``known``."""
+        value = self.raw.get(key)
+        if value is not None and not (isinstance(value, list) and all(v in known for v in value)):
+            self.fail(key, "null or a list of the labels " + ", ".join(known))
+        return None if value is None else tuple(map(known.index, value))
+
+    def section(self, key, keys) -> _Section:
+        return _Section(self.raw.get(key, {}), self.path(key), keys)
+
+    def sections(self, key, keys) -> list[_Section]:
+        value = self.raw.get(key, [])
+        if not isinstance(value, list):
+            self.fail(key, "a list of JSON objects")
+        return [_Section(v, f"{self.path(key)}[{i}]", keys) for i, v in enumerate(value)]
+
+
+_LOBE_KEYS = ("theta_deg", "phi_deg", "width_deg", "amplitude", "phase_deg", "polarization")
+
+
+def _lobe(sec: _Section, cls, amplitude: float | None, **extra):
+    """A GaussianLobe or PerturbationLobe from its entry; angles to radians."""
+    try:
+        return cls(theta=sec.angle("theta_deg", None, 0.0, 180.0),
+                   phi=sec.angle("phi_deg", None),
+                   width=sec.angle("width_deg", None),
+                   amplitude=sec.number("amplitude", amplitude),
+                   phase=sec.angle("phase_deg", 0.0), **extra)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"{sec.where}: {exc}") from exc
+
+
+def _polarization_vector(sec: _Section) -> tuple[complex, complex]:
+    """"theta", "phi" or [[re, im], [re, im]] in (theta-hat, phi-hat)."""
+    value = sec.raw.get("polarization", "theta")
     if value == "theta":
         return (1.0 + 0.0j, 0.0j)
     if value == "phi":
         return (0.0j, 1.0 + 0.0j)
-    try:
-        (re0, im0), (re1, im1) = value
-        return (complex(re0, im0), complex(re1, im1))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"{where}: polarization must be 'theta', 'phi', or [[re,im],[re,im]]"
-        ) from exc
+    rows = value if isinstance(value, list) and len(value) == 2 else []
+    parts = [_finite(x) for r in rows if isinstance(r, list) and len(r) == 2 for x in r]
+    if len(parts) != 4 or None in parts:
+        sec.fail("polarization", "'theta', 'phi' or [[re, im], [re, im]]")
+    return (complex(*parts[:2]), complex(*parts[2:]))
 
 
-def _parse_antenna_lobe(entry: dict, idx: int) -> GaussianLobe:
-    where = f"antenna.profile.lobes[{idx}]"
-    _require_keys(entry, {"theta_deg", "phi_deg", "width_deg", "amplitude",
-                          "phase_deg", "polarization"}, where)
-    try:
-        return GaussianLobe(
-            theta=np.deg2rad(float(entry["theta_deg"])),
-            phi=np.deg2rad(float(entry["phi_deg"])),
-            width=np.deg2rad(float(entry["width_deg"])),
-            amplitude=float(entry.get("amplitude", 1.0)),
-            phase=np.deg2rad(float(entry.get("phase_deg", 0.0))),
-            polarization=_parse_polarization_vector(
-                entry.get("polarization", "theta"), where
-            ),
-        )
-    except (KeyError, ValueError, InvalidArgumentError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_perturbation_lobe(entry: dict, idx: int, order: int) -> PerturbationLobe:
-    where = f"perturbation.lobes[{idx}]"
-    _require_keys(entry, {"theta_deg", "phi_deg", "width_deg", "amplitude",
-                          "phase_deg", "states", "polarization"}, where)
-    states = entry.get("states")
-    if states is not None:
-        try:
-            states = tuple(parse_ratio_label(s, order) for s in states)
-        except Exception as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    try:
-        return PerturbationLobe(
-            theta=np.deg2rad(float(entry["theta_deg"])),
-            phi=np.deg2rad(float(entry["phi_deg"])),
-            width=np.deg2rad(float(entry["width_deg"])),
-            amplitude=float(entry["amplitude"]),
-            phase=np.deg2rad(float(entry.get("phase_deg", 0.0))),
-            states=states,
-            polarization=entry.get("polarization", "both"),
-        )
-    except (KeyError, ValueError, InvalidArgumentError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_angle_pair(section: dict, where: str) -> tuple[float, float]:
-    _require_keys(section, {"theta_deg", "phi_deg"}, where)
-    try:
-        return (
-            float(np.deg2rad(float(section["theta_deg"]))),
-            float(np.deg2rad(float(section["phi_deg"]))),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def load_config(path) -> RunConfig:
+def load_config(path, overrides=()) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
+    ``overrides`` are (dotted key, value) pairs such as
+    ``("monte_carlo.seed", 7)``, written into the JSON before it is read,
+    so an override is checked exactly as the key in the file would be.
     Relative paths inside the file resolve against the file's directory.
     Referenced pattern files must exist at load time.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config file not found (or not a file): {path}")
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    _require_keys(raw, {"grid", "constellation", "antenna", "perturbation",
-                        "receive", "monte_carlo", "output"}, str(path))
+    top = _Section(raw, "", ("grid", "constellation", "antenna", "perturbation",
+                             "receive", "monte_carlo", "output"))
+    for dotted, value in overrides:
+        *parents, leaf = dotted.split(".")
+        node = raw
+        for name in parents:
+            node = node.setdefault(name, {}) if isinstance(node, dict) else None
+        if isinstance(node, dict):  # else the section's read names the bad section
+            node[leaf] = value
     base = path.parent
-    defaults = RunConfig()
 
-    grid_sec = raw.get("grid", {})
-    _require_keys(grid_sec, {"n_theta", "n_phi"}, "grid")
-    n_theta = int(grid_sec.get("n_theta", defaults.n_theta))
-    n_phi = int(grid_sec.get("n_phi", defaults.n_phi))
+    grid = top.section("grid", ("n_theta", "n_phi"))
+    n_theta, n_phi = grid.integer("n_theta", 91, 1), grid.integer("n_phi", 180, 1)
     if n_theta < 3 or n_phi < 4:
         raise ConfigError(f"grid too coarse: n_theta={n_theta}, n_phi={n_phi}")
 
-    con_sec = raw.get("constellation", {})
-    _require_keys(con_sec, {"order", "phase_offset_deg"}, "constellation")
-    order = int(con_sec.get("order", defaults.constellation_order))
-    if order < 2:
-        raise ConfigError(f"constellation order must be >= 2, got {order}")
-    offset = float(np.deg2rad(float(con_sec.get("phase_offset_deg", 0.0))))
+    con = top.section("constellation", ("order", "phase_offset_deg"))
+    order = con.integer("order", 4, 2)
+    labels = [ratio_label(k, order) for k in range(order)]
 
-    antenna_lobes: tuple[GaussianLobe, ...] | None = None
-    pattern_files: dict[int, Path] | None = None
-    ant_sec = raw.get("antenna", {})
-    _require_keys(ant_sec, {"profile", "pattern_files"}, "antenna")
-    if "profile" in ant_sec and "pattern_files" in ant_sec:
+    antenna_lobes = pattern_files = None
+    ant = top.section("antenna", ("profile", "pattern_files"))
+    if "profile" in ant.raw and "pattern_files" in ant.raw:
         raise ConfigError("antenna: give either profile or pattern_files, not both")
-    if "profile" in ant_sec:
-        _require_keys(ant_sec["profile"], {"lobes"}, "antenna.profile")
-        entries = ant_sec["profile"].get("lobes", [])
+    if "profile" in ant.raw:
+        entries = ant.section("profile", ("lobes",)).sections("lobes", _LOBE_KEYS)
         if not entries:
             raise ConfigError("antenna.profile.lobes must not be empty")
-        antenna_lobes = tuple(
-            _parse_antenna_lobe(e, i) for i, e in enumerate(entries)
-        )
-    elif "pattern_files" in ant_sec:
+        antenna_lobes = tuple(_lobe(s, GaussianLobe, 1.0, polarization=_polarization_vector(s))
+                              for s in entries)
+    elif "pattern_files" in ant.raw:
+        files = ant.section("pattern_files", labels)
+        if set(files.raw) != set(labels):
+            raise ConfigError(f"antenna.pattern_files must cover states {sorted(labels)}, "
+                              f"got {sorted(files.raw)}")
         pattern_files = {}
-        for label, rel in ant_sec["pattern_files"].items():
-            try:
-                k = parse_ratio_label(label, order)
-            except Exception as exc:
-                raise ConfigError(f"antenna.pattern_files: {exc}") from exc
-            fpath = (base / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
-            if not fpath.exists():
-                raise ConfigError(f"antenna pattern file not found: {fpath}")
-            pattern_files[k] = fpath
-        expected = {ratio_label(k, order) for k in range(order)}
-        got = set(ant_sec["pattern_files"])
-        if got != expected:
-            raise ConfigError(
-                f"antenna.pattern_files must cover states {sorted(expected)}, "
-                f"got {sorted(got)}"
-            )
+        for k, label in enumerate(labels):
+            fpath = base / files.string(label, None)
+            if not fpath.is_file():
+                raise ConfigError(
+                    f"{files.path(label)}: pattern file not found (or not a file): {fpath}")
+            pattern_files[k] = fpath.resolve()
 
-    pert_sec = raw.get("perturbation", {})
-    _require_keys(pert_sec, {"lobes"}, "perturbation")
     perturbation_lobes = tuple(
-        _parse_perturbation_lobe(e, i, order)
-        for i, e in enumerate(pert_sec.get("lobes", []))
-    )
+        _lobe(s, PerturbationLobe, None, states=s.labels("states", labels),
+              polarization=s.string("polarization", "both", ("theta", "phi", "both")))
+        for s in top.section("perturbation", ("lobes",)).sections(
+            "lobes", _LOBE_KEYS + ("states",)))
 
-    rx_sec = raw.get("receive", {})
-    _require_keys(rx_sec, {"rx1", "rx2", "polarization"}, "receive")
-    rx1 = _parse_angle_pair(rx_sec["rx1"], "receive.rx1") if "rx1" in rx_sec else defaults.rx1
-    rx2 = _parse_angle_pair(rx_sec["rx2"], "receive.rx2") if "rx2" in rx_sec else defaults.rx2
-    rx_pol = rx_sec.get("polarization", defaults.rx_polarization)
-    if rx_pol not in ("theta", "phi"):
-        raise ConfigError(f"receive.polarization must be 'theta' or 'phi', got {rx_pol!r}")
+    rx = top.section("receive", ("rx1", "rx2", "polarization"))
+    rx1, rx2 = (rx.section(name, ("theta_deg", "phi_deg")) for name in ("rx1", "rx2"))
 
-    mc_sec = raw.get("monte_carlo", {})
-    _require_keys(mc_sec, {"scenarios", "separation_deg", "seed", "threads",
-                           "condition_cap", "noise_variance"}, "monte_carlo")
-    scenarios = int(mc_sec.get("scenarios", defaults.scenarios))
-    if scenarios < 1:
-        raise ConfigError(f"monte_carlo.scenarios must be >= 1, got {scenarios}")
-    sep = mc_sec.get("separation_deg", list(defaults.separation_deg))
-    try:
-        sep = (float(sep[0]), float(sep[1]))
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError("monte_carlo.separation_deg must be [min, max]") from exc
-    if not (0.0 < sep[0] <= sep[1]):
-        raise ConfigError(
-            f"monte_carlo.separation_deg must satisfy 0 < min <= max, got {sep}"
-        )
-    seed = int(mc_sec.get("seed", defaults.seed))
-    threads = int(mc_sec.get("threads", defaults.threads))
-    if threads < 1:
-        raise ConfigError(f"monte_carlo.threads must be >= 1, got {threads}")
-    condition_cap = float(mc_sec.get("condition_cap", defaults.condition_cap))
+    mc = top.section("monte_carlo", ("scenarios", "separation_deg", "seed", "threads",
+                                     "condition_cap"))
+    condition_cap = mc.number("condition_cap", 1e8)
     if not condition_cap > 1.0:
-        raise ConfigError("monte_carlo.condition_cap must exceed 1")
-    nv = mc_sec.get("noise_variance", [0.0, 0.0])
-    if isinstance(nv, (int, float)):
-        nv = [nv, nv]
-    try:
-        noise_variances = (float(nv[0]), float(nv[1]))
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError("monte_carlo.noise_variance must be a number or pair") from exc
-    if min(noise_variances) < 0.0:
-        raise ConfigError("monte_carlo.noise_variance must be nonnegative")
+        raise ConfigError(f"monte_carlo.condition_cap must exceed 1, got {condition_cap!r}")
 
-    out_sec = raw.get("output", {})
-    _require_keys(out_sec, {"dir"}, "output")
-    out_raw = Path(out_sec.get("dir", defaults.out_dir))
-    out_dir = out_raw if out_raw.is_absolute() else base / out_raw
+    out_dir = base / top.section("output", ("dir",)).string("dir", "out")
 
     return RunConfig(
         n_theta=n_theta,
         n_phi=n_phi,
         constellation_order=order,
-        constellation_offset=offset,
+        constellation_offset=con.angle("phase_offset_deg", 0.0),
         antenna_lobes=antenna_lobes,
         pattern_files=pattern_files,
         perturbation_lobes=perturbation_lobes,
-        scenarios=scenarios,
-        separation_deg=sep,
-        seed=seed,
-        threads=threads,
+        scenarios=mc.integer("scenarios", 10000, 1),
+        separation_deg=mc.pair("separation_deg", [3.0, 5.0], 0.0, 180.0),
+        seed=mc.integer("seed", 1, 0),
+        threads=mc.integer("threads", 1, 1),
         condition_cap=condition_cap,
-        noise_variances=noise_variances,
-        rx1=rx1,
-        rx2=rx2,
-        rx_polarization=rx_pol,
+        rx1=(rx1.angle("theta_deg", 45.0, 0.0, 180.0), rx1.angle("phi_deg", 294.0)),
+        rx2=(rx2.angle("theta_deg", 45.0, 0.0, 180.0), rx2.angle("phi_deg", 298.0)),
+        rx_polarization=rx.string("polarization", "theta", ("theta", "phi")),
         out_dir=out_dir,
     )

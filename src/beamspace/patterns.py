@@ -487,6 +487,8 @@ class PerturbationLobe:
     def __post_init__(self) -> None:
         if not self.width > 0.0:
             raise InvalidArgumentError("perturbation lobe width must be positive")
+        if not np.all(np.isfinite((self.theta, self.phi, self.width, self.amplitude, self.phase))):
+            raise InvalidArgumentError("perturbation lobe parameters must be finite")
         if self.polarization not in _POLARIZATION_TARGETS:
             raise InvalidArgumentError(
                 f"polarization must be one of {_POLARIZATION_TARGETS}"

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beamspace import cdf_summary, load_metrics_json
+import beamspace.cli as cli
+from beamspace import ConfigError, RunConfig, cdf_summary, load_config, load_metrics_json
 from beamspace.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -206,6 +213,19 @@ class TestMonteCarloCommand:
         assert "monte_carlo.condition_cap" in capsys.readouterr().err
 
 
+    def test_seconds_cover_the_whole_command(self, hand_config, tmp_path, monkeypatch):
+        save_results = cli.save_results
+
+        def slow_save_results(*args, **kwargs):
+            time.sleep(0.2)
+            return save_results(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "save_results", slow_save_results)
+        assert main(["monte-carlo", "--config", str(hand_config), "--scenarios", "100",
+                     "--out", str(tmp_path / "slow")]) == 0
+        assert load_metrics_json(tmp_path / "slow" / "mc_report.json")["seconds"] >= 0.2
+
+
 class TestPatternFilePipeline:
     def test_metrics_from_files_match_generator(self, tmp_path):
         # exporting the generated states and reloading them through the
@@ -294,3 +314,151 @@ class TestShippedConfigs:
         assert main(["metrics", "--config", str(config)]) == 0
         metrics = load_metrics_json(tmp_path / "out" / "metrics.json")
         assert metrics["basis_correlation_db"] == float("-inf")
+
+
+def _set(payload, path, value):
+    """``payload`` with the value at key path ``path`` (keys and list indices) replaced."""
+    if not path:
+        return value
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
+
+
+def _key_paths(node, prefix=()):
+    """The key path of ``node`` and of every value nested in it."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _key_paths(child, prefix + (key,))
+
+
+class _Accepted(Exception):
+    """Raised in place of building the run, once a config has been accepted."""
+
+
+def _exit_code(argv):
+    """``main(argv)`` with the run stubbed out, and the captured stderr.
+
+    The code is None when the input was accepted (the run would have started).
+    """
+    err = io.StringIO()
+    with mock.patch.object(cli, "_assemble", side_effect=_Accepted), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except _Accepted:
+            code = None
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    return code, err.getvalue()
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("path, value, flags, named", [
+        (("grid", "n_theta"), "abc", [], "grid.n_theta"),
+        (("grid", "n_theta"), 91.7, [], "grid.n_theta"),
+        (("grid", "n_theta"), True, [], "grid.n_theta"),
+        (("grid", "n_theta"), None, [], "grid.n_theta"),
+        (("receive", "rx1"), 5, [], "receive.rx1"),
+        (("receive", "rx1", "theta_deg"), _NAN, [], "receive.rx1.theta_deg"),
+        (("receive", "rx1", "theta_deg"), 400, [], "receive.rx1.theta_deg"),
+        (("perturbation", "lobes", 2, "states"), "+j", [], "perturbation.lobes[2].states"),
+        (("perturbation", "lobes", 0, "width_deg"), _INF, [], "lobes[0].width_deg"),
+        (("constellation", "order"), "4", [], "constellation.order"),
+        (("constellation", "order"), 4.5, [], "constellation.order"),
+        (("constellation", "phase_offset_deg"), _NAN, [], "constellation.phase_offset_deg"),
+        (("monte_carlo", "scenarios"), 10.5, [], "monte_carlo.scenarios"),
+        (("monte_carlo", "seed"), 1.5, [], "monte_carlo.seed"),
+        (("monte_carlo", "seed"), -1, [], "monte_carlo.seed"),
+        (("monte_carlo", "separation_deg"), [3, 5, 7], [], "monte_carlo.separation_deg"),
+        (("monte_carlo", "separation_deg"), [3, 400], [], "monte_carlo.separation_deg"),
+        (("output",), {"dir": 5}, [], "output.dir"),
+        (("antenna",), {"pattern_files": ["a.csv"]}, [], "antenna.pattern_files"),
+        (("antenna",), {"pattern_files": dict.fromkeys(["+1", "-1", "+j", "-j"], ".")}, [],
+         "antenna.pattern_files.+1"),
+        ((), {}, ["--threads", "0"], "monte_carlo.threads"),
+        ((), {}, ["--rx1-phi", "inf"], "receive.rx1.phi_deg"),
+    ])
+    def test_exit_2_naming_the_key(self, tmp_path, path, value, flags, named):
+        payload = _set(json.loads((CONFIGS / "hand_scenario.json").read_text()), path, value)
+        config = _write_config(tmp_path, payload)
+        command = "constellation" if "--rx1-phi" in flags else "monte-carlo"
+        code, err = _exit_code([command, "--config", str(config), *flags])
+        assert code == 2
+        assert named in err
+        assert "Traceback" not in err
+
+    def test_flag_and_key_give_one_message(self, hand_config, tmp_path):
+        payload = json.loads(hand_config.read_text())
+        payload["monte_carlo"]["threads"] = 0
+        key = _exit_code(["monte-carlo", "--config", str(_write_config(tmp_path, payload))])
+        flag = _exit_code(["monte-carlo", "--config", str(hand_config), "--threads", "0"])
+        assert key == flag == (2, "error: monte_carlo.threads must be an integer >= 1; got 0\n")
+
+    def test_unreadable_config_exit_2(self, tmp_path):
+        (tmp_path / "bytes.json").write_bytes(b"\xff\xfe{}")
+        for config in (tmp_path, tmp_path / "bytes.json"):
+            code, err = _exit_code(["metrics", "--config", str(config)])
+            assert code == 2
+            assert str(config) in err
+            assert "Traceback" not in err
+
+
+# Values a config key or flag might be mistyped as; drawn alongside random JSON.
+_ODD_VALUES = [91.7, 1.4e6, 10**9, 10**30, -1, 0, -0.0, "4", "+j", "", True, False, None,
+               _NAN, _INF, -_INF, [3, 5, 7], [3, 400], [], {}]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+    | st.text(max_size=8) | st.sampled_from(_ODD_VALUES),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6)
+_FLAGS = ["--config", "--seed", "--threads", "--scenarios", "--out",
+          "--rx1-theta", "--rx1-phi", "--rx2-theta", "--rx2-phi"]
+
+
+class TestConfigContract:
+    """A mutated shipped config or a random flag value is accepted, or exits 2 cleanly.
+
+    Accepted inputs never run: a valid ``n_theta`` of 10**9 would allocate
+    without bound, so ``_assemble`` is replaced by a stub that stops the run.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutated_shipped_config(self, tmp_path_factory, data):
+        name = data.draw(st.sampled_from(["hand_scenario.json", "freespace.json"]))
+        payload = json.loads((CONFIGS / name).read_text())
+        path = data.draw(st.sampled_from(list(_key_paths(payload))))
+        payload = _set(payload, path, data.draw(_JSON))
+        config = tmp_path_factory.mktemp("contract") / name
+        config.write_text(json.dumps(payload))
+        try:
+            accepted = isinstance(load_config(config), RunConfig)
+        except ConfigError:
+            accepted = False
+        code, err = _exit_code(["monte-carlo", "--config", str(config)])
+        if accepted:
+            assert code is None
+        else:
+            assert code == 2
+            assert err.startswith("error: ")
+            assert "Traceback" not in err
+
+    @settings(max_examples=40, deadline=None)
+    @given(flag=st.sampled_from(_FLAGS),
+           value=st.text(max_size=12) | st.sampled_from(list(map(str, _ODD_VALUES))))
+    def test_random_flag_value(self, flag, value):
+        command = "constellation" if flag.startswith("--rx") else "monte-carlo"
+        argv = [command, "--config", str(CONFIGS / "hand_scenario.json"), f"{flag}={value}"]
+        code, err = _exit_code(argv)
+        assert code in (None, 2)
+        if code == 2:
+            assert "Traceback" not in err

@@ -86,18 +86,21 @@ class TestPatternCsv:
             load_pattern_csv(path)
 
     def test_malformed_row_reports_line_number(self, tmp_path):
-        # a non-numeric field, a short last row, a bad field deep in the file
+        # a non-numeric field, a short last row, a bad field deep in the file,
+        # bytes that are not UTF-8 (surrogate escapes below) in the header and deep
         for shape, index, row, message in [
             ((3, 4), 7, "0.0,90.0,not_a_number,0.0,0.0,0.0", ":8: could not convert"),
             ((3, 4), 15, "180.0,270.0,0.0,0.0,0.0", ":16: expected 6 fields, got 5"),
             ((91, 180), 8999, "0.0,90.0,1.0,0.0,0.0,x", ":9000: could not convert"),
+            ((3, 4), 0, "\udcff\udcfe# n_theta: 3", "p.csv: not UTF-8"),
+            ((91, 180), 8999, "0.0,90.0,1.0,0.0,0.0,\udcc3(", "p.csv: not UTF-8"),
         ]:
             grid = build_grid(*shape)
             pattern = _random_pattern(grid, np.random.default_rng(2))
             path = save_pattern_csv(pattern, tmp_path / "p.csv")
             lines = path.read_text().splitlines()
             lines[index] = row
-            path.write_text("\n".join(lines) + "\n")
+            path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
             with pytest.raises(PatternFormatError, match=message):
                 load_pattern_csv(path)
 

@@ -486,6 +486,15 @@ class TestGenerators:
         with pytest.raises(InvalidArgumentError):
             GaussianLobe(theta=1.0, phi=1.0, width=-0.2)
 
+    def test_perturbation_lobe_rejects_non_finite(self):
+        # an infinite width would spread a constant bump over the whole sphere
+        for field in ("theta", "phi", "width", "amplitude", "phase"):
+            for bad in (np.inf, -np.inf, np.nan):
+                params = dict(theta=1.0, phi=1.0, width=0.5, amplitude=0.2, phase=0.0)
+                params[field] = bad
+                with pytest.raises(InvalidArgumentError):
+                    PerturbationLobe(**params)
+
     def test_perturbation_unknown_state_rejected(self, small_grid):
         lobe = PerturbationLobe(theta=1.0, phi=1.0, width=0.5, amplitude=0.2,
                                 states=(7,))
