@@ -45,9 +45,9 @@ from .link import (
     build_channel,
     cdf_summary,
     constellation_at_angle,
+    draw_geometries,
     evaluate_scenario,
     great_circle_offset,
-    quantize_symbols,
     received_constellation,
     run_monte_carlo,
     transmit_and_receive,

@@ -35,8 +35,7 @@ from .iokit import (
     save_results,
 )
 from .link import (
-    PHI_POL,
-    THETA_POL,
+    POLARIZATIONS,
     build_channel,
     constellation_at_angle,
     received_constellation,
@@ -105,8 +104,7 @@ def _assemble(cfg: RunConfig) -> Assembly:
 
 
 def _rx_polarizations(cfg: RunConfig):
-    pol = THETA_POL if cfg.rx_polarization == "theta" else PHI_POL
-    return (pol, pol)
+    return (POLARIZATIONS[cfg.rx_polarization],) * 2
 
 
 def _load_config_with_overrides(args) -> RunConfig:
@@ -165,32 +163,16 @@ def cmd_evm_map(args) -> int:
     return 0
 
 
-def _pair_rows(side: str, points):
-    by_pair = {}
-    for pt in points:
-        by_pair.setdefault((pt.k1, pt.k2), {})[pt.stream] = pt
-    return [
-        (side, k1, k2, streams[1], streams[2])
-        for (k1, k2), streams in sorted(by_pair.items())
-    ]
-
-
 def cmd_constellation(args) -> int:
     cfg = _load_config_with_overrides(args)
     asm = _assemble(cfg)
-    tx = constellation_at_angle(
-        asm.perturbed_basis, asm.perturbed_states, asm.constellation,
-        cfg.rx1[0], cfg.rx1[1], condition_cap=cfg.condition_cap,
-    )
-    scenario = build_channel(
-        asm.perturbed_basis, (cfg.rx1, cfg.rx2), asm.constellation,
-        rx_polarizations=_rx_polarizations(cfg),
-    )
+    tx = constellation_at_angle(asm.perturbed_basis, asm.perturbed_states, asm.constellation,
+                                *cfg.rx1, condition_cap=cfg.condition_cap)
+    scenario = build_channel(asm.perturbed_basis, (cfg.rx1, cfg.rx2), asm.constellation,
+                             rx_polarizations=_rx_polarizations(cfg))
     rx = received_constellation(asm.perturbed_states, scenario,
                                 condition_cap=cfg.condition_cap)
-    rows = _pair_rows("transmit", tx) + _pair_rows("receive", rx)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = save_constellation_csv(cfg.out_dir / "constellation.csv", rows)
+    path = save_constellation_csv(cfg.out_dir / "constellation.csv", tx, rx)
     m = asm.constellation.order
     print(f"constellation written to {path} ({m * m} pairs per side)")
     print(f"channel condition number: {scenario.condition_number!r}")

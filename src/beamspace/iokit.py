@@ -22,6 +22,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, PatternFormatError
+from .link import POLARIZATIONS
 from .modulation import ratio_label
 from .patterns import EvmMap, GaussianLobe, PerturbationLobe
 from .sphere import VectorPattern, build_grid
@@ -68,16 +69,22 @@ def _text(path: Path):
         raise PatternFormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _read_table(path: Path, columns) -> np.ndarray:
-    """Data rows (bitwise equal to float() of each field) under the column row.
+def _scan_header(fh) -> tuple[list[str], str]:
+    """Stripped lines above the column row (first neither blank nor ``#``), then that row."""
+    above = []
+    for line in iter(fh.readline, ""):
+        if line.strip() and not line.lstrip().startswith("#"):
+            return above, line
+        above.append(line.strip())
+    return above, ""
 
-    The column row is the first line that is neither blank nor a ``#`` comment.
-    """
+
+def _read_table(path: Path, columns) -> tuple[list[str], np.ndarray]:
+    """The lines above the column row, and the data rows under it (bitwise float())."""
     with _text(path) as fh:
-        for n_header, line in enumerate(iter(fh.readline, ""), start=1):
-            if line.strip() and not line.lstrip().startswith("#"):
-                break
-        else:
+        above, line = _scan_header(fh)
+        n_header = len(above) + 1
+        if not line:
             raise PatternFormatError(f"{path}: no column row {','.join(columns)}")
         names = [c.strip().strip('"') for c in line.split(",")]
         missing = [c for c in columns if c not in names]
@@ -94,7 +101,7 @@ def _read_table(path: Path, columns) -> np.ndarray:
             raise PatternFormatError(bad or f"{path}: {exc}") from exc
     if data.size and data.shape[1] != len(columns):
         raise PatternFormatError(_first_bad_line(path, n_header, len(columns)))
-    return data.reshape(-1, len(columns))
+    return above, data.reshape(-1, len(columns))
 
 
 def _first_bad_line(path: Path, n_header: int, n_fields: int) -> str | None:
@@ -154,21 +161,18 @@ def _grid_columns(grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parse_pattern_header(path) -> PatternFileHeader:
-    """Read the leading comment metadata of a pattern CSV."""
-    meta: dict[str, str] = {}
+    """Read the ``# key: value`` metadata above the column row of a pattern CSV."""
     with _text(Path(path)) as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            if ":" in line:
-                key, _, value = line.lstrip("#").partition(":")
-                meta[key.strip()] = value.strip()
-    def _int(key):
-        return int(meta[key]) if key in meta else None
+        return _pattern_header(path, _scan_header(fh)[0])
+
+
+def _pattern_header(path, lines) -> PatternFileHeader:
+    meta = {key.strip(): value.strip() for key, colon, value in
+            (line.lstrip("#").partition(":") for line in lines) if colon}
     try:
         return PatternFileHeader(
-            n_theta=_int("n_theta"),
-            n_phi=_int("n_phi"),
+            n_theta=int(meta["n_theta"]) if "n_theta" in meta else None,
+            n_phi=int(meta["n_phi"]) if "n_phi" in meta else None,
             angle_unit=meta.get("angle_unit", "deg"),
             frequency=meta.get("frequency", ""),
             state=meta.get("state", ""),
@@ -186,8 +190,8 @@ def load_pattern_csv(path) -> VectorPattern:
     reordered or interpolated; any irregularity is a hard error.
     """
     path = Path(path)
-    header = parse_pattern_header(path)
-    data = _read_table(path, PATTERN_COLUMNS)
+    above, data = _read_table(path, PATTERN_COLUMNS)
+    header = _pattern_header(path, above)
     if data.shape[0] == 0:
         raise PatternFormatError(f"{path}: no data rows")
     if np.any(np.isnan(data)):
@@ -246,18 +250,30 @@ def save_cdf_csv(path, errors, probabilities) -> Path:
 
 
 def load_cdf_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    data = _read_table(Path(path), CDF_COLUMNS)
+    _, data = _read_table(Path(path), CDF_COLUMNS)
     return data[:, 0], data[:, 1]
 
 
-def save_constellation_csv(path, rows) -> Path:
-    """One row per (side, k1, k2, stream-1 point, stream-2 point) of ``rows``."""
-    side, k1, k2, p1, p2 = zip(*rows)
-    points = np.array([(a.ideal, a.actual, b.ideal, b.actual) for a, b in zip(p1, p2)])
-    return _write_table(Path(path), [
+def _output_dir(out_dir) -> Path:
+    """``out_dir``, created with its parents if missing."""
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: an embedded null byte
+        raise InvalidArgumentError(f"output directory {out_dir} cannot be created: {exc}") from exc
+    return Path(out_dir)
+
+
+def save_constellation_csv(path, transmit, receive) -> Path:
+    """One row per side and symbol pair; each list holds the stream-1 then the stream-2
+    point of every (k1, k2) in order, as the link's constellation functions return them."""
+    points = [*transmit, *receive]
+    p1, p2 = points[0::2], points[1::2]
+    side = ["transmit"] * (len(transmit) // 2) + ["receive"] * (len(receive) // 2)
+    xy = np.array([(a.ideal, a.actual, b.ideal, b.actual) for a, b in zip(p1, p2)])
+    return _write_table(_output_dir(Path(path).parent) / Path(path).name, [
         "side,k1,k2,x1_ideal_re,x1_ideal_im,x1_actual_re,x1_actual_im,"
         "x2_ideal_re,x2_ideal_im,x2_actual_re,x2_actual_im"],
-        (side, k1, k2, *points.view(float).T))
+        (side, [a.k1 for a in p1], [a.k2 for a in p1], *xy.view(float).T))
 
 
 def _json_encode(obj: Any) -> Any:
@@ -310,8 +326,7 @@ def save_results(out_dir, metrics: dict | None = None, evm: EvmMap | None = None
     With ``mc`` also errors.npz, ``mc.stream_errors`` as arrays ``stream1``
     and ``stream2``: uncompressed, so that they reload bitwise.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(out_dir)
     written: dict[str, Path] = {}
     if metrics is not None:
         written["metrics"] = save_metrics_json(metrics, out_dir / "metrics.json")
@@ -451,10 +466,8 @@ def _lobe(sec: _Section, cls, amplitude: float | None, **extra):
 def _polarization_vector(sec: _Section) -> tuple[complex, complex]:
     """"theta", "phi" or [[re, im], [re, im]] in (theta-hat, phi-hat)."""
     value = sec.raw.get("polarization", "theta")
-    if value == "theta":
-        return (1.0 + 0.0j, 0.0j)
-    if value == "phi":
-        return (0.0j, 1.0 + 0.0j)
+    if isinstance(value, str) and value in POLARIZATIONS:
+        return POLARIZATIONS[value]
     rows = value if isinstance(value, list) and len(value) == 2 else []
     parts = [_finite(x) for r in rows if isinstance(r, list) and len(r) == 2 for x in r]
     if len(parts) != 4 or None in parts:
@@ -553,6 +566,6 @@ def load_config(path, overrides=()) -> RunConfig:
         condition_cap=condition_cap,
         rx1=(rx1.angle("theta_deg", 45.0, 0.0, 180.0), rx1.angle("phi_deg", 294.0)),
         rx2=(rx2.angle("theta_deg", 45.0, 0.0, 180.0), rx2.angle("phi_deg", 298.0)),
-        rx_polarization=rx.string("polarization", "theta", ("theta", "phi")),
+        rx_polarization=rx.string("polarization", "theta", tuple(POLARIZATIONS)),
         out_dir=out_dir,
     )

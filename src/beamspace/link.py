@@ -11,13 +11,14 @@ states land away from their ideal constellation points.
 For unit-modulus PSK the antenna radiates x1 times the state pattern of
 ratio index k = (k2 - k1) mod M, so zero forcing returns x1 * g_k, with
 G = H^-1 F and F the receivers' responses to the M states.  One batched
-kernel computes G for every decode path.
+kernel computes G for every decode path; the transmit-side constellation
+at one angle is that decode at two co-located receivers.
 
-The Monte-Carlo sweep draws receive geometries area-uniformly and keeps,
-per accepted geometry, one noiseless error per stream and ratio state:
-|g1_k - 1| and |g2_k - r_k|.  All randomness is drawn up front from one
-seeded generator and scenarios are processed in fixed-size chunks, so
-results are bitwise independent of the worker count.
+The Monte-Carlo sweep draws receive geometries with ``draw_geometries``
+and keeps, per accepted geometry, one noiseless error per stream and
+ratio state: |g1_k - 1| and |g2_k - r_k|.  All randomness is drawn up
+front from one seeded generator and scenarios are processed in
+fixed-size chunks, so results are bitwise independent of the worker count.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .errors import (
 )
 from .modulation import PskConstellation
 from .patterns import BasisPair, StatePatternSet
-from .sphere import apply_stencil, bilinear_stencil, require_same_grid, sample_pattern
+from .sphere import (PHI_POL, THETA_POL, apply_stencil, bilinear_stencil, require_same_grid,
+                     sample_pattern)
 
 __all__ = [
     "DEFAULT_CONDITION_CAP",
@@ -49,11 +51,11 @@ __all__ = [
     "build_channel",
     "transmit_and_receive",
     "zf_equalize",
-    "quantize_symbols",
     "evaluate_scenario",
     "received_constellation",
     "constellation_at_angle",
     "great_circle_offset",
+    "draw_geometries",
     "run_monte_carlo",
     "cdf_summary",
 ]
@@ -65,8 +67,7 @@ DEFAULT_CONDITION_CAP = 1e8
 _CHUNK = 4096
 _CDF_LEVELS = 10_000  # rows of MonteCarloResult.cdf at most
 
-THETA_POL = (1.0 + 0.0j, 0.0j)
-PHI_POL = (0.0j, 1.0 + 0.0j)
+POLARIZATIONS = {"theta": THETA_POL, "phi": PHI_POL}
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,10 @@ class LinkScenario:
 
     def __post_init__(self) -> None:
         angles = np.ascontiguousarray(self.rx_angles, dtype=float)
-        pols = np.ascontiguousarray(self.rx_polarizations, dtype=complex)
+        pols = _unit_polarizations(self.rx_polarizations)
         channel = np.ascontiguousarray(self.channel, dtype=complex)
-        if angles.shape != (2, 2) or pols.shape != (2, 2) or channel.shape != (2, 2):
+        if angles.shape != (2, 2) or channel.shape != (2, 2):
             raise InvalidArgumentError("scenario arrays must all be 2x2")
-        norms = np.linalg.norm(pols, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            raise InvalidArgumentError("receive polarization vectors must be unit norm")
         if not np.all(np.isfinite(channel)):
             raise InvalidArgumentError("channel matrix must be finite")
         for name, arr in (("rx_angles", angles), ("rx_polarizations", pols),
@@ -126,6 +124,21 @@ class LinkScenario:
     @property
     def singular(self) -> bool:
         return not np.isfinite(self.condition_number)
+
+
+def _unit_polarizations(pols) -> np.ndarray:
+    """Two receive polarizations as a (2, 2) complex array of unit 2-vectors."""
+    pols = np.ascontiguousarray(pols, dtype=complex)
+    if pols.shape != (2, 2) or np.any(np.abs(np.linalg.norm(pols, axis=1) - 1.0) > 1e-6):
+        raise InvalidArgumentError("rx_polarizations must be two unit 2-vectors")
+    return pols
+
+
+def _require_conditioned(scenario: LinkScenario, condition_cap: float) -> None:
+    """Raise SingularChannelError unless the channel is conditioned within the cap."""
+    if not scenario.condition_number <= condition_cap:
+        raise SingularChannelError(f"channel condition number {scenario.condition_number:.3g} "
+                                   f"exceeds cap {condition_cap:.3g}")
 
 
 def _condition_2x2(h: np.ndarray):
@@ -233,22 +246,13 @@ def zf_equalize(
     """Zero-forcing estimate H^-1 y of the transmitted symbol pair.
 
     Quantization to the constellation is a separate explicit step
-    (:func:`quantize_symbols`).
+    (:meth:`PskConstellation.nearest`).
 
     Raises:
         SingularChannelError: channel singular or conditioned above the cap.
     """
-    cond = scenario.condition_number
-    if not np.isfinite(cond) or cond > condition_cap:
-        raise SingularChannelError(
-            f"channel condition number {cond:.3g} exceeds cap {condition_cap:.3g}"
-        )
+    _require_conditioned(scenario, condition_cap)
     return np.linalg.solve(scenario.channel, np.asarray(y, dtype=complex))
-
-
-def quantize_symbols(xhat, constellation: PskConstellation) -> np.ndarray:
-    """Component-wise quantization to the nearest constellation points."""
-    return constellation.nearest(xhat)
 
 
 @dataclass(frozen=True)
@@ -282,17 +286,6 @@ def _states(s_hat: StatePatternSet, constellation: PskConstellation):
     return tuple(s_hat.state(k) for k in range(s_hat.ratios.order))
 
 
-def _gains_or_raise(h: np.ndarray, f: np.ndarray, condition_cap: float) -> np.ndarray:
-    """Kernel gains (2, M) of a single geometry; raises when it is rejected."""
-    keep, g = _zf_gains(h, f, condition_cap)
-    if not keep[0]:
-        raise SingularChannelError(
-            f"channel condition number {float(_condition_2x2(h[0])):.3g} "
-            f"exceeds cap {condition_cap:.3g}"
-        )
-    return g[0]
-
-
 def _pair_points(constellation: PskConstellation, g: np.ndarray):
     """Expand ratio-state gains to every symbol pair: x_hat = x1 * g_k."""
     points = constellation.points
@@ -320,8 +313,9 @@ def received_constellation(
     angles = scenario.rx_angles
     f = _responses(_states(s_hat, scenario.constellation), angles[:, :1],
                    angles[:, 1:], scenario.rx_polarizations)
-    g = _gains_or_raise(scenario.channel[None], f, condition_cap)
-    return _pair_points(scenario.constellation, g)
+    _require_conditioned(scenario, condition_cap)
+    _, g = _zf_gains(scenario.channel[None], f, condition_cap)
+    return _pair_points(scenario.constellation, g[0])
 
 
 def evaluate_scenario(
@@ -351,19 +345,17 @@ def constellation_at_angle(
 
     The physical field of each symbol pair is decomposed onto the two
     basis patterns sampled at the same angle (a 2x2 solve across the two
-    polarization components); ideal points are the transmitted symbols.
+    polarization components, i.e. the receive decode at two co-located
+    receivers); ideal points are the transmitted symbols.
 
     Raises:
         SingularChannelError: the basis polarization matrix at the angle
             is singular or conditioned above the cap.
     """
     require_same_grid(basis_hat.grid, s_hat.grid)
-    patterns = (basis_hat.b1, basis_hat.b2) + _states(s_hat, constellation)
-    # two co-located "receivers", one per polarization component
-    resp = _responses(patterns, np.full((2, 1), theta, dtype=float),
-                      np.full((2, 1), phi, dtype=float), (THETA_POL, PHI_POL))
-    g = _gains_or_raise(resp[:, :, :2], resp[:, :, 2:], condition_cap)
-    return _pair_points(constellation, g)
+    scenario = build_channel(basis_hat, ((theta, phi), (theta, phi)), constellation,
+                             (THETA_POL, PHI_POL))
+    return received_constellation(s_hat, scenario, condition_cap)
 
 
 def great_circle_offset(theta, phi, distance, bearing):
@@ -379,6 +371,25 @@ def great_circle_offset(theta, phi, distance, bearing):
     theta2 = np.arccos(ct2)
     dphi = np.arctan2(np.sin(bearing) * sd * st1, cd - ct1 * ct2)
     return theta2, np.mod(phi + dphi, 2.0 * np.pi)
+
+
+def draw_geometries(rng: np.random.Generator, n: int, separation_deg=(3.0, 5.0)):
+    """``n`` random two-receiver geometries as (2, n) theta and phi arrays in radians.
+
+    Receiver 1 is area-uniform on the sphere; receiver 2 lies at a great-circle
+    distance uniform in ``separation_deg`` (degrees) along a uniform bearing.
+    The draw consumes ``rng.random((4, n))``.
+    """
+    n, (lo, hi) = _integer(n, "n"), map(float, separation_deg)
+    if n < 0 or not 0.0 < lo <= hi:  # NaN fails
+        raise InvalidArgumentError("geometries need n >= 0 and a separation interval with "
+                                   f"0 < min <= max, got n={n}, ({lo}, {hi})")
+    u = rng.random((4, n))
+    theta1 = np.arccos(1.0 - 2.0 * u[0])
+    phi1 = 2.0 * np.pi * u[1]
+    dist = np.deg2rad(lo) + (np.deg2rad(hi) - np.deg2rad(lo)) * u[2]
+    theta2, phi2 = great_circle_offset(theta1, phi1, dist, 2.0 * np.pi * u[3])
+    return np.stack([theta1, theta2]), np.stack([phi1, phi2])
 
 
 @dataclass(frozen=True)
@@ -466,9 +477,8 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """Seeded sweep over random single-path LOS receive geometries.
 
-    Per scenario the first receive angle is drawn area-uniformly on the
-    sphere and the second lies at a great-circle distance uniform in
-    ``separation_deg`` along a uniform random bearing.  Each accepted
+    The geometries are ``draw_geometries(np.random.default_rng(seed),
+    n_scenarios, separation_deg)``.  Each accepted
     geometry contributes one noiseless error per stream and ratio state:
     for unit-modulus PSK every symbol pair with that ratio has exactly
     this error magnitude, so the streams hold M samples per geometry and
@@ -486,28 +496,12 @@ def run_monte_carlo(
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     if not condition_cap > 1.0:
         raise InvalidArgumentError(f"condition_cap must exceed 1, got {condition_cap!r}")
-    lo, hi = float(separation_deg[0]), float(separation_deg[1])
-    if not (0.0 < lo <= hi):
-        raise InvalidArgumentError(
-            f"separation interval must satisfy 0 < min <= max, got ({lo}, {hi})"
-        )
     if threads < 1:
         raise InvalidArgumentError("threads must be >= 1")
     patterns = (basis_hat.b1, basis_hat.b2) + _states(s_hat, constellation)
     require_same_grid(s_hat.grid, basis_hat.grid)
-    pols = np.asarray(rx_polarizations, dtype=complex)
-    if pols.shape != (2, 2) or np.any(np.abs(np.linalg.norm(pols, axis=1) - 1.0) > 1e-6):
-        raise InvalidArgumentError("rx_polarizations must be two unit 2-vectors")
-
-    rng = np.random.default_rng(seed)
-    u = rng.random((4, n))
-    theta1 = np.arccos(1.0 - 2.0 * u[0])
-    phi1 = 2.0 * np.pi * u[1]
-    dist = np.deg2rad(lo) + (np.deg2rad(hi) - np.deg2rad(lo)) * u[2]
-    bearing = 2.0 * np.pi * u[3]
-    theta2, phi2 = great_circle_offset(theta1, phi1, dist, bearing)
-    theta = np.stack([theta1, theta2])
-    phi = np.stack([phi1, phi2])
+    pols = _unit_polarizations(rx_polarizations)
+    theta, phi = draw_geometries(np.random.default_rng(seed), n, separation_deg)
 
     ratios = np.asarray(constellation.ratio_set.values)
     chunks = [
@@ -531,5 +525,5 @@ def run_monte_carlo(
         n_scenarios=n,
         n_rejected=n_rejected,
         seed=seed,
-        separation_deg=(lo, hi),
+        separation_deg=tuple(map(float, separation_deg)),
     )

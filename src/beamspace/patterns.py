@@ -28,6 +28,7 @@ from .errors import (
 )
 from .modulation import RatioSet
 from .sphere import (
+    THETA_POL,
     ScalarAngularMap,
     SphericalGrid,
     VectorPattern,
@@ -391,7 +392,7 @@ class GaussianLobe:
     width: float
     amplitude: float = 1.0
     phase: float = 0.0
-    polarization: tuple[complex, complex] = (1.0 + 0.0j, 0.0j)
+    polarization: tuple[complex, complex] = THETA_POL
 
     def __post_init__(self) -> None:
         if not self.width > 0.0:
@@ -457,7 +458,7 @@ def default_mirror_profile() -> tuple[GaussianLobe, ...]:
     d = np.deg2rad
     return (
         GaussianLobe(theta=d(90.0), phi=d(0.0), width=d(75.0),
-                     amplitude=0.36, phase=0.0, polarization=(1.0, 0.0)),
+                     amplitude=0.36, phase=0.0, polarization=THETA_POL),
         GaussianLobe(theta=d(75.0), phi=d(40.0), width=d(35.0),
                      amplitude=1.0, phase=0.0, polarization=(0.32, 1.0j)),
         GaussianLobe(theta=d(115.0), phi=d(65.0), width=d(45.0),

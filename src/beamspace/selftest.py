@@ -9,8 +9,10 @@ code with the production path.
 from __future__ import annotations
 
 import cmath
+import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -19,8 +21,8 @@ from .link import (
     build_channel,
     cdf_summary,
     constellation_at_angle,
+    draw_geometries,
     evaluate_scenario,
-    great_circle_offset,
     run_monte_carlo,
 )
 from .modulation import PskConstellation
@@ -70,16 +72,6 @@ def _random_profile(rng: np.random.Generator) -> tuple[GaussianLobe, ...]:
     return tuple(lobes)
 
 
-def _random_geometry(rng: np.random.Generator) -> tuple[tuple, tuple]:
-    """One receive pair drawn like the Monte-Carlo sweep (3-5 deg apart)."""
-    theta1 = float(np.arccos(1.0 - 2.0 * rng.random()))
-    phi1 = float(2.0 * np.pi * rng.random())
-    dist = float(np.deg2rad(rng.uniform(3.0, 5.0)))
-    bearing = float(2.0 * np.pi * rng.random())
-    theta2, phi2 = great_circle_offset(theta1, phi1, dist, bearing)
-    return (theta1, phi1), (float(theta2), float(phi2))
-
-
 def criterion_free_space_exactness() -> CriterionResult:
     """Identity perturbation: exact recovery and an identically zero EVM map."""
     start = time.perf_counter()
@@ -93,8 +85,8 @@ def criterion_free_space_exactness() -> CriterionResult:
         basis = perturbed_basis(states)
         emap = evm_map(basis, states, con.ratio_set)
         worst_evm = max(worst_evm, float(np.max(emap.evm.values)))
-        rx1, rx2 = _random_geometry(rng)
-        scenario = build_channel(basis, (rx1, rx2), con)
+        # one receive pair drawn like the Monte-Carlo sweep: rows (theta, phi)
+        scenario = build_channel(basis, np.hstack(draw_geometries(rng, 1)), con)
         for rec in evaluate_scenario(states, scenario):
             worst_decode = max(worst_decode, rec.magnitude)
     elapsed = time.perf_counter() - start
@@ -336,15 +328,11 @@ def criterion_monte_carlo_contract() -> CriterionResult:
     )
 
 
-def criterion_io_round_trip(tmp_dir=None) -> CriterionResult:
+def criterion_io_round_trip() -> CriterionResult:
     """Pattern and CDF writers/readers are lossless at double precision."""
-    import tempfile
-    from pathlib import Path
-
     rng = np.random.default_rng(1008)
-    own_tmp = tempfile.TemporaryDirectory() if tmp_dir is None else None
-    base = Path(own_tmp.name) if own_tmp else Path(tmp_dir)
-    try:
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
         ok = True
         for trial in range(20):
             grid = build_grid(int(rng.integers(3, 12)), int(rng.integers(4, 16)))
@@ -368,10 +356,7 @@ def criterion_io_round_trip(tmp_dir=None) -> CriterionResult:
             ok &= bool(np.array_equal(re_err, errors))
             ok &= bool(np.array_equal(re_probs, probs))
             ok &= cdf_summary(re_err).quantiles == cdf_summary(errors).quantiles
-        passed = bool(ok)
-    finally:
-        if own_tmp:
-            own_tmp.cleanup()
+    passed = bool(ok)
     return CriterionResult(
         "io-round-trip",
         passed,

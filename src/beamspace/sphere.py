@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 FOUR_PI = 4.0 * np.pi
+# Unit polarization vectors in (theta-hat, phi-hat) components.
+THETA_POL = (1.0 + 0.0j, 0.0j)
+PHI_POL = (0.0j, 1.0 + 0.0j)
 
 # Relative tolerance for grid regularity checks (uniform spacing, span).
 _GRID_TOL = 1e-9

@@ -226,6 +226,23 @@ class TestMonteCarloCommand:
         assert load_metrics_json(tmp_path / "slow" / "mc_report.json")["seconds"] >= 0.2
 
 
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command", ["metrics", "evm-map", "constellation", "monte-carlo"])
+    def test_uncreatable_output_dir_exit_2(self, tmp_path, capsys, command):
+        payload = {"grid": {"n_theta": 19, "n_phi": 36}, "perturbation": {"lobes": []},
+                   "monte_carlo": {"scenarios": 50}}
+        config = _write_config(tmp_path, payload)
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        nul = _write_config(tmp_path, payload | {"output": {"dir": "a\u0000b"}}, "nul.json")
+        for argv, named in [(["--config", str(config), "--out", str(blocker)], str(blocker)),
+                            (["--config", str(nul)], "a\x00b")]:
+            assert main([command, *argv]) == 2
+            err = capsys.readouterr().err
+            assert named in err
+            assert "Traceback" not in err
+
+
 class TestPatternFilePipeline:
     def test_metrics_from_files_match_generator(self, tmp_path):
         # exporting the generated states and reloading them through the

@@ -131,11 +131,13 @@ class TestPatternCsv:
     def test_declared_shape_must_match(self, tmp_path):
         grid = build_grid(3, 4)
         pattern = _random_pattern(grid, np.random.default_rng(5))
-        path = save_pattern_csv(pattern, tmp_path / "p.csv")
-        text = path.read_text().replace("# n_theta: 3", "# n_theta: 5")
-        path.write_text(text)
-        with pytest.raises(PatternFormatError, match="n_theta"):
-            load_pattern_csv(path)
+        saved = save_pattern_csv(pattern, tmp_path / "p.csv").read_text()
+        # the declaration is checked also after a blank line
+        for declared in ("# n_theta: 5", "\n# n_theta: 9"):
+            path = tmp_path / "p.csv"
+            path.write_text(saved.replace("# n_theta: 3", declared))
+            with pytest.raises(PatternFormatError, match="n_theta"):
+                load_pattern_csv(path)
 
     def test_hand_written_small_file_lands_on_indices(self, tmp_path):
         # 3x4 grid written by hand with two marked samples; then again with
@@ -164,17 +166,18 @@ class TestPatternCsv:
 
     def test_radian_unit_header(self, tmp_path):
         grid = build_grid(3, 4)
-        rows = ["# angle_unit: rad",
-                "theta_deg,phi_deg,re_etheta,im_etheta,re_ephi,im_ephi"]
-        for i in range(3):
-            for j in range(4):
-                rows.append(
-                    f"{float(grid.theta[i])!r},{float(grid.phi[j])!r},1.0,0.0,0.0,0.0"
-                )
-        path = tmp_path / "rad.csv"
-        path.write_text("\n".join(rows) + "\n")
-        loaded = load_pattern_csv(path)
-        assert np.all(loaded.e_theta == 1.0)
+        # the unit is read also after a blank line
+        for head in (["# angle_unit: rad"], ["", "# angle_unit: rad"]):
+            rows = head + ["theta_deg,phi_deg,re_etheta,im_etheta,re_ephi,im_ephi"]
+            for i in range(3):
+                for j in range(4):
+                    rows.append(
+                        f"{float(grid.theta[i])!r},{float(grid.phi[j])!r},1.0,0.0,0.0,0.0"
+                    )
+            path = tmp_path / "rad.csv"
+            path.write_text("\n".join(rows) + "\n")
+            loaded = load_pattern_csv(path)
+            assert np.all(loaded.e_theta == 1.0)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -21,13 +21,13 @@ from beamspace import (
     cdf_summary,
     constellation_at_angle,
     default_mirror_profile,
+    draw_geometries,
     evaluate_scenario,
     generate_mirror_pair,
     generate_perturbation,
     great_circle_distance,
     great_circle_offset,
     perturbed_basis,
-    quantize_symbols,
     received_constellation,
     run_monte_carlo,
     sample_pattern,
@@ -78,13 +78,8 @@ RX2 = (D(45.0), D(298.0))
 
 def _mc_geometries(n, seed, separation_deg=(3.0, 5.0)):
     """Receive angles of the first ``n`` scenarios drawn by run_monte_carlo."""
-    u = np.random.default_rng(seed).random((4, n))
-    theta1 = np.arccos(1 - 2 * u[0])
-    phi1 = 2 * np.pi * u[1]
-    lo, hi = D(separation_deg[0]), D(separation_deg[1])
-    theta2, phi2 = great_circle_offset(theta1, phi1, lo + (hi - lo) * u[2],
-                                       2 * np.pi * u[3])
-    return [((theta1[s], phi1[s]), (theta2[s], phi2[s])) for s in range(n)]
+    theta, phi = draw_geometries(np.random.default_rng(seed), n, separation_deg)
+    return [((theta[0, s], phi[0, s]), (theta[1, s], phi[1, s])) for s in range(n)]
 
 
 def _pair_errors_oracle(states, basis, con, geometries):
@@ -266,7 +261,7 @@ class TestZfEqualize:
         y = transmit_and_receive(hand_states, 1.0, 1.0j, scenario)
         xhat = zf_equalize(y, scenario)
         assert np.max(np.abs(xhat - np.array([1.0, 1.0j]))) > 1e-6
-        decided = quantize_symbols(xhat, QPSK)
+        decided = QPSK.nearest(xhat)
         assert decided[0] in QPSK.points
         assert decided[1] in QPSK.points
 
@@ -309,6 +304,23 @@ class TestGeometry:
         theta2, phi2 = great_circle_offset(0.1, 1.0, 0.3, 0.0)
         assert theta2 == pytest.approx(0.2, abs=1e-12)
         assert phi2 == pytest.approx(1.0 + np.pi, abs=1e-9)
+
+    def test_draw_geometries(self):
+        n = 100_000
+        theta, phi = draw_geometries(np.random.default_rng(19), n, (3.0, 5.0))
+        assert theta.shape == phi.shape == (2, n)
+        dist = great_circle_distance(theta[0], phi[0], theta[1], phi[1])
+        assert np.all((dist >= D(3.0) - 1e-9) & (dist <= D(5.0) + 1e-9))
+        assert np.all((theta >= 0.0) & (theta <= np.pi))
+        assert np.all((phi >= 0.0) & (phi < 2 * np.pi))
+        # area-uniform: cos(theta1) is uniform on [-1, 1], standard deviation 1/sqrt(3)
+        assert abs(np.mean(np.cos(theta[0]))) <= 4.0 / np.sqrt(3.0 * n)
+        again = draw_geometries(np.random.default_rng(19), n, (3.0, 5.0))
+        assert np.array_equal(theta, again[0]) and np.array_equal(phi, again[1])
+        for separation, count in [((0.0, 5.0), 10), ((5.0, 3.0), 10),
+                                  ((float("nan"), 5.0), 10), ((3.0, 5.0), -1)]:
+            with pytest.raises(InvalidArgumentError):
+                draw_geometries(np.random.default_rng(0), count, separation)
 
 
 class TestMonteCarlo:
