@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, PatternFormatError
-from .link import POLARIZATIONS
+from .link import MAX_SCENARIOS, POLARIZATIONS
 from .modulation import ratio_label
 from .patterns import EvmMap, GaussianLobe, PerturbationLobe
 from .sphere import VectorPattern, build_grid
@@ -397,13 +397,13 @@ class _Section:
         got = f"got {self.raw[key]!r:.60}" if key in self.raw else "missing"
         raise ConfigError(f"{self.path(key)} must be {rule}; {got}")
 
-    def integer(self, key, default: int, lo: int) -> int:
-        """A JSON integer or integral float (``1.4e6``) >= lo; never a bool."""
+    def integer(self, key, default: int, lo: int, hi: float = math.inf) -> int:
+        """A JSON integer or integral float (``1.4e6``) in [lo, hi]; never a bool."""
         value = self.raw.get(key, default)
         if type(value) is float and value.is_integer():
             value = int(value)
-        if type(value) is not int or value < lo:
-            self.fail(key, f"an integer >= {lo}")
+        if type(value) is not int or not lo <= value <= hi:
+            self.fail(key, f"an integer >= {lo}" + (f" and <= {hi}" if hi < math.inf else ""))
         return value
 
     def number(self, key, default: float | None, lo=-math.inf, hi=math.inf) -> float:
@@ -559,7 +559,7 @@ def load_config(path, overrides=()) -> RunConfig:
         antenna_lobes=antenna_lobes,
         pattern_files=pattern_files,
         perturbation_lobes=perturbation_lobes,
-        scenarios=mc.integer("scenarios", 10000, 1),
+        scenarios=mc.integer("scenarios", 10000, 1, MAX_SCENARIOS),
         separation_deg=mc.pair("separation_deg", [3.0, 5.0], 0.0, 180.0),
         seed=mc.integer("seed", 1, 0),
         threads=mc.integer("threads", 1, 1),

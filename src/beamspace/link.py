@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import operator
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,7 @@ from .sphere import (PHI_POL, THETA_POL, apply_stencil, bilinear_stencil, requir
 
 __all__ = [
     "DEFAULT_CONDITION_CAP",
+    "MAX_SCENARIOS",
     "NoiseModel",
     "LinkScenario",
     "ErrorRecord",
@@ -61,6 +63,9 @@ __all__ = [
 ]
 
 DEFAULT_CONDITION_CAP = 1e8
+# Largest sweep run_monte_carlo accepts: every geometry and error is held in
+# memory, about 1.6 GB at this size.
+MAX_SCENARIOS = 10**7
 
 # Scenario chunk size; fixed (not derived from the worker count) so the
 # processing order and therefore the output bytes never depend on it.
@@ -157,7 +162,8 @@ def _responses(patterns, theta, phi, pols) -> np.ndarray:
     """Responses p_r^H e(theta_r, phi_r) of two receivers to each pattern.
 
     ``theta`` and ``phi`` are (2, n) receive angles and ``pols`` the two
-    receive polarizations; one bilinear stencil serves each receiver.
+    receive polarizations; one bilinear stencil serves each receiver.  A
+    field component whose polarization weight is zero is not sampled.
     Returns an (n, 2, len(patterns)) complex array.
     """
     out = np.empty((np.shape(theta)[1], 2, len(patterns)), dtype=complex)
@@ -165,8 +171,13 @@ def _responses(patterns, theta, phi, pols) -> np.ndarray:
         stencil = bilinear_stencil(patterns[0].grid, theta[rx], phi[rx])
         pt, pp = np.conj(pols[rx])
         for k, p in enumerate(patterns):
-            out[:, rx, k] = (pt * apply_stencil(stencil, p.e_theta)
-                             + pp * apply_stencil(stencil, p.e_phi))
+            if pt and pp:
+                out[:, rx, k] = (pt * apply_stencil(stencil, p.e_theta)
+                                 + pp * apply_stencil(stencil, p.e_phi))
+            elif pt:
+                out[:, rx, k] = pt * apply_stencil(stencil, p.e_theta)
+            else:
+                out[:, rx, k] = pp * apply_stencil(stencil, p.e_phi)
     return out
 
 
@@ -178,7 +189,8 @@ def _zf_gains(h: np.ndarray, f: np.ndarray, condition_cap: float):
     """
     cond = _condition_2x2(h)
     keep = np.isfinite(cond) & (cond <= condition_cap)
-    h, f = h[keep], f[keep]
+    if not keep.all():
+        h, f = h[keep], f[keep]
     det = (h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0])[:, None]
     g = np.empty_like(f)
     g[:, 0] = (h[:, 1, 1, None] * f[:, 0] - h[:, 0, 1, None] * f[:, 1]) / det
@@ -454,6 +466,14 @@ def _integer(value, name: str) -> int:
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _mc_chunk(args):
     """Evaluate one scenario chunk; pure function of its inputs."""
     patterns, pols, ratios, theta, phi, condition_cap = args
@@ -485,13 +505,14 @@ def run_monte_carlo(
     the same empirical CDF as all M^2 pairs.  Geometries whose channel
     condition number exceeds ``condition_cap`` are rejected and tallied.
     Identical (seed, parameters) give bitwise-identical output for any
-    ``threads``.
+    ``threads``.  At most ``MAX_SCENARIOS`` scenarios; the worker pool has
+    ``min(threads, chunks, CPUs this process may use)`` threads.
     """
     n = _integer(n_scenarios, "n_scenarios")
     seed = _integer(seed, "seed")
     threads = _integer(threads, "threads")
-    if n < 1:
-        raise InvalidArgumentError("n_scenarios must be >= 1")
+    if not 1 <= n <= MAX_SCENARIOS:
+        raise InvalidArgumentError(f"n_scenarios must be in [1, {MAX_SCENARIOS}], got {n}")
     if seed < 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     if not condition_cap > 1.0:
@@ -509,10 +530,11 @@ def run_monte_carlo(
          condition_cap)
         for i in range(0, n, _CHUNK)
     ]
-    if threads == 1 or len(chunks) == 1:
+    workers = min(threads, len(chunks), _cpu_count())
+    if workers == 1:
         results = [_mc_chunk(c) for c in chunks]
     else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_mc_chunk, chunks))
 
     streams = tuple(np.concatenate([r[s] for r in results]) for s in (0, 1))

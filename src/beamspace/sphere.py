@@ -68,10 +68,11 @@ def _polar_weights(theta: np.ndarray) -> np.ndarray:
 
 
 def _check_uniform(values: np.ndarray, step: float, name: str) -> None:
-    if values.size > 1:
-        dev = np.max(np.abs(np.diff(values) - step))
-        if dev > _GRID_TOL * max(step, 1.0):
-            raise InvalidArgumentError(f"{name} samples are not uniformly spaced")
+    # the node positions bound bilinear_stencil's index guess to one cell
+    if values.size > 1 and (
+            np.max(np.abs(np.diff(values) - step)) > _GRID_TOL * max(step, 1.0)
+            or np.max(np.abs(values - np.arange(values.size) * step)) > 0.5 * step):
+        raise InvalidArgumentError(f"{name} samples are not uniformly spaced")
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,13 +272,29 @@ def zero_pattern(grid: SphericalGrid) -> VectorPattern:
     return uniform_pattern(grid, 0.0, 0.0)
 
 
+def _cell(nodes: np.ndarray, x: np.ndarray, step: float, last: int) -> np.ndarray:
+    """Index of the last node <= x, clipped to [0, last], for x >= 0.
+
+    Equal to ``clip(searchsorted(nodes, x, side="right") - 1, 0, last)``:
+    the uniform-grid guess ``floor(x / step)`` is at most one cell off
+    (every node lies within half a step of ``i * step``), and one compare
+    against the node on each side corrects it.
+    """
+    i = np.minimum((x / step).astype(np.intp), last)
+    i = np.maximum(i - (nodes[i] > x), 0)
+    return np.minimum(i + (nodes.take(i + 1, mode="clip") <= x), last)
+
+
 def bilinear_stencil(grid: SphericalGrid, theta, phi):
     """Flat node indices and weights of the bilinear sample at each angle.
 
     Periodic in phi and exact at grid nodes (the node's weight is exactly
-    one and the others exactly zero).  Accepts scalars or
-    broadcast-compatible arrays of radians; apply the result to any
-    number of fields on ``grid`` with :func:`apply_stencil`.
+    one and the others exactly zero).  The cell of each angle is found by
+    arithmetic on the uniform grid, ``floor(angle / step)`` clipped, then
+    checked against the grid's own node values, so it is the last node at
+    or below the angle, as a binary search would find it.  Accepts
+    scalars or broadcast-compatible arrays of radians; apply the result
+    to any number of fields on ``grid`` with :func:`apply_stencil`.
 
     Raises:
         AngleOutOfRangeError: theta outside [0, pi] or non-finite input.
@@ -289,10 +306,10 @@ def bilinear_stencil(grid: SphericalGrid, theta, phi):
     if np.any(theta < -1e-12) or np.any(theta > np.pi + 1e-12):
         raise AngleOutOfRangeError("theta outside grid coverage [0, pi]")
     tq = np.clip(theta, 0.0, np.pi)
-    it = np.clip(np.searchsorted(grid.theta, tq, side="right") - 1, 0, grid.n_theta - 2)
+    it = _cell(grid.theta, tq, grid.theta_step, grid.n_theta - 2)
     ft = (tq - grid.theta[it]) / (grid.theta[it + 1] - grid.theta[it])
     pq = np.mod(phi, 2.0 * np.pi)
-    j0 = np.clip(np.searchsorted(grid.phi, pq, side="right") - 1, 0, grid.n_phi - 1)
+    j0 = _cell(grid.phi, pq, grid.phi_step, grid.n_phi - 1)
     j1 = (j0 + 1) % grid.n_phi
     # last azimuth cell wraps to phi = 2*pi
     upper = np.where(j1 == 0, 2.0 * np.pi, grid.phi[j1])

@@ -402,6 +402,8 @@ class TestMalformedInput:
          "antenna.pattern_files.+1"),
         ((), {}, ["--threads", "0"], "monte_carlo.threads"),
         ((), {}, ["--rx1-phi", "inf"], "receive.rx1.phi_deg"),
+        (("monte_carlo", "scenarios"), 10**7 + 1, [], "monte_carlo.scenarios"),
+        ((), {}, ["--scenarios", "1000000000000"], "monte_carlo.scenarios"),
     ])
     def test_exit_2_naming_the_key(self, tmp_path, path, value, flags, named):
         payload = _set(json.loads((CONFIGS / "hand_scenario.json").read_text()), path, value)
@@ -418,6 +420,11 @@ class TestMalformedInput:
         key = _exit_code(["monte-carlo", "--config", str(_write_config(tmp_path, payload))])
         flag = _exit_code(["monte-carlo", "--config", str(hand_config), "--threads", "0"])
         assert key == flag == (2, "error: monte_carlo.threads must be an integer >= 1; got 0\n")
+
+    def test_scenario_limit_is_accepted(self, hand_config):
+        # read only: a sweep of this size is not run here
+        cfg = load_config(hand_config, [("monte_carlo.scenarios", 10**7)])
+        assert cfg.scenarios == 10**7
 
     def test_unreadable_config_exit_2(self, tmp_path):
         (tmp_path / "bytes.json").write_bytes(b"\xff\xfe{}")

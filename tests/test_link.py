@@ -1,6 +1,8 @@
+import os
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamspace import (
@@ -35,6 +37,7 @@ from beamspace import (
     zf_equalize,
     zero_pattern,
 )
+from beamspace.link import PHI_POL, THETA_POL
 
 QPSK = PskConstellation.qpsk()
 RATIOS = QPSK.ratio_set
@@ -82,7 +85,7 @@ def _mc_geometries(n, seed, separation_deg=(3.0, 5.0)):
     return [((theta[0, s], phi[0, s]), (theta[1, s], phi[1, s])) for s in range(n)]
 
 
-def _pair_errors_oracle(states, basis, con, geometries):
+def _pair_errors_oracle(states, basis, con, geometries, pols=(THETA_POL, THETA_POL)):
     """Per-pair error magnitudes |x_hat - x| by transmit_and_receive + LAPACK.
 
     Returns one (scenario, k1, k2) array per stream.
@@ -90,7 +93,7 @@ def _pair_errors_oracle(states, basis, con, geometries):
     m = con.order
     errors = np.empty((2, len(geometries), m, m))
     for s, angles in enumerate(geometries):
-        scenario = build_channel(basis, angles, con)
+        scenario = build_channel(basis, angles, con, pols)
         for k1, x1 in enumerate(con.points):
             for k2, x2 in enumerate(con.points):
                 y = transmit_and_receive(states, x1, x2, scenario)
@@ -347,14 +350,22 @@ class TestMonteCarlo:
 
     def test_record_path_cross_check(self, hand_states, hand_basis):
         # the closed-form ratio-state kernel must agree with the per-pair
-        # LAPACK path: each state's error, once per pair of that ratio
-        mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=3, seed=21)
-        errors = _pair_errors_oracle(hand_states, hand_basis, QPSK,
-                                     _mc_geometries(3, seed=21))
-        for stream in (1, 2):
-            want = np.sort(errors[stream - 1].ravel())
-            got = np.repeat(mc.stream_errors[stream - 1], 4)
-            assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+        # LAPACK path: each state's error, once per pair of that ratio, for
+        # receive polarizations that sample theta only, phi only, both
+        # kinds, and complex (elliptical) mixtures of the two components
+        elliptical = (np.array([1.0, 1.0j]) / np.sqrt(2.0),
+                      (np.cos(0.3), np.exp(0.7j) * np.sin(0.3)))
+        for pols in ((THETA_POL, THETA_POL), (THETA_POL, PHI_POL), (PHI_POL, PHI_POL),
+                     elliptical):
+            mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=3, seed=21,
+                                 rx_polarizations=pols)
+            assert mc.n_rejected == 0
+            errors = _pair_errors_oracle(hand_states, hand_basis, QPSK,
+                                         _mc_geometries(3, seed=21), pols)
+            for stream in (1, 2):
+                want = np.sort(errors[stream - 1].ravel())
+                got = np.repeat(mc.stream_errors[stream - 1], 4)
+                assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_ratio_state_reduction_8psk_with_offset(self, grid):
         con = PskConstellation(8, phase_offset=0.3)
@@ -411,6 +422,48 @@ class TestMonteCarlo:
         with pytest.raises(InvalidArgumentError, match=next(iter(bad))):
             run_monte_carlo(free_states, free_basis, QPSK, **({"n_scenarios": 10, "seed": 1} | bad))
 
+    def test_scenario_limit(self, free_states, free_basis, monkeypatch):
+        from beamspace import link
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("geometries drawn for a sweep over the limit")
+
+        monkeypatch.setattr(link, "draw_geometries", no_draw)
+        for n in (link.MAX_SCENARIOS + 1, 10**12):
+            with pytest.raises(InvalidArgumentError, match="n_scenarios"):
+                run_monte_carlo(free_states, free_basis, QPSK, n_scenarios=n, seed=1)
+
+    def test_thread_pool_capped(self, hand_states, hand_basis, monkeypatch):
+        # the pool is sized by assertion only: a stand-in executor records it
+        from beamspace import link
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(link.concurrent.futures, "ThreadPoolExecutor", Recorder)
+        cpu_count, n = link._cpu_count, 3 * link._CHUNK  # three chunks
+        serial = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=4)
+        for cpus, threads, want in ((64, 100_000, 3), (64, 2, 2), (2, 100_000, 2), (1, 8, None)):
+            monkeypatch.setattr(link, "_cpu_count", lambda cpus=cpus: cpus)
+            sizes.clear()
+            mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=4,
+                                 threads=threads)
+            assert sizes == ([] if want is None else [want])
+            for s in (0, 1):
+                assert mc.stream_errors[s].tobytes() == serial.stream_errors[s].tobytes()
+        assert 1 <= cpu_count() <= (os.cpu_count() or 1)
+
     def test_degenerate_separation_interval_allowed(self, free_states, free_basis):
         # min == max is a valid (single-distance) interval
         mc = run_monte_carlo(free_states, free_basis, QPSK, n_scenarios=50,
@@ -459,6 +512,67 @@ class TestMonteCarlo:
         for s in (0, 1):
             assert np.allclose(a.stream_errors[s], b.stream_errors[s],
                                rtol=1e-9, atol=1e-12)
+
+
+_POLS = (THETA_POL, PHI_POL, (np.sqrt(0.5), 0.5 + 0.5j), (np.cos(0.3), np.exp(0.7j) * np.sin(0.3)))
+_geometry = st.tuples(st.floats(0.05, np.pi - 0.05), st.floats(0.0, 2 * np.pi),
+                      st.floats(D(3.0), D(5.0)), st.floats(0.0, 2 * np.pi),
+                      st.sampled_from(_POLS), st.sampled_from(_POLS))
+
+
+def _decoded(states, basis, angles, pols):
+    """The channel and the (ideal, actual) points of every symbol pair, in
+    emitted order; no points when the channel is over the default cap."""
+    scenario = build_channel(basis, angles, QPSK, pols)
+    if not scenario.condition_number <= 1e8:
+        return scenario, None
+    points = received_constellation(states, scenario)
+    return scenario, np.array([(p.ideal, p.actual) for p in points])
+
+
+def _assert_round_off(a, b, scenario):
+    """``b`` equals ``a`` up to round-off amplified by the channel's condition number."""
+    bound = 16 * np.finfo(float).eps * scenario.condition_number * np.max(np.abs(a))
+    assert np.max(np.abs(b - a)) <= bound
+
+
+class TestMetamorphic:
+    """Relations the decode must satisfy whatever the geometry."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(geometry=_geometry)
+    def test_receiver_swap(self, hand_states, hand_basis, geometry):
+        # swapping the receivers swaps the rows of H and F and leaves G = H^-1 F
+        theta1, phi1, dist, bearing, pol1, pol2 = geometry
+        rx1 = (theta1, phi1)
+        rx2 = great_circle_offset(theta1, phi1, dist, bearing)
+        sa, a = _decoded(hand_states, hand_basis, (rx1, rx2), (pol1, pol2))
+        sb, b = _decoded(hand_states, hand_basis, (rx2, rx1), (pol2, pol1))
+        assert sb.channel.tobytes() == sa.channel[::-1].tobytes()
+        assert (a is None) == (b is None)
+        if a is not None:
+            # not bitwise: numpy's complex multiply need not commute bitwise (it
+            # may fuse a multiply-add), so the swapped determinant h10*h01 -
+            # h11*h00 can differ from -(h00*h11 - h01*h10) in its last bits
+            _assert_round_off(a, b, sa)
+
+    @settings(max_examples=25, deadline=None)
+    @given(geometry=_geometry, log_scale=st.floats(-2.0, 2.0), phase=st.floats(0.0, 2 * np.pi))
+    def test_global_scale(self, grid, hand_states, geometry, log_scale, phase):
+        # H and F scale together, so the decoded points move by round-off only
+        theta1, phi1, dist, bearing, pol1, pol2 = geometry
+        angles = ((theta1, phi1), great_circle_offset(theta1, phi1, dist, bearing))
+        c = 10.0 ** log_scale * np.exp(1j * phase)
+        scaled = StatePatternSet(
+            ratios=RATIOS,
+            patterns={k: VectorPattern(grid=grid, e_theta=c * hand_states.state(k).e_theta,
+                                       e_phi=c * hand_states.state(k).e_phi)
+                      for k in range(4)})
+        sa, a = _decoded(hand_states, perturbed_basis(hand_states), angles, (pol1, pol2))
+        _, b = _decoded(scaled, perturbed_basis(scaled), angles, (pol1, pol2))
+        assert (a is None) == (b is None)
+        if a is not None:
+            _assert_round_off(a, b, sa)
 
 
 class TestCdfSummary:

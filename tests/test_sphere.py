@@ -279,6 +279,61 @@ class TestSamplePattern:
             sample_pattern(p, np.nan, 0.0)
 
 
+def _stencil_reference(grid, theta, phi):
+    """bilinear_stencil's indices by binary search, as they were computed before
+    the uniform-grid index arithmetic; the weight formulas are the same."""
+    tq = np.clip(theta, 0.0, np.pi)
+    it = np.clip(np.searchsorted(grid.theta, tq, side="right") - 1, 0, grid.n_theta - 2)
+    ft = (tq - grid.theta[it]) / (grid.theta[it + 1] - grid.theta[it])
+    pq = np.mod(phi, 2.0 * np.pi)
+    j0 = np.clip(np.searchsorted(grid.phi, pq, side="right") - 1, 0, grid.n_phi - 1)
+    j1 = (j0 + 1) % grid.n_phi
+    upper = np.where(j1 == 0, 2.0 * np.pi, grid.phi[j1])
+    fp = (pq - grid.phi[j0]) / (upper - grid.phi[j0])
+    row0 = it * grid.n_phi
+    row1 = row0 + grid.n_phi
+    nodes = (row0 + j0, row0 + j1, row1 + j0, row1 + j1)
+    weights = ((1.0 - ft) * (1.0 - fp), (1.0 - ft) * fp, ft * (1.0 - fp), ft * fp)
+    return nodes, weights
+
+
+def _edge_angles(nodes, period_end):
+    """Every node, every cell midpoint and both float neighbours of each node."""
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    return np.concatenate([nodes, mids, [0.5 * (nodes[-1] + period_end)],
+                           np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+                           [0.0, period_end, np.nextafter(period_end, 0.0)]])
+
+
+class TestBilinearStencil:
+    @pytest.mark.parametrize("shape", [(91, 180), (361, 720), (3, 4), (7, 13)])
+    def test_index_arithmetic_matches_binary_search_bitwise(self, shape):
+        from beamspace.sphere import bilinear_stencil
+        grid = build_grid(*shape)
+        theta = _edge_angles(grid.theta, np.pi)  # its nextafter ends lie 1 ulp outside [0, pi]
+        phi = _edge_angles(grid.phi, 2.0 * np.pi)
+        n = max(theta.size, phi.size)
+        # the two axes are indexed independently, so pairing covers every angle
+        batches = [(np.resize(theta, n), np.resize(phi, n)),
+                   (np.resize(theta[::-1], n), np.resize(phi, n))]
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        for _ in range(4):
+            batches.append((rng.random(250_000) * np.pi, rng.random(250_000) * 2 * np.pi))
+        for t, p in batches:
+            got_nodes, got_weights = bilinear_stencil(grid, t, p)
+            want_nodes, want_weights = _stencil_reference(grid, t, p)
+            for got, want in zip(got_nodes + got_weights, want_nodes + want_weights):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_scalar_angles(self, small_grid):
+        from beamspace.sphere import bilinear_stencil
+        got = bilinear_stencil(small_grid, small_grid.theta[2], np.nextafter(2 * np.pi, 0))
+        want = _stencil_reference(small_grid, small_grid.theta[2], np.nextafter(2 * np.pi, 0))
+        assert [np.ndim(a) for a in got[0] + got[1]] == [0] * 8
+        assert [float(a) for a in got[0] + got[1]] == [float(a) for a in want[0] + want[1]]
+
+
 class TestValidation:
     def test_pattern_requires_finite_values(self, small_grid):
         bad = np.ones(small_grid.shape, dtype=complex)
