@@ -26,9 +26,7 @@ from .iokit import (
     RunConfig,
     load_cdf_csv,
     load_config,
-    load_metrics_json,
     load_pattern_csv,
-    parse_pattern_header,
     save_cdf_csv,
     save_metrics_json,
     save_pattern_csv,
@@ -38,20 +36,15 @@ from .link import (
     DEFAULT_CONDITION_CAP,
     CdfSummary,
     ConstellationPoint,
-    ErrorRecord,
     LinkScenario,
     MonteCarloResult,
-    NoiseModel,
     build_channel,
     cdf_summary,
     constellation_at_angle,
     draw_geometries,
-    evaluate_scenario,
     great_circle_offset,
     received_constellation,
     run_monte_carlo,
-    transmit_and_receive,
-    zf_equalize,
 )
 from .modulation import PskConstellation, RatioSet, parse_ratio_label, ratio_label
 from .patterns import (
@@ -87,8 +80,6 @@ from .sphere import (
     lincomb,
     sample_pattern,
     same_grid,
-    uniform_pattern,
-    zero_pattern,
 )
 
 __version__ = "0.1.0"

@@ -32,12 +32,10 @@ __all__ = [
     "RunConfig",
     "save_pattern_csv",
     "load_pattern_csv",
-    "parse_pattern_header",
     "save_cdf_csv",
     "load_cdf_csv",
     "save_constellation_csv",
     "save_metrics_json",
-    "load_metrics_json",
     "save_results",
     "load_config",
 ]
@@ -158,12 +156,6 @@ def _grid_columns(grid) -> tuple[np.ndarray, np.ndarray]:
     """theta_deg and phi_deg of every node in theta-major order."""
     return (np.repeat(np.rad2deg(grid.theta), grid.n_phi),
             np.tile(np.rad2deg(grid.phi), grid.n_theta))
-
-
-def parse_pattern_header(path) -> PatternFileHeader:
-    """Read the ``# key: value`` metadata above the column row of a pattern CSV."""
-    with _text(Path(path)) as fh:
-        return _pattern_header(path, _scan_header(fh)[0])
 
 
 def _pattern_header(path, lines) -> PatternFileHeader:
@@ -290,24 +282,10 @@ def _json_encode(obj: Any) -> Any:
     return obj
 
 
-def _json_decode(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {k: _json_decode(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_json_decode(v) for v in obj]
-    if obj in ("inf", "-inf", "nan"):
-        return float(obj)
-    return obj
-
-
 def save_metrics_json(metrics: dict, path) -> Path:
     path = Path(path)
     path.write_text(json.dumps(_json_encode(metrics), indent=2, sort_keys=True) + "\n")
     return path
-
-
-def load_metrics_json(path) -> dict:
-    return _json_decode(json.loads(Path(path).read_text()))
 
 
 def _write_evm_csv(evm: EvmMap, path: Path) -> Path:

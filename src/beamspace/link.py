@@ -19,6 +19,10 @@ and keeps, per accepted geometry, one noiseless error per stream and
 ratio state: |g1_k - 1| and |g2_k - r_k|.  All randomness is drawn up
 front from one seeded generator and scenarios are processed in
 fixed-size chunks, so results are bitwise independent of the worker count.
+
+Every product is noiseless: the receiver sees the radiated field exactly,
+so the errors are those of the perturbation and the zero-forcing decode
+alone.
 """
 
 from __future__ import annotations
@@ -26,34 +30,23 @@ from __future__ import annotations
 import concurrent.futures
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidArgumentError,
-    RatioSetMismatchError,
-    SingularChannelError,
-    UndefinedRatioError,
-)
+from .errors import InvalidArgumentError, RatioSetMismatchError, SingularChannelError
 from .modulation import PskConstellation
 from .patterns import BasisPair, StatePatternSet
-from .sphere import (PHI_POL, THETA_POL, apply_stencil, bilinear_stencil, require_same_grid,
-                     sample_pattern)
+from .sphere import PHI_POL, THETA_POL, apply_stencil, bilinear_stencil, require_same_grid
 
 __all__ = [
     "DEFAULT_CONDITION_CAP",
     "MAX_SCENARIOS",
-    "NoiseModel",
     "LinkScenario",
-    "ErrorRecord",
     "ConstellationPoint",
     "MonteCarloResult",
     "CdfSummary",
     "build_channel",
-    "transmit_and_receive",
-    "zf_equalize",
-    "evaluate_scenario",
     "received_constellation",
     "constellation_at_angle",
     "great_circle_offset",
@@ -75,33 +68,6 @@ _CDF_LEVELS = 10_000  # rows of MonteCarloResult.cdf at most
 POLARIZATIONS = {"theta": THETA_POL, "phi": PHI_POL}
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Circularly symmetric complex receive noise, one variance per branch.
-
-    Both variances zero (the default) disables noise, which is the
-    reference configuration for constellation-error statistics.
-    """
-
-    variances: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self) -> None:
-        v = (float(self.variances[0]), float(self.variances[1]))
-        if v[0] < 0.0 or v[1] < 0.0:
-            raise InvalidArgumentError("noise variances must be nonnegative")
-        object.__setattr__(self, "variances", v)
-
-    @property
-    def enabled(self) -> bool:
-        return self.variances[0] > 0.0 or self.variances[1] > 0.0
-
-    def sample(self, rng: np.random.Generator, shape=()) -> np.ndarray:
-        """Draw noise of the given leading shape; last axis is the branch."""
-        sigma = np.sqrt(np.asarray(self.variances) / 2.0)
-        full = tuple(np.atleast_1d(shape).astype(int)) + (2,)
-        return sigma * (rng.standard_normal(full) + 1j * rng.standard_normal(full))
-
-
 @dataclass(frozen=True, eq=False)
 class LinkScenario:
     """Receive geometry, polarizations, and the derived channel matrix."""
@@ -111,7 +77,6 @@ class LinkScenario:
     channel: np.ndarray           # (2, 2) complex
     condition_number: float
     constellation: PskConstellation
-    noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self) -> None:
         angles = np.ascontiguousarray(self.rx_angles, dtype=float)
@@ -134,7 +99,8 @@ class LinkScenario:
 def _unit_polarizations(pols) -> np.ndarray:
     """Two receive polarizations as a (2, 2) complex array of unit 2-vectors."""
     pols = np.ascontiguousarray(pols, dtype=complex)
-    if pols.shape != (2, 2) or np.any(np.abs(np.linalg.norm(pols, axis=1) - 1.0) > 1e-6):
+    # written so that NaN fails: every comparison with NaN is False
+    if pols.shape != (2, 2) or not np.all(np.abs(np.linalg.norm(pols, axis=1) - 1.0) <= 1e-6):
         raise InvalidArgumentError("rx_polarizations must be two unit 2-vectors")
     return pols
 
@@ -203,14 +169,19 @@ def build_channel(
     rx_angles,
     constellation: PskConstellation,
     rx_polarizations=(THETA_POL, THETA_POL),
-    noise: NoiseModel | None = None,
 ) -> LinkScenario:
     """Channel matrix entries p_m^H . b_n at each receive angle.
 
+    ``rx_angles`` holds one (theta, phi) row per receiver and
+    ``rx_polarizations`` two unit 2-vectors in (theta, phi) components.
     The basis patterns are sampled bilinearly at the two receive solid
-    angles and projected onto the receive polarization vectors.  Singular
-    geometries are flagged through ``condition_number`` (inf), not raised;
-    rejection happens at equalization time.
+    angles and projected onto the receive polarization vectors; the link
+    is noiseless.  Singular geometries are flagged through
+    ``condition_number`` (inf), not raised; rejection happens at
+    equalization time.
+
+    Raises:
+        InvalidArgumentError: the polarizations are not two unit 2-vectors.
     """
     angles = np.asarray(rx_angles, dtype=float)
     pols = np.asarray(rx_polarizations, dtype=complex)
@@ -221,61 +192,7 @@ def build_channel(
         channel=h,
         condition_number=float(_condition_2x2(h)),
         constellation=constellation,
-        noise=noise if noise is not None else NoiseModel(),
     )
-
-
-def transmit_and_receive(
-    s_hat: StatePatternSet,
-    x1: complex,
-    x2: complex,
-    scenario: LinkScenario,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Receive vector for one symbol pair radiated through the physical field.
-
-    The antenna radiates x1 times the state pattern selected by the ratio
-    x2/x1; each receiver projects that field at its own solid angle.  The
-    basis decomposition is not used on the transmit side.
-    """
-    if x1 == 0:
-        raise UndefinedRatioError("x1 = 0 leaves the symbol ratio x2/x1 undefined")
-    k = scenario.constellation.ratio_set.index_of(x2 / x1)
-    pattern = s_hat.state(k)
-    angles, pols = scenario.rx_angles, scenario.rx_polarizations
-    et, ep = sample_pattern(pattern, angles[:, 0], angles[:, 1])
-    y = x1 * (np.conj(pols[:, 0]) * et + np.conj(pols[:, 1]) * ep)
-    if scenario.noise.enabled:
-        if rng is None:
-            raise InvalidArgumentError("noise is enabled but no rng was provided")
-        y = y + scenario.noise.sample(rng)
-    return y
-
-
-def zf_equalize(
-    y, scenario: LinkScenario, condition_cap: float = DEFAULT_CONDITION_CAP
-) -> np.ndarray:
-    """Zero-forcing estimate H^-1 y of the transmitted symbol pair.
-
-    Quantization to the constellation is a separate explicit step
-    (:meth:`PskConstellation.nearest`).
-
-    Raises:
-        SingularChannelError: channel singular or conditioned above the cap.
-    """
-    _require_conditioned(scenario, condition_cap)
-    return np.linalg.solve(scenario.channel, np.asarray(y, dtype=complex))
-
-
-@dataclass(frozen=True)
-class ErrorRecord:
-    """Constellation error of one decoded stream for one symbol pair."""
-
-    stream: int           # 1 or 2
-    ratio_index: int
-    transmitted: complex
-    error: complex        # decoded minus transmitted
-    magnitude: float
 
 
 @dataclass(frozen=True)
@@ -328,21 +245,6 @@ def received_constellation(
     _require_conditioned(scenario, condition_cap)
     _, g = _zf_gains(scenario.channel[None], f, condition_cap)
     return _pair_points(scenario.constellation, g[0])
-
-
-def evaluate_scenario(
-    s_hat: StatePatternSet,
-    scenario: LinkScenario,
-    condition_cap: float = DEFAULT_CONDITION_CAP,
-) -> list[ErrorRecord]:
-    """Noiseless per-pair error records for one receive geometry."""
-    m = scenario.constellation.order
-    return [
-        ErrorRecord(stream=pt.stream, ratio_index=(pt.k2 - pt.k1) % m,
-                    transmitted=pt.ideal, error=pt.actual - pt.ideal,
-                    magnitude=abs(pt.actual - pt.ideal))
-        for pt in received_constellation(s_hat, scenario, condition_cap)
-    ]
 
 
 def constellation_at_angle(

@@ -22,7 +22,7 @@ from .link import (
     cdf_summary,
     constellation_at_angle,
     draw_geometries,
-    evaluate_scenario,
+    received_constellation,
     run_monte_carlo,
 )
 from .modulation import PskConstellation
@@ -87,8 +87,8 @@ def criterion_free_space_exactness() -> CriterionResult:
         worst_evm = max(worst_evm, float(np.max(emap.evm.values)))
         # one receive pair drawn like the Monte-Carlo sweep: rows (theta, phi)
         scenario = build_channel(basis, np.hstack(draw_geometries(rng, 1)), con)
-        for rec in evaluate_scenario(states, scenario):
-            worst_decode = max(worst_decode, rec.magnitude)
+        for p in received_constellation(states, scenario):
+            worst_decode = max(worst_decode, abs(p.actual - p.ideal))
     elapsed = time.perf_counter() - start
     passed = worst_decode <= 1e-10 and worst_evm <= 1e-12 and elapsed < 10.0
     return CriterionResult(
@@ -142,11 +142,12 @@ def criterion_dichotomy() -> CriterionResult:
         b_hat = perturbed_basis(s_hat)
         scenario = build_channel(b_hat, (rx1, rx2), con)
         best_j = 0.0
-        for rec in evaluate_scenario(s_hat, scenario):
-            if rec.ratio_index in (0, 2):
-                worst_pm1 = max(worst_pm1, rec.magnitude)
+        for p in received_constellation(s_hat, scenario):
+            error = abs(p.actual - p.ideal)
+            if (p.k2 - p.k1) % con.order in (0, 2):
+                worst_pm1 = max(worst_pm1, error)
             else:
-                best_j = max(best_j, rec.magnitude)
+                best_j = max(best_j, error)
         min_best_j = min(min_best_j, best_j)
         tx = constellation_at_angle(b_hat, s_hat, con, rx1[0], rx1[1])
         for stream in (1, 2):

@@ -30,8 +30,6 @@ __all__ = [
     "integrate_power",
     "inner_product",
     "lincomb",
-    "uniform_pattern",
-    "zero_pattern",
     "sample_pattern",
     "bilinear_stencil",
     "apply_stencil",
@@ -257,19 +255,6 @@ def lincomb(alpha: complex, a: VectorPattern, beta: complex, b: VectorPattern) -
         e_theta=alpha * a.e_theta + beta * b.e_theta,
         e_phi=alpha * a.e_phi + beta * b.e_phi,
     )
-
-
-def uniform_pattern(grid: SphericalGrid, e_theta: complex, e_phi: complex) -> VectorPattern:
-    """Pattern with the same polarization vector at every sample."""
-    return VectorPattern(
-        grid=grid,
-        e_theta=np.full(grid.shape, e_theta, dtype=complex),
-        e_phi=np.full(grid.shape, e_phi, dtype=complex),
-    )
-
-
-def zero_pattern(grid: SphericalGrid) -> VectorPattern:
-    return uniform_pattern(grid, 0.0, 0.0)
 
 
 def _cell(nodes: np.ndarray, x: np.ndarray, step: float, last: int) -> np.ndarray:

@@ -11,8 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beamspace.cli as cli
-from beamspace import ConfigError, RunConfig, cdf_summary, load_config, load_metrics_json
+from beamspace import (
+    ConfigError,
+    PatternFormatError,
+    RunConfig,
+    VectorPattern,
+    cdf_summary,
+    load_cdf_csv,
+    load_config,
+    load_pattern_csv,
+    save_cdf_csv,
+)
 from beamspace.cli import main
+from helpers import load_metrics_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -486,3 +497,89 @@ class TestConfigContract:
         assert code in (None, 2)
         if code == 2:
             assert "Traceback" not in err
+
+
+@st.composite
+def _mutated(draw, text: bytes) -> bytes:
+    """``text`` after one to three edits: a line dropped, duplicated or swapped,
+    random bytes in one field, a cut at a random byte, or ``angle_unit`` flipped."""
+    for _ in range(draw(st.integers(1, 3))):
+        lines = text.splitlines(keepends=True)
+        if not lines:
+            break
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        edit = draw(st.sampled_from(["drop", "duplicate", "swap", "field", "cut", "unit"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "field":
+            body = lines[i].rstrip(b"\n")
+            fields = body.split(b",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.binary(max_size=6))
+            lines[i] = b",".join(fields) + lines[i][len(body):]
+        text = b"".join(lines)
+        if edit == "cut":
+            text = text[:draw(st.integers(0, len(text)))]
+        elif edit == "unit":
+            text = text.replace(b"angle_unit: deg", b"angle_unit: rad")
+    return text
+
+
+@pytest.fixture(scope="module")
+def state_files(tmp_path_factory):
+    """Pattern CSVs of the four QPSK states on a 5 x 8 grid, by ratio label."""
+    import beamspace as bs
+
+    folder = tmp_path_factory.mktemp("states")
+    states = bs.generate_mirror_pair(bs.default_mirror_profile(), bs.build_grid(5, 8),
+                                     bs.PskConstellation.qpsk().ratio_set)
+    return {bs.ratio_label(k, 4): bs.save_pattern_csv(states.state(k), folder / f"s{k}.csv",
+                                                      state=bs.ratio_label(k, 4))
+            for k in range(4)}
+
+
+class TestPatternFileContract:
+    """A mutated pattern or CDF file is read, or rejected with PatternFormatError alone.
+
+    ``metrics`` on a config naming a mutated pattern file runs when the
+    reader accepts the file and exits 2 with an ``error:`` line otherwise.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_pattern_file(self, tmp_path_factory, state_files, data):
+        folder = tmp_path_factory.mktemp("mutated")
+        path = folder / "plus.csv"
+        path.write_bytes(data.draw(_mutated(state_files["+1"].read_bytes())))
+        try:
+            accepted = isinstance(load_pattern_csv(path), VectorPattern)
+        except PatternFormatError:
+            accepted = False
+        config = _write_config(folder, {
+            "antenna": {"pattern_files": {**{k: str(v) for k, v in state_files.items()},
+                                          "+1": path.name}}})
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["metrics", "--config", str(config), "--out", str(folder / "out")])
+        if accepted:
+            assert code == 0
+        else:
+            assert code == 2
+            assert err.getvalue().startswith("error: ")
+            assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_cdf_file(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("cdf") / "cdf.csv"
+        save_cdf_csv(path, [0.0, 1e-3, 0.25, 0.5, 2.0], [0.2, 0.4, 0.6, 0.8, 1.0])
+        path.write_bytes(data.draw(_mutated(path.read_bytes())))
+        try:
+            errors, probs = load_cdf_csv(path)
+        except PatternFormatError:
+            return
+        assert errors.dtype == probs.dtype == float
+        assert errors.ndim == 1 and errors.shape == probs.shape

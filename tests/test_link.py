@@ -9,7 +9,6 @@ from beamspace import (
     AngleOutOfRangeError,
     BasisPair,
     InvalidArgumentError,
-    NoiseModel,
     PerturbationLobe,
     PskConstellation,
     RatioSetMismatchError,
@@ -24,7 +23,6 @@ from beamspace import (
     constellation_at_angle,
     default_mirror_profile,
     draw_geometries,
-    evaluate_scenario,
     generate_mirror_pair,
     generate_perturbation,
     great_circle_distance,
@@ -33,11 +31,9 @@ from beamspace import (
     received_constellation,
     run_monte_carlo,
     sample_pattern,
-    transmit_and_receive,
-    zf_equalize,
-    zero_pattern,
 )
 from beamspace.link import PHI_POL, THETA_POL
+from helpers import transmit_and_receive, zero_pattern, zf_equalize
 
 QPSK = PskConstellation.qpsk()
 RATIOS = QPSK.ratio_set
@@ -162,6 +158,31 @@ class TestBuildChannel:
         batch[1, 2] = 1.0
         assert _condition_2x2(batch)[1, 2] == np.inf
 
+    def test_nan_polarization_rejected(self, free_states, free_basis):
+        from beamspace import LinkScenario
+        pols = ((float("nan"), 0.0), THETA_POL)
+        with pytest.raises(InvalidArgumentError, match="two unit 2-vectors"):
+            run_monte_carlo(free_states, free_basis, QPSK, n_scenarios=100, seed=1,
+                            rx_polarizations=pols)
+        with pytest.raises(InvalidArgumentError, match="two unit 2-vectors"):
+            LinkScenario(rx_angles=np.array((RX1, RX2)),
+                         rx_polarizations=np.array(pols, dtype=complex),
+                         channel=np.eye(2, dtype=complex), condition_number=1.0,
+                         constellation=QPSK)
+        with pytest.raises(InvalidArgumentError, match="two unit 2-vectors"):
+            build_channel(free_basis, (RX1, RX2), QPSK, pols)
+
+    def test_scenario_polarization_must_be_unit(self, free_basis):
+        from beamspace import LinkScenario
+        with pytest.raises(InvalidArgumentError):
+            LinkScenario(
+                rx_angles=np.array([[1.0, 2.0], [1.0, 2.1]]),
+                rx_polarizations=np.array([[2.0, 0.0], [1.0, 0.0]], dtype=complex),
+                channel=np.eye(2, dtype=complex),
+                condition_number=1.0,
+                constellation=QPSK,
+            )
+
 
 class TestTransmitAndReceive:
     def test_free_space_consistency(self, free_states, free_basis):
@@ -205,28 +226,6 @@ class TestTransmitAndReceive:
         with pytest.raises(UndefinedRatioError):
             transmit_and_receive(free_states, 0.0, 1.0, scenario)
 
-    def test_constellation_products_ignore_noise_model(self, free_states, free_basis):
-        noisy = build_channel(free_basis, (RX1, RX2), QPSK,
-                              noise=NoiseModel(variances=(0.1, 0.1)))
-        quiet = build_channel(free_basis, (RX1, RX2), QPSK)
-        a = received_constellation(free_states, noisy)
-        b = received_constellation(free_states, quiet)
-        assert [(p.stream, p.actual) for p in a] == [(p.stream, p.actual) for p in b]
-
-    def test_noise_requires_rng_and_is_reproducible(self, free_states, free_basis):
-        noise = NoiseModel(variances=(1e-4, 1e-4))
-        scenario = build_channel(free_basis, (RX1, RX2), QPSK, noise=noise)
-        with pytest.raises(InvalidArgumentError):
-            transmit_and_receive(free_states, 1.0, 1.0, scenario)
-        y1 = transmit_and_receive(free_states, 1.0, 1.0, scenario,
-                                  rng=np.random.default_rng(5))
-        y2 = transmit_and_receive(free_states, 1.0, 1.0, scenario,
-                                  rng=np.random.default_rng(5))
-        assert np.array_equal(y1, y2)
-        y3 = transmit_and_receive(free_states, 1.0, 1.0, scenario,
-                                  rng=np.random.default_rng(6))
-        assert not np.array_equal(y1, y3)
-
 
 class TestZfEqualize:
     def test_inverts_exactly(self, free_states, free_basis):
@@ -246,6 +245,8 @@ class TestZfEqualize:
     def test_pm_j_three_cluster_structure(self, hand_states, hand_basis):
         scenario = build_channel(hand_basis, (RX1, RX2), QPSK)
         points = received_constellation(hand_states, scenario)
+        assert len(points) == 32
+        assert {p.stream for p in points} == {1, 2}
         for stream in (1, 2):
             for sym in range(4):
                 cluster_values = [
@@ -392,15 +393,6 @@ class TestMonteCarlo:
             got = np.repeat(mc.stream_errors[stream - 1], 8)
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
-    def test_ratio_index_recorded(self, hand_states, hand_basis):
-        scenario = build_channel(hand_basis, (RX1, RX2), QPSK)
-        recs = evaluate_scenario(hand_states, scenario)
-        assert len(recs) == 32
-        for rec in recs:
-            assert rec.stream in (1, 2)
-            assert 0 <= rec.ratio_index < 4
-            assert rec.magnitude == abs(rec.error)
-
     def test_invalid_arguments(self, free_states, free_basis):
         with pytest.raises(InvalidArgumentError):
             run_monte_carlo(free_states, free_basis, QPSK, n_scenarios=0, seed=1)
@@ -513,11 +505,30 @@ class TestMonteCarlo:
             assert np.allclose(a.stream_errors[s], b.stream_errors[s],
                                rtol=1e-9, atol=1e-12)
 
+    def test_mc_cdf_monotone_in_unit_interval(self, hand_states, hand_basis):
+        mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=400, seed=2)
+        for stream in (1, 2):
+            errors, probs = mc.cdf(stream)
+            assert np.all(np.diff(errors) >= 0)
+            assert probs[0] > 0
+            assert probs[-1] == 1.0
+            assert np.all(np.diff(probs) > 0)
+
 
 _POLS = (THETA_POL, PHI_POL, (np.sqrt(0.5), 0.5 + 0.5j), (np.cos(0.3), np.exp(0.7j) * np.sin(0.3)))
-_geometry = st.tuples(st.floats(0.05, np.pi - 0.05), st.floats(0.0, 2 * np.pi),
-                      st.floats(D(3.0), D(5.0)), st.floats(0.0, 2 * np.pi),
-                      st.sampled_from(_POLS), st.sampled_from(_POLS))
+
+
+def _geometries(phi1=st.floats(0.0, 2 * np.pi)):
+    """Receiver 1, then receiver 2's distance and bearing from it, then both polarizations."""
+    return st.tuples(st.floats(0.05, np.pi - 0.05), phi1, st.floats(D(3.0), D(5.0)),
+                     st.floats(0.0, 2 * np.pi), st.sampled_from(_POLS), st.sampled_from(_POLS))
+
+
+_geometry = _geometries()
+# half of the draws put receiver 1 in the last azimuth cell of the 2-degree grid,
+# where bilinear sampling wraps to phi = 0
+_seam_geometry = _geometries(st.floats(0.0, 2 * np.pi)
+                             | st.floats(2 * np.pi - D(2.0), 2 * np.pi, exclude_max=True))
 
 
 def _decoded(states, basis, angles, pols):
@@ -574,6 +585,50 @@ class TestMetamorphic:
         if a is not None:
             _assert_round_off(a, b, sa)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), pols=st.tuples(st.sampled_from(_POLS), st.sampled_from(_POLS)),
+           lobe=st.builds(PerturbationLobe, theta=st.floats(0.2, np.pi - 0.2),
+                          phi=st.floats(0.0, 2 * np.pi), width=st.floats(D(25.0), D(80.0)),
+                          amplitude=st.floats(0.05, 0.8), phase=st.floats(0.0, 2 * np.pi)))
+    def test_common_factor_at_nodes(self, grid, hand_states, hand_basis, data, pols, lobe):
+        # one angular factor c on every state scales row r of H and of F by
+        # c(rx_r), which G = H^-1 F cancels; bilinear sampling is exact only at
+        # the nodes (a sample of a product is not the product of samples), so
+        # the receivers sit on nodes, up to 3 steps apart
+        i1 = data.draw(st.integers(0, grid.n_theta - 1))
+        j1 = data.draw(st.integers(0, grid.n_phi - 1))
+        i2 = min(max(i1 + data.draw(st.integers(-3, 3)), 0), grid.n_theta - 1)
+        j2 = (j1 + data.draw(st.integers(-3, 3))) % grid.n_phi
+        angles = ((grid.theta[i1], grid.phi[j1]), (grid.theta[i2], grid.phi[j2]))
+        factored = apply_perturbation(hand_states, generate_perturbation([lobe], grid, RATIOS))
+        sa, a = _decoded(hand_states, hand_basis, angles, pols)
+        _, b = _decoded(factored, perturbed_basis(factored), angles, pols)
+        assert (a is None) == (b is None)
+        if a is not None:
+            _assert_round_off(a, b, sa)
+
+    @settings(max_examples=40, deadline=None)
+    @given(geometry=_seam_geometry, steps=st.integers(1, 179))
+    def test_azimuth_rotation(self, grid, hand_states, hand_basis, geometry, steps):
+        # rolling every state by whole azimuth steps rotates the antenna with
+        # its perturbation; receivers rotated by the same angle see the same
+        # field, up to the round-off of locating them in their new cells
+        theta1, phi1, dist, bearing, pol1, pol2 = geometry
+        angles = np.array(((theta1, phi1), great_circle_offset(theta1, phi1, dist, bearing)))
+        rotated = StatePatternSet(
+            ratios=RATIOS,
+            patterns={k: VectorPattern(grid=grid,
+                                       e_theta=np.roll(hand_states.state(k).e_theta, steps, 1),
+                                       e_phi=np.roll(hand_states.state(k).e_phi, steps, 1))
+                      for k in range(4)})
+        moved = angles.copy()
+        moved[:, 1] = np.mod(angles[:, 1] + steps * grid.phi_step, 2 * np.pi)
+        sa, a = _decoded(hand_states, hand_basis, angles, (pol1, pol2))
+        _, b = _decoded(rotated, perturbed_basis(rotated), moved, (pol1, pol2))
+        assert (a is None) == (b is None)
+        if a is not None:
+            _assert_round_off(a, b, sa)
+
 
 class TestCdfSummary:
     def test_single_record(self):
@@ -609,41 +664,3 @@ class TestCdfSummary:
         s = cdf_summary(rng.exponential(1.0, size=n))
         q = [s.quantiles[p] for p in (1.0, 5.0, 25.0, 50.0, 75.0, 95.0, 99.0)]
         assert all(a <= b + 1e-15 for a, b in zip(q, q[1:]))
-
-
-class TestNoiseModel:
-    def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            NoiseModel(variances=(-0.1, 0.0))
-
-    def test_scenario_polarization_must_be_unit(self, free_basis):
-        from beamspace import LinkScenario
-        with pytest.raises(InvalidArgumentError):
-            LinkScenario(
-                rx_angles=np.array([[1.0, 2.0], [1.0, 2.1]]),
-                rx_polarizations=np.array([[2.0, 0.0], [1.0, 0.0]], dtype=complex),
-                channel=np.eye(2, dtype=complex),
-                condition_number=1.0,
-                constellation=QPSK,
-            )
-
-    def test_disabled_by_default(self):
-        assert not NoiseModel().enabled
-        assert NoiseModel(variances=(0.1, 0.0)).enabled
-
-    def test_sample_statistics(self):
-        rng = np.random.default_rng(77)
-        noise = NoiseModel(variances=(2.0, 0.5))
-        draws = noise.sample(rng, 20_000)
-        var = np.mean(np.abs(draws) ** 2, axis=0)
-        assert var[0] == pytest.approx(2.0, rel=0.05)
-        assert var[1] == pytest.approx(0.5, rel=0.05)
-
-    def test_mc_cdf_monotone_in_unit_interval(self, hand_states, hand_basis):
-        mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=400, seed=2)
-        for stream in (1, 2):
-            errors, probs = mc.cdf(stream)
-            assert np.all(np.diff(errors) >= 0)
-            assert probs[0] > 0
-            assert probs[-1] == 1.0
-            assert np.all(np.diff(probs) > 0)

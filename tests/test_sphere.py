@@ -18,9 +18,8 @@ from beamspace import (
     lincomb,
     same_grid,
     sample_pattern,
-    uniform_pattern,
-    zero_pattern,
 )
+from helpers import uniform_pattern, zero_pattern
 
 
 def _random_pattern(grid, rng):
