@@ -245,8 +245,6 @@ class TestZfEqualize:
     def test_pm_j_three_cluster_structure(self, hand_states, hand_basis):
         scenario = build_channel(hand_basis, (RX1, RX2), QPSK)
         points = received_constellation(hand_states, scenario)
-        assert len(points) == 32
-        assert {p.stream for p in points} == {1, 2}
         for stream in (1, 2):
             for sym in range(4):
                 cluster_values = [
@@ -392,6 +390,21 @@ class TestMonteCarlo:
             want = np.sort(errors[stream - 1].ravel())
             got = np.repeat(mc.stream_errors[stream - 1], 8)
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_ratio_index_recorded(self, hand_states, hand_basis):
+        scenario = build_channel(hand_basis, (RX1, RX2), QPSK)
+        points = received_constellation(hand_states, scenario)
+        assert len(points) == 32
+        magnitudes: dict[tuple[int, int], list[float]] = {}
+        for p in points:
+            assert p.stream in (1, 2)
+            ratio_index = (p.k2 - p.k1) % 4
+            magnitudes.setdefault((p.stream, ratio_index), []).append(abs(p.actual - p.ideal))
+        # every (stream, ratio index) occurs, and the error magnitude is a function of it
+        assert len(magnitudes) == 8
+        for mags in magnitudes.values():
+            assert len(mags) == 4
+            assert np.allclose(mags, mags[0], rtol=1e-9, atol=1e-12)
 
     def test_invalid_arguments(self, free_states, free_basis):
         with pytest.raises(InvalidArgumentError):
