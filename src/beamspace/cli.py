@@ -20,6 +20,7 @@ from .errors import (
     ConfigError,
     DegenerateAngleError,
     DegenerateBasisError,
+    GridMismatchError,
     InvalidArgumentError,
     PatternFormatError,
     RatioSetMismatchError,
@@ -60,6 +61,7 @@ _INPUT_ERRORS = (
     ConfigError,
     PatternFormatError,
     FileNotFoundError,
+    GridMismatchError,
     InvalidArgumentError,
     RatioSetMismatchError,
     UndefinedRatioError,

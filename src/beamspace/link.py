@@ -14,11 +14,13 @@ G = H^-1 F and F the receivers' responses to the M states.  One batched
 kernel computes G for every decode path; the transmit-side constellation
 at one angle is that decode at two co-located receivers.
 
-The Monte-Carlo sweep draws receive geometries with ``draw_geometries``
-and keeps, per accepted geometry, one noiseless error per stream and
-ratio state: |g1_k - 1| and |g2_k - r_k|.  All randomness is drawn up
-front from one seeded generator and scenarios are processed in
-fixed-size chunks, so results are bitwise independent of the worker count.
+The Monte-Carlo sweep draws the receive geometries of
+``draw_geometries(np.random.default_rng(seed), n)`` and keeps, per
+accepted geometry, one noiseless error per stream and ratio state:
+|g1_k - 1| and |g2_k - r_k|.  Scenarios are processed in fixed-size
+chunks; each chunk jumps the seeded PCG64 stream ahead to its own columns
+of the draw and writes its errors in place, so results are bitwise
+independent of the worker count and memory beyond the errors is O(chunk).
 
 Every product is noiseless: the receiver sees the radiated field exactly,
 so the errors are those of the perturbation and the zero-forcing decode
@@ -56,8 +58,8 @@ __all__ = [
 ]
 
 DEFAULT_CONDITION_CAP = 1e8
-# Largest sweep run_monte_carlo accepts: every geometry and error is held in
-# memory, about 1.6 GB at this size.
+# Largest sweep run_monte_carlo accepts: every error is held in memory, about
+# 640 MB at this size (about 660 MB peak RSS for the whole command).
 MAX_SCENARIOS = 10**7
 
 # Scenario chunk size; fixed (not derived from the worker count) so the
@@ -294,11 +296,23 @@ def draw_geometries(rng: np.random.Generator, n: int, separation_deg=(3.0, 5.0))
     distance uniform in ``separation_deg`` (degrees) along a uniform bearing.
     The draw consumes ``rng.random((4, n))``.
     """
-    n, (lo, hi) = _integer(n, "n"), map(float, separation_deg)
-    if n < 0 or not 0.0 < lo <= hi:  # NaN fails
-        raise InvalidArgumentError("geometries need n >= 0 and a separation interval with "
-                                   f"0 < min <= max, got n={n}, ({lo}, {hi})")
-    u = rng.random((4, n))
+    n, separation = _integer(n, "n"), _separation(separation_deg)
+    if n < 0:
+        raise InvalidArgumentError(f"geometries need n >= 0, got n={n}")
+    return _angles(rng.random((4, n)), separation)
+
+
+def _separation(separation_deg) -> tuple[float, float]:
+    lo, hi = map(float, separation_deg)
+    if not 0.0 < lo <= hi:  # NaN fails
+        raise InvalidArgumentError("geometries need a separation interval with "
+                                   f"0 < min <= max, got ({lo}, {hi})")
+    return lo, hi
+
+
+def _angles(u: np.ndarray, separation: tuple[float, float]):
+    """Two-receiver angles from (4, n) uniforms: the transform of ``draw_geometries``."""
+    lo, hi = separation
     theta1 = np.arccos(1.0 - 2.0 * u[0])
     phi1 = 2.0 * np.pi * u[1]
     dist = np.deg2rad(lo) + (np.deg2rad(hi) - np.deg2rad(lo)) * u[2]
@@ -317,19 +331,47 @@ class CdfSummary:
 
 _QUANTILES = (1.0, 5.0, 25.0, 50.0, 75.0, 95.0, 99.0)
 _EXCEEDANCE_THRESHOLDS = tuple(10.0 ** e for e in range(-6, 1))
+_Q = np.true_divide(_QUANTILES, 100)  # the fractions np.percentile interpolates at
+
+
+def _sorted_summary(e: np.ndarray) -> CdfSummary:
+    """``cdf_summary`` of a sorted float array, read off its order statistics.
+
+    The quantiles repeat the arithmetic of ``np.percentile``'s linear method
+    (virtual index (n - 1) q, the lerp's ``t >= 0.5`` branch, NaN when any
+    value is NaN) at the two neighbouring order statistics, so they are the
+    same bits; only a zero's sign can differ when -0.0 and 0.0 tie, as
+    ``np.percentile``'s own follows its partition order.  Exceedances are
+    ``np.mean(values > t)``, counted by ``searchsorted``; NaN sorts last and
+    exceeds nothing.
+    """
+    n = e.size
+    if n == 0:
+        raise InvalidArgumentError("cdf summary needs at least one record")
+    v = (n - 1) * _Q
+    top = v >= n - 1
+    lo = np.where(top, -1, np.floor(v)).astype(np.intp)
+    hi = np.where(top, -1, lo + 1)
+    t = v - lo
+    a, b = e[lo], e[hi]
+    with np.errstate(invalid="ignore"):  # inf - inf, as in np.percentile
+        d = b - a
+        q = a + d * t
+        np.subtract(b, d * (1 - t), out=q, where=t >= 0.5)
+    if np.isnan(e[-1]):
+        q[:] = e[-1]
+    not_nan = np.searchsorted(e, np.nan)
+    above = not_nan - np.searchsorted(e, _EXCEEDANCE_THRESHOLDS, side="right")
+    return CdfSummary(
+        count=n,
+        quantiles={p: float(x) for p, x in zip(_QUANTILES, q)},
+        exceedance={t: int(c) / n for t, c in zip(_EXCEEDANCE_THRESHOLDS, above)},
+    )
 
 
 def cdf_summary(records) -> CdfSummary:
     """Summary statistics of error magnitudes (linear interpolation quantiles)."""
-    values = np.asarray(records, dtype=float).ravel()
-    if values.size == 0:
-        raise InvalidArgumentError("cdf summary needs at least one record")
-    q = np.percentile(values, _QUANTILES)
-    return CdfSummary(
-        count=int(values.size),
-        quantiles={p: float(v) for p, v in zip(_QUANTILES, q)},
-        exceedance={t: float(np.mean(values > t)) for t in _EXCEEDANCE_THRESHOLDS},
-    )
+    return _sorted_summary(np.sort(np.asarray(records, dtype=float).ravel()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,7 +400,8 @@ class MonteCarloResult:
         return e[(i * e.size + m - 1) // m - 1], i / m  # integer ceil; a float ceil can be 1 off
 
     def summaries(self) -> tuple[CdfSummary, CdfSummary]:
-        return cdf_summary(self.stream_errors[0]), cdf_summary(self.stream_errors[1])
+        """``cdf_summary`` of each stream, read from the sorted errors without a copy."""
+        return _sorted_summary(self.stream_errors[0]), _sorted_summary(self.stream_errors[1])
 
 
 def _integer(value, name: str) -> int:
@@ -376,14 +419,20 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _mc_chunk(args):
-    """Evaluate one scenario chunk; pure function of its inputs."""
-    patterns, pols, ratios, theta, phi, condition_cap = args
-    resp = _responses(patterns, theta, phi, pols)
-    keep, g = _zf_gains(resp[:, :, :2], resp[:, :, 2:], condition_cap)
-    e1 = np.abs(g[:, 0] - 1.0)
-    e2 = np.abs(g[:, 1] - ratios)
-    return e1.ravel(), e2.ravel(), int(keep.size - np.count_nonzero(keep))
+def _uniforms(seed: int, n: int, start: int, stop: int) -> np.ndarray:
+    """Columns [start, stop) of ``np.random.default_rng(seed).random((4, n))``.
+
+    Row r, column c is draw r*n + c of the seeded PCG64 stream, and PCG64
+    jumps ahead by any number of draws at once, so a chunk draws its own
+    slice without drawing what comes before it; the bytes are the same.
+    """
+    bits = np.random.PCG64(seed)
+    rng = np.random.Generator(bits)
+    u = np.empty((4, stop - start))
+    for r in range(4):
+        bits.advance(start if r == 0 else n - (stop - start))  # to column start of row r
+        rng.random(out=u[r])
+    return u
 
 
 def run_monte_carlo(
@@ -400,7 +449,7 @@ def run_monte_carlo(
     """Seeded sweep over random single-path LOS receive geometries.
 
     The geometries are ``draw_geometries(np.random.default_rng(seed),
-    n_scenarios, separation_deg)``.  Each accepted
+    n_scenarios, separation_deg)``, drawn chunk by chunk.  Each accepted
     geometry contributes one noiseless error per stream and ratio state:
     for unit-modulus PSK every symbol pair with that ratio has exactly
     this error magnitude, so the streams hold M samples per geometry and
@@ -408,7 +457,8 @@ def run_monte_carlo(
     condition number exceeds ``condition_cap`` are rejected and tallied.
     Identical (seed, parameters) give bitwise-identical output for any
     ``threads``.  At most ``MAX_SCENARIOS`` scenarios; the worker pool has
-    ``min(threads, chunks, CPUs this process may use)`` threads.
+    ``min(threads, chunks, CPUs this process may use)`` threads.  Memory
+    is the two error streams plus one chunk's working set per worker.
     """
     n = _integer(n_scenarios, "n_scenarios")
     seed = _integer(seed, "seed")
@@ -424,30 +474,43 @@ def run_monte_carlo(
     patterns = (basis_hat.b1, basis_hat.b2) + _states(s_hat, constellation)
     require_same_grid(s_hat.grid, basis_hat.grid)
     pols = _unit_polarizations(rx_polarizations)
-    theta, phi = draw_geometries(np.random.default_rng(seed), n, separation_deg)
-
+    separation = _separation(separation_deg)
     ratios = np.asarray(constellation.ratio_set.values)
-    chunks = [
-        (patterns, pols, ratios, theta[:, i:i + _CHUNK], phi[:, i:i + _CHUNK],
-         condition_cap)
-        for i in range(0, n, _CHUNK)
-    ]
-    workers = min(threads, len(chunks), _cpu_count())
+    m = len(ratios)
+    # the chunk from scenario `start` on writes its kept errors from offset start*m on
+    streams = (np.empty(n * m), np.empty(n * m))
+
+    def chunk(start: int) -> int:
+        theta, phi = _angles(_uniforms(seed, n, start, min(start + _CHUNK, n)), separation)
+        resp = _responses(patterns, theta, phi, pols)
+        _, g = _zf_gains(resp[:, :, :2], resp[:, :, 2:], condition_cap)
+        kept = slice(start * m, (start + len(g)) * m)
+        np.abs(g[:, 0] - 1.0, out=streams[0][kept].reshape(-1, m))
+        np.abs(g[:, 1] - ratios, out=streams[1][kept].reshape(-1, m))
+        return len(g)
+
+    starts = range(0, n, _CHUNK)
+    workers = min(threads, len(starts), _cpu_count())
     if workers == 1:
-        results = [_mc_chunk(c) for c in chunks]
+        kept = [chunk(start) for start in starts]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mc_chunk, chunks))
+            kept = list(pool.map(chunk, starts))
 
-    streams = tuple(np.concatenate([r[s] for r in results]) for s in (0, 1))
+    end = 0  # shift each chunk's kept errors left, behind those of the chunks before it
+    for start, k in zip(starts, kept):
+        if end != start * m:
+            for e in streams:
+                e[end:end + k * m] = e[start * m:(start + k) * m]
+        end += k * m
+    streams = tuple(e[:end] for e in streams)
     for e in streams:
         e.sort()
         e.setflags(write=False)
-    n_rejected = sum(r[2] for r in results)
     return MonteCarloResult(
         stream_errors=streams,
         n_scenarios=n,
-        n_rejected=n_rejected,
+        n_rejected=n - sum(kept),
         seed=seed,
-        separation_deg=tuple(map(float, separation_deg)),
+        separation_deg=separation,
     )

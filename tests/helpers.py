@@ -1,10 +1,13 @@
-"""Test helpers: a per-pair link oracle, constant patterns and a metrics reader.
+"""Test helpers: link oracles, constant patterns and a metrics reader.
 
 ``transmit_and_receive`` and ``zf_equalize`` are the physical link pair by
 pair: the antenna radiates x1 times the state pattern of the symbol ratio,
 each receiver projects that field at its own angle, and LAPACK solves
 H x = y.  They share no decode code with the package's batched kernel,
 which is what makes them an oracle for it.
+
+``upfront_sweep`` is the Monte-Carlo sweep with every geometry drawn before
+any chunk runs, the oracle the chunk-by-chunk draw is pinned to.
 """
 
 import json
@@ -12,8 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from beamspace import SingularChannelError, UndefinedRatioError, VectorPattern, sample_pattern
-from beamspace.link import DEFAULT_CONDITION_CAP
+from beamspace import (
+    SingularChannelError,
+    UndefinedRatioError,
+    VectorPattern,
+    draw_geometries,
+    link,
+    sample_pattern,
+)
+from beamspace.link import DEFAULT_CONDITION_CAP, THETA_POL
 
 
 def transmit_and_receive(s_hat, x1, x2, scenario) -> np.ndarray:
@@ -36,6 +46,29 @@ def zf_equalize(y, scenario, condition_cap=DEFAULT_CONDITION_CAP) -> np.ndarray:
         raise SingularChannelError(f"channel condition number {scenario.condition_number:.3g} "
                                    f"exceeds cap {condition_cap:.3g}")
     return np.linalg.solve(scenario.channel, np.asarray(y, dtype=complex))
+
+
+def upfront_sweep(s_hat, basis_hat, constellation, n, seed, separation_deg=(3.0, 5.0),
+                  rx_polarizations=(THETA_POL, THETA_POL), condition_cap=DEFAULT_CONDITION_CAP):
+    """Both sorted error streams and the rejection count of an up-front sweep.
+
+    ``draw_geometries(default_rng(seed), n)``, the package's kernel on each
+    chunk of those angles, then concatenation and sort.
+    """
+    theta, phi = draw_geometries(np.random.default_rng(seed), n, separation_deg)
+    patterns = ((basis_hat.b1, basis_hat.b2)
+                + tuple(s_hat.state(k) for k in range(constellation.order)))
+    pols = np.asarray(rx_polarizations, dtype=complex)
+    ratios = np.asarray(constellation.ratio_set.values)
+    e1, e2, rejected = [], [], 0
+    for i in range(0, n, link._CHUNK):
+        resp = link._responses(patterns, theta[:, i:i + link._CHUNK], phi[:, i:i + link._CHUNK],
+                               pols)
+        keep, g = link._zf_gains(resp[:, :, :2], resp[:, :, 2:], condition_cap)
+        e1.append(np.abs(g[:, 0] - 1.0).ravel())
+        e2.append(np.abs(g[:, 1] - ratios).ravel())
+        rejected += keep.size - np.count_nonzero(keep)
+    return np.sort(np.concatenate(e1)), np.sort(np.concatenate(e2)), rejected
 
 
 def uniform_pattern(grid, e_theta, e_phi) -> VectorPattern:

@@ -541,6 +541,25 @@ def state_files(tmp_path_factory):
             for k in range(4)}
 
 
+@pytest.mark.parametrize("command", ["metrics", "evm-map", "constellation", "monte-carlo"])
+def test_pattern_files_on_different_grids_exit_2(tmp_path, state_files, command):
+    # one 7 x 12 file among 5 x 8 ones: every command stops with exit 2 and an error line
+    import beamspace as bs
+
+    odd = bs.generate_mirror_pair(bs.default_mirror_profile(), bs.build_grid(7, 12),
+                                  bs.PskConstellation.qpsk().ratio_set)
+    bs.save_pattern_csv(odd.state(1), tmp_path / "odd.csv", state="+j")
+    config = _write_config(tmp_path, {
+        "antenna": {"pattern_files": {**{k: str(v) for k, v in state_files.items()},
+                                      "+j": "odd.csv"}}})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert err.getvalue().startswith("error: ")
+    assert "grids differ" in err.getvalue()
+
+
 class TestPatternFileContract:
     """A mutated pattern or CDF file is read, or rejected with PatternFormatError alone.
 

@@ -1,8 +1,11 @@
+import dataclasses
 import os
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamspace import (
@@ -27,13 +30,16 @@ from beamspace import (
     generate_perturbation,
     great_circle_distance,
     great_circle_offset,
+    link,
+    load_config,
     perturbed_basis,
     received_constellation,
     run_monte_carlo,
     sample_pattern,
 )
+from beamspace.cli import _assemble
 from beamspace.link import PHI_POL, THETA_POL
-from helpers import transmit_and_receive, zero_pattern, zf_equalize
+from helpers import transmit_and_receive, upfront_sweep, zero_pattern, zf_equalize
 
 QPSK = PskConstellation.qpsk()
 RATIOS = QPSK.ratio_set
@@ -428,12 +434,12 @@ class TestMonteCarlo:
             run_monte_carlo(free_states, free_basis, QPSK, **({"n_scenarios": 10, "seed": 1} | bad))
 
     def test_scenario_limit(self, free_states, free_basis, monkeypatch):
-        from beamspace import link
-
         def no_draw(*args, **kwargs):
             raise AssertionError("geometries drawn for a sweep over the limit")
 
+        # the sweep draws each chunk's slice through _uniforms, not draw_geometries
         monkeypatch.setattr(link, "draw_geometries", no_draw)
+        monkeypatch.setattr(link, "_uniforms", no_draw)
         for n in (link.MAX_SCENARIOS + 1, 10**12):
             with pytest.raises(InvalidArgumentError, match="n_scenarios"):
                 run_monte_carlo(free_states, free_basis, QPSK, n_scenarios=n, seed=1)
@@ -526,6 +532,72 @@ class TestMonteCarlo:
             assert probs[0] > 0
             assert probs[-1] == 1.0
             assert np.all(np.diff(probs) > 0)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# counts around the 4,096-scenario chunk: one scenario, one short of a chunk,
+# one chunk, one over, and three chunks plus a partial one
+STREAM_COUNTS = (1, 4095, 4096, 4097, 3 * 4096 + 17)
+
+
+@pytest.fixture(scope="module", params=["hand_scenario", "freespace", "hand_scenario_cap200"])
+def shipped(request):
+    """A shipped config's run parameters and assembly; ``_cap200`` rejects in most chunks."""
+    name, _, cap = request.param.partition("_cap")
+    cfg = load_config(CONFIGS / f"{name}.json")
+    if cap:
+        cfg = dataclasses.replace(cfg, condition_cap=float(cap))
+    return cfg, _assemble(cfg)
+
+
+class TestStreamedSweep:
+    """Each chunk draws its own slice of the seeded stream: the bytes of an up-front draw."""
+
+    @pytest.mark.parametrize("n", STREAM_COUNTS)
+    def test_chunk_uniforms_are_slices_of_one_draw(self, n):
+        whole = np.random.default_rng(42).random((4, n))
+        for start in range(0, n, link._CHUNK):
+            stop = min(start + link._CHUNK, n)
+            assert link._uniforms(42, n, start, stop).tobytes() == whole[:, start:stop].tobytes()
+
+    @pytest.mark.parametrize("n", STREAM_COUNTS)
+    def test_streams_equal_upfront_sweep(self, shipped, n):
+        cfg, asm = shipped
+        args = (asm.perturbed_states, asm.perturbed_basis, asm.constellation)
+        params = dict(separation_deg=cfg.separation_deg, condition_cap=cfg.condition_cap)
+        *want, rejected = upfront_sweep(*args, n, cfg.seed, **params)
+        if cfg.condition_cap == 200 and n > 1:
+            assert 0 < rejected < n  # chunks reject, so their kept errors are shifted left
+        for threads in (1, 2, 8):
+            mc = run_monte_carlo(*args, n_scenarios=n, seed=cfg.seed, threads=threads, **params)
+            assert mc.n_rejected == rejected
+            for got, exact in zip(mc.stream_errors, want):
+                assert got.dtype == exact.dtype and got.tobytes() == exact.tobytes()
+
+    def test_working_memory_does_not_grow_with_n(self, hand_states, hand_basis):
+        # numpy reports its buffers to tracemalloc; what a sweep holds beyond
+        # its result is one chunk's working set, whatever the scenario count
+        def traced(call):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                result = call()
+                return result, tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        # a first sweep leaves about 0.8 MB of one-time state behind; keep it out
+        run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=1, seed=5)
+        working = {}
+        for n in (20_000, 100_000):
+            mc, peak = traced(lambda: run_monte_carlo(hand_states, hand_basis, QPSK,
+                                                      n_scenarios=n, seed=5))
+            assert mc.n_rejected == 0
+            working[n] = peak - sum(e.nbytes for e in mc.stream_errors)
+        assert abs(working[100_000] - working[20_000]) <= 2**20
+        summaries, peak = traced(mc.summaries)
+        assert peak < 64 * 1024
+        assert summaries == tuple(cdf_summary(e) for e in mc.stream_errors)
 
 
 _POLS = (THETA_POL, PHI_POL, (np.sqrt(0.5), 0.5 + 0.5j), (np.cos(0.3), np.exp(0.7j) * np.sin(0.3)))
@@ -643,6 +715,12 @@ class TestMetamorphic:
             _assert_round_off(a, b, sa)
 
 
+# summary inputs at the edges: signed zeros, extremes, every threshold and its neighbours
+_SUMMARY_EDGES = (0.0, -0.0, 1e-300, 1e300, np.inf, np.nan, *link._EXCEEDANCE_THRESHOLDS,
+                  *(np.nextafter(t, 0.0) for t in link._EXCEEDANCE_THRESHOLDS),
+                  *(np.nextafter(t, 2.0) for t in link._EXCEEDANCE_THRESHOLDS))
+
+
 class TestCdfSummary:
     def test_single_record(self):
         s = cdf_summary([0.37])
@@ -670,6 +748,35 @@ class TestCdfSummary:
         emp = np.arange(1, n + 1) / n
         eps = np.sqrt(np.log(2 / 0.01) / (2 * n))
         assert np.max(np.abs(emp - values)) <= eps
+
+    @settings(max_examples=200)
+    @given(values=st.lists(st.sampled_from(_SUMMARY_EDGES) | st.floats(1e-300, 1e300),
+                           min_size=1, max_size=40))
+    @example(values=[0.37])
+    @example(values=[1e-300, 1e300])
+    @example(values=[1e-6, 1e-6, 1e-3, 1e-3, 1.0])
+    @example(values=[-0.0, 0.0, -0.0, 1e-6])
+    @example(values=[1.0, np.inf, np.inf])
+    @example(values=[0.5, np.nan, 0.25])
+    def test_sorted_summary_matches_numpy(self, values):
+        # quantiles read off the sorted values are np.percentile's bits, and
+        # exceedances np.mean(values > t)'s; where -0.0 and 0.0 tie, the sign
+        # of a zero quantile follows the order np.percentile's partition left
+        # them in, so there the two agree as numbers only
+        values = np.array(values)
+        s = cdf_summary(values)
+        got = np.array(list(s.quantiles.values()))
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = np.percentile(values, list(s.quantiles))
+        zeros = np.signbit(values[values == 0])
+        if zeros.any() and not zeros.all():
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.all((got.view(np.int64) == want.view(np.int64)) | (got == 0))
+        else:
+            assert got.tobytes() == want.tobytes()
+        for t, fraction in s.exceedance.items():
+            assert np.float64(fraction).tobytes() == np.mean(values > t).tobytes()
+        assert s.count == values.size
 
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 300))
     def test_quantiles_monotone(self, seed, n):
