@@ -196,17 +196,24 @@ def cmd_monte_carlo(args) -> int:
         rx_polarizations=_rx_polarizations(cfg),
         condition_cap=cfg.condition_cap,
     )
-    if mc.stream_errors[0].size == 0:
+    if mc.n_rejected == mc.n_scenarios:
         print("all scenarios were rejected as ill-conditioned", file=sys.stderr)
         return 1
     s1, s2 = mc.summaries()
     report = {
         "scenarios": mc.n_scenarios,
         "rejected": mc.n_rejected,
+        "condition_number": {"quantiles": mc.conditions.summary().quantiles,
+                             "min": float(mc.conditions.minimum),
+                             "max": float(mc.conditions.maximum)},
         "seed": mc.seed,
         "separation_deg": list(mc.separation_deg),
         "stream1": {"quantiles": s1.quantiles, "exceedance": s1.exceedance},
         "stream2": {"quantiles": s2.quantiles, "exceedance": s2.exceedance},
+        "ratio_quantiles": {
+            f"stream{s + 1}": {asm.ratios.label(k): mc.errors.pool(s, k).summary().quantiles
+                               for k in range(asm.ratios.order)}
+            for s in (0, 1)},
     }
     written = save_results(cfg.out_dir, mc=mc)
     report["seconds"] = elapsed = time.perf_counter() - start

@@ -4,7 +4,8 @@ Angle columns are degrees at every file boundary (radians in memory).
 One writer puts floats in shortest round-trip form and one reader parses
 tables with ``np.loadtxt``, so writer/reader pairs are lossless at double
 precision.  Monte-Carlo CDF tables have at most 10^4 rows; ``errors.npz``
-holds the exact samples.  Non-finite metric values are encoded as the
+holds the exact samples up to 10^5 scenarios and ``sketch.npz`` the error
+sketch above.  Non-finite metric values are encoded as the
 JSON strings "inf", "-inf", "nan".
 """
 
@@ -302,8 +303,11 @@ def save_results(out_dir, metrics: dict | None = None, evm: EvmMap | None = None
                  mc=None) -> dict[str, Path]:
     """Write whichever of metrics.json, evm_map.csv, cdf_stream{1,2}.csv apply.
 
-    With ``mc`` also errors.npz, ``mc.stream_errors`` as arrays ``stream1``
-    and ``stream2``: uncompressed, so that they reload bitwise.
+    With ``mc`` in exact mode also errors.npz, ``mc.stream_errors`` as
+    arrays ``stream1`` and ``stream2``: uncompressed, so that they reload
+    bitwise.  Above the exact limit sketch.npz instead: ``mc.errors`` as
+    arrays ``error_*`` and ``mc.conditions`` as ``condition_*``
+    (``Sketch.arrays``).
     """
     out_dir = _output_dir(out_dir)
     written: dict[str, Path] = {}
@@ -317,8 +321,12 @@ def save_results(out_dir, metrics: dict | None = None, evm: EvmMap | None = None
             written[f"cdf_stream{stream}"] = save_cdf_csv(
                 out_dir / f"cdf_stream{stream}.csv", errors, probs
             )
-        written["errors"] = _save_npz(out_dir / "errors.npz", stream1=mc.stream_errors[0],
-                                      stream2=mc.stream_errors[1])
+        if mc.exact:
+            written["errors"] = _save_npz(out_dir / "errors.npz", stream1=mc.stream_errors[0],
+                                          stream2=mc.stream_errors[1])
+        else:
+            written["sketch"] = _save_npz(out_dir / "sketch.npz", **mc.errors.arrays("error_"),
+                                          **mc.conditions.arrays("condition_"))
     return written
 
 
@@ -333,7 +341,7 @@ def _save_npz(path: Path, **arrays) -> Path:
             a = np.ascontiguousarray(a)
             with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
                 np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(a))
-                fh.write(memoryview(a).cast("B"))
+                fh.write(memoryview(a.reshape(-1)).cast("B"))  # 1-D: a cast refuses empty n-D
     return path
 
 

@@ -15,12 +15,17 @@ kernel computes G for every decode path; the transmit-side constellation
 at one angle is that decode at two co-located receivers.
 
 The Monte-Carlo sweep draws the receive geometries of
-``draw_geometries(np.random.default_rng(seed), n)`` and keeps, per
+``draw_geometries(np.random.default_rng(seed), n)`` and takes, per
 accepted geometry, one noiseless error per stream and ratio state:
 |g1_k - 1| and |g2_k - r_k|.  Scenarios are processed in fixed-size
 chunks; each chunk jumps the seeded PCG64 stream ahead to its own columns
-of the draw and writes its errors in place, so results are bitwise
-independent of the worker count and memory beyond the errors is O(chunk).
+of the draw.  Every chunk folds its errors into a fixed-size ``Sketch``
+per stream and ratio state (exact zero, exceedance and extreme values, and
+log-bucketed counts with relative accuracy ``SKETCH_ALPHA``), and up to
+``_EXACT_LIMIT`` scenarios also writes them in place into two exact sorted
+streams.  Merging sketches adds integers, so results are bitwise
+independent of the worker count, and above the limit memory is
+O(workers x chunk) whatever the scenario count.
 
 Every product is noiseless: the receiver sees the radiated field exactly,
 so the errors are those of the perturbation and the zero-forcing decode
@@ -30,6 +35,7 @@ alone.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -44,9 +50,11 @@ from .sphere import PHI_POL, THETA_POL, apply_stencil, bilinear_stencil, require
 __all__ = [
     "DEFAULT_CONDITION_CAP",
     "MAX_SCENARIOS",
+    "SKETCH_ALPHA",
     "LinkScenario",
     "ConstellationPoint",
     "MonteCarloResult",
+    "Sketch",
     "CdfSummary",
     "build_channel",
     "received_constellation",
@@ -58,9 +66,13 @@ __all__ = [
 ]
 
 DEFAULT_CONDITION_CAP = 1e8
-# Largest sweep run_monte_carlo accepts: every error is held in memory, about
-# 640 MB at this size (about 660 MB peak RSS for the whole command).
+# Largest sweep run_monte_carlo accepts.  Above _EXACT_LIMIT a sweep keeps only
+# fixed-size sketches, so memory does not grow with the count; the limit bounds
+# run time (about 15 s for the whole command on two workers).
 MAX_SCENARIOS = 10**7
+# Up to this many scenarios the sorted error samples are kept too (6.4 MB for
+# QPSK at the limit), and summaries, CDFs and errors.npz are exact.
+_EXACT_LIMIT = 100_000
 
 # Scenario chunk size; fixed (not derived from the worker count) so the
 # processing order and therefore the output bytes never depend on it.
@@ -153,7 +165,8 @@ def _zf_gains(h: np.ndarray, f: np.ndarray, condition_cap: float):
     """Condition cap and closed-form zero-forcing gains G = H^-1 F.
 
     ``h`` is (n, 2, 2) and ``f`` (n, 2, M).  Returns the (n,) mask of
-    channels conditioned within the cap and G (kept, 2, M) for them.
+    channels conditioned within the cap, G (kept, 2, M) for them and the
+    (n,) condition numbers.
     """
     cond = _condition_2x2(h)
     keep = np.isfinite(cond) & (cond <= condition_cap)
@@ -163,7 +176,7 @@ def _zf_gains(h: np.ndarray, f: np.ndarray, condition_cap: float):
     g = np.empty_like(f)
     g[:, 0] = (h[:, 1, 1, None] * f[:, 0] - h[:, 0, 1, None] * f[:, 1]) / det
     g[:, 1] = (h[:, 0, 0, None] * f[:, 1] - h[:, 1, 0, None] * f[:, 0]) / det
-    return keep, g
+    return keep, g, cond
 
 
 def build_channel(
@@ -245,7 +258,7 @@ def received_constellation(
     f = _responses(_states(s_hat, scenario.constellation), angles[:, :1],
                    angles[:, 1:], scenario.rx_polarizations)
     _require_conditioned(scenario, condition_cap)
-    _, g = _zf_gains(scenario.channel[None], f, condition_cap)
+    _, g, _ = _zf_gains(scenario.channel[None], f, condition_cap)
     return _pair_points(scenario.constellation, g[0])
 
 
@@ -334,18 +347,18 @@ _EXCEEDANCE_THRESHOLDS = tuple(10.0 ** e for e in range(-6, 1))
 _Q = np.true_divide(_QUANTILES, 100)  # the fractions np.percentile interpolates at
 
 
-def _sorted_summary(e: np.ndarray) -> CdfSummary:
-    """``cdf_summary`` of a sorted float array, read off its order statistics.
+def _summary(n: int, order, thresholds, above) -> CdfSummary:
+    """Quantiles of n values from their order statistics, and exceedance counts.
 
-    The quantiles repeat the arithmetic of ``np.percentile``'s linear method
-    (virtual index (n - 1) q, the lerp's ``t >= 0.5`` branch, NaN when any
-    value is NaN) at the two neighbouring order statistics, so they are the
-    same bits; only a zero's sign can differ when -0.0 and 0.0 tie, as
-    ``np.percentile``'s own follows its partition order.  Exceedances are
-    ``np.mean(values > t)``, counted by ``searchsorted``; NaN sorts last and
-    exceeds nothing.
+    ``order(i)`` is the i-th smallest value (i = -1 the largest) for an
+    integer array or scalar ``i``; ``above`` counts the values exceeding
+    each of ``thresholds``.  The quantiles repeat the arithmetic of
+    ``np.percentile``'s linear method (virtual index (n - 1) q, the lerp's
+    ``t >= 0.5`` branch, NaN when any value is NaN) at the two neighbouring
+    order statistics, so on exact order statistics they are the same bits;
+    only a zero's sign can differ when -0.0 and 0.0 tie, as
+    ``np.percentile``'s own follows its partition order.
     """
-    n = e.size
     if n == 0:
         raise InvalidArgumentError("cdf summary needs at least one record")
     v = (n - 1) * _Q
@@ -353,20 +366,30 @@ def _sorted_summary(e: np.ndarray) -> CdfSummary:
     lo = np.where(top, -1, np.floor(v)).astype(np.intp)
     hi = np.where(top, -1, lo + 1)
     t = v - lo
-    a, b = e[lo], e[hi]
+    a, b = order(lo), order(hi)
     with np.errstate(invalid="ignore"):  # inf - inf, as in np.percentile
         d = b - a
         q = a + d * t
         np.subtract(b, d * (1 - t), out=q, where=t >= 0.5)
-    if np.isnan(e[-1]):
-        q[:] = e[-1]
-    not_nan = np.searchsorted(e, np.nan)
-    above = not_nan - np.searchsorted(e, _EXCEEDANCE_THRESHOLDS, side="right")
+    last = order(-1)
+    if np.isnan(last):
+        q[:] = last
     return CdfSummary(
         count=n,
         quantiles={p: float(x) for p, x in zip(_QUANTILES, q)},
-        exceedance={t: int(c) / n for t, c in zip(_EXCEEDANCE_THRESHOLDS, above)},
+        exceedance={t: int(c) / n for t, c in zip(thresholds, above)},
     )
+
+
+def _sorted_summary(e: np.ndarray) -> CdfSummary:
+    """``cdf_summary`` of a sorted float array, read off its order statistics.
+
+    Exceedances are ``np.mean(values > t)``, counted by ``searchsorted``;
+    NaN sorts last and exceeds nothing.
+    """
+    not_nan = np.searchsorted(e, np.nan)
+    above = not_nan - np.searchsorted(e, _EXCEEDANCE_THRESHOLDS, side="right")
+    return _summary(e.size, e.__getitem__, _EXCEEDANCE_THRESHOLDS, above)
 
 
 def cdf_summary(records) -> CdfSummary:
@@ -374,11 +397,150 @@ def cdf_summary(records) -> CdfSummary:
     return _sorted_summary(np.sort(np.asarray(records, dtype=float).ravel()))
 
 
+_MANTISSA_BITS = 7
+_SHIFT = 52 - _MANTISSA_BITS  # a bucket key is a double's bit pattern shifted by this
+SKETCH_ALPHA = 2.0 ** -(_MANTISSA_BITS + 1)  # relative accuracy of a bucket's midpoint
+
+
+@dataclass(eq=False)
+class Sketch:
+    """Mergeable, fixed-size summary of non-negative values, one per row.
+
+    For each row it holds the count of exact zeros, the exact count above
+    each of ``thresholds``, the exact minimum and maximum, and counts of the
+    positive values in logarithmic buckets (DDSketch: Masson, Rim and Lee,
+    PVLDB 12(12), 2019).  A value's bucket key is its bit pattern shifted
+    right by 52 - 7: each power of two splits into 128 buckets of equal
+    width, and a bucket's midpoint lies within ``SKETCH_ALPHA`` = 2^-8
+    relative of every normal double in it.  The key is integer arithmetic,
+    so it is the same on every platform, unlike a logarithm at bucket edges.
+    ``counts[*row, i]`` counts the key ``key0 + i``; the dense store spans
+    the keys seen.  ``merge`` adds counts and takes minima and maxima, so a
+    merged sketch does not depend on the merge order.
+    """
+
+    thresholds: tuple[float, ...]
+    zeros: np.ndarray    # (*rows) int64
+    above: np.ndarray    # (*rows, len(thresholds)) int64
+    minimum: np.ndarray  # (*rows) float; inf while empty
+    maximum: np.ndarray  # (*rows) float; -inf while empty
+    key0: int
+    counts: np.ndarray   # (*rows, keys) int64
+
+    @classmethod
+    def empty(cls, rows=(), thresholds=()) -> Sketch:
+        """A sketch of no values with rows of shape ``rows``; ``thresholds`` ascending."""
+        return cls(thresholds=tuple(thresholds), zeros=np.zeros(rows, dtype=np.int64),
+                   above=np.zeros(rows + (len(thresholds),), dtype=np.int64),
+                   minimum=np.full(rows, np.inf), maximum=np.full(rows, -np.inf), key0=0,
+                   counts=np.zeros(rows + (0,), dtype=np.int64))
+
+    def add(self, values: np.ndarray) -> None:
+        """Fold ``values`` (*rows, n), non-negative and not NaN, into this sketch."""
+        v = np.array(values, dtype=float, order="C")
+        v.sort(axis=-1)
+        n = v.shape[-1]
+        if not n:
+            return
+        bounds = (0.0,) + self.thresholds
+        below = np.array([np.searchsorted(x, bounds, side="right")
+                          for x in v.reshape(-1, n)], dtype=np.int64)
+        self.zeros = self.zeros + below[:, 0].reshape(self.zeros.shape)
+        self.above = self.above + (n - below[:, 1:]).reshape(self.above.shape)
+        self.minimum = np.minimum(self.minimum, v[..., 0])
+        self.maximum = np.maximum(self.maximum, v[..., -1])
+        keys = v.reshape(-1, n).view(np.int64) >> _SHIFT  # sorted rows
+        rows = [(r, z) for r, z in enumerate(below[:, 0]) if z < n]  # rows with a positive value
+        if not rows:
+            return
+        self._cover(min(keys[r, z] for r, z in rows), int(keys[:, -1].max()) + 1)
+        store = self.counts.reshape(len(keys), -1)
+        for r, z in rows:
+            lo = keys[r, z] - self.key0
+            store[r, lo:lo + keys[r, -1] - keys[r, z] + 1] += np.bincount(keys[r, z:] - keys[r, z])
+
+    def _cover(self, lo: int, hi: int) -> None:
+        """Grow the dense store to span at least the keys [lo, hi)."""
+        width = self.counts.shape[-1]
+        if width:
+            lo, hi = min(lo, self.key0), max(hi, self.key0 + width)
+            if hi - lo == width:
+                return
+        grown = np.zeros(self.counts.shape[:-1] + (hi - lo,), dtype=np.int64)
+        grown[..., self.key0 - lo:self.key0 - lo + width] = self.counts
+        self.key0, self.counts = int(lo), grown
+
+    def merge(self, other: Sketch) -> None:
+        """Add the values ``other`` sketches to this sketch, in place."""
+        self.zeros = self.zeros + other.zeros
+        self.above = self.above + other.above
+        self.minimum = np.minimum(self.minimum, other.minimum)
+        self.maximum = np.maximum(self.maximum, other.maximum)
+        width = other.counts.shape[-1]
+        if width:
+            self._cover(other.key0, other.key0 + width)
+            start = other.key0 - self.key0
+            self.counts[..., start:start + width] += other.counts
+
+    def pool(self, *index) -> Sketch:
+        """The one-row sketch of the values of the rows at ``index`` taken together."""
+        def rows(a):
+            a = a[index]
+            return a.sum(axis=tuple(range(a.ndim - 1)))
+
+        return Sketch(self.thresholds, np.sum(self.zeros[index]), rows(self.above),
+                      np.min(self.minimum[index]), np.max(self.maximum[index]), self.key0,
+                      rows(self.counts))
+
+    @property
+    def count(self) -> int:
+        """Number of values sketched (all rows)."""
+        return int(np.sum(self.zeros) + np.sum(self.counts))
+
+    def order_statistics(self, ranks) -> np.ndarray:
+        """Estimates of a one-row sketch's sorted values at 0-based ``ranks``.
+
+        Rank -1 is the largest.  Zeros, the smallest and the largest value
+        are exact; any other value is its bucket's midpoint, clipped to
+        [minimum, maximum], within ``SKETCH_ALPHA`` relative of the value.
+        """
+        n = self.count
+        ranks = np.asarray(ranks)
+        ranks = np.where(ranks < 0, ranks + n, ranks)
+        bucket = np.searchsorted(np.cumsum(self.counts), ranks - self.zeros, side="right")
+        keys = np.asarray(self.key0 + bucket, dtype=np.int64)
+        mid = ((keys << _SHIFT) | (1 << (_SHIFT - 1))).view(np.float64)
+        values = np.where(ranks < self.zeros, 0.0, np.clip(mid, self.minimum, self.maximum))
+        return np.where(ranks == 0, self.minimum, np.where(ranks == n - 1, self.maximum, values))
+
+    def summary(self) -> CdfSummary:
+        """``cdf_summary`` of a one-row sketch's values: count and exceedances
+        exact, quantiles within ``SKETCH_ALPHA`` relative of the exact ones."""
+        return _summary(self.count, self.order_statistics, self.thresholds, self.above)
+
+    def arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
+        """The sketch as named arrays, the layout of ``sketch.npz``.
+
+        Bucket i of ``counts`` holds the positive values in [edges[i], edges[i + 1]).
+        """
+        keys = self.key0 + np.arange(self.counts.shape[-1] + 1, dtype=np.int64)
+        return {prefix + name: np.asarray(a) for name, a in (
+            ("counts", self.counts), ("edges", (keys << _SHIFT).view(np.float64)),
+            ("zeros", self.zeros), ("thresholds", np.array(self.thresholds, dtype=float)),
+            ("above", self.above), ("min", self.minimum), ("max", self.maximum))}
+
+
 @dataclass(frozen=True, eq=False)
 class MonteCarloResult:
-    """Per-stream sorted error magnitudes plus the rejection tally.
+    """Error sketches and, up to ``_EXACT_LIMIT`` scenarios, sorted error samples.
 
-    Each stream holds one error per ratio state of every kept scenario.
+    ``errors`` sketches the errors of every kept scenario per stream and
+    ratio index (rows (2, M)); ``conditions`` the condition numbers of the
+    kept channels (one row).  Both are built on every run.  In exact mode
+    (at most ``_EXACT_LIMIT`` scenarios) ``stream_errors`` also holds each
+    stream's sorted errors, one per ratio state of every kept scenario, and
+    ``summaries`` and ``cdf`` read them; above the limit ``stream_errors``
+    holds two empty arrays and both read ``errors``.
     """
 
     stream_errors: tuple[np.ndarray, np.ndarray]
@@ -386,22 +548,39 @@ class MonteCarloResult:
     n_rejected: int
     seed: int
     separation_deg: tuple[float, float]
+    errors: Sketch
+    conditions: Sketch
+
+    @property
+    def exact(self) -> bool:
+        """Whether ``stream_errors`` holds the error samples."""
+        return self.n_scenarios <= _EXACT_LIMIT
 
     def cdf(self, stream: int) -> tuple[np.ndarray, np.ndarray]:
         """Empirical CDF of n errors at m = min(n, _CDF_LEVELS) levels.
 
-        Row i = 1..m is (``sorted[ceil(i*n/m) - 1]``, i/m): every sample when
-        n <= m, else within 1/m of the exact CDF, finer than its 95% DKW band
-        (+-1.1e-3 at 1.4e6 scenarios).  ``stream_errors`` holds the samples.
+        Row i = 1..m is (the ``ceil(i*n/m)``-th smallest error, i/m): every
+        sample when n <= m, else within 1/m of the exact CDF, finer than its
+        95% DKW band (+-1.1e-3 at 1.4e6 scenarios).  In exact mode the errors
+        are the samples; above the limit they are the sketch's estimates,
+        within ``SKETCH_ALPHA`` relative.
         """
-        e = self.stream_errors[stream - 1]
-        m = min(e.size, _CDF_LEVELS)
+        if self.exact:
+            e = self.stream_errors[stream - 1]
+            n, order = e.size, e.__getitem__
+        else:
+            sketch = self.errors.pool(stream - 1)
+            n, order = sketch.count, sketch.order_statistics
+        m = min(n, _CDF_LEVELS)
         i = np.arange(1, m + 1)
-        return e[(i * e.size + m - 1) // m - 1], i / m  # integer ceil; a float ceil can be 1 off
+        return order((i * n + m - 1) // m - 1), i / m  # integer ceil; a float ceil can be 1 off
 
     def summaries(self) -> tuple[CdfSummary, CdfSummary]:
-        """``cdf_summary`` of each stream, read from the sorted errors without a copy."""
-        return _sorted_summary(self.stream_errors[0]), _sorted_summary(self.stream_errors[1])
+        """``cdf_summary`` of each stream: from the sorted errors without a copy
+        in exact mode, else from the sketch (quantiles within ``SKETCH_ALPHA``)."""
+        if self.exact:
+            return _sorted_summary(self.stream_errors[0]), _sorted_summary(self.stream_errors[1])
+        return self.errors.pool(0).summary(), self.errors.pool(1).summary()
 
 
 def _integer(value, name: str) -> int:
@@ -452,13 +631,16 @@ def run_monte_carlo(
     n_scenarios, separation_deg)``, drawn chunk by chunk.  Each accepted
     geometry contributes one noiseless error per stream and ratio state:
     for unit-modulus PSK every symbol pair with that ratio has exactly
-    this error magnitude, so the streams hold M samples per geometry and
-    the same empirical CDF as all M^2 pairs.  Geometries whose channel
-    condition number exceeds ``condition_cap`` are rejected and tallied.
-    Identical (seed, parameters) give bitwise-identical output for any
-    ``threads``.  At most ``MAX_SCENARIOS`` scenarios; the worker pool has
-    ``min(threads, chunks, CPUs this process may use)`` threads.  Memory
-    is the two error streams plus one chunk's working set per worker.
+    this error magnitude, so M samples per geometry give the same
+    empirical CDF as all M^2 pairs.  Geometries whose channel condition
+    number exceeds ``condition_cap`` are rejected and tallied.  Every chunk
+    folds its errors and condition numbers into sketches, and each worker
+    merges its chunks' sketches as they finish; up to ``_EXACT_LIMIT``
+    scenarios the errors are also kept, sorted.  Identical (seed,
+    parameters) give bitwise-identical output for any ``threads``.  At most
+    ``MAX_SCENARIOS`` scenarios; the worker pool has ``min(threads, chunks,
+    CPUs this process may use)`` threads.  Memory is one chunk's working
+    set and two sketches per worker, plus the exact errors up to the limit.
     """
     n = _integer(n_scenarios, "n_scenarios")
     seed = _integer(seed, "seed")
@@ -477,33 +659,51 @@ def run_monte_carlo(
     separation = _separation(separation_deg)
     ratios = np.asarray(constellation.ratio_set.values)
     m = len(ratios)
+    ideal = np.stack([np.ones(m), ratios])  # what G should be: (2, M)
+    exact = n <= _EXACT_LIMIT
     # the chunk from scenario `start` on writes its kept errors from offset start*m on
-    streams = (np.empty(n * m), np.empty(n * m))
+    streams = (np.empty(n * m if exact else 0), np.empty(n * m if exact else 0))
+    starts = range(0, n, _CHUNK)
+    kept = [0] * len(starts)
 
-    def chunk(start: int) -> int:
+    def chunk(i: int, errors: Sketch, conditions: Sketch) -> None:
+        start = starts[i]
         theta, phi = _angles(_uniforms(seed, n, start, min(start + _CHUNK, n)), separation)
         resp = _responses(patterns, theta, phi, pols)
-        _, g = _zf_gains(resp[:, :, :2], resp[:, :, 2:], condition_cap)
-        kept = slice(start * m, (start + len(g)) * m)
-        np.abs(g[:, 0] - 1.0, out=streams[0][kept].reshape(-1, m))
-        np.abs(g[:, 1] - ratios, out=streams[1][kept].reshape(-1, m))
-        return len(g)
+        keep, g, cond = _zf_gains(resp[:, :, :2], resp[:, :, 2:], condition_cap)
+        e = np.abs(g - ideal)
+        kept[i] = len(g)
+        if exact:
+            for s in (0, 1):
+                streams[s][start * m:(start + len(g)) * m].reshape(-1, m)[:] = e[:, s]
+        errors.add(e.transpose(1, 2, 0))
+        conditions.add(cond[keep])
 
-    starts = range(0, n, _CHUNK)
+    def worker(w: int) -> tuple[Sketch, Sketch]:
+        """Chunks w, w + workers, ..., each folded into the worker's sketches."""
+        errors, conditions = Sketch.empty((2, m), _EXCEEDANCE_THRESHOLDS), Sketch.empty()
+        for i in range(w, len(starts), workers):
+            chunk(i, errors, conditions)
+        return errors, conditions
+
     workers = min(threads, len(starts), _cpu_count())
     if workers == 1:
-        kept = [chunk(start) for start in starts]
+        parts = [worker(0)]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            kept = list(pool.map(chunk, starts))
+            parts = list(pool.map(worker, range(workers)))
+    errors, conditions = parts[0]
+    for e, c in parts[1:]:
+        errors.merge(e)
+        conditions.merge(c)
 
     end = 0  # shift each chunk's kept errors left, behind those of the chunks before it
     for start, k in zip(starts, kept):
-        if end != start * m:
+        if exact and end != start * m:
             for e in streams:
                 e[end:end + k * m] = e[start * m:(start + k) * m]
         end += k * m
-    streams = tuple(e[:end] for e in streams)
+    streams = tuple(e[:end] if exact else e for e in streams)
     for e in streams:
         e.sort()
         e.setflags(write=False)
@@ -513,4 +713,6 @@ def run_monte_carlo(
         n_rejected=n - sum(kept),
         seed=seed,
         separation_deg=separation,
+        errors=errors,
+        conditions=conditions,
     )

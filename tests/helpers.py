@@ -6,8 +6,9 @@ each receiver projects that field at its own angle, and LAPACK solves
 H x = y.  They share no decode code with the package's batched kernel,
 which is what makes them an oracle for it.
 
-``upfront_sweep`` is the Monte-Carlo sweep with every geometry drawn before
-any chunk runs, the oracle the chunk-by-chunk draw is pinned to.
+``upfront_errors`` is the Monte-Carlo sweep with every geometry drawn before
+any chunk runs, the oracle the chunk-by-chunk draw and the sketches are
+pinned to; ``upfront_sweep`` sorts its errors into the two streams.
 """
 
 import json
@@ -48,27 +49,34 @@ def zf_equalize(y, scenario, condition_cap=DEFAULT_CONDITION_CAP) -> np.ndarray:
     return np.linalg.solve(scenario.channel, np.asarray(y, dtype=complex))
 
 
-def upfront_sweep(s_hat, basis_hat, constellation, n, seed, separation_deg=(3.0, 5.0),
-                  rx_polarizations=(THETA_POL, THETA_POL), condition_cap=DEFAULT_CONDITION_CAP):
-    """Both sorted error streams and the rejection count of an up-front sweep.
+def upfront_errors(s_hat, basis_hat, constellation, n, seed, separation_deg=(3.0, 5.0),
+                   rx_polarizations=(THETA_POL, THETA_POL), condition_cap=DEFAULT_CONDITION_CAP):
+    """The errors (kept, 2, M), the kept condition numbers and the rejection count
+    of an up-front sweep, in scenario order.
 
-    ``draw_geometries(default_rng(seed), n)``, the package's kernel on each
-    chunk of those angles, then concatenation and sort.
+    ``draw_geometries(default_rng(seed), n)``, then the package's kernel on
+    each chunk of those angles.
     """
     theta, phi = draw_geometries(np.random.default_rng(seed), n, separation_deg)
     patterns = ((basis_hat.b1, basis_hat.b2)
                 + tuple(s_hat.state(k) for k in range(constellation.order)))
     pols = np.asarray(rx_polarizations, dtype=complex)
     ratios = np.asarray(constellation.ratio_set.values)
-    e1, e2, rejected = [], [], 0
+    errors, conds, rejected = [], [], 0
     for i in range(0, n, link._CHUNK):
         resp = link._responses(patterns, theta[:, i:i + link._CHUNK], phi[:, i:i + link._CHUNK],
                                pols)
-        keep, g = link._zf_gains(resp[:, :, :2], resp[:, :, 2:], condition_cap)
-        e1.append(np.abs(g[:, 0] - 1.0).ravel())
-        e2.append(np.abs(g[:, 1] - ratios).ravel())
+        keep, g, cond = link._zf_gains(resp[:, :, :2], resp[:, :, 2:], condition_cap)
+        errors.append(np.stack([np.abs(g[:, 0] - 1.0), np.abs(g[:, 1] - ratios)], axis=1))
+        conds.append(cond[keep])
         rejected += keep.size - np.count_nonzero(keep)
-    return np.sort(np.concatenate(e1)), np.sort(np.concatenate(e2)), rejected
+    return np.concatenate(errors), np.concatenate(conds), rejected
+
+
+def upfront_sweep(*args, **kwargs):
+    """Both sorted error streams and the rejection count of an up-front sweep."""
+    errors, _, rejected = upfront_errors(*args, **kwargs)
+    return np.sort(errors[:, 0].ravel()), np.sort(errors[:, 1].ravel()), rejected
 
 
 def uniform_pattern(grid, e_theta, e_phi) -> VectorPattern:

@@ -207,6 +207,39 @@ class TestMonteCarloCommand:
         assert main(["monte-carlo", "--config", str(config)]) == 1
         assert "rejected" in capsys.readouterr().err
 
+    def test_all_rejected_above_exact_limit(self, hand_config, tmp_path, capsys):
+        # above the exact limit no error samples are kept, so the rejection
+        # tally, not an empty stream, decides exit 1
+        capped = _write_config(tmp_path, {"monte_carlo": {"condition_cap": 1.000001}})
+        assert main(["monte-carlo", "--config", str(capped), "--scenarios", "100001",
+                     "--out", str(tmp_path / "capped")]) == 1
+        assert "rejected" in capsys.readouterr().err
+        assert main(["monte-carlo", "--config", str(hand_config), "--scenarios", "100001",
+                     "--out", str(tmp_path / "out")]) == 0
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == ["cdf_stream1.csv", "cdf_stream2.csv", "mc_report.json", "sketch.npz"]
+        report = load_metrics_json(tmp_path / "out" / "mc_report.json")
+        assert report["scenarios"] == 100001 and report["rejected"] == 0
+
+    def test_ratio_quantiles_show_the_dichotomy(self, hand_config, tmp_path):
+        # the pooled stream tables mix the exact +-1 decodes with the +-j ones;
+        # the per-ratio tables read from the sketch separate them
+        assert main(["monte-carlo", "--config", str(hand_config), "--scenarios", "100000",
+                     "--out", str(tmp_path)]) == 0
+        report = load_metrics_json(tmp_path / "mc_report.json")
+        for stream in ("stream1", "stream2"):
+            table = report["ratio_quantiles"][stream]
+            assert set(table) == {"+1", "+j", "-1", "-j"}
+            for label in ("+1", "-1"):
+                assert table[label]["99.0"] < 1e-12
+            for label in ("+j", "-j"):
+                assert table[label]["50.0"] > 1e-2
+        cond = report["condition_number"]
+        quantiles = [cond["quantiles"][q] for q in ("1.0", "5.0", "25.0", "50.0", "75.0",
+                                                    "95.0", "99.0")]
+        assert 1.0 <= cond["min"] <= quantiles[0]
+        assert quantiles == sorted(quantiles) and quantiles[-1] <= cond["max"] <= 1e8
+
     def test_invalid_scenarios_exit_2(self, hand_config):
         assert main(["monte-carlo", "--config", str(hand_config),
                      "--scenarios", "0"]) == 2

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from beamspace import (
     AngleOutOfRangeError,
     BasisPair,
+    CdfSummary,
     InvalidArgumentError,
     PerturbationLobe,
     PskConstellation,
@@ -36,10 +37,17 @@ from beamspace import (
     received_constellation,
     run_monte_carlo,
     sample_pattern,
+    save_results,
 )
 from beamspace.cli import _assemble
-from beamspace.link import PHI_POL, THETA_POL
-from helpers import transmit_and_receive, upfront_sweep, zero_pattern, zf_equalize
+from beamspace.link import PHI_POL, SKETCH_ALPHA, THETA_POL, Sketch
+from helpers import (
+    transmit_and_receive,
+    upfront_errors,
+    upfront_sweep,
+    zero_pattern,
+    zf_equalize,
+)
 
 QPSK = PskConstellation.qpsk()
 RATIOS = QPSK.ratio_set
@@ -598,6 +606,106 @@ class TestStreamedSweep:
         summaries, peak = traced(mc.summaries)
         assert peak < 64 * 1024
         assert summaries == tuple(cdf_summary(e) for e in mc.stream_errors)
+        # above the exact limit the whole result is two sketches: nothing grows with n
+        whole = {}
+        for n in (150_000, 400_000):
+            mc, whole[n] = traced(lambda: run_monte_carlo(hand_states, hand_basis, QPSK,
+                                                          n_scenarios=n, seed=5))
+            assert not mc.exact and mc.errors.count == 8 * n
+            assert [e.size for e in mc.stream_errors] == [0, 0]
+        assert abs(whole[400_000] - whole[150_000]) <= 2**20
+
+
+def _assert_within_alpha(got: CdfSummary, want: CdfSummary):
+    """Sketch quantiles within SKETCH_ALPHA (plus round-off) of the exact ones;
+    count and exceedances exact."""
+    assert got.count == want.count and got.exceedance == want.exceedance
+    for p, q in want.quantiles.items():
+        assert abs(got.quantiles[p] - q) <= (SKETCH_ALPHA + 1e-12) * abs(q), p
+
+
+class TestSketch:
+    """The fixed-size error state every sweep builds, against exact samples."""
+
+    def test_merge_order_and_order_statistics(self):
+        rng = np.random.default_rng(3)
+        values = np.exp(rng.normal(0.0, 30.0, (3, 5000)))  # 1e-60 .. 1e60
+        values[rng.random(values.shape) < 0.05] = 0.0
+        values[2] = 3.0  # one value only: a one-bucket row
+        parts = np.split(values, [1, 700, 701, 2500], axis=1)  # an empty part among them
+
+        def sketch(part):
+            s = Sketch.empty((3,), link._EXCEEDANCE_THRESHOLDS)
+            s.add(part)
+            return s
+
+        whole = sketch(values).arrays()
+        for order in (range(5), range(4, -1, -1), (2, 0, 4, 1, 3)):
+            added, merged = sketch(parts[order[0]]), sketch(parts[order[0]])
+            for i in order[1:]:
+                added.add(parts[i])
+                merged.merge(sketch(parts[i]))
+            for arrays in (added.arrays(), merged.arrays()):
+                assert arrays.keys() == whole.keys()
+                for name, a in whole.items():
+                    assert arrays[name].dtype == a.dtype
+                    assert arrays[name].tobytes() == a.tobytes(), name
+        for row, exact in enumerate(np.sort(values)):
+            one = sketch(values).pool(row)
+            got = one.order_statistics(np.arange(exact.size))
+            assert np.all(np.abs(got - exact) <= SKETCH_ALPHA * exact)
+            assert got[0] == exact[0] and got[-1] == exact[-1]
+            _assert_within_alpha(one.summary(), cdf_summary(exact))
+
+    def test_quantiles_within_alpha_of_exact(self, shipped):
+        # one run keeps the exact streams (1e5 is the exact limit) and builds the
+        # sketches; the per-ratio samples and condition numbers come from the oracle
+        cfg, asm = shipped
+        args = (asm.perturbed_states, asm.perturbed_basis, asm.constellation)
+        params = dict(separation_deg=cfg.separation_deg, condition_cap=cfg.condition_cap)
+        n = 100_000
+        mc = run_monte_carlo(*args, n_scenarios=n, seed=cfg.seed, **params)
+        errors, conds, rejected = upfront_errors(*args, n, cfg.seed, **params)
+        assert mc.exact and mc.n_rejected == rejected
+        for s, exact in enumerate(mc.summaries()):
+            _assert_within_alpha(mc.errors.pool(s).summary(), exact)
+            for k in range(asm.constellation.order):
+                _assert_within_alpha(mc.errors.pool(s, k).summary(), cdf_summary(errors[:, s, k]))
+        got = mc.conditions.summary()
+        assert got.count == n - rejected and got.exceedance == {}
+        for p, q in got.quantiles.items():
+            want = np.percentile(conds, p)
+            assert abs(q - want) <= (SKETCH_ALPHA + 1e-12) * want
+        assert (mc.conditions.minimum, mc.conditions.maximum) == (conds.min(), conds.max())
+
+    def test_all_rejected_in_sketch_mode(self, free_states, free_basis, tmp_path):
+        mc = run_monte_carlo(free_states, free_basis, QPSK, n_scenarios=100_001, seed=5,
+                             condition_cap=1.0 + 1e-12)
+        assert not mc.exact and mc.n_rejected == 100_001 and mc.errors.count == 0
+        assert [a.size for a in mc.cdf(1)] == [0, 0]
+        with pytest.raises(InvalidArgumentError):
+            mc.summaries()
+        with np.load(save_results(tmp_path, mc=mc)["sketch"]) as npz:
+            assert npz["error_counts"].shape == (2, 4, 0)
+            assert not npz["error_zeros"].any() and np.all(npz["error_min"] == np.inf)
+
+    def test_sketch_bytes_do_not_depend_on_threads(self, hand_states, hand_basis, tmp_path,
+                                                   monkeypatch):
+        # above the exact limit the CDFs and sketch.npz are read from the merged
+        # sketches; eight workers run even on a machine with fewer CPUs
+        monkeypatch.setattr(link, "_cpu_count", lambda: 64)
+        for n in (100_001, 102_401):
+            files = []
+            for threads in (1, 2, 8):
+                mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=9,
+                                     threads=threads)
+                assert not mc.exact
+                assert [(e.dtype, e.size) for e in mc.stream_errors] == [(np.float64, 0)] * 2
+                written = save_results(tmp_path / f"{n}-{threads}", mc=mc)
+                assert "errors" not in written
+                files.append([written[k].read_bytes()
+                              for k in ("sketch", "cdf_stream1", "cdf_stream2")])
+            assert files[0] == files[1] == files[2]
 
 
 _POLS = (THETA_POL, PHI_POL, (np.sqrt(0.5), 0.5 + 0.5j), (np.cos(0.3), np.exp(0.7j) * np.sin(0.3)))
