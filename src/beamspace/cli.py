@@ -72,36 +72,32 @@ _DEGENERATE_ERRORS = (DegenerateBasisError, DegenerateAngleError, SingularChanne
 
 @dataclass(frozen=True)
 class Assembly:
-    """Domain objects instantiated from one run configuration."""
+    """Domain objects of one run configuration; ``free_states`` is kept for ``metrics`` only."""
 
     constellation: PskConstellation
     ratios: RatioSet
-    free_states: StatePatternSet
-    free_basis: BasisPair
     perturbed_states: StatePatternSet
     perturbed_basis: BasisPair
+    free_states: StatePatternSet | None = None
 
 
-def _assemble(cfg: RunConfig) -> Assembly:
+def _assemble(cfg: RunConfig, keep_free: bool = False) -> Assembly:
     constellation = PskConstellation(cfg.constellation_order, cfg.constellation_offset)
     ratios = constellation.ratio_set
     if cfg.pattern_files is not None:
         patterns = {k: load_pattern_csv(p) for k, p in cfg.pattern_files.items()}
         free = StatePatternSet(ratios=ratios, patterns=patterns)
-        grid = free.grid
     else:
-        grid = build_grid(cfg.n_theta, cfg.n_phi)
         lobes = cfg.antenna_lobes if cfg.antenna_lobes is not None else default_mirror_profile()
-        free = generate_mirror_pair(lobes, grid, ratios)
-    psi = generate_perturbation(cfg.perturbation_lobes, grid, ratios)
+        free = generate_mirror_pair(lobes, build_grid(cfg.n_theta, cfg.n_phi), ratios)
+    psi = generate_perturbation(cfg.perturbation_lobes, free.grid, ratios)
     perturbed = apply_perturbation(free, psi)
     return Assembly(
         constellation=constellation,
         ratios=ratios,
-        free_states=free,
-        free_basis=perturbed_basis(free),
         perturbed_states=perturbed,
         perturbed_basis=perturbed_basis(perturbed),
+        free_states=free if keep_free else None,
     )
 
 
@@ -121,7 +117,8 @@ def _load_config_with_overrides(args) -> RunConfig:
 
 def cmd_metrics(args) -> int:
     cfg = _load_config_with_overrides(args)
-    asm = _assemble(cfg)
+    asm = _assemble(cfg, keep_free=True)
+    free_basis = perturbed_basis(asm.free_states)
     emap = evm_map(asm.perturbed_basis, asm.perturbed_states, asm.ratios)
     state_power_ratio = {
         asm.ratios.label(k): integrate_power(asm.perturbed_states.state(k))
@@ -132,8 +129,8 @@ def cmd_metrics(args) -> int:
         "basis_correlation_db": basis_correlation_db(asm.perturbed_basis),
         "power_imbalance_db": power_imbalance_db(asm.perturbed_basis),
         "free_space": {
-            "basis_correlation_db": basis_correlation_db(asm.free_basis),
-            "power_imbalance_db": power_imbalance_db(asm.free_basis),
+            "basis_correlation_db": basis_correlation_db(free_basis),
+            "power_imbalance_db": power_imbalance_db(free_basis),
         },
         "state_power_ratio": state_power_ratio,
         "average_evm_db": emap.average(),

@@ -48,12 +48,20 @@ CDF_COLUMNS = ("error", "cumulative_probability")
 _ANGLE_MATCH_TOL = 1e-9  # radians; any looser is an irregular grid
 
 
+def _create(path: Path, mode: str = "w", **kwargs):
+    """``path`` opened for writing; an OSError is an InvalidArgumentError naming it."""
+    try:
+        return path.open(mode, **kwargs)
+    except OSError as exc:
+        raise InvalidArgumentError(f"output file {path} cannot be written: {exc}") from exc
+
+
 def _write_table(path: Path, header, columns) -> Path:
     """Header lines, then row i: element i of each column (floats by repr, others by str)."""
     # .tolist() first: numpy 2 spells repr(np.float64(x)) as "np.float64(x)"
     cells = [map(repr if c.dtype.kind == "f" else str, c.tolist())
              for c in map(np.asarray, columns)]
-    with path.open("w", newline="") as fh:
+    with _create(path, newline="") as fh:
         fh.writelines(line + "\n" for line in header)
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
     return path
@@ -285,9 +293,9 @@ def _json_encode(obj: Any) -> Any:
 
 
 def save_metrics_json(metrics: dict, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(_json_encode(metrics), indent=2, sort_keys=True) + "\n")
-    return path
+    with _create(Path(path)) as fh:
+        fh.write(json.dumps(_json_encode(metrics), indent=2, sort_keys=True) + "\n")
+    return Path(path)
 
 
 def _write_evm_csv(evm: EvmMap, path: Path) -> Path:
@@ -336,7 +344,7 @@ def _save_npz(path: Path, **arrays) -> Path:
     ``np.savez`` passes each array to its zip member in 16 MiB ``bytes``
     copies; at paper scale that copy set the ``monte-carlo`` peak RSS.
     """
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+    with _create(path, "wb") as out, zipfile.ZipFile(out, "w") as zf:  # stored, zip64 allowed
         for name, a in arrays.items():
             a = np.ascontiguousarray(a)
             with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:

@@ -119,23 +119,14 @@ def _unit_polarizations(pols) -> np.ndarray:
     return pols
 
 
-def _require_conditioned(scenario: LinkScenario, condition_cap: float) -> None:
-    """Raise SingularChannelError unless the channel is conditioned within the cap."""
-    if not scenario.condition_number <= condition_cap:
-        raise SingularChannelError(f"channel condition number {scenario.condition_number:.3g} "
-                                   f"exceeds cap {condition_cap:.3g}")
-
-
 def _condition_2x2(h: np.ndarray):
-    """Spectral condition numbers of 2x2 complex matrices (last two axes).
-
-    Singular matrices report inf.
-    """
+    """2-norm condition numbers (inf if singular) and determinants of 2x2 matrices (last axes)."""
     det = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
+    abs_det = np.abs(det)
     f2 = np.sum(np.abs(h) ** 2, axis=(-2, -1))
-    s2max = 0.5 * (f2 + np.sqrt(np.maximum(f2 * f2 - 4.0 * np.abs(det) ** 2, 0.0)))
+    s2max = 0.5 * (f2 + np.sqrt(np.maximum(f2 * f2 - 4.0 * abs_det ** 2, 0.0)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(det) > 0.0, s2max / np.abs(det), np.inf)[()]
+        return np.where(abs_det > 0.0, s2max / abs_det, np.inf)[()], det
 
 
 def _responses(patterns, theta, phi, pols) -> np.ndarray:
@@ -168,14 +159,13 @@ def _zf_gains(h: np.ndarray, f: np.ndarray, condition_cap: float):
     channels conditioned within the cap, G (kept, 2, M) for them and the
     (n,) condition numbers.
     """
-    cond = _condition_2x2(h)
+    cond, det = _condition_2x2(h)
     keep = np.isfinite(cond) & (cond <= condition_cap)
     if not keep.all():
-        h, f = h[keep], f[keep]
-    det = (h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0])[:, None]
+        h, f, det = h[keep], f[keep], det[keep]
     g = np.empty_like(f)
-    g[:, 0] = (h[:, 1, 1, None] * f[:, 0] - h[:, 0, 1, None] * f[:, 1]) / det
-    g[:, 1] = (h[:, 0, 0, None] * f[:, 1] - h[:, 1, 0, None] * f[:, 0]) / det
+    g[:, 0] = (h[:, 1, 1, None] * f[:, 0] - h[:, 0, 1, None] * f[:, 1]) / det[:, None]
+    g[:, 1] = (h[:, 0, 0, None] * f[:, 1] - h[:, 1, 0, None] * f[:, 0]) / det[:, None]
     return keep, g, cond
 
 
@@ -205,7 +195,7 @@ def build_channel(
         rx_angles=angles,
         rx_polarizations=pols,
         channel=h,
-        condition_number=float(_condition_2x2(h)),
+        condition_number=float(_condition_2x2(h)[0]),
         constellation=constellation,
     )
 
@@ -257,8 +247,10 @@ def received_constellation(
     angles = scenario.rx_angles
     f = _responses(_states(s_hat, scenario.constellation), angles[:, :1],
                    angles[:, 1:], scenario.rx_polarizations)
-    _require_conditioned(scenario, condition_cap)
-    _, g, _ = _zf_gains(scenario.channel[None], f, condition_cap)
+    keep, g, cond = _zf_gains(scenario.channel[None], f, condition_cap)
+    if not keep[0]:
+        raise SingularChannelError(f"channel condition number {cond[0]:.3g} "
+                                   f"exceeds cap {condition_cap:.3g}")
     return _pair_points(scenario.constellation, g[0])
 
 
@@ -638,9 +630,10 @@ def run_monte_carlo(
     merges its chunks' sketches as they finish; up to ``_EXACT_LIMIT``
     scenarios the errors are also kept, sorted.  Identical (seed,
     parameters) give bitwise-identical output for any ``threads``.  At most
-    ``MAX_SCENARIOS`` scenarios; the worker pool has ``min(threads, chunks,
-    CPUs this process may use)`` threads.  Memory is one chunk's working
-    set and two sketches per worker, plus the exact errors up to the limit.
+    ``MAX_SCENARIOS`` scenarios; ``min(threads, chunks, CPUs this process
+    may use)`` workers run, the calling thread being one of them and a
+    thread pool the others.  Memory is one chunk's working set and two
+    sketches per worker, plus the exact errors up to the limit.
     """
     n = _integer(n_scenarios, "n_scenarios")
     seed = _integer(seed, "seed")
@@ -672,10 +665,11 @@ def run_monte_carlo(
         resp = _responses(patterns, theta, phi, pols)
         keep, g, cond = _zf_gains(resp[:, :, :2], resp[:, :, 2:], condition_cap)
         e = np.abs(g - ideal)
-        kept[i] = len(g)
+        del resp, g  # the chunk's largest arrays: free them before the folds allocate
+        kept[i] = len(e)
         if exact:
             for s in (0, 1):
-                streams[s][start * m:(start + len(g)) * m].reshape(-1, m)[:] = e[:, s]
+                streams[s][start * m:(start + len(e)) * m].reshape(-1, m)[:] = e[:, s]
         errors.add(e.transpose(1, 2, 0))
         conditions.add(cond[keep])
 
@@ -689,9 +683,10 @@ def run_monte_carlo(
     workers = min(threads, len(starts), _cpu_count())
     if workers == 1:
         parts = [worker(0)]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(worker, range(workers)))
+    else:  # the calling thread is worker 0; the pool runs the others
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            others = pool.map(worker, range(1, workers))  # submitted before worker 0 starts
+            parts = [worker(0), *others]
     errors, conditions = parts[0]
     for e, c in parts[1:]:
         errors.merge(e)

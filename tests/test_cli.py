@@ -1,7 +1,9 @@
 import contextlib
+import gc
 import io
 import json
 import time
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -285,6 +287,53 @@ class TestOutputDirectory:
             err = capsys.readouterr().err
             assert named in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, name", [
+        ("metrics", "metrics.json"), ("evm-map", "evm_map.csv"),
+        ("constellation", "constellation.csv"), ("monte-carlo", "cdf_stream1.csv"),
+        ("monte-carlo", "errors.npz"), ("monte-carlo", "mc_report.json")])
+    def test_output_file_taken_by_a_directory_exit_2(self, tmp_path, capsys, command, name):
+        config = _write_config(tmp_path, {"grid": {"n_theta": 19, "n_phi": 36},
+                                          "monte_carlo": {"scenarios": 50}})
+        (tmp_path / "out" / name).mkdir(parents=True)
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output file ") and str(tmp_path / "out" / name) in err
+        assert "Traceback" not in err
+
+
+class TestAssemblyLifetime:
+    """Only ``metrics`` keeps the free-space states; the other commands let them
+    and the perturbation field go before their work starts."""
+
+    @pytest.mark.parametrize("command, work", [
+        ("monte-carlo", "run_monte_carlo"), ("evm-map", "evm_map"),
+        ("constellation", "constellation_at_angle")])
+    def test_free_states_and_perturbation_released(self, hand_config, tmp_path, monkeypatch,
+                                                   command, work):
+        refs, alive = [], []
+
+        def referenced(name):
+            make = getattr(cli, name)
+
+            def wrapped(*args, **kwargs):
+                made = make(*args, **kwargs)
+                refs.append(weakref.ref(made))
+                return made
+            monkeypatch.setattr(cli, name, wrapped)
+
+        referenced("generate_mirror_pair")
+        referenced("generate_perturbation")
+        run = getattr(cli, work)
+
+        def checked(*args, **kwargs):
+            gc.collect()
+            alive.extend(type(r()).__name__ for r in refs if r() is not None)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, work, checked)
+        assert main([command, "--config", str(hand_config), "--out", str(tmp_path)]) == 0
+        assert len(refs) == 2 and alive == []
 
 
 class TestPatternFilePipeline:

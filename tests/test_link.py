@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import re
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -120,6 +122,18 @@ class TestBuildChannel:
         with pytest.raises(SingularChannelError):
             zf_equalize(np.array([1.0, 1.0j]), scenario)
 
+    def test_received_constellation_rejects_above_cap(self, grid, free_states, free_basis):
+        singular = build_channel(BasisPair(b1=free_basis.b1, b2=zero_pattern(grid)),
+                                 (RX1, RX2), QPSK)
+        for cap in (1e8, np.inf):  # a singular channel is rejected even without a cap
+            with pytest.raises(SingularChannelError, match="condition number inf"):
+                received_constellation(free_states, singular, condition_cap=cap)
+        scenario = build_channel(free_basis, (RX1, RX2), QPSK)
+        cond = scenario.condition_number
+        with pytest.raises(SingularChannelError, match=re.escape(f"number {cond:.3g} exceeds")):
+            received_constellation(free_states, scenario, condition_cap=0.99 * cond)
+        assert len(received_constellation(free_states, scenario, condition_cap=cond)) == 32
+
     def test_theta_receiver_with_phi_only_pattern_flagged(self, grid):
         rng = np.random.default_rng(0)
         phi_only = VectorPattern(
@@ -163,14 +177,15 @@ class TestBuildChannel:
         rng = np.random.default_rng(31)
         for _ in range(20):
             h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            assert _condition_2x2(h) == pytest.approx(np.linalg.cond(h), rel=1e-9)
-        assert _condition_2x2(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)) == np.inf
+            assert _condition_2x2(h)[0] == pytest.approx(np.linalg.cond(h), rel=1e-9)
+        assert _condition_2x2(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)) == (np.inf, 0)
         batch = rng.standard_normal((3, 5, 2, 2)) + 1j * rng.standard_normal((3, 5, 2, 2))
-        got = _condition_2x2(batch)
-        assert got.shape == (3, 5)
+        got, det = _condition_2x2(batch)
+        assert got.shape == det.shape == (3, 5)
         assert got == pytest.approx(np.linalg.cond(batch), rel=1e-9)
+        assert det == pytest.approx(np.linalg.det(batch), rel=1e-12)
         batch[1, 2] = 1.0
-        assert _condition_2x2(batch)[1, 2] == np.inf
+        assert _condition_2x2(batch)[0][1, 2] == np.inf
 
     def test_nan_polarization_rejected(self, free_states, free_basis):
         from beamspace import LinkScenario
@@ -453,32 +468,33 @@ class TestMonteCarlo:
                 run_monte_carlo(free_states, free_basis, QPSK, n_scenarios=n, seed=1)
 
     def test_thread_pool_capped(self, hand_states, hand_basis, monkeypatch):
-        # the pool is sized by assertion only: a stand-in executor records it
+        # the calling thread is one of the workers: the pool runs the others
         from beamspace import link
-        sizes = []
+        executor, uniforms = link.concurrent.futures.ThreadPoolExecutor, link._uniforms
+        sizes, ran = [], set()
 
-        class Recorder:
+        class Recorder(executor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
+                super().__init__(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
+        def recorded(*args):
+            ran.add(threading.get_ident())
+            return uniforms(*args)
 
         monkeypatch.setattr(link.concurrent.futures, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(link, "_uniforms", recorded)
         cpu_count, n = link._cpu_count, 3 * link._CHUNK  # three chunks
         serial = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=4)
-        for cpus, threads, want in ((64, 100_000, 3), (64, 2, 2), (2, 100_000, 2), (1, 8, None)):
+        for cpus, threads, workers in ((64, 100_000, 3), (64, 2, 2), (2, 100_000, 2),
+                                       (1, 8, 1)):
             monkeypatch.setattr(link, "_cpu_count", lambda cpus=cpus: cpus)
             sizes.clear()
+            ran.clear()
             mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=4,
                                  threads=threads)
-            assert sizes == ([] if want is None else [want])
+            assert sizes == ([] if workers == 1 else [workers - 1])  # pool + caller = workers
+            assert threading.get_ident() in ran and len(ran) <= workers
             for s in (0, 1):
                 assert mc.stream_errors[s].tobytes() == serial.stream_errors[s].tobytes()
         assert 1 <= cpu_count() <= (os.cpu_count() or 1)
