@@ -46,7 +46,7 @@ from .link import (
     received_constellation,
     run_monte_carlo,
 )
-from .modulation import PskConstellation, RatioSet, parse_ratio_label, ratio_label
+from .modulation import PskConstellation, RatioSet, ratio_label
 from .patterns import (
     BasisPair,
     EvmMap,
@@ -78,7 +78,6 @@ from .sphere import (
     inner_product,
     integrate_power,
     lincomb,
-    sample_pattern,
     same_grid,
 )
 

@@ -12,7 +12,9 @@ For unit-modulus PSK the antenna radiates x1 times the state pattern of
 ratio index k = (k2 - k1) mod M, so zero forcing returns x1 * g_k, with
 G = H^-1 F and F the receivers' responses to the M states.  One batched
 kernel computes G for every decode path; the transmit-side constellation
-at one angle is that decode at two co-located receivers.
+at one angle is that decode at two co-located receivers.  The kernel's
+arrays keep the scenario axis last and contiguous: the responses are
+(2 receivers, M + 2 patterns, n), H is (2, 2, n) and G (2 streams, M, n).
 
 The Monte-Carlo sweep draws the receive geometries of
 ``draw_geometries(np.random.default_rng(seed), n)`` and takes, per
@@ -68,7 +70,7 @@ __all__ = [
 DEFAULT_CONDITION_CAP = 1e8
 # Largest sweep run_monte_carlo accepts.  Above _EXACT_LIMIT a sweep keeps only
 # fixed-size sketches, so memory does not grow with the count; the limit bounds
-# run time (about 15 s for the whole command on two workers).
+# run time (12-13 s for the whole command on two workers of a 2-core machine).
 MAX_SCENARIOS = 10**7
 # Up to this many scenarios the sorted error samples are kept too (6.4 MB for
 # QPSK at the limit), and summaries, CDFs and errors.npz are exact.
@@ -120,10 +122,15 @@ def _unit_polarizations(pols) -> np.ndarray:
 
 
 def _condition_2x2(h: np.ndarray):
-    """2-norm condition numbers (inf if singular) and determinants of 2x2 matrices (last axes)."""
-    det = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
+    """2-norm condition numbers (inf if singular) and determinants of 2x2 matrices.
+
+    ``h[i, j]`` is entry (i, j): the matrix axes lead and any batch axes
+    follow.
+    """
+    det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
     abs_det = np.abs(det)
-    f2 = np.sum(np.abs(h) ** 2, axis=(-2, -1))
+    a2 = np.abs(h) ** 2
+    f2 = a2[0, 0] + a2[0, 1] + a2[1, 0] + a2[1, 1]
     s2max = 0.5 * (f2 + np.sqrt(np.maximum(f2 * f2 - 4.0 * abs_det ** 2, 0.0)))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(abs_det > 0.0, s2max / abs_det, np.inf)[()], det
@@ -133,39 +140,42 @@ def _responses(patterns, theta, phi, pols) -> np.ndarray:
     """Responses p_r^H e(theta_r, phi_r) of two receivers to each pattern.
 
     ``theta`` and ``phi`` are (2, n) receive angles and ``pols`` the two
-    receive polarizations; one bilinear stencil serves each receiver.  A
+    receive polarizations; one bilinear stencil serves both receivers.  A
     field component whose polarization weight is zero is not sampled.
-    Returns an (n, 2, len(patterns)) complex array.
+    Returns a (2, len(patterns), n) complex array: receiver, pattern, then
+    scenario, so every row a product writes or reads is contiguous.
     """
-    out = np.empty((np.shape(theta)[1], 2, len(patterns)), dtype=complex)
+    nodes, weights = bilinear_stencil(patterns[0].grid, theta, phi)
+    out = np.empty((2, len(patterns), np.shape(theta)[1]), dtype=complex)
     for rx in range(2):
-        stencil = bilinear_stencil(patterns[0].grid, theta[rx], phi[rx])
+        # the complex weights once, not a cast inside each product with a field
+        stencil = (tuple(i[rx] for i in nodes), tuple(w[rx].astype(complex) for w in weights))
         pt, pp = np.conj(pols[rx])
         for k, p in enumerate(patterns):
             if pt and pp:
-                out[:, rx, k] = (pt * apply_stencil(stencil, p.e_theta)
-                                 + pp * apply_stencil(stencil, p.e_phi))
+                out[rx, k] = (pt * apply_stencil(stencil, p.e_theta)
+                              + pp * apply_stencil(stencil, p.e_phi))
             elif pt:
-                out[:, rx, k] = pt * apply_stencil(stencil, p.e_theta)
+                out[rx, k] = pt * apply_stencil(stencil, p.e_theta)
             else:
-                out[:, rx, k] = pp * apply_stencil(stencil, p.e_phi)
+                out[rx, k] = pp * apply_stencil(stencil, p.e_phi)
     return out
 
 
 def _zf_gains(h: np.ndarray, f: np.ndarray, condition_cap: float):
     """Condition cap and closed-form zero-forcing gains G = H^-1 F.
 
-    ``h`` is (n, 2, 2) and ``f`` (n, 2, M).  Returns the (n,) mask of
-    channels conditioned within the cap, G (kept, 2, M) for them and the
-    (n,) condition numbers.
+    ``h`` is (2, 2, n) and ``f`` (2, M, n), scenarios last.  Returns the
+    (n,) mask of channels conditioned within the cap, G (2, M, kept) for
+    them and the (n,) condition numbers.
     """
     cond, det = _condition_2x2(h)
     keep = np.isfinite(cond) & (cond <= condition_cap)
     if not keep.all():
-        h, f, det = h[keep], f[keep], det[keep]
+        h, f, det = h[..., keep], f[..., keep], det[keep]
     g = np.empty_like(f)
-    g[:, 0] = (h[:, 1, 1, None] * f[:, 0] - h[:, 0, 1, None] * f[:, 1]) / det[:, None]
-    g[:, 1] = (h[:, 0, 0, None] * f[:, 1] - h[:, 1, 0, None] * f[:, 0]) / det[:, None]
+    g[0] = (h[1, 1] * f[0] - h[0, 1] * f[1]) / det
+    g[1] = (h[0, 0] * f[1] - h[1, 0] * f[0]) / det
     return keep, g, cond
 
 
@@ -190,12 +200,14 @@ def build_channel(
     """
     angles = np.asarray(rx_angles, dtype=float)
     pols = np.asarray(rx_polarizations, dtype=complex)
-    h = _responses((basis_hat.b1, basis_hat.b2), angles[:, :1], angles[:, 1:], pols)[0]
+    # a batch of one: the entries of a lone 2x2 matrix would be numpy scalars,
+    # whose arithmetic can round differently from the array loops'
+    h = _responses((basis_hat.b1, basis_hat.b2), angles[:, :1], angles[:, 1:], pols)
     return LinkScenario(
         rx_angles=angles,
         rx_polarizations=pols,
-        channel=h,
-        condition_number=float(_condition_2x2(h)[0]),
+        channel=h[..., 0],
+        condition_number=float(_condition_2x2(h)[0][0]),
         constellation=constellation,
     )
 
@@ -247,11 +259,11 @@ def received_constellation(
     angles = scenario.rx_angles
     f = _responses(_states(s_hat, scenario.constellation), angles[:, :1],
                    angles[:, 1:], scenario.rx_polarizations)
-    keep, g, cond = _zf_gains(scenario.channel[None], f, condition_cap)
+    keep, g, cond = _zf_gains(scenario.channel[..., None], f, condition_cap)
     if not keep[0]:
         raise SingularChannelError(f"channel condition number {cond[0]:.3g} "
                                    f"exceeds cap {condition_cap:.3g}")
-    return _pair_points(scenario.constellation, g[0])
+    return _pair_points(scenario.constellation, g[..., 0])
 
 
 def constellation_at_angle(
@@ -652,7 +664,7 @@ def run_monte_carlo(
     separation = _separation(separation_deg)
     ratios = np.asarray(constellation.ratio_set.values)
     m = len(ratios)
-    ideal = np.stack([np.ones(m), ratios])  # what G should be: (2, M)
+    ideal = np.stack([np.ones(m), ratios])[..., None]  # what G should be: (2, M, 1)
     exact = n <= _EXACT_LIMIT
     # the chunk from scenario `start` on writes its kept errors from offset start*m on
     streams = (np.empty(n * m if exact else 0), np.empty(n * m if exact else 0))
@@ -663,14 +675,14 @@ def run_monte_carlo(
         start = starts[i]
         theta, phi = _angles(_uniforms(seed, n, start, min(start + _CHUNK, n)), separation)
         resp = _responses(patterns, theta, phi, pols)
-        keep, g, cond = _zf_gains(resp[:, :, :2], resp[:, :, 2:], condition_cap)
-        e = np.abs(g - ideal)
+        keep, g, cond = _zf_gains(resp[:, :2], resp[:, 2:], condition_cap)
+        e = np.abs(g - ideal)  # (2, M, kept): the sketch's rows, values last
         del resp, g  # the chunk's largest arrays: free them before the folds allocate
-        kept[i] = len(e)
+        kept[i] = e.shape[-1]
         if exact:
             for s in (0, 1):
-                streams[s][start * m:(start + len(e)) * m].reshape(-1, m)[:] = e[:, s]
-        errors.add(e.transpose(1, 2, 0))
+                streams[s][start * m:(start + kept[i]) * m].reshape(-1, m)[:] = e[s].T
+        errors.add(e)
         conditions.add(cond[keep])
 
     def worker(w: int) -> tuple[Sketch, Sketch]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, RatioSetMismatchError
 
-__all__ = ["RatioSet", "PskConstellation", "ratio_label", "parse_ratio_label"]
+__all__ = ["RatioSet", "PskConstellation", "ratio_label"]
 
 # Quarter-turn phasors kept exact so the +-1 / +-j states close under the
 # basis algebra without rounding dust.
@@ -35,14 +35,6 @@ def ratio_label(k: int, order: int) -> str:
     if order == 2:
         return ("+1", "-1")[k % 2]
     return f"ratio_{k % order}"
-
-
-def parse_ratio_label(label: str, order: int) -> int:
-    """Inverse of :func:`ratio_label`."""
-    for k in range(order):
-        if ratio_label(k, order) == label:
-            return k
-    raise RatioSetMismatchError(f"unknown ratio label {label!r} for order {order}")
 
 
 @dataclass(frozen=True)

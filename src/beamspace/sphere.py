@@ -30,7 +30,6 @@ __all__ = [
     "integrate_power",
     "inner_product",
     "lincomb",
-    "sample_pattern",
     "bilinear_stencil",
     "apply_stencil",
     "great_circle_distance",
@@ -315,19 +314,6 @@ def apply_stencil(stencil, fields: np.ndarray) -> np.ndarray:
     flat = fields.reshape(fields.shape[:-2] + (-1,))
     return (w00 * flat.take(n00, axis=-1) + w01 * flat.take(n01, axis=-1)
             + w10 * flat.take(n10, axis=-1) + w11 * flat.take(n11, axis=-1))
-
-
-def sample_pattern(p: VectorPattern, theta, phi) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a pattern at arbitrary solid angles.
-
-    Bilinear between grid nodes, exact at the nodes, periodic in phi.
-    Accepts scalars or broadcast-compatible arrays of radians.
-
-    Raises:
-        AngleOutOfRangeError: theta outside [0, pi] or non-finite input.
-    """
-    stencil = bilinear_stencil(p.grid, theta, phi)
-    return apply_stencil(stencil, p.e_theta), apply_stencil(stencil, p.e_phi)
 
 
 def great_circle_distance(theta1, phi1, theta2, phi2) -> np.ndarray:

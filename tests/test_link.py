@@ -38,12 +38,15 @@ from beamspace import (
     perturbed_basis,
     received_constellation,
     run_monte_carlo,
-    sample_pattern,
     save_results,
 )
 from beamspace.cli import _assemble
-from beamspace.link import PHI_POL, SKETCH_ALPHA, THETA_POL, Sketch
+from beamspace.link import DEFAULT_CONDITION_CAP, PHI_POL, SKETCH_ALPHA, THETA_POL, Sketch
 from helpers import (
+    reference_condition_2x2,
+    reference_responses,
+    reference_zf_gains,
+    sample_pattern,
     transmit_and_receive,
     upfront_errors,
     upfront_sweep,
@@ -89,6 +92,11 @@ def hand_basis(hand_states):
 
 RX1 = (D(45.0), D(294.0))
 RX2 = (D(45.0), D(298.0))
+# receive polarizations that sample theta only, phi only, both kinds, and
+# complex (elliptical) mixtures of the two components
+ELLIPTICAL = (np.array([1.0, 1.0j]) / np.sqrt(2.0), (np.cos(0.3), np.exp(0.7j) * np.sin(0.3)))
+POLARIZATION_PAIRS = {"theta/theta": (THETA_POL, THETA_POL), "theta/phi": (THETA_POL, PHI_POL),
+                      "phi/phi": (PHI_POL, PHI_POL), "elliptical": ELLIPTICAL}
 
 
 def _mc_geometries(n, seed, separation_deg=(3.0, 5.0)):
@@ -180,12 +188,12 @@ class TestBuildChannel:
             assert _condition_2x2(h)[0] == pytest.approx(np.linalg.cond(h), rel=1e-9)
         assert _condition_2x2(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)) == (np.inf, 0)
         batch = rng.standard_normal((3, 5, 2, 2)) + 1j * rng.standard_normal((3, 5, 2, 2))
-        got, det = _condition_2x2(batch)
+        got, det = _condition_2x2(np.moveaxis(batch, (-2, -1), (0, 1)))  # matrix axes lead
         assert got.shape == det.shape == (3, 5)
         assert got == pytest.approx(np.linalg.cond(batch), rel=1e-9)
         assert det == pytest.approx(np.linalg.det(batch), rel=1e-12)
         batch[1, 2] = 1.0
-        assert _condition_2x2(batch)[0][1, 2] == np.inf
+        assert _condition_2x2(np.moveaxis(batch, (-2, -1), (0, 1)))[0][1, 2] == np.inf
 
     def test_nan_polarization_rejected(self, free_states, free_basis):
         from beamspace import LinkScenario
@@ -378,13 +386,8 @@ class TestMonteCarlo:
 
     def test_record_path_cross_check(self, hand_states, hand_basis):
         # the closed-form ratio-state kernel must agree with the per-pair
-        # LAPACK path: each state's error, once per pair of that ratio, for
-        # receive polarizations that sample theta only, phi only, both
-        # kinds, and complex (elliptical) mixtures of the two components
-        elliptical = (np.array([1.0, 1.0j]) / np.sqrt(2.0),
-                      (np.cos(0.3), np.exp(0.7j) * np.sin(0.3)))
-        for pols in ((THETA_POL, THETA_POL), (THETA_POL, PHI_POL), (PHI_POL, PHI_POL),
-                     elliptical):
+        # LAPACK path: each state's error, once per pair of that ratio
+        for pols in POLARIZATION_PAIRS.values():
             mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=3, seed=21,
                                  rx_polarizations=pols)
             assert mc.n_rejected == 0
@@ -630,6 +633,97 @@ class TestStreamedSweep:
             assert not mc.exact and mc.errors.count == 8 * n
             assert [e.size for e in mc.stream_errors] == [0, 0]
         assert abs(whole[400_000] - whole[150_000]) <= 2**20
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _kernel_angles(grid, n, at_nodes, seed):
+    """(2, n) receive theta and phi: random grid nodes, or random geometries."""
+    rng = np.random.default_rng(seed)
+    if at_nodes:  # weights exactly one and zero; some receiver pairs share a node
+        return (grid.theta[rng.integers(grid.n_theta, size=(2, n))],
+                grid.phi[rng.integers(grid.n_phi, size=(2, n))])
+    return draw_geometries(rng, n)
+
+
+def _reference_points(states, basis, con, angles, pols):
+    """The channel and the decoded points of one geometry by the reference kernel;
+    None for the points when the channel is above the default cap."""
+    angles = np.asarray(angles, dtype=float)
+    pols = np.asarray(pols, dtype=complex)
+    h = reference_responses((basis.b1, basis.b2), angles[:, :1], angles[:, 1:], pols)[0]
+    f = reference_responses(tuple(states.state(k) for k in range(con.order)),
+                            angles[:, :1], angles[:, 1:], pols)
+    keep, g, _ = reference_zf_gains(h[None], f, DEFAULT_CONDITION_CAP)
+    m = con.order
+    points = [con.points[k1] * g[0, s, (k2 - k1) % m]
+              for k1 in range(m) for k2 in range(m) for s in (0, 1)]
+    return h, reference_condition_2x2(h)[0], points if keep[0] else None
+
+
+@pytest.fixture(scope="module", params=["hand_scenario", "freespace"])
+def shipped_assembly(request):
+    return _assemble(load_config(CONFIGS / f"{request.param}.json"))
+
+
+class TestScenarioLastKernel:
+    """The kernel keeps scenarios on the last axis; its bits are those of the
+    scenario-first reference in ``helpers``."""
+
+    @pytest.mark.parametrize("pols", POLARIZATION_PAIRS.values(), ids=POLARIZATION_PAIRS)
+    @pytest.mark.parametrize("n", (1, 4095, 4096, 4097))
+    def test_responses_and_gains(self, shipped_assembly, pols, n):
+        basis, states = shipped_assembly.perturbed_basis, shipped_assembly.perturbed_states
+        patterns = (basis.b1, basis.b2) + tuple(states.state(k) for k in range(QPSK.order))
+        pols = np.asarray(pols, dtype=complex)
+        for at_nodes in (True, False):
+            theta, phi = _kernel_angles(basis.grid, n, at_nodes, seed=n)
+            resp = link._responses(patterns, theta, phi, pols)
+            want = reference_responses(patterns, theta, phi, pols)
+            _same_bits(resp, np.moveaxis(want, 0, -1))
+            for cap in (DEFAULT_CONDITION_CAP, 200.0):
+                keep, g, cond = link._zf_gains(resp[:, :2], resp[:, 2:], cap)
+                want_keep, want_g, want_cond = reference_zf_gains(want[:, :, :2],
+                                                                  want[:, :, 2:], cap)
+                _same_bits(keep, want_keep)
+                _same_bits(cond, want_cond)
+                _same_bits(g, np.moveaxis(want_g, 0, -1))
+
+    @pytest.mark.parametrize("pols", POLARIZATION_PAIRS.values(), ids=POLARIZATION_PAIRS)
+    def test_build_channel_and_received_constellation(self, shipped_assembly, pols):
+        basis, states = shipped_assembly.perturbed_basis, shipped_assembly.perturbed_states
+        for at_nodes in (True, False):
+            theta, phi = _kernel_angles(basis.grid, 16, at_nodes, seed=5)
+            for s in range(16):
+                angles = ((theta[0, s], phi[0, s]), (theta[1, s], phi[1, s]))
+                scenario = build_channel(basis, angles, QPSK, pols)
+                h, cond, points = _reference_points(states, basis, QPSK, angles, pols)
+                _same_bits(scenario.channel, h)
+                _same_bits(scenario.condition_number, cond)
+                if points is None:
+                    with pytest.raises(SingularChannelError):
+                        received_constellation(states, scenario)
+                    continue
+                got = received_constellation(states, scenario)
+                _same_bits([p.actual for p in got], points)
+
+    def test_constellation_at_angle(self, shipped_assembly):
+        basis, states = shipped_assembly.perturbed_basis, shipped_assembly.perturbed_states
+        for at_nodes in (True, False):
+            theta, phi = _kernel_angles(basis.grid, 16, at_nodes, seed=6)
+            for angle in zip(theta[0], phi[0]):
+                *_, points = _reference_points(states, basis, QPSK, (angle, angle),
+                                               (THETA_POL, PHI_POL))
+                if points is None:
+                    with pytest.raises(SingularChannelError):
+                        constellation_at_angle(basis, states, QPSK, *angle)
+                    continue
+                got = constellation_at_angle(basis, states, QPSK, *angle)
+                _same_bits([p.actual for p in got], points)
 
 
 def _assert_within_alpha(got: CdfSummary, want: CdfSummary):

@@ -8,9 +8,9 @@ from beamspace import (
     PskConstellation,
     RatioSet,
     RatioSetMismatchError,
-    parse_ratio_label,
     ratio_label,
 )
+from helpers import parse_ratio_label
 
 
 class TestPskConstellation:

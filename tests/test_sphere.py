@@ -17,9 +17,8 @@ from beamspace import (
     integrate_power,
     lincomb,
     same_grid,
-    sample_pattern,
 )
-from helpers import uniform_pattern, zero_pattern
+from helpers import sample_pattern, uniform_pattern, zero_pattern
 
 
 def _random_pattern(grid, rng):
