@@ -46,6 +46,7 @@ PATTERN_COLUMNS = ("theta_deg", "phi_deg", "re_etheta", "im_etheta", "re_ephi", 
 CDF_COLUMNS = ("error", "cumulative_probability")
 
 _ANGLE_MATCH_TOL = 1e-9  # radians; any looser is an irregular grid
+_BLOCK_ROWS = 4096  # table rows held as Python strings at a time: bounded memory
 
 
 def _create(path: Path, mode: str = "w", **kwargs):
@@ -58,12 +59,14 @@ def _create(path: Path, mode: str = "w", **kwargs):
 
 def _write_table(path: Path, header, columns) -> Path:
     """Header lines, then row i: element i of each column (floats by repr, others by str)."""
-    # .tolist() first: numpy 2 spells repr(np.float64(x)) as "np.float64(x)"
-    cells = [map(repr if c.dtype.kind == "f" else str, c.tolist())
-             for c in map(np.asarray, columns)]
+    columns = [np.asarray(c) for c in columns]
     with _create(path, newline="") as fh:
         fh.writelines(line + "\n" for line in header)
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        for i in range(0, min(map(len, columns), default=0), _BLOCK_ROWS):
+            # .tolist() first: numpy 2 spells repr(np.float64(x)) as "np.float64(x)"
+            cells = [map(repr if c.dtype.kind == "f" else str, c[i:i + _BLOCK_ROWS].tolist())
+                     for c in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
     return path
 
 

@@ -173,9 +173,12 @@ def _zf_gains(h: np.ndarray, f: np.ndarray, condition_cap: float):
     keep = np.isfinite(cond) & (cond <= condition_cap)
     if not keep.all():
         h, f, det = h[..., keep], f[..., keep], det[keep]
-    g = np.empty_like(f)
-    g[0] = (h[1, 1] * f[0] - h[0, 1] * f[1]) / det
-    g[1] = (h[0, 0] * f[1] - h[1, 0] * f[0]) / det
+    g, scratch = np.empty_like(f), np.empty_like(f[0])
+    # g[r] = (a * fa - b * fb) / det in that operation order, written in place
+    for r, (a, fa, b, fb) in enumerate(((h[1, 1], f[0], h[0, 1], f[1]),
+                                        (h[0, 0], f[1], h[1, 0], f[0]))):
+        np.subtract(np.multiply(a, fa, out=g[r]), np.multiply(b, fb, out=scratch), out=g[r])
+        np.divide(g[r], det, out=g[r])
     return keep, g, cond
 
 
@@ -676,7 +679,7 @@ def run_monte_carlo(
         theta, phi = _angles(_uniforms(seed, n, start, min(start + _CHUNK, n)), separation)
         resp = _responses(patterns, theta, phi, pols)
         keep, g, cond = _zf_gains(resp[:, :2], resp[:, 2:], condition_cap)
-        e = np.abs(g - ideal)  # (2, M, kept): the sketch's rows, values last
+        e = np.abs(np.subtract(g, ideal, out=g))  # (2, M, kept): sketch rows, values last
         del resp, g  # the chunk's largest arrays: free them before the folds allocate
         kept[i] = e.shape[-1]
         if exact:

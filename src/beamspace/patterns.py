@@ -173,7 +173,10 @@ def synthesize_pattern(basis: BasisPair, x1: complex, x2: complex) -> VectorPatt
 
 
 def apply_perturbation(s: StatePatternSet, psi: PerturbationField) -> StatePatternSet:
-    """Multiply each state pattern pointwise by its perturbation factor."""
+    """Multiply each state pattern pointwise by its perturbation factor.
+
+    A component whose factor is 1 everywhere passes through uncopied.
+    """
     if psi.ratios.order != s.ratios.order:
         raise RatioSetMismatchError(
             f"perturbation order {psi.ratios.order} != state order {s.ratios.order}"
@@ -184,10 +187,15 @@ def apply_perturbation(s: StatePatternSet, psi: PerturbationField) -> StatePatte
         f_theta, f_phi = psi.factors[k]
         out[k] = VectorPattern(
             grid=p.grid,
-            e_theta=f_theta.values * p.e_theta,
-            e_phi=f_phi.values * p.e_phi,
+            e_theta=_scaled(f_theta.values, p.e_theta),
+            e_phi=_scaled(f_phi.values, p.e_phi),
         )
     return StatePatternSet(ratios=s.ratios, patterns=out)
+
+
+def _scaled(factor: np.ndarray, component: np.ndarray) -> np.ndarray:
+    """``factor * component``; the read-only ``component`` itself where the factor is 1."""
+    return component if np.all(factor == 1) else factor * component
 
 
 def perturbed_basis(s_hat: StatePatternSet) -> BasisPair:
@@ -503,10 +511,11 @@ def generate_perturbation(
 ) -> PerturbationField:
     """Perturbation factors 1 + sum of Gaussian bumps per state and pol.
 
-    An empty lobe list yields the identity field.
+    An empty lobe list yields the identity field.  Every factor no lobe
+    touches is one shared read-only unity map.
     """
-    f_theta = {k: np.ones(grid.shape, dtype=complex) for k in range(ratios.order)}
-    f_phi = {k: np.ones(grid.shape, dtype=complex) for k in range(ratios.order)}
+    f_theta = dict.fromkeys(range(ratios.order))  # None: no lobe yet, the unity factor
+    f_phi = dict(f_theta)
     for lobe in lobes:
         states = range(ratios.order) if lobe.states is None else lobe.states
         for k in states:
@@ -518,14 +527,13 @@ def generate_perturbation(
                              lobe.amplitude, lobe.phase)
         for k in states:
             if lobe.polarization in ("theta", "both"):
-                f_theta[k] = f_theta[k] + bump
+                f_theta[k] = (1.0 if f_theta[k] is None else f_theta[k]) + bump
             if lobe.polarization in ("phi", "both"):
-                f_phi[k] = f_phi[k] + bump
+                f_phi[k] = (1.0 if f_phi[k] is None else f_phi[k]) + bump
+    unity = ScalarAngularMap(grid=grid, values=np.ones(grid.shape, dtype=complex))
     factors = {
-        k: (
-            ScalarAngularMap(grid=grid, values=f_theta[k]),
-            ScalarAngularMap(grid=grid, values=f_phi[k]),
-        )
+        k: tuple(unity if f is None else ScalarAngularMap(grid=grid, values=f)
+                 for f in (f_theta[k], f_phi[k]))
         for k in range(ratios.order)
     }
     return PerturbationField(ratios=ratios, factors=factors)

@@ -29,6 +29,7 @@ from beamspace.patterns import (
     generate_perturbation,
     perturbed_basis,
 )
+from beamspace import iokit
 from beamspace.modulation import PskConstellation
 from helpers import load_metrics_json
 
@@ -228,6 +229,19 @@ class TestCdfCsv:
             path.write_text(text)
             with pytest.raises(PatternFormatError, match=message):
                 load_cdf_csv(path)
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 7])  # block of 3: 0, 1, B-1, B, B+1, 2B+1
+    def test_blocks_match_one_shot_formatting(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(iokit, "_BLOCK_ROWS", 3)
+        floats = np.array([-0.0, np.inf, np.nan, 1e-300, -np.inf, 0.1, 5e-324])[:rows]
+        ints = np.arange(rows) - 2
+        strs = [f"s{i}" for i in range(rows)]
+        path = iokit._write_table(tmp_path / "t.csv", ["# head", "s,i,f"], (strs, ints, floats))
+        rows_text = "".join(f"{s},{i},{f!r}\n"
+                            for s, i, f in zip(strs, ints.tolist(), floats.tolist()))
+        assert path.read_bytes() == ("# head\ns,i,f\n" + rows_text).encode()
 
 
 class TestMetricsJson:

@@ -162,6 +162,41 @@ class TestApplyPerturbation:
             want = complex(f_theta.values[i, j]) * complex(states.state(k).e_theta[i, j])
             assert complex(out.state(k).e_theta[i, j]) == pytest.approx(want, rel=1e-15)
 
+    @pytest.mark.parametrize("field", ["identity", "no-lobes"])
+    def test_unity_factor_passes_components_through(self, small_grid, field):
+        states = _random_states(small_grid, np.random.default_rng(11))
+        psi = (PerturbationField.identity(small_grid, RATIOS) if field == "identity"
+               else generate_perturbation([], small_grid, RATIOS))
+        out = apply_perturbation(states, psi)
+        for k in range(4):
+            assert np.shares_memory(out.state(k).e_theta, states.state(k).e_theta)
+            assert np.shares_memory(out.state(k).e_phi, states.state(k).e_phi)
+
+    def test_only_the_perturbed_component_is_new(self, small_grid):
+        rng = np.random.default_rng(12)
+        states = _random_states(small_grid, rng)
+        psi = _gaussian_psi(small_grid, rng, states=(2,), polarization="phi")
+        out = apply_perturbation(states, psi)
+        assert len({id(f) for pair in psi.factors.values() for f in pair}) == 2
+        for k in range(4):
+            for name in ("e_theta", "e_phi"):
+                shared = np.shares_memory(getattr(out.state(k), name),
+                                          getattr(states.state(k), name))
+                assert shared == ((k, name) != (2, "e_phi"))
+
+    def test_pass_through_keeps_signed_zeros(self, small_grid):
+        # a multiply by 1+0j turns the real part of -0.0-0.0j into +0.0
+        states = _random_states(small_grid, np.random.default_rng(13))
+        e = states.state(0)
+        e_theta = e.e_theta.copy()
+        e_theta[0, 0] = complex(-0.0, -0.0)
+        patterns = dict(states.patterns)
+        patterns[0] = VectorPattern(grid=small_grid, e_theta=e_theta, e_phi=e.e_phi)
+        states = StatePatternSet(ratios=RATIOS, patterns=patterns)
+        out = apply_perturbation(states, generate_perturbation([], small_grid, RATIOS))
+        zero = out.state(0).e_theta[0, 0]
+        assert zero == 0 and np.signbit(zero.real) and np.signbit(zero.imag)
+
     def test_key_and_grid_mismatch(self, small_grid):
         rng = np.random.default_rng(10)
         states = _random_states(small_grid, rng)
@@ -470,6 +505,8 @@ class TestGenerators:
         for k in range(4):
             assert np.all(psi.factors[k][0].values == 1.0)
             assert np.all(psi.factors[k][1].values == 1.0)
+        # one unity map, shared by every state and polarization
+        assert len({id(f) for pair in psi.factors.values() for f in pair}) == 1
 
     def test_perturbation_negative_half_at_center(self, small_grid):
         # center placed exactly on a grid node
