@@ -208,7 +208,7 @@ def cmd_monte_carlo(args) -> int:
         "stream1": {"quantiles": s1.quantiles, "exceedance": s1.exceedance},
         "stream2": {"quantiles": s2.quantiles, "exceedance": s2.exceedance},
         "ratio_quantiles": {
-            f"stream{s + 1}": {asm.ratios.label(k): mc.errors.pool(s, k).summary().quantiles
+            f"stream{s + 1}": {asm.ratios.label(k): mc.errors[s][k].summary().quantiles
                                for k in range(asm.ratios.order)}
             for s in (0, 1)},
     }

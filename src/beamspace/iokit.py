@@ -5,8 +5,8 @@ One writer puts floats in shortest round-trip form and one reader parses
 tables with ``np.loadtxt``, so writer/reader pairs are lossless at double
 precision.  Monte-Carlo CDF tables have at most 10^4 rows; ``errors.npz``
 holds the exact samples up to 10^5 scenarios and ``sketch.npz`` the error
-sketch above.  Non-finite metric values are encoded as the
-JSON strings "inf", "-inf", "nan".
+sketches above, each row's counts spanning only its own keys.  Non-finite
+metric values are encoded as the JSON strings "inf", "-inf", "nan".
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, PatternFormatError
-from .link import MAX_SCENARIOS, POLARIZATIONS
+from .link import MAX_SCENARIOS, POLARIZATIONS, _sketch_arrays
 from .modulation import ratio_label
 from .patterns import EvmMap, GaussianLobe, PerturbationLobe
 from .sphere import VectorPattern, build_grid
@@ -316,9 +316,9 @@ def save_results(out_dir, metrics: dict | None = None, evm: EvmMap | None = None
 
     With ``mc`` in exact mode also errors.npz, ``mc.stream_errors`` as
     arrays ``stream1`` and ``stream2``: uncompressed, so that they reload
-    bitwise.  Above the exact limit sketch.npz instead: ``mc.errors`` as
-    arrays ``error_*`` and ``mc.conditions`` as ``condition_*``
-    (``Sketch.arrays``).
+    bitwise.  Above the exact limit sketch.npz instead: the rows of
+    ``mc.errors`` as arrays ``error_*`` and ``mc.conditions`` as
+    ``condition_*`` (``link._sketch_arrays``).
     """
     out_dir = _output_dir(out_dir)
     written: dict[str, Path] = {}
@@ -336,8 +336,9 @@ def save_results(out_dir, metrics: dict | None = None, evm: EvmMap | None = None
             written["errors"] = _save_npz(out_dir / "errors.npz", stream1=mc.stream_errors[0],
                                           stream2=mc.stream_errors[1])
         else:
-            written["sketch"] = _save_npz(out_dir / "sketch.npz", **mc.errors.arrays("error_"),
-                                          **mc.conditions.arrays("condition_"))
+            written["sketch"] = _save_npz(out_dir / "sketch.npz",
+                                          **_sketch_arrays("error_", mc.errors),
+                                          **_sketch_arrays("condition_", mc.conditions))
     return written
 
 

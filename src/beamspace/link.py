@@ -388,20 +388,20 @@ def _summary(n: int, order, thresholds, above) -> CdfSummary:
     )
 
 
-def _sorted_summary(e: np.ndarray) -> CdfSummary:
-    """``cdf_summary`` of a sorted float array, read off its order statistics.
+def _sorted(e: np.ndarray):
+    """``(count, order, thresholds, above)`` of a sorted float array, as
+    ``_summary`` reads them.
 
     Exceedances are ``np.mean(values > t)``, counted by ``searchsorted``;
     NaN sorts last and exceeds nothing.
     """
-    not_nan = np.searchsorted(e, np.nan)
-    above = not_nan - np.searchsorted(e, _EXCEEDANCE_THRESHOLDS, side="right")
-    return _summary(e.size, e.__getitem__, _EXCEEDANCE_THRESHOLDS, above)
+    above = np.searchsorted(e, np.nan) - np.searchsorted(e, _EXCEEDANCE_THRESHOLDS, side="right")
+    return e.size, e.__getitem__, _EXCEEDANCE_THRESHOLDS, above
 
 
 def cdf_summary(records) -> CdfSummary:
     """Summary statistics of error magnitudes (linear interpolation quantiles)."""
-    return _sorted_summary(np.sort(np.asarray(records, dtype=float).ravel()))
+    return _summary(*_sorted(np.sort(np.asarray(records, dtype=float).ravel())))
 
 
 _MANTISSA_BITS = 7
@@ -411,101 +411,69 @@ SKETCH_ALPHA = 2.0 ** -(_MANTISSA_BITS + 1)  # relative accuracy of a bucket's m
 
 @dataclass(eq=False)
 class Sketch:
-    """Mergeable, fixed-size summary of non-negative values, one per row.
+    """Mergeable, fixed-size summary of one row of non-negative values.
 
-    For each row it holds the count of exact zeros, the exact count above
-    each of ``thresholds``, the exact minimum and maximum, and counts of the
+    It holds the count of exact zeros, the exact count above each of
+    ``thresholds``, the exact minimum and maximum, and counts of the
     positive values in logarithmic buckets (DDSketch: Masson, Rim and Lee,
     PVLDB 12(12), 2019).  A value's bucket key is its bit pattern shifted
     right by 52 - 7: each power of two splits into 128 buckets of equal
     width, and a bucket's midpoint lies within ``SKETCH_ALPHA`` = 2^-8
     relative of every normal double in it.  The key is integer arithmetic,
     so it is the same on every platform, unlike a logarithm at bucket edges.
-    ``counts[*row, i]`` counts the key ``key0 + i``; the dense store spans
-    the keys seen.  ``merge`` adds counts and takes minima and maxima, so a
-    merged sketch does not depend on the merge order.
+    ``counts[i]`` counts the key ``key0 + i``; the dense store spans the
+    keys this sketch has seen.  ``merge`` adds counts and takes minima and
+    maxima, so a merged sketch does not depend on the merge order.
     """
 
     thresholds: tuple[float, ...]
-    zeros: np.ndarray    # (*rows) int64
-    above: np.ndarray    # (*rows, len(thresholds)) int64
-    minimum: np.ndarray  # (*rows) float; inf while empty
-    maximum: np.ndarray  # (*rows) float; -inf while empty
+    zeros: int
+    above: np.ndarray  # (len(thresholds),) int64
+    minimum: float     # inf while empty
+    maximum: float     # -inf while empty
     key0: int
-    counts: np.ndarray   # (*rows, keys) int64
+    counts: np.ndarray  # (keys,) int64
 
     @classmethod
-    def empty(cls, rows=(), thresholds=()) -> Sketch:
-        """A sketch of no values with rows of shape ``rows``; ``thresholds`` ascending."""
-        return cls(thresholds=tuple(thresholds), zeros=np.zeros(rows, dtype=np.int64),
-                   above=np.zeros(rows + (len(thresholds),), dtype=np.int64),
-                   minimum=np.full(rows, np.inf), maximum=np.full(rows, -np.inf), key0=0,
-                   counts=np.zeros(rows + (0,), dtype=np.int64))
+    def empty(cls, thresholds=()) -> Sketch:
+        """A sketch of no values; ``thresholds`` ascending."""
+        return cls(tuple(thresholds), 0, np.zeros(len(thresholds), dtype=np.int64),
+                   math.inf, -math.inf, 0, np.zeros(0, dtype=np.int64))
 
     def add(self, values: np.ndarray) -> None:
-        """Fold ``values`` (*rows, n), non-negative and not NaN, into this sketch."""
-        v = np.array(values, dtype=float, order="C")
-        v.sort(axis=-1)
-        n = v.shape[-1]
-        if not n:
-            return
-        bounds = (0.0,) + self.thresholds
-        below = np.array([np.searchsorted(x, bounds, side="right")
-                          for x in v.reshape(-1, n)], dtype=np.int64)
-        self.zeros = self.zeros + below[:, 0].reshape(self.zeros.shape)
-        self.above = self.above + (n - below[:, 1:]).reshape(self.above.shape)
-        self.minimum = np.minimum(self.minimum, v[..., 0])
-        self.maximum = np.maximum(self.maximum, v[..., -1])
-        keys = v.reshape(-1, n).view(np.int64) >> _SHIFT  # sorted rows
-        rows = [(r, z) for r, z in enumerate(below[:, 0]) if z < n]  # rows with a positive value
-        if not rows:
-            return
-        self._cover(min(keys[r, z] for r, z in rows), int(keys[:, -1].max()) + 1)
-        store = self.counts.reshape(len(keys), -1)
-        for r, z in rows:
-            lo = keys[r, z] - self.key0
-            store[r, lo:lo + keys[r, -1] - keys[r, z] + 1] += np.bincount(keys[r, z:] - keys[r, z])
-
-    def _cover(self, lo: int, hi: int) -> None:
-        """Grow the dense store to span at least the keys [lo, hi)."""
-        width = self.counts.shape[-1]
-        if width:
-            lo, hi = min(lo, self.key0), max(hi, self.key0 + width)
-            if hi - lo == width:
-                return
-        grown = np.zeros(self.counts.shape[:-1] + (hi - lo,), dtype=np.int64)
-        grown[..., self.key0 - lo:self.key0 - lo + width] = self.counts
-        self.key0, self.counts = int(lo), grown
+        """Fold ``values`` (1-D), non-negative and not NaN, into this sketch."""
+        v = np.sort(np.asarray(values, dtype=float))
+        if v.size:
+            below = np.searchsorted(v, (0.0,) + self.thresholds, side="right")
+            keys = v[below[0]:].view(np.int64) >> _SHIFT  # of the positive values
+            key0 = int(keys[0]) if keys.size else 0
+            self.merge(Sketch(self.thresholds, int(below[0]), v.size - below[1:], float(v[0]),
+                              float(v[-1]), key0, np.bincount(keys - key0)))
 
     def merge(self, other: Sketch) -> None:
         """Add the values ``other`` sketches to this sketch, in place."""
-        self.zeros = self.zeros + other.zeros
+        self.zeros += other.zeros
         self.above = self.above + other.above
-        self.minimum = np.minimum(self.minimum, other.minimum)
-        self.maximum = np.maximum(self.maximum, other.maximum)
-        width = other.counts.shape[-1]
+        self.minimum = min(self.minimum, other.minimum)
+        self.maximum = max(self.maximum, other.maximum)
+        width = other.counts.size
         if width:
-            self._cover(other.key0, other.key0 + width)
-            start = other.key0 - self.key0
-            self.counts[..., start:start + width] += other.counts
-
-    def pool(self, *index) -> Sketch:
-        """The one-row sketch of the values of the rows at ``index`` taken together."""
-        def rows(a):
-            a = a[index]
-            return a.sum(axis=tuple(range(a.ndim - 1)))
-
-        return Sketch(self.thresholds, np.sum(self.zeros[index]), rows(self.above),
-                      np.min(self.minimum[index]), np.max(self.maximum[index]), self.key0,
-                      rows(self.counts))
+            lo, hi = other.key0, other.key0 + width
+            if self.counts.size:
+                lo, hi = min(lo, self.key0), max(hi, self.key0 + self.counts.size)
+            if hi - lo != self.counts.size:  # grow the store (from nothing, if empty)
+                grown = np.zeros(hi - lo, dtype=np.int64)
+                grown[self.key0 - lo:self.key0 - lo + self.counts.size] = self.counts
+                self.key0, self.counts = lo, grown
+            self.counts[other.key0 - lo:other.key0 - lo + width] += other.counts
 
     @property
     def count(self) -> int:
-        """Number of values sketched (all rows)."""
-        return int(np.sum(self.zeros) + np.sum(self.counts))
+        """Number of values sketched."""
+        return self.zeros + int(self.counts.sum())
 
     def order_statistics(self, ranks) -> np.ndarray:
-        """Estimates of a one-row sketch's sorted values at 0-based ``ranks``.
+        """Estimates of the sorted values at 0-based ``ranks``.
 
         Rank -1 is the largest.  Zeros, the smallest and the largest value
         are exact; any other value is its bucket's midpoint, clipped to
@@ -521,33 +489,46 @@ class Sketch:
         return np.where(ranks == 0, self.minimum, np.where(ranks == n - 1, self.maximum, values))
 
     def summary(self) -> CdfSummary:
-        """``cdf_summary`` of a one-row sketch's values: count and exceedances
-        exact, quantiles within ``SKETCH_ALPHA`` relative of the exact ones."""
+        """``cdf_summary`` of the sketched values: count and exceedances exact,
+        quantiles within ``SKETCH_ALPHA`` relative of the exact ones."""
         return _summary(self.count, self.order_statistics, self.thresholds, self.above)
 
-    def arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
-        """The sketch as named arrays, the layout of ``sketch.npz``.
 
-        Bucket i of ``counts`` holds the positive values in [edges[i], edges[i + 1]).
-        """
-        keys = self.key0 + np.arange(self.counts.shape[-1] + 1, dtype=np.int64)
-        return {prefix + name: np.asarray(a) for name, a in (
-            ("counts", self.counts), ("edges", (keys << _SHIFT).view(np.float64)),
-            ("zeros", self.zeros), ("thresholds", np.array(self.thresholds, dtype=float)),
-            ("above", self.above), ("min", self.minimum), ("max", self.maximum))}
+def _sketch_arrays(prefix: str, sketches) -> dict[str, np.ndarray]:
+    """Sketches, one per row of any row shape, as the named arrays of ``sketch.npz``.
+
+    ``counts`` is the rows' stores one after another: row r (in C order) is
+    ``counts[offsets[r]:offsets[r + 1]]``, whose entry i counts the positive
+    values in [edge(key0[r] + i), edge(key0[r] + i + 1)), with
+    edge(key) = ``(key << 45).view(float64)``.
+    """
+    rows = np.array(sketches, dtype=object)
+    flat = rows.ravel()
+
+    def per_row(field, dtype):
+        first = np.shape(getattr(flat[0], field))
+        return np.array([getattr(s, field) for s in flat], dtype).reshape(rows.shape + first)
+
+    return {prefix + name: a for name, a in (
+        ("counts", np.concatenate([s.counts for s in flat])),
+        ("offsets", np.cumsum([0] + [s.counts.size for s in flat], dtype=np.int64)),
+        ("key0", per_row("key0", np.int64)), ("zeros", per_row("zeros", np.int64)),
+        ("thresholds", np.array(flat[0].thresholds, dtype=float)),
+        ("above", per_row("above", np.int64)), ("min", per_row("minimum", float)),
+        ("max", per_row("maximum", float)))}
 
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloResult:
     """Error sketches and, up to ``_EXACT_LIMIT`` scenarios, sorted error samples.
 
-    ``errors`` sketches the errors of every kept scenario per stream and
-    ratio index (rows (2, M)); ``conditions`` the condition numbers of the
-    kept channels (one row).  Both are built on every run.  In exact mode
-    (at most ``_EXACT_LIMIT`` scenarios) ``stream_errors`` also holds each
-    stream's sorted errors, one per ratio state of every kept scenario, and
+    ``errors[s][k]`` sketches the errors of stream s + 1 at ratio index k
+    over every kept scenario; ``conditions`` the condition numbers of the
+    kept channels.  Both are built on every run.  In exact mode (at most
+    ``_EXACT_LIMIT`` scenarios) ``stream_errors`` also holds each stream's
+    sorted errors, one per ratio state of every kept scenario, and
     ``summaries`` and ``cdf`` read them; above the limit ``stream_errors``
-    holds two empty arrays and both read ``errors``.
+    holds two empty arrays and both read the stream's M sketches merged.
     """
 
     stream_errors: tuple[np.ndarray, np.ndarray]
@@ -555,13 +536,23 @@ class MonteCarloResult:
     n_rejected: int
     seed: int
     separation_deg: tuple[float, float]
-    errors: Sketch
+    errors: tuple[tuple[Sketch, ...], tuple[Sketch, ...]]
     conditions: Sketch
 
     @property
     def exact(self) -> bool:
         """Whether ``stream_errors`` holds the error samples."""
         return self.n_scenarios <= _EXACT_LIMIT
+
+    def _stream(self, stream: int):
+        """``(count, order, thresholds, above)`` of a stream's errors: its
+        sorted samples in exact mode, else its M ratio sketches merged."""
+        if self.exact:
+            return _sorted(self.stream_errors[stream - 1])
+        pooled = Sketch.empty(_EXCEEDANCE_THRESHOLDS)
+        for row in self.errors[stream - 1]:
+            pooled.merge(row)
+        return pooled.count, pooled.order_statistics, pooled.thresholds, pooled.above
 
     def cdf(self, stream: int) -> tuple[np.ndarray, np.ndarray]:
         """Empirical CDF of n errors at m = min(n, _CDF_LEVELS) levels.
@@ -572,22 +563,15 @@ class MonteCarloResult:
         are the samples; above the limit they are the sketch's estimates,
         within ``SKETCH_ALPHA`` relative.
         """
-        if self.exact:
-            e = self.stream_errors[stream - 1]
-            n, order = e.size, e.__getitem__
-        else:
-            sketch = self.errors.pool(stream - 1)
-            n, order = sketch.count, sketch.order_statistics
+        n, order = self._stream(stream)[:2]
         m = min(n, _CDF_LEVELS)
         i = np.arange(1, m + 1)
         return order((i * n + m - 1) // m - 1), i / m  # integer ceil; a float ceil can be 1 off
 
     def summaries(self) -> tuple[CdfSummary, CdfSummary]:
         """``cdf_summary`` of each stream: from the sorted errors without a copy
-        in exact mode, else from the sketch (quantiles within ``SKETCH_ALPHA``)."""
-        if self.exact:
-            return _sorted_summary(self.stream_errors[0]), _sorted_summary(self.stream_errors[1])
-        return self.errors.pool(0).summary(), self.errors.pool(1).summary()
+        in exact mode, else from the sketches (quantiles within ``SKETCH_ALPHA``)."""
+        return _summary(*self._stream(1)), _summary(*self._stream(2))
 
 
 def _integer(value, name: str) -> int:
@@ -674,7 +658,7 @@ def run_monte_carlo(
     starts = range(0, n, _CHUNK)
     kept = [0] * len(starts)
 
-    def chunk(i: int, errors: Sketch, conditions: Sketch) -> None:
+    def chunk(i: int, sketches: list[Sketch]) -> None:
         start = starts[i]
         theta, phi = _angles(_uniforms(seed, n, start, min(start + _CHUNK, n)), separation)
         resp = _responses(patterns, theta, phi, pols)
@@ -685,15 +669,16 @@ def run_monte_carlo(
         if exact:
             for s in (0, 1):
                 streams[s][start * m:(start + kept[i]) * m].reshape(-1, m)[:] = e[s].T
-        errors.add(e)
-        conditions.add(cond[keep])
+        for sketch, values in zip(sketches, (*e[0], *e[1], cond[keep])):
+            sketch.add(values)
 
-    def worker(w: int) -> tuple[Sketch, Sketch]:
-        """Chunks w, w + workers, ..., each folded into the worker's sketches."""
-        errors, conditions = Sketch.empty((2, m), _EXCEEDANCE_THRESHOLDS), Sketch.empty()
+    def worker(w: int) -> list[Sketch]:
+        """Chunks w, w + workers, ..., each folded into the worker's sketches: one
+        per stream and ratio index, stream 1's first, then the condition numbers'."""
+        sketches = [Sketch.empty(_EXCEEDANCE_THRESHOLDS) for _ in range(2 * m)] + [Sketch.empty()]
         for i in range(w, len(starts), workers):
-            chunk(i, errors, conditions)
-        return errors, conditions
+            chunk(i, sketches)
+        return sketches
 
     workers = min(threads, len(starts), _cpu_count())
     if workers == 1:
@@ -702,10 +687,10 @@ def run_monte_carlo(
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers - 1) as pool:
             others = pool.map(worker, range(1, workers))  # submitted before worker 0 starts
             parts = [worker(0), *others]
-    errors, conditions = parts[0]
-    for e, c in parts[1:]:
-        errors.merge(e)
-        conditions.merge(c)
+    sketches = parts[0]
+    for part in parts[1:]:
+        for sketch, other in zip(sketches, part):
+            sketch.merge(other)
 
     end = 0  # shift each chunk's kept errors left, behind those of the chunks before it
     for start, k in zip(starts, kept):
@@ -723,6 +708,6 @@ def run_monte_carlo(
         n_rejected=n - sum(kept),
         seed=seed,
         separation_deg=separation,
-        errors=errors,
-        conditions=conditions,
+        errors=(tuple(sketches[:m]), tuple(sketches[m:2 * m])),
+        conditions=sketches[-1],
     )

@@ -504,6 +504,8 @@ class PerturbationLobe:
             )
         if self.states is not None:
             object.__setattr__(self, "states", tuple(int(k) for k in self.states))
+            if len(set(self.states)) < len(self.states):  # a repeat would add the bump twice
+                raise InvalidArgumentError(f"perturbation lobe lists a state twice: {self.states}")
 
 
 def generate_perturbation(

@@ -497,6 +497,8 @@ class TestMalformedInput:
         ((), {}, ["--rx1-phi", "inf"], "receive.rx1.phi_deg"),
         (("monte_carlo", "scenarios"), 10**7 + 1, [], "monte_carlo.scenarios"),
         ((), {}, ["--scenarios", "1000000000000"], "monte_carlo.scenarios"),
+        # a repeated label would apply the lobe twice: one lobe of twice the amplitude
+        (("perturbation", "lobes", 0, "states"), ["+1", "+1"], [], "perturbation.lobes[0]"),
     ])
     def test_exit_2_naming_the_key(self, tmp_path, path, value, flags, named):
         payload = _set(json.loads((CONFIGS / "hand_scenario.json").read_text()), path, value)

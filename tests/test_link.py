@@ -34,6 +34,7 @@ from beamspace import (
     great_circle_distance,
     great_circle_offset,
     link,
+    load_cdf_csv,
     load_config,
     perturbed_basis,
     received_constellation,
@@ -630,7 +631,7 @@ class TestStreamedSweep:
         for n in (150_000, 400_000):
             mc, whole[n] = traced(lambda: run_monte_carlo(hand_states, hand_basis, QPSK,
                                                           n_scenarios=n, seed=5))
-            assert not mc.exact and mc.errors.count == 8 * n
+            assert not mc.exact and sum(r.count for rows in mc.errors for r in rows) == 8 * n
             assert [e.size for e in mc.stream_errors] == [0, 0]
         assert abs(whole[400_000] - whole[150_000]) <= 2**20
 
@@ -734,6 +735,14 @@ def _assert_within_alpha(got: CdfSummary, want: CdfSummary):
         assert abs(got.quantiles[p] - q) <= (SKETCH_ALPHA + 1e-12) * abs(q), p
 
 
+def _pooled(rows) -> Sketch:
+    """A stream's sketch: an empty sketch merged with its ratio rows."""
+    pooled = Sketch.empty(link._EXCEEDANCE_THRESHOLDS)
+    for row in rows:
+        pooled.merge(row)
+    return pooled
+
+
 class TestSketch:
     """The fixed-size error state every sweep builds, against exact samples."""
 
@@ -742,26 +751,26 @@ class TestSketch:
         values = np.exp(rng.normal(0.0, 30.0, (3, 5000)))  # 1e-60 .. 1e60
         values[rng.random(values.shape) < 0.05] = 0.0
         values[2] = 3.0  # one value only: a one-bucket row
-        parts = np.split(values, [1, 700, 701, 2500], axis=1)  # an empty part among them
 
         def sketch(part):
-            s = Sketch.empty((3,), link._EXCEEDANCE_THRESHOLDS)
+            s = Sketch.empty(link._EXCEEDANCE_THRESHOLDS)
             s.add(part)
             return s
 
-        whole = sketch(values).arrays()
-        for order in (range(5), range(4, -1, -1), (2, 0, 4, 1, 3)):
-            added, merged = sketch(parts[order[0]]), sketch(parts[order[0]])
-            for i in order[1:]:
-                added.add(parts[i])
-                merged.merge(sketch(parts[i]))
-            for arrays in (added.arrays(), merged.arrays()):
-                assert arrays.keys() == whole.keys()
-                for name, a in whole.items():
-                    assert arrays[name].dtype == a.dtype
-                    assert arrays[name].tobytes() == a.tobytes(), name
-        for row, exact in enumerate(np.sort(values)):
-            one = sketch(values).pool(row)
+        for row, exact in zip(values, np.sort(values)):  # each row its own sketch
+            parts = np.split(row, [1, 700, 701, 2500])  # an empty part among them
+            whole = link._sketch_arrays("", sketch(row))
+            for order in (range(5), range(4, -1, -1), (2, 0, 4, 1, 3)):
+                added, merged = sketch(parts[order[0]]), sketch(parts[order[0]])
+                for i in order[1:]:
+                    added.add(parts[i])
+                    merged.merge(sketch(parts[i]))
+                for arrays in (link._sketch_arrays("", added), link._sketch_arrays("", merged)):
+                    assert arrays.keys() == whole.keys()
+                    for name, a in whole.items():
+                        assert arrays[name].dtype == a.dtype
+                        assert arrays[name].tobytes() == a.tobytes(), name
+            one = sketch(row)
             got = one.order_statistics(np.arange(exact.size))
             assert np.all(np.abs(got - exact) <= SKETCH_ALPHA * exact)
             assert got[0] == exact[0] and got[-1] == exact[-1]
@@ -778,9 +787,9 @@ class TestSketch:
         errors, conds, rejected = upfront_errors(*args, n, cfg.seed, **params)
         assert mc.exact and mc.n_rejected == rejected
         for s, exact in enumerate(mc.summaries()):
-            _assert_within_alpha(mc.errors.pool(s).summary(), exact)
+            _assert_within_alpha(_pooled(mc.errors[s]).summary(), exact)
             for k in range(asm.constellation.order):
-                _assert_within_alpha(mc.errors.pool(s, k).summary(), cdf_summary(errors[:, s, k]))
+                _assert_within_alpha(mc.errors[s][k].summary(), cdf_summary(errors[:, s, k]))
         got = mc.conditions.summary()
         assert got.count == n - rejected and got.exceedance == {}
         for p, q in got.quantiles.items():
@@ -791,13 +800,48 @@ class TestSketch:
     def test_all_rejected_in_sketch_mode(self, free_states, free_basis, tmp_path):
         mc = run_monte_carlo(free_states, free_basis, QPSK, n_scenarios=100_001, seed=5,
                              condition_cap=1.0 + 1e-12)
-        assert not mc.exact and mc.n_rejected == 100_001 and mc.errors.count == 0
+        assert not mc.exact and mc.n_rejected == 100_001
+        assert all(r.count == 0 and r.counts.size == 0 for rows in mc.errors for r in rows)
         assert [a.size for a in mc.cdf(1)] == [0, 0]
         with pytest.raises(InvalidArgumentError):
             mc.summaries()
         with np.load(save_results(tmp_path, mc=mc)["sketch"]) as npz:
-            assert npz["error_counts"].shape == (2, 4, 0)
+            assert npz["error_counts"].shape == (0,)
+            assert np.array_equal(npz["error_offsets"], np.zeros(9))
             assert not npz["error_zeros"].any() and np.all(npz["error_min"] == np.inf)
+
+    def test_sketch_npz_rebuilds_rows_and_streams(self, hand_states, hand_basis, tmp_path):
+        # from sketch.npz alone: each row's sketch, and each stream's (its rows
+        # merged) CDF as the same run wrote it; every row's store is tight
+        mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=100_001, seed=9)
+        written = save_results(tmp_path, mc=mc)
+        with np.load(written["sketch"]) as npz:
+            f = {name: npz[name] for name in npz.files}
+        offsets, counts = f["error_offsets"], f["error_counts"]
+        assert offsets.shape == (9,) and offsets[0] == 0 and offsets[-1] == counts.size
+
+        def edge(key):  # the lower edge of a bucket key, as the README gives it
+            return (np.int64(key) << 45).view(np.float64)
+
+        for s in range(2):
+            rows = []
+            for k in range(4):
+                store = counts[offsets[4 * s + k]:offsets[4 * s + k + 1]]
+                assert store.size and store[0] > 0 and store[-1] > 0
+                key0, top = f["error_key0"][s, k], f["error_max"][s, k]
+                assert edge(key0 + store.size - 1) <= top < edge(key0 + store.size)
+                if f["error_zeros"][s, k] == 0:
+                    assert edge(key0) <= f["error_min"][s, k] < edge(key0 + 1)
+                row = Sketch(tuple(f["error_thresholds"]), int(f["error_zeros"][s, k]),
+                             f["error_above"][s, k], float(f["error_min"][s, k]), float(top),
+                             int(key0), store)
+                assert row.summary() == mc.errors[s][k].summary()
+                rows.append(row)
+            stream = _pooled(rows)
+            n, i = stream.count, np.arange(1, 10_001)
+            errors, probs = load_cdf_csv(written[f"cdf_stream{s + 1}"])
+            _same_bits(stream.order_statistics((i * n + 9_999) // 10_000 - 1), errors)
+            assert stream.summary() == mc.summaries()[s]
 
     def test_sketch_bytes_do_not_depend_on_threads(self, hand_states, hand_basis, tmp_path,
                                                    monkeypatch):

@@ -532,6 +532,13 @@ class TestGenerators:
                 with pytest.raises(InvalidArgumentError):
                     PerturbationLobe(**params)
 
+    def test_perturbation_lobe_rejects_repeated_state(self):
+        # a repeated index would add the bump twice: a lobe of twice the amplitude
+        with pytest.raises(InvalidArgumentError):
+            PerturbationLobe(theta=1.0, phi=1.0, width=0.5, amplitude=0.3, states=(0, 0))
+        assert PerturbationLobe(theta=1.0, phi=1.0, width=0.5, amplitude=0.3,
+                                states=(2, 0)).states == (2, 0)
+
     def test_perturbation_unknown_state_rejected(self, small_grid):
         lobe = PerturbationLobe(theta=1.0, phi=1.0, width=0.5, amplitude=0.2,
                                 states=(7,))
