@@ -499,6 +499,9 @@ class TestMalformedInput:
         ((), {}, ["--scenarios", "1000000000000"], "monte_carlo.scenarios"),
         # a repeated label would apply the lobe twice: one lobe of twice the amplitude
         (("perturbation", "lobes", 0, "states"), ["+1", "+1"], [], "perturbation.lobes[0]"),
+        # ... and is named by its label, not its ratio index
+        (("perturbation", "lobes", 0, "states"), ["-1", "+j", "+j"], [],
+         'error: perturbation.lobes[0].states lists "+j" twice\n'),
     ])
     def test_exit_2_naming_the_key(self, tmp_path, path, value, flags, named):
         payload = _set(json.loads((CONFIGS / "hand_scenario.json").read_text()), path, value)

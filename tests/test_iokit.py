@@ -1,4 +1,10 @@
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +206,222 @@ class TestPatternCsv:
                                                  "angle_unit: grad"))
         with pytest.raises(PatternFormatError, match="angle unit"):
             load_pattern_csv(path)
+
+
+class TestPatternCache:
+    """Each version of a pattern CSV is parsed once; its rows sit in ``.beamspace-cache/``."""
+
+    @staticmethod
+    def _entries(folder):
+        cache = folder / ".beamspace-cache"
+        return sorted(e.name for e in cache.iterdir()) if cache.is_dir() else []
+
+    @staticmethod
+    def _count_parses(monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        return calls
+
+    def _saved(self, tmp_path, seed=10):
+        grid = build_grid(3, 4)
+        pattern = _random_pattern(grid, np.random.default_rng(seed))
+        e_theta = pattern.e_theta.copy()
+        e_theta[0, 1] = complex(-0.0, 5e-324)
+        pattern = VectorPattern(grid=grid, e_theta=e_theta, e_phi=pattern.e_phi)
+        return pattern, save_pattern_csv(pattern, tmp_path / "p.csv")
+
+    def test_cold_and_warm_loads_bitwise_equal(self, tmp_path, monkeypatch):
+        pattern, path = self._saved(tmp_path)
+        parses = self._count_parses(monkeypatch)
+        cold, warm = load_pattern_csv(path), load_pattern_csv(path)
+        assert len(parses) == 1
+        assert self._entries(tmp_path) == [
+            f"p.csv.{importlib.util.source_hash(path.read_bytes()).hex()}.npy"]
+        for loaded in (cold, warm):
+            assert loaded.e_theta.tobytes() == pattern.e_theta.tobytes()
+            assert loaded.e_phi.tobytes() == pattern.e_phi.tobytes()
+            assert loaded.grid.shape == pattern.grid.shape
+
+    def test_same_size_same_mtime_rewrite_is_parsed(self, tmp_path, monkeypatch):
+        _, path = self._saved(tmp_path)
+        load_pattern_csv(path)
+        stat = path.stat()
+        lines = path.read_text().splitlines()
+        fields = lines[4].split(",")  # first data row: theta 0, phi 0
+        digit = next(i for i, c in enumerate(fields[2]) if c in "123456789")
+        new = "1" if fields[2][digit] != "1" else "2"
+        fields[2] = fields[2][:digit] + new + fields[2][digit + 1:]
+        lines[4] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        assert path.stat().st_mtime_ns == stat.st_mtime_ns
+        parses = self._count_parses(monkeypatch)
+        assert load_pattern_csv(path).e_theta[0, 0].real == float(fields[2])
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("corrupt", ["empty", "truncated", "five columns", "float32",
+                                         "one-dimensional", "object"])
+    def test_bad_entry_is_parsed_and_rewritten(self, tmp_path, monkeypatch, corrupt):
+        pattern, path = self._saved(tmp_path)
+        load_pattern_csv(path)
+        [name] = self._entries(tmp_path)
+        entry = tmp_path / ".beamspace-cache" / name
+        good = entry.read_bytes()
+        rows = np.load(entry)
+        if corrupt in ("empty", "truncated"):
+            entry.write_bytes(good[:len(good) // 2] if corrupt == "truncated" else b"")
+        else:
+            bad = {"five columns": rows[:, :5], "float32": rows.astype(np.float32),
+                   "one-dimensional": rows.ravel(),
+                   "object": rows.astype(object)}[corrupt]
+            np.save(entry, bad, allow_pickle=True)
+        parses = self._count_parses(monkeypatch)
+        loaded = load_pattern_csv(path)
+        assert len(parses) == 1
+        assert loaded.e_theta.tobytes() == pattern.e_theta.tobytes()
+        assert loaded.e_phi.tobytes() == pattern.e_phi.tobytes()
+        assert self._entries(tmp_path) == [name]
+        assert entry.read_bytes() == good
+
+    def test_file_at_cache_path_skips_the_cache(self, tmp_path, monkeypatch):
+        pattern, path = self._saved(tmp_path)
+        (tmp_path / ".beamspace-cache").write_bytes(b"not a directory")
+        parses = self._count_parses(monkeypatch)
+        for _ in range(2):
+            assert load_pattern_csv(path).e_theta.tobytes() == pattern.e_theta.tobytes()
+        assert len(parses) == 2
+        assert sorted(f.name for f in tmp_path.iterdir()) == [".beamspace-cache", "p.csv"]
+        assert (tmp_path / ".beamspace-cache").read_bytes() == b"not a directory"
+
+    def test_malformed_file_raises_and_leaves_no_entry(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        good = path.read_text()
+        lines = good.splitlines()
+        lines[7] = "0.0,90.0,not_a_number,0.0,0.0,0.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PatternFormatError, match=":8: could not convert"):
+            load_pattern_csv(path)
+        assert self._entries(tmp_path) == []
+        # a cached earlier version does not hide the error either
+        path.write_text(good)
+        load_pattern_csv(path)
+        cached = self._entries(tmp_path)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PatternFormatError, match=":8: could not convert"):
+            load_pattern_csv(path)
+        assert self._entries(tmp_path) == cached
+
+    @pytest.mark.parametrize("shared", ["another user's", "group-writable", "world-writable",
+                                        "a link"])
+    def test_cache_others_could_write_is_not_used(self, tmp_path, monkeypatch, shared):
+        pattern, path = self._saved(tmp_path)
+        load_pattern_csv(path)
+        cache = tmp_path / ".beamspace-cache"
+        [name] = self._entries(tmp_path)
+        rows = np.load(cache / name)
+        rows[:, 2:] += 1.0
+        np.save(cache / name, rows)
+        planted = (cache / name).read_bytes()
+        # in this user's own directory the entry is trusted ...
+        assert load_pattern_csv(path).e_theta.tobytes() != pattern.e_theta.tobytes()
+        if shared == "another user's":
+            uid = os.getuid() + 1
+            monkeypatch.setattr(os, "getuid", lambda: uid)
+        elif shared == "a link":
+            cache.rename(tmp_path / "elsewhere")
+            cache.symlink_to(tmp_path / "elsewhere")
+        else:
+            cache.chmod(0o775 if shared == "group-writable" else 0o1777)
+        # ... and otherwise neither read nor written
+        parses = self._count_parses(monkeypatch)
+        loaded = load_pattern_csv(path)
+        assert len(parses) == 1
+        assert loaded.e_theta.tobytes() == pattern.e_theta.tobytes()
+        assert loaded.e_phi.tobytes() == pattern.e_phi.tobytes()
+        assert self._entries(tmp_path) == [name]
+        assert (cache / name).read_bytes() == planted
+
+    def test_no_temporary_file_outlives_its_writer(self, tmp_path, monkeypatch):
+        _, path = self._saved(tmp_path)
+
+        def interrupted(fh, data):
+            fh.write(b"\x93NUMPY")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "save", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            load_pattern_csv(path)
+        assert self._entries(tmp_path) == []
+        monkeypatch.undo()
+        # one left by a killed writer goes when the file's next entry is written
+        cache = tmp_path / ".beamspace-cache"
+        for name in ("p.csv.0123456789abcdef.npy.4242-1.tmp", "p.csv.csv.0123456789abcdef.npy"):
+            (cache / name).write_bytes(b"\x93NUMPY")
+        load_pattern_csv(path)
+        assert self._entries(tmp_path) == [
+            f"p.csv.{importlib.util.source_hash(path.read_bytes()).hex()}.npy",
+            "p.csv.csv.0123456789abcdef.npy"]
+
+    def test_one_entry_per_file(self, tmp_path):
+        _, path = self._saved(tmp_path, seed=11)
+        load_pattern_csv(path)
+        # a neighbour whose name starts with this one's keeps its own entry
+        neighbour = save_pattern_csv(_random_pattern(build_grid(3, 4), np.random.default_rng(12)),
+                                     tmp_path / "p.csv.csv")
+        load_pattern_csv(neighbour)
+        newer, _ = self._saved(tmp_path, seed=13)
+        assert load_pattern_csv(path).e_phi.tobytes() == newer.e_phi.tobytes()
+        assert self._entries(tmp_path) == sorted(
+            f"{f.name}.{importlib.util.source_hash(f.read_bytes()).hex()}.npy"
+            for f in (path, neighbour))
+
+    def test_concurrent_loads(self, tmp_path):
+        # more readers than cores on two files of one directory, switching often
+        patterns = [_random_pattern(build_grid(3, 4), np.random.default_rng(20 + i))
+                    for i in range(2)]
+        paths = [save_pattern_csv(p, tmp_path / f"s{i}.csv") for i, p in enumerate(patterns)]
+        wrong = []
+
+        def reader(i):
+            for _ in range(25):
+                loaded = load_pattern_csv(paths[i % 2])
+                if loaded.e_phi.tobytes() != patterns[i % 2].e_phi.tobytes():
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert self._entries(tmp_path) == sorted(
+            f"{f.name}.{importlib.util.source_hash(f.read_bytes()).hex()}.npy" for f in paths)
+
+    def test_cache_leaves_hashlib_unloaded(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        script = (
+            "import sys\n"
+            "import beamspace.cli\n"
+            "from beamspace import load_pattern_csv\n"
+            "cold, warm = load_pattern_csv(sys.argv[1]), load_pattern_csv(sys.argv[1])\n"
+            "assert cold.e_theta.tobytes() == warm.e_theta.tobytes()\n"
+            "print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+        assert len(self._entries(tmp_path)) == 1
 
 
 class TestCdfCsv:
