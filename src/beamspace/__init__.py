@@ -22,7 +22,6 @@ from .errors import (
     UndefinedRatioError,
 )
 from .iokit import (
-    PatternFileHeader,
     RunConfig,
     load_cdf_csv,
     load_config,
@@ -58,7 +57,6 @@ from .patterns import (
     basis_correlation_db,
     compute_basis,
     default_mirror_profile,
-    evm_at_angle,
     evm_map,
     example_perturbation,
     generate_mirror_pair,

@@ -2,8 +2,8 @@
 
 Every subcommand is a pure function of (config, seed); re-runs reproduce
 output files byte for byte.  Exit codes: 0 success, 1 degenerate
-computation (for example every Monte-Carlo scenario rejected), 2 invalid
-input or configuration.
+computation (a degenerate basis, angle or channel, or every Monte-Carlo
+scenario rejected), 2 any other simulator error or a missing file.
 """
 
 from __future__ import annotations
@@ -15,18 +15,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (
-    AngleOutOfRangeError,
-    ConfigError,
-    DegenerateAngleError,
-    DegenerateBasisError,
-    GridMismatchError,
-    InvalidArgumentError,
-    PatternFormatError,
-    RatioSetMismatchError,
-    SingularChannelError,
-    UndefinedRatioError,
-)
+from .errors import (BeamspaceError, DegenerateAngleError, DegenerateBasisError,
+                     SingularChannelError)
 from .iokit import (
     RunConfig,
     load_config,
@@ -42,7 +32,7 @@ from .link import (
     received_constellation,
     run_monte_carlo,
 )
-from .modulation import PskConstellation, RatioSet
+from .modulation import PskConstellation
 from .patterns import (
     BasisPair,
     StatePatternSet,
@@ -57,16 +47,6 @@ from .patterns import (
 )
 from .sphere import build_grid, integrate_power
 
-_INPUT_ERRORS = (
-    ConfigError,
-    PatternFormatError,
-    FileNotFoundError,
-    GridMismatchError,
-    InvalidArgumentError,
-    RatioSetMismatchError,
-    UndefinedRatioError,
-    AngleOutOfRangeError,
-)
 _DEGENERATE_ERRORS = (DegenerateBasisError, DegenerateAngleError, SingularChannelError)
 
 
@@ -75,7 +55,6 @@ class Assembly:
     """Domain objects of one run configuration; ``free_states`` is kept for ``metrics`` only."""
 
     constellation: PskConstellation
-    ratios: RatioSet
     perturbed_states: StatePatternSet
     perturbed_basis: BasisPair
     free_states: StatePatternSet | None = None
@@ -94,7 +73,6 @@ def _assemble(cfg: RunConfig, keep_free: bool = False) -> Assembly:
     perturbed = apply_perturbation(free, psi)
     return Assembly(
         constellation=constellation,
-        ratios=ratios,
         perturbed_states=perturbed,
         perturbed_basis=perturbed_basis(perturbed),
         free_states=free if keep_free else None,
@@ -119,11 +97,12 @@ def cmd_metrics(args) -> int:
     cfg = _load_config_with_overrides(args)
     asm = _assemble(cfg, keep_free=True)
     free_basis = perturbed_basis(asm.free_states)
-    emap = evm_map(asm.perturbed_basis, asm.perturbed_states, asm.ratios)
+    emap = evm_map(asm.perturbed_basis, asm.perturbed_states)
+    ratios = asm.constellation.ratio_set
     state_power_ratio = {
-        asm.ratios.label(k): integrate_power(asm.perturbed_states.state(k))
+        ratios.label(k): integrate_power(asm.perturbed_states.state(k))
         / integrate_power(asm.free_states.state(k))
-        for k in range(asm.ratios.order)
+        for k in range(ratios.order)
     }
     metrics = {
         "basis_correlation_db": basis_correlation_db(asm.perturbed_basis),
@@ -149,7 +128,7 @@ def cmd_metrics(args) -> int:
 def cmd_evm_map(args) -> int:
     cfg = _load_config_with_overrides(args)
     asm = _assemble(cfg)
-    emap = evm_map(asm.perturbed_basis, asm.perturbed_states, asm.ratios)
+    emap = evm_map(asm.perturbed_basis, asm.perturbed_states)
     avg = emap.average()
     written = save_results(cfg.out_dir, evm=emap)
     print(f"evm map written to {written['evm_map']}")
@@ -197,6 +176,7 @@ def cmd_monte_carlo(args) -> int:
         print("all scenarios were rejected as ill-conditioned", file=sys.stderr)
         return 1
     s1, s2 = mc.summaries()
+    ratios = asm.constellation.ratio_set
     report = {
         "scenarios": mc.n_scenarios,
         "rejected": mc.n_rejected,
@@ -208,8 +188,8 @@ def cmd_monte_carlo(args) -> int:
         "stream1": {"quantiles": s1.quantiles, "exceedance": s1.exceedance},
         "stream2": {"quantiles": s2.quantiles, "exceedance": s2.exceedance},
         "ratio_quantiles": {
-            f"stream{s + 1}": {asm.ratios.label(k): mc.errors[s][k].summary().quantiles
-                               for k in range(asm.ratios.order)}
+            f"stream{s + 1}": {ratios.label(k): mc.errors[s][k].summary().quantiles
+                               for k in range(ratios.order)}
             for s in (0, 1)},
     }
     written = save_results(cfg.out_dir, mc=mc)
@@ -283,12 +263,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _DEGENERATE_ERRORS as exc:
         print(f"degenerate computation: {exc}", file=sys.stderr)
         return 1
+    except (BeamspaceError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ import os
 import stat
 import sys
 import warnings
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -30,13 +29,12 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, PatternFormatError
-from .link import MAX_SCENARIOS, POLARIZATIONS, _sketch_arrays
+from .link import DEFAULT_CONDITION_CAP, MAX_SCENARIOS, POLARIZATIONS, _sketch_arrays
 from .modulation import ratio_label
 from .patterns import EvmMap, GaussianLobe, PerturbationLobe
 from .sphere import VectorPattern, build_grid
 
 __all__ = [
-    "PatternFileHeader",
     "RunConfig",
     "save_pattern_csv",
     "load_pattern_csv",
@@ -96,8 +94,17 @@ def _scan_header(fh) -> tuple[list[str], str]:
 
 
 def _read_table(path: Path, columns) -> tuple[bytes, list[str]]:
-    """The bytes of ``path`` and the lines above its column row, which must be ``columns``."""
-    raw = path.read_bytes()
+    """The bytes of ``path`` and the lines above its column row, which must be ``columns``.
+
+    A missing file raises FileNotFoundError; any other read failure is a
+    PatternFormatError naming the file.
+    """
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise PatternFormatError(f"{path}: cannot be read: {exc}") from exc
     with _text(path, raw) as fh:
         above, line = _scan_header(fh)
     if not line:
@@ -183,23 +190,6 @@ def _first_bad_line(path: Path, raw: bytes, n_header: int, n_fields: int) -> str
     return None
 
 
-@dataclass(frozen=True)
-class PatternFileHeader:
-    """Metadata carried in the comment lines of a pattern CSV."""
-
-    n_theta: int | None = None
-    n_phi: int | None = None
-    angle_unit: str = "deg"
-    frequency: str = ""
-    state: str = ""
-
-    def __post_init__(self) -> None:
-        if self.angle_unit not in ("deg", "rad"):
-            raise PatternFormatError(
-                f"angle unit must be 'deg' or 'rad', got {self.angle_unit!r}"
-            )
-
-
 def save_pattern_csv(
     pattern: VectorPattern, path, state: str = "", frequency: str = ""
 ) -> Path:
@@ -222,19 +212,19 @@ def _grid_columns(grid) -> tuple[np.ndarray, np.ndarray]:
             np.tile(np.rad2deg(grid.phi), grid.n_theta))
 
 
-def _pattern_header(path, lines) -> PatternFileHeader:
+def _pattern_header(path, lines) -> tuple[dict[str, int], bool]:
+    """The grid sizes the ``# key: value`` lines of a pattern CSV declare, and whether
+    its angles are degrees (``angle_unit`` deg, the default, or rad); other keys are ignored."""
     meta = {key.strip(): value.strip() for key, colon, value in
             (line.lstrip("#").partition(":") for line in lines) if colon}
     try:
-        return PatternFileHeader(
-            n_theta=int(meta["n_theta"]) if "n_theta" in meta else None,
-            n_phi=int(meta["n_phi"]) if "n_phi" in meta else None,
-            angle_unit=meta.get("angle_unit", "deg"),
-            frequency=meta.get("frequency", ""),
-            state=meta.get("state", ""),
-        )
+        sizes = {key: int(meta[key]) for key in ("n_theta", "n_phi") if key in meta}
     except ValueError as exc:
         raise PatternFormatError(f"bad header metadata in {path}: {exc}") from exc
+    unit = meta.get("angle_unit", "deg")
+    if unit not in ("deg", "rad"):
+        raise PatternFormatError(f"angle unit must be 'deg' or 'rad', got {unit!r}")
+    return sizes, unit == "deg"
 
 
 def load_pattern_csv(path) -> VectorPattern:
@@ -249,14 +239,14 @@ def load_pattern_csv(path) -> VectorPattern:
     raw, above = _read_table(path, PATTERN_COLUMNS)
     data = _cached_rows(path, raw)
     del raw  # 1.5 MB for 16,380 rows; the checks below peak with only the rows held
-    header = _pattern_header(path, above)
+    declared, degrees = _pattern_header(path, above)
     if data.shape[0] == 0:
         raise PatternFormatError(f"{path}: no data rows")
     if np.any(np.isnan(data)):
         bad = int(np.argwhere(np.isnan(data))[0][0])
         raise PatternFormatError(f"{path}: NaN value in data row {bad + 1}")
 
-    to_rad = np.deg2rad if header.angle_unit == "deg" else (lambda x: x)
+    to_rad = np.deg2rad if degrees else (lambda x: x)
     theta_col = to_rad(data[:, 0])
     phi_col = to_rad(data[:, 1])
 
@@ -269,14 +259,10 @@ def load_pattern_csv(path) -> VectorPattern:
             f"{path}: {data.shape[0]} rows is not a multiple of n_phi={n_phi}"
         )
     n_theta = data.shape[0] // n_phi
-    if header.n_theta is not None and header.n_theta != n_theta:
-        raise PatternFormatError(
-            f"{path}: header declares n_theta={header.n_theta}, data has {n_theta}"
-        )
-    if header.n_phi is not None and header.n_phi != n_phi:
-        raise PatternFormatError(
-            f"{path}: header declares n_phi={header.n_phi}, data has {n_phi}"
-        )
+    for key, size in (("n_theta", n_theta), ("n_phi", n_phi)):
+        if declared.get(key, size) != size:
+            raise PatternFormatError(
+                f"{path}: header declares {key}={declared[key]}, data has {size}")
     try:
         grid = build_grid(n_theta, n_phi)
     except InvalidArgumentError as exc:
@@ -372,7 +358,8 @@ def save_results(out_dir, metrics: dict | None = None, evm: EvmMap | None = None
     arrays ``stream1`` and ``stream2``: uncompressed, so that they reload
     bitwise.  Above the exact limit sketch.npz instead: the rows of
     ``mc.errors`` as arrays ``error_*`` and ``mc.conditions`` as
-    ``condition_*`` (``link._sketch_arrays``).
+    ``condition_*`` (``link._sketch_arrays``), the one-row ``condition_*``
+    scalars stored with shape (1,).
     """
     out_dir = _output_dir(out_dir)
     written: dict[str, Path] = {}
@@ -387,28 +374,15 @@ def save_results(out_dir, metrics: dict | None = None, evm: EvmMap | None = None
                 out_dir / f"cdf_stream{stream}.csv", errors, probs
             )
         if mc.exact:
-            written["errors"] = _save_npz(out_dir / "errors.npz", stream1=mc.stream_errors[0],
-                                          stream2=mc.stream_errors[1])
+            name, arrays = "errors", {"stream1": mc.stream_errors[0],
+                                      "stream2": mc.stream_errors[1]}
         else:
-            written["sketch"] = _save_npz(out_dir / "sketch.npz",
-                                          **_sketch_arrays("error_", mc.errors),
-                                          **_sketch_arrays("condition_", mc.conditions))
+            name, arrays = "sketch", {**_sketch_arrays("error_", mc.errors),
+                                      **_sketch_arrays("condition_", mc.conditions)}
+        written[name] = out_dir / f"{name}.npz"
+        with _create(written[name], "wb") as fh:
+            np.savez(fh, **{key: np.atleast_1d(a) for key, a in arrays.items()})
     return written
-
-
-def _save_npz(path: Path, **arrays) -> Path:
-    """The bytes of ``np.savez(path, **arrays)``, written from the arrays' own buffers.
-
-    ``np.savez`` passes each array to its zip member in 16 MiB ``bytes``
-    copies; at paper scale that copy set the ``monte-carlo`` peak RSS.
-    """
-    with _create(path, "wb") as out, zipfile.ZipFile(out, "w") as zf:  # stored, zip64 allowed
-        for name, a in arrays.items():
-            a = np.ascontiguousarray(a)
-            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
-                np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(a))
-                fh.write(memoryview(a.reshape(-1)).cast("B"))  # 1-D: a cast refuses empty n-D
-    return path
 
 
 # --------------------------------------------------------------------------
@@ -616,7 +590,7 @@ def load_config(path, overrides=()) -> RunConfig:
 
     mc = top.section("monte_carlo", ("scenarios", "separation_deg", "seed", "threads",
                                      "condition_cap"))
-    condition_cap = mc.number("condition_cap", 1e8)
+    condition_cap = mc.number("condition_cap", DEFAULT_CONDITION_CAP)
     if not condition_cap > 1.0:
         raise ConfigError(f"monte_carlo.condition_cap must exceed 1, got {condition_cap!r}")
 

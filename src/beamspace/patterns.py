@@ -50,7 +50,6 @@ __all__ = [
     "synthesize_pattern",
     "apply_perturbation",
     "perturbed_basis",
-    "evm_at_angle",
     "evm_map",
     "basis_correlation_db",
     "power_imbalance_db",
@@ -111,13 +110,6 @@ class StatePatternSet:
     def state(self, k: int) -> VectorPattern:
         return self.patterns[k]
 
-    def plus_minus_one(self) -> tuple[VectorPattern, VectorPattern]:
-        """The +1 and -1 state patterns; requires an even-order alphabet."""
-        return (
-            self.patterns[self.ratios.plus_one_index],
-            self.patterns[self.ratios.minus_one_index],
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class PerturbationField:
@@ -148,12 +140,6 @@ class PerturbationField:
     @property
     def grid(self) -> SphericalGrid:
         return self.factors[0][0].grid
-
-    @classmethod
-    def identity(cls, grid: SphericalGrid, ratios: RatioSet) -> "PerturbationField":
-        """The no-perturbation field: unity factors for every state."""
-        ones = ScalarAngularMap(grid=grid, values=np.ones(grid.shape, dtype=complex))
-        return cls(ratios=ratios, factors={k: (ones, ones) for k in range(ratios.order)})
 
 
 def compute_basis(e_plus: VectorPattern, e_minus: VectorPattern) -> BasisPair:
@@ -199,70 +185,16 @@ def _scaled(factor: np.ndarray, component: np.ndarray) -> np.ndarray:
 
 
 def perturbed_basis(s_hat: StatePatternSet) -> BasisPair:
-    """Basis reconstructed from the (possibly perturbed) +-1 states.
+    """Basis reconstructed from the (possibly perturbed) +-1 states; needs an even order.
 
     By construction b1 + b2 and b1 - b2 reproduce the +-1 state patterns
     identically, whatever the perturbation did to them.
     """
-    e_plus, e_minus = s_hat.plus_minus_one()
-    return compute_basis(e_plus, e_minus)
-
-
-def _evm_terms(basis_hat: BasisPair, s_hat: StatePatternSet, ratios: RatioSet,
-               node=...):
-    """Numerator and denominator powers of the EVM ratio.
-
-    Maps over the whole grid by default; scalars at one ``node`` index.
-    """
-    b1, b2 = basis_hat.b1, basis_hat.b2
-    num = den = 0.0
-    for k, xbar in enumerate(ratios.values):
-        e = s_hat.state(k)
-        ideal_t = b1.e_theta[node] + xbar * b2.e_theta[node]
-        ideal_p = b1.e_phi[node] + xbar * b2.e_phi[node]
-        num += (np.abs(ideal_t - e.e_theta[node]) ** 2
-                + np.abs(ideal_p - e.e_phi[node]) ** 2)
-        den += np.abs(ideal_t) ** 2 + np.abs(ideal_p) ** 2
-    return num, den
-
-
-def _check_ratio_compat(s_hat: StatePatternSet, ratios: RatioSet) -> None:
-    if ratios.order != s_hat.ratios.order:
-        raise RatioSetMismatchError(
-            f"ratio order {ratios.order} != state order {s_hat.ratios.order}"
-        )
+    return compute_basis(s_hat.state(s_hat.ratios.plus_one_index),
+                         s_hat.state(s_hat.ratios.minus_one_index))
 
 
 _EVM_ZERO = 1e-15  # below the double-precision resolution of the power ratio
-
-
-def evm_at_angle(
-    basis_hat: BasisPair,
-    s_hat: StatePatternSet,
-    ratios: RatioSet,
-    omega: tuple[int, int],
-) -> float:
-    """Error vector magnitude of the radiated constellation at one grid node.
-
-    The deviation of each state pattern from its basis reconstruction is
-    summed over states and both polarization components, normalized by
-    the total reconstructed power at the same angle.  Values below the
-    double-precision resolution of that ratio report as exactly zero.
-
-    Raises:
-        DegenerateAngleError: the normalizing power vanishes at ``omega``.
-    """
-    _check_ratio_compat(s_hat, ratios)
-    require_same_grid(basis_hat.grid, s_hat.grid)
-    i, j = omega
-    nt, npz = basis_hat.grid.shape
-    if not (0 <= i < nt and 0 <= j < npz):
-        raise InvalidArgumentError(f"grid index {omega} outside shape {(nt, npz)}")
-    num, den = _evm_terms(basis_hat, s_hat, ratios, (i, j))
-    if den == 0.0:
-        raise DegenerateAngleError(f"zero constellation power at grid index {omega}")
-    value = float(np.sqrt(num / den))
-    return value if value >= _EVM_ZERO else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,15 +243,25 @@ class EvmMap:
         }
 
 
-def evm_map(basis_hat: BasisPair, s_hat: StatePatternSet, ratios: RatioSet) -> EvmMap:
-    """EVM evaluated at every grid node; degenerate angles masked.
+def evm_map(basis_hat: BasisPair, s_hat: StatePatternSet) -> EvmMap:
+    """Error vector magnitude of the radiated constellation at every grid node.
 
-    As in :func:`evm_at_angle`, sub-resolution values report as zero, so
-    an unperturbed run yields an identically zero map.
+    At each angle the deviation of each state pattern from its basis
+    reconstruction is summed over the states of ``s_hat.ratios`` and both
+    polarization components, normalized by the total reconstructed power
+    there.  Angles where that power vanishes are masked; values below the
+    double-precision resolution of the ratio report as exactly zero, so an
+    unperturbed run yields an identically zero map.
     """
-    _check_ratio_compat(s_hat, ratios)
     require_same_grid(basis_hat.grid, s_hat.grid)
-    num, den = _evm_terms(basis_hat, s_hat, ratios)
+    b1, b2 = basis_hat.b1, basis_hat.b2
+    num = den = 0.0
+    for k, xbar in enumerate(s_hat.ratios.values):
+        e = s_hat.state(k)
+        ideal_t = b1.e_theta + xbar * b2.e_theta
+        ideal_p = b1.e_phi + xbar * b2.e_phi
+        num += np.abs(ideal_t - e.e_theta) ** 2 + np.abs(ideal_p - e.e_phi) ** 2
+        den += np.abs(ideal_t) ** 2 + np.abs(ideal_p) ** 2
     mask = den == 0.0
     values = np.zeros(basis_hat.grid.shape)
     ok = ~mask

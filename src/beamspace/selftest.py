@@ -2,13 +2,14 @@
 
 Each criterion is deterministic (fixed seeds), checks a contract of the
 simulator at an explicit tolerance, and reports one pass/fail line.  The
-EVM check compares against a brute-force re-implementation that shares no
-code with the production path.
+EVM check compares ``evm_map`` at every node against a brute-force
+re-implementation that shares no code with it.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import tempfile
 import time
 from dataclasses import dataclass
@@ -33,7 +34,6 @@ from .patterns import (
     apply_perturbation,
     basis_correlation_db,
     default_mirror_profile,
-    evm_at_angle,
     evm_map,
     example_perturbation,
     generate_mirror_pair,
@@ -53,37 +53,54 @@ class CriterionResult:
     detail: str
 
 
+def _random_lobe(rng: np.random.Generator, cls, margin, width_deg, amplitude, **fixed):
+    """A ``cls`` lobe drawn uniformly: theta at least ``margin`` from the poles, any phi,
+    width (degrees) and amplitude in the given ranges, any phase."""
+    return cls(theta=float(rng.uniform(margin, np.pi - margin)),
+               phi=float(rng.uniform(0.0, 2.0 * np.pi)),
+               width=float(rng.uniform(*np.deg2rad(width_deg))),
+               amplitude=float(rng.uniform(*amplitude)),
+               phase=float(rng.uniform(0.0, 2.0 * np.pi)), **fixed)
+
+
+def _unit_polarization(rng: np.random.Generator) -> tuple[complex, complex]:
+    pol = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    pol /= np.linalg.norm(pol)
+    return (complex(pol[0]), complex(pol[1]))
+
+
 def _random_profile(rng: np.random.Generator) -> tuple[GaussianLobe, ...]:
     """Random 1-3 lobe mixed-polarization antenna profile."""
-    lobes = []
-    for _ in range(int(rng.integers(1, 4))):
-        pol = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        pol /= np.linalg.norm(pol)
-        lobes.append(
-            GaussianLobe(
-                theta=float(rng.uniform(0.2, np.pi - 0.2)),
-                phi=float(rng.uniform(0.0, 2.0 * np.pi)),
-                width=float(rng.uniform(np.deg2rad(20.0), np.deg2rad(55.0))),
-                amplitude=float(rng.uniform(0.5, 1.5)),
-                phase=float(rng.uniform(0.0, 2.0 * np.pi)),
-                polarization=(complex(pol[0]), complex(pol[1])),
-            )
-        )
-    return tuple(lobes)
+    return tuple(_random_lobe(rng, GaussianLobe, 0.2, (20.0, 55.0), (0.5, 1.5),
+                              polarization=_unit_polarization(rng))
+                 for _ in range(int(rng.integers(1, 4))))
+
+
+def _random_pattern(rng: np.random.Generator, grid) -> VectorPattern:
+    def component():
+        return rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    return VectorPattern(grid=grid, e_theta=component(), e_phi=component())
+
+
+def _qpsk_states(lobes=None, perturbation=()):
+    """QPSK, and on the default 91x180 grid the states of antenna ``lobes`` (default:
+    the default profile) under the ``perturbation`` lobes, and their basis."""
+    con = PskConstellation.qpsk()
+    grid = build_grid(91, 180)
+    free = generate_mirror_pair(lobes or default_mirror_profile(), grid, con.ratio_set)
+    s_hat = apply_perturbation(free, generate_perturbation(perturbation, grid, con.ratio_set))
+    return con, s_hat, perturbed_basis(s_hat)
 
 
 def criterion_free_space_exactness() -> CriterionResult:
     """Identity perturbation: exact recovery and an identically zero EVM map."""
     start = time.perf_counter()
     rng = np.random.default_rng(1001)
-    grid = build_grid(91, 180)
-    con = PskConstellation.qpsk()
     worst_decode = 0.0
     worst_evm = 0.0
     for _ in range(100):
-        states = generate_mirror_pair(_random_profile(rng), grid, con.ratio_set)
-        basis = perturbed_basis(states)
-        emap = evm_map(basis, states, con.ratio_set)
+        con, states, basis = _qpsk_states(_random_profile(rng))
+        emap = evm_map(basis, states)
         worst_evm = max(worst_evm, float(np.max(emap.evm.values)))
         # one receive pair drawn like the Monte-Carlo sweep: rows (theta, phi)
         scenario = build_channel(basis, np.hstack(draw_geometries(rng, 1)), con)
@@ -99,23 +116,6 @@ def criterion_free_space_exactness() -> CriterionResult:
     )
 
 
-def _random_asymmetric_perturbation(rng: np.random.Generator) -> tuple[PerturbationLobe, ...]:
-    """Broad lobes hitting only the +-j states, visible at any angle."""
-    lobes = []
-    for k in (1, 3):
-        lobes.append(
-            PerturbationLobe(
-                theta=float(rng.uniform(0.3, np.pi - 0.3)),
-                phi=float(rng.uniform(0.0, 2.0 * np.pi)),
-                width=float(rng.uniform(np.deg2rad(60.0), np.deg2rad(90.0))),
-                amplitude=float(rng.uniform(0.25, 0.6)),
-                phase=float(rng.uniform(0.0, 2.0 * np.pi)),
-                states=(k,),
-            )
-        )
-    return tuple(lobes)
-
-
 def _cluster_count(values: list[complex], tol: float) -> int:
     clusters: list[complex] = []
     for v in values:
@@ -127,19 +127,16 @@ def _cluster_count(values: list[complex], tol: float) -> int:
 def criterion_dichotomy() -> CriterionResult:
     """+-1 pairs decode exactly; +-j pairs are displaced with 3 clusters per symbol."""
     rng = np.random.default_rng(1002)
-    grid = build_grid(91, 180)
-    con = PskConstellation.qpsk()
-    states0 = generate_mirror_pair(default_mirror_profile(), grid, con.ratio_set)
     rx1 = (np.deg2rad(45.0), np.deg2rad(294.0))
     rx2 = (np.deg2rad(45.0), np.deg2rad(298.0))
     worst_pm1 = 0.0
     min_best_j = np.inf
     clusters_ok = True
     for _ in range(20):
-        psi = generate_perturbation(_random_asymmetric_perturbation(rng), grid,
-                                    con.ratio_set)
-        s_hat = apply_perturbation(states0, psi)
-        b_hat = perturbed_basis(s_hat)
+        # broad lobes hitting only the +-j states, visible at any angle
+        con, s_hat, b_hat = _qpsk_states(perturbation=[
+            _random_lobe(rng, PerturbationLobe, 0.3, (60.0, 90.0), (0.25, 0.6), states=(k,))
+            for k in (1, 3)])
         scenario = build_channel(b_hat, (rx1, rx2), con)
         best_j = 0.0
         for p in received_constellation(s_hat, scenario):
@@ -168,27 +165,15 @@ def criterion_dichotomy() -> CriterionResult:
 def criterion_common_factor() -> CriterionResult:
     """State-independent perturbation cancels out of the EVM entirely."""
     rng = np.random.default_rng(1003)
-    grid = build_grid(91, 180)
-    con = PskConstellation.qpsk()
-    states0 = generate_mirror_pair(default_mirror_profile(), grid, con.ratio_set)
     worst = 0.0
     for _ in range(20):
-        lobes = []
-        for _ in range(int(rng.integers(1, 3))):
-            lobes.append(
-                PerturbationLobe(
-                    theta=float(rng.uniform(0.2, np.pi - 0.2)),
-                    phi=float(rng.uniform(0.0, 2.0 * np.pi)),
-                    width=float(rng.uniform(np.deg2rad(25.0), np.deg2rad(80.0))),
-                    amplitude=float(rng.uniform(-0.5, 0.8)),
-                    phase=float(rng.uniform(0.0, 2.0 * np.pi)),
-                    states=None,
-                    polarization=str(rng.choice(["both", "theta", "phi"])),
-                )
-            )
-        psi = generate_perturbation(lobes, grid, con.ratio_set)
-        s_hat = apply_perturbation(states0, psi)
-        emap = evm_map(perturbed_basis(s_hat), s_hat, con.ratio_set)
+        # every state; the polarization target is each lobe's last draw from the seed
+        _, s_hat, b_hat = _qpsk_states(perturbation=[
+            dataclasses.replace(_random_lobe(rng, PerturbationLobe, 0.2, (25.0, 80.0),
+                                             (-0.5, 0.8)),
+                                polarization=str(rng.choice(["both", "theta", "phi"])))
+            for _ in range(int(rng.integers(1, 3)))])
+        emap = evm_map(b_hat, s_hat)
         worst = max(worst, float(np.max(emap.evm.values)))
     passed = worst <= 1e-10
     return CriterionResult(
@@ -201,15 +186,10 @@ def criterion_common_factor() -> CriterionResult:
 def criterion_mirror_orthogonality() -> CriterionResult:
     """Mirror-pair bases decorrelate; the default profile hits its imbalance band."""
     rng = np.random.default_rng(1004)
-    grid = build_grid(91, 180)
-    con = PskConstellation.qpsk()
     worst_corr = -np.inf
     for _ in range(30):
-        states = generate_mirror_pair(_random_profile(rng), grid, con.ratio_set)
-        corr = basis_correlation_db(perturbed_basis(states))
-        worst_corr = max(worst_corr, corr)
-    default_states = generate_mirror_pair(default_mirror_profile(), grid, con.ratio_set)
-    imb = power_imbalance_db(perturbed_basis(default_states))
+        worst_corr = max(worst_corr, basis_correlation_db(_qpsk_states(_random_profile(rng))[2]))
+    imb = power_imbalance_db(_qpsk_states()[2])
     passed = worst_corr <= -100.0 and abs(imb - 0.8) <= 0.2
     return CriterionResult(
         "mirror-orthogonality",
@@ -236,25 +216,19 @@ def _evm_brute_force(basis_hat, s_hat, ratios, i, j) -> float:
 
 
 def criterion_evm_oracle() -> CriterionResult:
-    """Production EVM matches a brute-force evaluation to 1e-12 relative."""
+    """The EVM map matches a brute-force evaluation at every node to 1e-12 relative."""
     rng = np.random.default_rng(1005)
     grid = build_grid(5, 8)
     con = PskConstellation.qpsk()
     worst = 0.0
     for _ in range(50):
-        patterns = {
-            k: VectorPattern(
-                grid=grid,
-                e_theta=rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape),
-                e_phi=rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape),
-            )
-            for k in range(4)
-        }
-        s_hat = StatePatternSet(ratios=con.ratio_set, patterns=patterns)
+        s_hat = StatePatternSet(ratios=con.ratio_set,
+                                patterns={k: _random_pattern(rng, grid) for k in range(4)})
         b_hat = perturbed_basis(s_hat)
+        emap = evm_map(b_hat, s_hat)
         for i in range(grid.n_theta):
             for j in range(grid.n_phi):
-                got = evm_at_angle(b_hat, s_hat, con.ratio_set, (i, j))
+                got = emap.evm.values[i, j]
                 want = _evm_brute_force(b_hat, s_hat, con.ratio_set, i, j)
                 worst = max(worst, abs(got - want) / abs(want))
     passed = worst <= 1e-12
@@ -288,12 +262,7 @@ def criterion_quadrature() -> CriterionResult:
 
 def criterion_monte_carlo_contract() -> CriterionResult:
     """Reproducibility across runs and worker counts, speed, CDF sanity, stream order."""
-    grid = build_grid(91, 180)
-    con = PskConstellation.qpsk()
-    states0 = generate_mirror_pair(default_mirror_profile(), grid, con.ratio_set)
-    psi = generate_perturbation(example_perturbation(), grid, con.ratio_set)
-    s_hat = apply_perturbation(states0, psi)
-    b_hat = perturbed_basis(s_hat)
+    con, s_hat, b_hat = _qpsk_states(perturbation=example_perturbation())
 
     start = time.perf_counter()
     runs = [
@@ -337,11 +306,7 @@ def criterion_io_round_trip() -> CriterionResult:
         ok = True
         for trial in range(20):
             grid = build_grid(int(rng.integers(3, 12)), int(rng.integers(4, 16)))
-            pattern = VectorPattern(
-                grid=grid,
-                e_theta=rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape),
-                e_phi=rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape),
-            )
+            pattern = _random_pattern(rng, grid)
             path = base / f"pattern_{trial}.csv"
             save_pattern_csv(pattern, path, state="+1")
             loaded = load_pattern_csv(path)

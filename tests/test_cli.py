@@ -14,9 +14,13 @@ from hypothesis import strategies as st
 
 import beamspace.cli as cli
 from beamspace import (
+    BeamspaceError,
     ConfigError,
+    DegenerateAngleError,
+    DegenerateBasisError,
     PatternFormatError,
     RunConfig,
+    SingularChannelError,
     VectorPattern,
     cdf_summary,
     load_cdf_csv,
@@ -645,6 +649,38 @@ def test_pattern_files_on_different_grids_exit_2(tmp_path, state_files, command)
     assert code == 2
     assert err.getvalue().startswith("error: ")
     assert "grids differ" in err.getvalue()
+
+
+def test_unreadable_pattern_file_exit_2(tmp_path, state_files, monkeypatch):
+    # a chmod does not stop root from reading, so the read itself is made to fail
+    def refused(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(Path, "read_bytes", refused)
+    config = _write_config(tmp_path, {
+        "antenna": {"pattern_files": {k: str(v) for k, v in state_files.items()}}})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["metrics", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert err.getvalue().startswith("error: ")
+    assert "s0.csv: cannot be read" in err.getvalue() and "Permission denied" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("error", [BeamspaceError, *BeamspaceError.__subclasses__(),
+                                   FileNotFoundError], ids=lambda error: error.__name__)
+def test_exit_code_of_every_error_class(monkeypatch, capsys, error):
+    # the degenerate classes exit 1, every other simulator error and a missing file 2
+    def raising(args):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "cmd_metrics", raising)
+    code = main(["metrics", "--config", "unused.json"])
+    degenerate = error in (DegenerateBasisError, DegenerateAngleError, SingularChannelError)
+    assert code == (1 if degenerate else 2)
+    assert capsys.readouterr().err == (
+        "degenerate computation: injected\n" if degenerate else "error: injected\n")
 
 
 class TestPatternFileContract:

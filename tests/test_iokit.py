@@ -186,6 +186,13 @@ class TestPatternCsv:
         with pytest.raises(FileNotFoundError):
             load_pattern_csv(tmp_path / "nope.csv")
 
+    def test_unreadable_file_names_it(self, tmp_path):
+        # any other read failure, here a directory where the file should be
+        (tmp_path / "dir.csv").mkdir()
+        for load in (load_pattern_csv, load_cdf_csv):
+            with pytest.raises(PatternFormatError, match="dir.csv: cannot be read"):
+                load(tmp_path / "dir.csv")
+
     def test_infinite_value_rejected(self, tmp_path):
         grid = build_grid(3, 4)
         pattern = _random_pattern(grid, np.random.default_rng(7))
@@ -495,7 +502,7 @@ class TestSaveResults:
         states = StatePatternSet(
             ratios=QPSK.ratio_set,
             patterns={k: b1 for k in range(4)})
-        emap = evm_map(perturbed_basis(states), states, QPSK.ratio_set)
+        emap = evm_map(perturbed_basis(states), states)
         assert np.max(emap.evm.values) == 0.0
         written = save_results(tmp_path, evm=emap)
         lines = written["evm_map"].read_text().splitlines()
@@ -519,7 +526,7 @@ class TestSaveResults:
             ratios=QPSK.ratio_set,
             patterns={k: synthesize_pattern(basis, 1.0, r)
                       for k, r in enumerate(QPSK.ratio_set.values)})
-        emap = evm_map(basis, states, QPSK.ratio_set)
+        emap = evm_map(basis, states)
         written = save_results(tmp_path, evm=emap)
         lines = written["evm_map"].read_text().splitlines()[1:]
         masked = [line for line in lines if line.endswith(",1")]

@@ -819,6 +819,8 @@ class TestSketch:
             f = {name: npz[name] for name in npz.files}
         offsets, counts = f["error_offsets"], f["error_counts"]
         assert offsets.shape == (9,) and offsets[0] == 0 and offsets[-1] == counts.size
+        for name in ("key0", "zeros", "min", "max"):  # the one condition row: one value each
+            assert f[f"condition_{name}"].shape == (1,)
 
         def edge(key):  # the lower edge of a bucket key, as the README gives it
             return (np.int64(key) << 45).view(np.float64)

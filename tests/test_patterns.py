@@ -5,6 +5,7 @@ from beamspace import (
     BasisPair,
     DegenerateAngleError,
     DegenerateBasisError,
+    EvmMap,
     GaussianLobe,
     GridMismatchError,
     InvalidArgumentError,
@@ -21,7 +22,6 @@ from beamspace import (
     build_grid,
     compute_basis,
     default_mirror_profile,
-    evm_at_angle,
     evm_map,
     generate_mirror_pair,
     generate_perturbation,
@@ -132,7 +132,7 @@ class TestApplyPerturbation:
     def test_identity_is_exact(self, small_grid):
         rng = np.random.default_rng(7)
         states = _random_states(small_grid, rng)
-        out = apply_perturbation(states, PerturbationField.identity(small_grid, RATIOS))
+        out = apply_perturbation(states, generate_perturbation((), small_grid, RATIOS))
         for k in range(4):
             assert np.array_equal(out.state(k).e_theta, states.state(k).e_theta)
             assert np.array_equal(out.state(k).e_phi, states.state(k).e_phi)
@@ -164,9 +164,11 @@ class TestApplyPerturbation:
 
     @pytest.mark.parametrize("field", ["identity", "no-lobes"])
     def test_unity_factor_passes_components_through(self, small_grid, field):
+        # a unity field built by hand, or the generator's lobe-free field
         states = _random_states(small_grid, np.random.default_rng(11))
-        psi = (PerturbationField.identity(small_grid, RATIOS) if field == "identity"
-               else generate_perturbation([], small_grid, RATIOS))
+        ones = ScalarAngularMap(grid=small_grid, values=np.ones(small_grid.shape, complex))
+        psi = (PerturbationField(ratios=RATIOS, factors={k: (ones, ones) for k in range(4)})
+               if field == "identity" else generate_perturbation([], small_grid, RATIOS))
         out = apply_perturbation(states, psi)
         for k in range(4):
             assert np.shares_memory(out.state(k).e_theta, states.state(k).e_theta)
@@ -200,10 +202,10 @@ class TestApplyPerturbation:
     def test_key_and_grid_mismatch(self, small_grid):
         rng = np.random.default_rng(10)
         states = _random_states(small_grid, rng)
-        bpsk_psi = PerturbationField.identity(small_grid, PskConstellation(2).ratio_set)
+        bpsk_psi = generate_perturbation((), small_grid, PskConstellation(2).ratio_set)
         with pytest.raises(RatioSetMismatchError):
             apply_perturbation(states, bpsk_psi)
-        other_psi = PerturbationField.identity(build_grid(6, 8), RATIOS)
+        other_psi = generate_perturbation((), build_grid(6, 8), RATIOS)
         with pytest.raises(GridMismatchError):
             apply_perturbation(states, other_psi)
 
@@ -216,7 +218,7 @@ class TestPerturbedBasis:
             small_grid, RATIOS)
         b0 = perturbed_basis(states)
         b1 = perturbed_basis(
-            apply_perturbation(states, PerturbationField.identity(small_grid, RATIOS)))
+            apply_perturbation(states, generate_perturbation((), small_grid, RATIOS)))
         assert np.array_equal(b0.b1.e_theta, b1.b1.e_theta)
         assert np.array_equal(b0.b2.e_phi, b1.b2.e_phi)
 
@@ -277,10 +279,8 @@ class TestEvm:
             [GaussianLobe(theta=1.1, phi=0.7, width=0.6, polarization=(0.8, 0.6j))],
             small_grid, RATIOS)
         basis = perturbed_basis(states)
-        emap = evm_map(basis, states, RATIOS)
+        emap = evm_map(basis, states)
         assert np.max(emap.evm.values) <= 1e-12
-        for i in (0, 2, 4):
-            assert evm_at_angle(basis, states, RATIOS, (i, 3)) <= 1e-12
 
     def test_state_independent_perturbation_cancels(self, small_grid):
         rng = np.random.default_rng(16)
@@ -288,7 +288,7 @@ class TestEvm:
             [GaussianLobe(theta=1.3, phi=0.5, width=0.7, polarization=(1.0, 0.3))],
             small_grid, RATIOS)
         s_hat = apply_perturbation(states, _gaussian_psi(small_grid, rng, states=None))
-        emap = evm_map(perturbed_basis(s_hat), s_hat, RATIOS)
+        emap = evm_map(perturbed_basis(s_hat), s_hat)
         assert np.max(emap.evm.values) <= 1e-10
 
     def test_pm_one_numerator_terms_vanish_and_bruteforce(self, small_grid):
@@ -316,7 +316,7 @@ class TestEvm:
         assert num[2] == 0.0
         assert num[1] > 0.0
         brute = np.sqrt(sum(num.values()) / den_total)
-        got = evm_at_angle(b_hat, s_hat, RATIOS, (i, j))
+        got = evm_map(b_hat, s_hat).evm.values[i, j]
         assert got == pytest.approx(brute, rel=1e-12)
 
     def test_degenerate_angle_raises_and_is_masked(self, small_grid):
@@ -330,24 +330,25 @@ class TestEvm:
             ratios=RATIOS,
             patterns={k: synthesize_pattern(basis, 1.0, r)
                       for k, r in enumerate(RATIOS.values)})
-        with pytest.raises(DegenerateAngleError):
-            evm_at_angle(basis, states, RATIOS, (0, 0))
-        emap = evm_map(basis, states, RATIOS)
+        emap = evm_map(basis, states)
         assert emap.degenerate_mask[0, 0]
         assert emap.degenerate_mask[-1, 0]
         assert not emap.degenerate_mask[2, 3]
         assert emap.masked_fraction() == pytest.approx(2.0 / small_grid.n_theta, rel=1e-12)
+        everywhere = EvmMap(evm=emap.evm, degenerate_mask=np.ones(small_grid.shape, bool))
+        with pytest.raises(DegenerateAngleError):
+            everywhere.average()
 
     def test_masked_fraction_zero_for_nonvanishing_basis(self, default_grid):
         states = generate_mirror_pair(default_mirror_profile(), default_grid, RATIOS)
-        emap = evm_map(perturbed_basis(states), states, RATIOS)
+        emap = evm_map(perturbed_basis(states), states)
         assert emap.masked_fraction() == 0.0
 
     def test_average_matches_weighted_mean_oracle(self, small_grid):
         rng = np.random.default_rng(17)
         states = generate_mirror_pair(default_mirror_profile(), small_grid, RATIOS)
         s_hat = apply_perturbation(states, _gaussian_psi(small_grid, rng, states=(1,)))
-        emap = evm_map(perturbed_basis(s_hat), s_hat, RATIOS)
+        emap = evm_map(perturbed_basis(s_hat), s_hat)
         w = small_grid.weights
         v = emap.evm.values
         mean = float((w * v).sum() / w.sum())
@@ -356,24 +357,6 @@ class TestEvm:
         assert avg["mean_linear"] == pytest.approx(mean, rel=1e-12)
         assert avg["rms_linear"] == pytest.approx(rms, rel=1e-12)
         assert avg["db_of_rms"] == pytest.approx(20 * np.log10(rms), rel=1e-12)
-
-    def test_map_matches_scalar_path(self, small_grid):
-        rng = np.random.default_rng(27)
-        s_hat = _random_states(small_grid, rng)
-        b_hat = perturbed_basis(s_hat)
-        emap = evm_map(b_hat, s_hat, RATIOS)
-        for _ in range(10):
-            i = int(rng.integers(0, small_grid.n_theta))
-            j = int(rng.integers(0, small_grid.n_phi))
-            assert emap.evm.values[i, j] == pytest.approx(
-                evm_at_angle(b_hat, s_hat, RATIOS, (i, j)), rel=1e-13)
-
-    def test_index_out_of_range(self, small_grid):
-        rng = np.random.default_rng(28)
-        s_hat = _random_states(small_grid, rng)
-        b_hat = perturbed_basis(s_hat)
-        with pytest.raises(InvalidArgumentError):
-            evm_at_angle(b_hat, s_hat, RATIOS, (small_grid.n_theta, 0))
 
     def test_global_scale_invariance(self, small_grid):
         rng = np.random.default_rng(18)
@@ -385,8 +368,8 @@ class TestEvm:
                                        e_theta=c * states.state(k).e_theta,
                                        e_phi=c * states.state(k).e_phi)
                       for k in range(4)})
-        m1 = evm_map(perturbed_basis(states), states, RATIOS)
-        m2 = evm_map(perturbed_basis(scaled), scaled, RATIOS)
+        m1 = evm_map(perturbed_basis(states), states)
+        m2 = evm_map(perturbed_basis(scaled), scaled)
         assert np.allclose(m1.evm.values, m2.evm.values, rtol=1e-12, atol=1e-13)
 
 
@@ -552,7 +535,7 @@ class TestGenerators:
                               states=(1, 3))],
             small_grid, RATIOS)
         s_hat = apply_perturbation(states, psi)
-        emap = evm_map(perturbed_basis(s_hat), s_hat, RATIOS)
+        emap = evm_map(perturbed_basis(s_hat), s_hat)
         assert float(np.max(emap.evm.values)) > 1e-6
 
     def test_lobe_profile_uses_great_circle_distance(self, small_grid):
@@ -578,21 +561,21 @@ class TestOtherOrders:
                                   phase=2.0, states=(1,))]
         psi = generate_perturbation(lobes, small_grid, bpsk)
         s_hat = apply_perturbation(states, psi)
-        emap = evm_map(perturbed_basis(s_hat), s_hat, bpsk)
+        emap = evm_map(perturbed_basis(s_hat), s_hat)
         assert float(np.max(emap.evm.values)) <= 1e-12
 
     def test_8psk_distorts_non_pm_one_states(self, small_grid):
         ratios8 = PskConstellation(8).ratio_set
         states = generate_mirror_pair(default_mirror_profile(), small_grid, ratios8)
         assert set(states.patterns) == set(range(8))
-        free = evm_map(perturbed_basis(states), states, ratios8)
+        free = evm_map(perturbed_basis(states), states)
         assert float(np.max(free.evm.values)) <= 1e-12
         psi = generate_perturbation(
             [PerturbationLobe(theta=1.2, phi=0.4, width=0.8, amplitude=0.4,
                               states=(1, 3, 5))],
             small_grid, ratios8)
         s_hat = apply_perturbation(states, psi)
-        emap = evm_map(perturbed_basis(s_hat), s_hat, ratios8)
+        emap = evm_map(perturbed_basis(s_hat), s_hat)
         assert float(np.max(emap.evm.values)) > 1e-3
 
 
@@ -613,5 +596,5 @@ class TestStatePatternSetValidation:
             StatePatternSet(ratios=RATIOS, patterns=patterns)
 
     def test_identity_field_constructible(self, small_grid):
-        psi = PerturbationField.identity(small_grid, RATIOS)
+        psi = generate_perturbation((), small_grid, RATIOS)
         assert set(psi.factors) == {0, 1, 2, 3}
