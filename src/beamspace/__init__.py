@@ -6,77 +6,47 @@ package models how a per-state angular perturbation of those patterns
 distorts the transmitted constellation (EVM over the sphere) and the
 zero-forcing-equalized received constellation for single-path LOS
 two-receiver links, including seeded Monte-Carlo error CDFs.
+
+Public names load lazily (PEP 562): ``import beamspace`` imports no
+submodule, and the first use of a name imports only its home module.  The
+``metrics`` and ``evm-map`` commands never load ``link``, the Monte-Carlo
+layer; ``constellation``, ``monte-carlo`` and ``selftest`` do.
 """
 
-from .errors import (
-    AngleOutOfRangeError,
-    BeamspaceError,
-    ConfigError,
-    DegenerateAngleError,
-    DegenerateBasisError,
-    GridMismatchError,
-    InvalidArgumentError,
-    PatternFormatError,
-    RatioSetMismatchError,
-    SingularChannelError,
-    UndefinedRatioError,
-)
-from .iokit import (
-    RunConfig,
-    load_cdf_csv,
-    load_config,
-    load_pattern_csv,
-    save_cdf_csv,
-    save_metrics_json,
-    save_pattern_csv,
-    save_results,
-)
-from .link import (
-    DEFAULT_CONDITION_CAP,
-    CdfSummary,
-    ConstellationPoint,
-    LinkScenario,
-    MonteCarloResult,
-    build_channel,
-    cdf_summary,
-    constellation_at_angle,
-    draw_geometries,
-    great_circle_offset,
-    received_constellation,
-    run_monte_carlo,
-)
-from .modulation import PskConstellation, RatioSet, ratio_label
-from .patterns import (
-    BasisPair,
-    EvmMap,
-    GaussianLobe,
-    PerturbationField,
-    PerturbationLobe,
-    StatePatternSet,
-    apply_perturbation,
-    basis_correlation_db,
-    compute_basis,
-    default_mirror_profile,
-    evm_map,
-    example_perturbation,
-    generate_mirror_pair,
-    generate_perturbation,
-    mirror_pattern,
-    perturbed_basis,
-    power_imbalance_db,
-    synthesize_pattern,
-)
-from .sphere import (
-    FOUR_PI,
-    ScalarAngularMap,
-    SphericalGrid,
-    VectorPattern,
-    build_grid,
-    great_circle_distance,
-    inner_product,
-    integrate_power,
-    lincomb,
-    same_grid,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# The home module of each public name.
+_HOMES = {name: module for module, names in {
+    "errors": ("AngleOutOfRangeError", "BeamspaceError", "ConfigError", "DEFAULT_CONDITION_CAP",
+               "DegenerateAngleError", "DegenerateBasisError", "GridMismatchError",
+               "InvalidArgumentError", "PatternFormatError", "RatioSetMismatchError",
+               "SingularChannelError", "UndefinedRatioError"),
+    "iokit": ("RunConfig", "load_cdf_csv", "load_config", "load_pattern_csv", "save_cdf_csv",
+              "save_metrics_json", "save_pattern_csv", "save_results"),
+    "link": ("CdfSummary", "ConstellationPoint", "LinkScenario", "MonteCarloResult",
+             "build_channel", "cdf_summary", "constellation_at_angle", "draw_geometries",
+             "great_circle_offset", "received_constellation", "run_monte_carlo"),
+    "modulation": ("PskConstellation", "RatioSet", "ratio_label"),
+    "patterns": ("BasisPair", "EvmMap", "GaussianLobe", "PerturbationField", "PerturbationLobe",
+                 "StatePatternSet", "apply_perturbation", "basis_correlation_db",
+                 "compute_basis", "default_mirror_profile", "evm_map", "example_perturbation",
+                 "generate_mirror_pair", "generate_perturbation", "mirror_pattern",
+                 "perturbed_basis", "power_imbalance_db", "synthesize_pattern"),
+    "sphere": ("FOUR_PI", "ScalarAngularMap", "SphericalGrid", "VectorPattern", "build_grid",
+               "great_circle_distance", "inner_product", "integrate_power", "lincomb",
+               "same_grid"),
+}.items() for name in names}
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return list(__all__)

@@ -3,7 +3,9 @@
 Every subcommand is a pure function of (config, seed); re-runs reproduce
 output files byte for byte.  Exit codes: 0 success, 1 degenerate
 computation (a degenerate basis, angle or channel, or every Monte-Carlo
-scenario rejected), 2 any other simulator error or a missing file.
+scenario rejected), 2 any other simulator error or a missing file.  Only
+``constellation``, ``monte-carlo`` and ``selftest`` import ``link``, and
+only when they run, so the other commands start without it.
 """
 
 from __future__ import annotations
@@ -25,13 +27,6 @@ from .iokit import (
     save_metrics_json,
     save_results,
 )
-from .link import (
-    POLARIZATIONS,
-    build_channel,
-    constellation_at_angle,
-    received_constellation,
-    run_monte_carlo,
-)
 from .modulation import PskConstellation
 from .patterns import (
     BasisPair,
@@ -45,7 +40,7 @@ from .patterns import (
     perturbed_basis,
     power_imbalance_db,
 )
-from .sphere import build_grid, integrate_power
+from .sphere import POLARIZATIONS, build_grid, integrate_power
 
 _DEGENERATE_ERRORS = (DegenerateBasisError, DegenerateAngleError, SingularChannelError)
 
@@ -142,6 +137,8 @@ def cmd_evm_map(args) -> int:
 
 
 def cmd_constellation(args) -> int:
+    from .link import build_channel, constellation_at_angle, received_constellation
+
     cfg = _load_config_with_overrides(args)
     asm = _assemble(cfg)
     tx = constellation_at_angle(asm.perturbed_basis, asm.perturbed_states, asm.constellation,
@@ -159,6 +156,8 @@ def cmd_constellation(args) -> int:
 
 def cmd_monte_carlo(args) -> int:
     start = time.perf_counter()
+    from .link import run_monte_carlo
+
     cfg = _load_config_with_overrides(args)
     asm = _assemble(cfg)
     mc = run_monte_carlo(

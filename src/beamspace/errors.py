@@ -1,4 +1,10 @@
-"""Exception types shared across the simulator."""
+"""Exception types, and the input limits that raise them, shared across the simulator."""
+
+# Default cap on a receive channel's 2-norm condition number (SingularChannelError above).
+DEFAULT_CONDITION_CAP = 1e8
+# Largest Monte-Carlo sweep a config or run_monte_carlo accepts; it bounds run
+# time (12-13 s for the whole command on two workers of a 2-core machine).
+MAX_SCENARIOS = 10**7
 
 
 class BeamspaceError(Exception):

@@ -28,11 +28,11 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConfigError, InvalidArgumentError, PatternFormatError
-from .link import DEFAULT_CONDITION_CAP, MAX_SCENARIOS, POLARIZATIONS, _sketch_arrays
+from .errors import (DEFAULT_CONDITION_CAP, MAX_SCENARIOS, ConfigError, InvalidArgumentError,
+                     PatternFormatError)
 from .modulation import ratio_label
 from .patterns import EvmMap, GaussianLobe, PerturbationLobe
-from .sphere import VectorPattern, build_grid
+from .sphere import POLARIZATIONS, VectorPattern, build_grid
 
 __all__ = [
     "RunConfig",
@@ -62,11 +62,17 @@ def _create(path: Path, mode: str = "w", **kwargs):
 
 
 def _write_table(path: Path, header, columns) -> Path:
-    """Header lines, then row i: element i of each column (floats by repr, others by str)."""
+    """Header lines, then row i: element i of each column (floats by repr, others by str).
+
+    Columns of unequal length are an InvalidArgumentError, raised before the file is opened.
+    """
     columns = [np.asarray(c) for c in columns]
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise InvalidArgumentError(f"{path}: columns of unequal lengths {sorted(lengths)}")
     with _create(path, newline="") as fh:
         fh.writelines(line + "\n" for line in header)
-        for i in range(0, min(map(len, columns), default=0), _BLOCK_ROWS):
+        for i in range(0, max(lengths, default=0), _BLOCK_ROWS):
             # .tolist() first: numpy 2 spells repr(np.float64(x)) as "np.float64(x)"
             cells = [map(repr if c.dtype.kind == "f" else str, c[i:i + _BLOCK_ROWS].tolist())
                      for c in columns]
@@ -207,9 +213,11 @@ def save_pattern_csv(
 
 
 def _grid_columns(grid) -> tuple[np.ndarray, np.ndarray]:
-    """theta_deg and phi_deg of every node in theta-major order."""
-    return (np.repeat(np.rad2deg(grid.theta), grid.n_phi),
-            np.tile(np.rad2deg(grid.phi), grid.n_theta))
+    """theta_deg and phi_deg of every node in theta-major order, as the strings the table
+    writer would make: each grid angle is formatted once, -0.0 as "-0.0"."""
+    theta, phi = (np.array([repr(x) for x in np.rad2deg(a).tolist()], dtype=object)
+                  for a in (grid.theta, grid.phi))
+    return np.repeat(theta, grid.n_phi), np.tile(phi, grid.n_theta)
 
 
 def _pattern_header(path, lines) -> tuple[dict[str, int], bool]:
@@ -286,11 +294,8 @@ def load_pattern_csv(path) -> VectorPattern:
 
 
 def save_cdf_csv(path, errors, probabilities) -> Path:
-    errors = np.asarray(errors, dtype=float)
-    probabilities = np.asarray(probabilities, dtype=float)
-    if errors.shape != probabilities.shape:
-        raise InvalidArgumentError("errors and probabilities must have equal length")
-    return _write_table(Path(path), [",".join(CDF_COLUMNS)], (errors, probabilities))
+    return _write_table(Path(path), [",".join(CDF_COLUMNS)], (
+        np.asarray(errors, dtype=float), np.asarray(probabilities, dtype=float)))
 
 
 def load_cdf_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -377,6 +382,8 @@ def save_results(out_dir, metrics: dict | None = None, evm: EvmMap | None = None
             name, arrays = "errors", {"stream1": mc.stream_errors[0],
                                       "stream2": mc.stream_errors[1]}
         else:
+            from .link import _sketch_arrays
+
             name, arrays = "sketch", {**_sketch_arrays("error_", mc.errors),
                                       **_sketch_arrays("condition_", mc.conditions)}
         written[name] = out_dir / f"{name}.npz"

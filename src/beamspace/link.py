@@ -32,11 +32,14 @@ O(workers x chunk) whatever the scenario count.
 Every product is noiseless: the receiver sees the radiated field exactly,
 so the errors are those of the perturbation and the zero-forcing decode
 alone.
+
+Of the commands, only ``constellation``, ``monte-carlo`` and ``selftest``
+import this module, and a sweep imports ``concurrent.futures`` only when
+more than one worker runs.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import operator
 import os
@@ -44,14 +47,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, RatioSetMismatchError, SingularChannelError
+from .errors import (DEFAULT_CONDITION_CAP, MAX_SCENARIOS, InvalidArgumentError,
+                     RatioSetMismatchError, SingularChannelError)
 from .modulation import PskConstellation
 from .patterns import BasisPair, StatePatternSet
 from .sphere import PHI_POL, THETA_POL, apply_stencil, bilinear_stencil, require_same_grid
 
 __all__ = [
-    "DEFAULT_CONDITION_CAP",
-    "MAX_SCENARIOS",
     "SKETCH_ALPHA",
     "LinkScenario",
     "ConstellationPoint",
@@ -67,21 +69,15 @@ __all__ = [
     "cdf_summary",
 ]
 
-DEFAULT_CONDITION_CAP = 1e8
-# Largest sweep run_monte_carlo accepts.  Above _EXACT_LIMIT a sweep keeps only
-# fixed-size sketches, so memory does not grow with the count; the limit bounds
-# run time (12-13 s for the whole command on two workers of a 2-core machine).
-MAX_SCENARIOS = 10**7
 # Up to this many scenarios the sorted error samples are kept too (6.4 MB for
-# QPSK at the limit), and summaries, CDFs and errors.npz are exact.
+# QPSK at the limit), and summaries, CDFs and errors.npz are exact.  Above it a
+# sweep keeps only fixed-size sketches, so memory does not grow with the count.
 _EXACT_LIMIT = 100_000
 
 # Scenario chunk size; fixed (not derived from the worker count) so the
 # processing order and therefore the output bytes never depend on it.
 _CHUNK = 4096
 _CDF_LEVELS = 10_000  # rows of MonteCarloResult.cdf at most
-
-POLARIZATIONS = {"theta": THETA_POL, "phi": PHI_POL}
 
 
 @dataclass(frozen=True, eq=False)
@@ -684,6 +680,8 @@ def run_monte_carlo(
     if workers == 1:
         parts = [worker(0)]
     else:  # the calling thread is worker 0; the pool runs the others
+        import concurrent.futures
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers - 1) as pool:
             others = pool.map(worker, range(1, workers))  # submitted before worker 0 starts
             parts = [worker(0), *others]

@@ -52,16 +52,6 @@ class RatioSet:
             self, "values", tuple(_unit_phasor(k, self.order) for k in range(self.order))
         )
 
-    def index_of(self, ratio: complex, tol: float = 1e-9) -> int:
-        """Index of the alphabet member closest to ``ratio`` within ``tol``."""
-        diffs = np.abs(np.asarray(self.values) - complex(ratio))
-        k = int(np.argmin(diffs))
-        if diffs[k] > tol:
-            raise RatioSetMismatchError(
-                f"ratio {ratio!r} is not in the {self.order}-PSK ratio alphabet"
-            )
-        return k
-
     def label(self, k: int) -> str:
         return ratio_label(k, self.order)
 

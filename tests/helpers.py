@@ -56,11 +56,22 @@ def parse_ratio_label(label: str, order: int) -> int:
     raise RatioSetMismatchError(f"unknown ratio label {label!r} for order {order}")
 
 
+def index_of(ratios, ratio: complex, tol: float = 1e-9) -> int:
+    """Index of the member of ``ratios`` (a RatioSet) closest to ``ratio`` within ``tol``."""
+    diffs = np.abs(np.asarray(ratios.values) - complex(ratio))
+    k = int(np.argmin(diffs))
+    if diffs[k] > tol:
+        raise RatioSetMismatchError(
+            f"ratio {ratio!r} is not in the {ratios.order}-PSK ratio alphabet"
+        )
+    return k
+
+
 def transmit_and_receive(s_hat, x1, x2, scenario) -> np.ndarray:
     """Noiseless receive vector for one symbol pair radiated through the physical field."""
     if x1 == 0:
         raise UndefinedRatioError("x1 = 0 leaves the symbol ratio x2/x1 undefined")
-    k = scenario.constellation.ratio_set.index_of(x2 / x1)
+    k = index_of(scenario.constellation.ratio_set, x2 / x1)
     angles, pols = scenario.rx_angles, scenario.rx_polarizations
     et, ep = sample_pattern(s_hat.state(k), angles[:, 0], angles[:, 1])
     return x1 * (np.conj(pols[:, 0]) * et + np.conj(pols[:, 1]) * ep)

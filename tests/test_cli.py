@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beamspace.cli as cli
+import beamspace.link as link
 from beamspace import (
     BeamspaceError,
     ConfigError,
@@ -151,6 +152,15 @@ class TestConstellationCommand:
                 displaced.append(err)
         assert len(displaced) == 8
         assert max(displaced) > 1e-3
+
+    def test_unequal_table_columns_exit_2(self, hand_config, tmp_path, monkeypatch, capsys):
+        # an odd point list leaves the side column one row short of the others
+        at_angle = link.constellation_at_angle
+        monkeypatch.setattr(link, "constellation_at_angle", lambda *a, **k: at_angle(*a, **k)[:-1])
+        assert main(["constellation", "--config", str(hand_config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unequal lengths [31, 32]" in err
+        assert "Traceback" not in err and not (tmp_path / "out" / "constellation.csv").exists()
 
     def test_rx_override_changes_angle(self, hand_config, tmp_path):
         assert main(["constellation", "--config", str(hand_config),
@@ -328,14 +338,15 @@ class TestAssemblyLifetime:
 
         referenced("generate_mirror_pair")
         referenced("generate_perturbation")
-        run = getattr(cli, work)
+        home = cli if work == "evm_map" else link  # the link layer loads when its command runs
+        run = getattr(home, work)
 
         def checked(*args, **kwargs):
             gc.collect()
             alive.extend(type(r()).__name__ for r in refs if r() is not None)
             return run(*args, **kwargs)
 
-        monkeypatch.setattr(cli, work, checked)
+        monkeypatch.setattr(home, work, checked)
         assert main([command, "--config", str(hand_config), "--out", str(tmp_path)]) == 0
         assert len(refs) == 2 and alive == []
 

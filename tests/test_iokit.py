@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -471,6 +472,26 @@ class TestWriteTable:
         rows_text = "".join(f"{s},{i},{f!r}\n"
                             for s, i, f in zip(strs, ints.tolist(), floats.tolist()))
         assert path.read_bytes() == ("# head\ns,i,f\n" + rows_text).encode()
+
+    def test_unequal_columns_raise_before_writing(self, tmp_path):
+        # a short column once dropped the other columns' extra rows without a word
+        path = tmp_path / "t.csv"
+        with pytest.raises(InvalidArgumentError, match=r"unequal lengths \[2, 3\]"):
+            iokit._write_table(path, ["a,b"], ([1.0, 2.0, 3.0], [1, 2]))
+        with pytest.raises(InvalidArgumentError, match=r"unequal lengths \[1, 2\]"):
+            save_cdf_csv(path, [1.0, 2.0], [0.5])
+        assert not path.exists()
+
+    def test_grid_columns_format_each_angle_once(self, small_grid):
+        # the per-node strings equal repr of every node's angle, -0.0 included
+        grid = types.SimpleNamespace(theta=np.array([-0.0, 0.5, np.pi]), phi=np.array([-0.0, 1.0]),
+                                     n_theta=3, n_phi=2)
+        for g in (small_grid, grid):
+            theta, phi = iokit._grid_columns(g)
+            assert theta.tolist() == [repr(x) for x in
+                                      np.repeat(np.rad2deg(g.theta), g.n_phi).tolist()]
+            assert phi.tolist() == [repr(x) for x in np.tile(np.rad2deg(g.phi), g.n_theta).tolist()]
+        assert theta.tolist()[:2] == ["-0.0"] * 2 and phi.tolist()[::2] == ["-0.0"] * 3
 
 
 class TestMetricsJson:

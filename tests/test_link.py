@@ -473,8 +473,10 @@ class TestMonteCarlo:
 
     def test_thread_pool_capped(self, hand_states, hand_basis, monkeypatch):
         # the calling thread is one of the workers: the pool runs the others
+        import concurrent.futures
+
         from beamspace import link
-        executor, uniforms = link.concurrent.futures.ThreadPoolExecutor, link._uniforms
+        executor, uniforms = concurrent.futures.ThreadPoolExecutor, link._uniforms
         sizes, ran = [], set()
 
         class Recorder(executor):
@@ -486,7 +488,7 @@ class TestMonteCarlo:
             ran.add(threading.get_ident())
             return uniforms(*args)
 
-        monkeypatch.setattr(link.concurrent.futures, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(link, "_uniforms", recorded)
         cpu_count, n = link._cpu_count, 3 * link._CHUNK  # three chunks
         serial = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=4)
