@@ -62,7 +62,8 @@ def _create(path: Path, mode: str = "w", **kwargs):
 
 
 def _write_table(path: Path, header, columns) -> Path:
-    """Header lines, then row i: element i of each column (floats by repr, others by str).
+    """Header lines, then row i: element i of each column (floats by repr, strings as they
+    are, others by str; an object column holds strings).
 
     Columns of unequal length are an InvalidArgumentError, raised before the file is opened.
     """
@@ -74,7 +75,8 @@ def _write_table(path: Path, header, columns) -> Path:
         fh.writelines(line + "\n" for line in header)
         for i in range(0, max(lengths, default=0), _BLOCK_ROWS):
             # .tolist() first: numpy 2 spells repr(np.float64(x)) as "np.float64(x)"
-            cells = [map(repr if c.dtype.kind == "f" else str, c[i:i + _BLOCK_ROWS].tolist())
+            cells = [c[i:i + _BLOCK_ROWS].tolist() if c.dtype.kind in "OU" else
+                     map(repr if c.dtype.kind == "f" else str, c[i:i + _BLOCK_ROWS].tolist())
                      for c in columns]
             fh.writelines(",".join(row) + "\n" for row in zip(*cells))
     return path

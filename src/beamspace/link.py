@@ -19,15 +19,17 @@ arrays keep the scenario axis last and contiguous: the responses are
 The Monte-Carlo sweep draws the receive geometries of
 ``draw_geometries(np.random.default_rng(seed), n)`` and takes, per
 accepted geometry, one noiseless error per stream and ratio state:
-|g1_k - 1| and |g2_k - r_k|.  Scenarios are processed in fixed-size
-chunks; each chunk jumps the seeded PCG64 stream ahead to its own columns
-of the draw.  Every chunk folds its errors into a fixed-size ``Sketch``
-per stream and ratio state (exact zero, exceedance and extreme values, and
-log-bucketed counts with relative accuracy ``SKETCH_ALPHA``), and up to
+|g1_k - 1| and |g2_k - r_k|.  Scenarios are processed in chunks; each
+chunk jumps the seeded PCG64 stream ahead to its own columns of the draw.
+Every chunk folds its errors into a fixed-size ``Sketch`` per stream and
+ratio state (exact zero, exceedance and extreme values, and log-bucketed
+counts with relative accuracy ``SKETCH_ALPHA``), and up to
 ``_EXACT_LIMIT`` scenarios also writes them in place into two exact sorted
-streams.  Merging sketches adds integers, so results are bitwise
-independent of the worker count, and above the limit memory is
-O(workers x chunk) whatever the scenario count.
+streams.  The arithmetic is elementwise over scenarios, merging sketches
+adds integers and the exact streams are sorted, so results are bitwise
+independent of the chunk size and the worker count, and above the limit
+memory is O(workers x chunk) whatever the scenario count.  The scenario
+count sets both, so a thread pool starts only where it pays.
 
 Every product is noiseless: the receiver sees the radiated field exactly,
 so the errors are those of the perturbation and the zero-forcing decode
@@ -74,9 +76,14 @@ __all__ = [
 # sweep keeps only fixed-size sketches, so memory does not grow with the count.
 _EXACT_LIMIT = 100_000
 
-# Scenario chunk size; fixed (not derived from the worker count) so the
-# processing order and therefore the output bytes never depend on it.
+# Scenarios per chunk on one worker, and on several: each of a chunk's ~300
+# short numpy calls hands the GIL over, so workers on 4,096-scenario chunks
+# mostly take turns.  The output bytes depend on neither size.
 _CHUNK = 4096
+_POOL_CHUNK = 8192
+# A sweep starts a worker per this many scenarios at most: below it the pool
+# costs more wall time than it saves.
+_SCENARIOS_PER_WORKER = 150_000
 _CDF_LEVELS = 10_000  # rows of MonteCarloResult.cdf at most
 
 
@@ -625,10 +632,12 @@ def run_monte_carlo(
     merges its chunks' sketches as they finish; up to ``_EXACT_LIMIT``
     scenarios the errors are also kept, sorted.  Identical (seed,
     parameters) give bitwise-identical output for any ``threads``.  At most
-    ``MAX_SCENARIOS`` scenarios; ``min(threads, chunks, CPUs this process
-    may use)`` workers run, the calling thread being one of them and a
-    thread pool the others.  Memory is one chunk's working set and two
-    sketches per worker, plus the exact errors up to the limit.
+    ``MAX_SCENARIOS`` scenarios; ``min(threads, CPUs this process may use,
+    max(1, n_scenarios // _SCENARIOS_PER_WORKER))`` workers run, the calling
+    thread being one of them and a thread pool the others, on chunks of
+    ``_CHUNK`` scenarios if one worker runs and ``_POOL_CHUNK`` if more do.
+    Memory is one chunk's working set and two sketches per worker, plus the
+    exact errors up to the limit.
     """
     n = _integer(n_scenarios, "n_scenarios")
     seed = _integer(seed, "seed")
@@ -651,12 +660,14 @@ def run_monte_carlo(
     exact = n <= _EXACT_LIMIT
     # the chunk from scenario `start` on writes its kept errors from offset start*m on
     streams = (np.empty(n * m if exact else 0), np.empty(n * m if exact else 0))
-    starts = range(0, n, _CHUNK)
+    workers = min(threads, _cpu_count(), max(1, n // _SCENARIOS_PER_WORKER))
+    size = _CHUNK if workers == 1 else _POOL_CHUNK
+    starts = range(0, n, size)
     kept = [0] * len(starts)
 
     def chunk(i: int, sketches: list[Sketch]) -> None:
         start = starts[i]
-        theta, phi = _angles(_uniforms(seed, n, start, min(start + _CHUNK, n)), separation)
+        theta, phi = _angles(_uniforms(seed, n, start, min(start + size, n)), separation)
         resp = _responses(patterns, theta, phi, pols)
         keep, g, cond = _zf_gains(resp[:, :2], resp[:, 2:], condition_cap)
         e = np.abs(np.subtract(g, ideal, out=g))  # (2, M, kept): sketch rows, values last
@@ -676,7 +687,6 @@ def run_monte_carlo(
             chunk(i, sketches)
         return sketches
 
-    workers = min(threads, len(starts), _cpu_count())
     if workers == 1:
         parts = [worker(0)]
     else:  # the calling thread is worker 0; the pool runs the others

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -378,9 +379,14 @@ class TestMonteCarlo:
         c = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=500, seed=12)
         assert not np.array_equal(a.stream_errors[0], c.stream_errors[0])
 
-    def test_worker_count_does_not_change_bytes(self, hand_states, hand_basis):
+    def test_worker_count_does_not_change_bytes(self, hand_states, hand_basis, monkeypatch,
+                                                sweep_log):
+        # at 10,000 scenarios per worker, 40,000 scenarios start up to four workers
+        monkeypatch.setattr(link, "_SCENARIOS_PER_WORKER", 10_000)
+        monkeypatch.setattr(link, "_cpu_count", lambda: 64)
         runs = [run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=40_000,
                                 seed=9, threads=t) for t in (1, 2, 8)]
+        assert sweep_log.pools == [1, 3]
         for r in runs[1:]:
             for s in (0, 1):
                 assert runs[0].stream_errors[s].tobytes() == r.stream_errors[s].tobytes()
@@ -471,39 +477,46 @@ class TestMonteCarlo:
             with pytest.raises(InvalidArgumentError, match="n_scenarios"):
                 run_monte_carlo(free_states, free_basis, QPSK, n_scenarios=n, seed=1)
 
-    def test_thread_pool_capped(self, hand_states, hand_basis, monkeypatch):
-        # the calling thread is one of the workers: the pool runs the others
-        import concurrent.futures
-
-        from beamspace import link
-        executor, uniforms = concurrent.futures.ThreadPoolExecutor, link._uniforms
-        sizes, ran = [], set()
-
-        class Recorder(executor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        def recorded(*args):
-            ran.add(threading.get_ident())
-            return uniforms(*args)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
-        monkeypatch.setattr(link, "_uniforms", recorded)
-        cpu_count, n = link._cpu_count, 3 * link._CHUNK  # three chunks
+    def test_thread_pool_capped(self, hand_states, hand_basis, monkeypatch, sweep_log):
+        # the calling thread is one of the workers: the pool runs the others; at
+        # one pool chunk per worker, three pool chunks start up to three workers
+        monkeypatch.setattr(link, "_SCENARIOS_PER_WORKER", link._POOL_CHUNK)
+        cpu_count, n = link._cpu_count, 3 * link._POOL_CHUNK
         serial = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=4)
         for cpus, threads, workers in ((64, 100_000, 3), (64, 2, 2), (2, 100_000, 2),
                                        (1, 8, 1)):
             monkeypatch.setattr(link, "_cpu_count", lambda cpus=cpus: cpus)
-            sizes.clear()
-            ran.clear()
+            sweep_log.clear()
             mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=4,
                                  threads=threads)
-            assert sizes == ([] if workers == 1 else [workers - 1])  # pool + caller = workers
-            assert threading.get_ident() in ran and len(ran) <= workers
+            assert sweep_log.pools == ([] if workers == 1 else [workers - 1])  # pool + caller
+            assert threading.get_ident() in sweep_log.threads
+            assert min(workers, 2) <= len(sweep_log.threads) <= workers
+            size = link._CHUNK if workers == 1 else link._POOL_CHUNK
+            assert sorted(sweep_log.chunks) == [(s, min(s + size, n)) for s in range(0, n, size)]
             for s in (0, 1):
                 assert mc.stream_errors[s].tobytes() == serial.stream_errors[s].tobytes()
         assert 1 <= cpu_count() <= (os.cpu_count() or 1)
+
+    def test_workers_follow_the_scenario_count(self, hand_states, hand_basis, monkeypatch,
+                                               sweep_log):
+        # short of two workers' shares, eight threads on 64 CPUs stay on the
+        # calling thread and never import the pool module
+        monkeypatch.setattr(link, "_cpu_count", lambda: 64)
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "concurrent.futures", None)  # importing it raises
+            n = 2 * link._SCENARIOS_PER_WORKER - 1
+            run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=4, threads=8)
+        assert sweep_log.pools == [] and sweep_log.threads == {threading.get_ident()}
+        assert sweep_log.chunks[0] == (0, link._CHUNK)
+        # k shares start k workers, one scenario fewer k - 1
+        share = 2 * link._POOL_CHUNK
+        monkeypatch.setattr(link, "_SCENARIOS_PER_WORKER", share)
+        for k in (1, 2, 3):
+            for n, workers in ((k * share - 1, max(1, k - 1)), (k * share, k)):
+                sweep_log.clear()
+                run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=4, threads=8)
+                assert sweep_log.pools == ([] if workers == 1 else [workers - 1])
 
     def test_degenerate_separation_interval_allowed(self, free_states, free_basis):
         # min == max is a valid (single-distance) interval
@@ -564,10 +577,44 @@ class TestMonteCarlo:
             assert np.all(np.diff(probs) > 0)
 
 
+class SweepLog:
+    """What a test's sweeps start: the size of each thread pool, and the
+    (start, stop) of each chunk and the threads that drew them."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.pools, self.chunks, self.threads = [], [], set()
+
+
+@pytest.fixture
+def sweep_log(monkeypatch):
+    import concurrent.futures
+
+    log, uniforms = SweepLog(), link._uniforms
+
+    class Recorder(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            log.pools.append(max_workers)
+            super().__init__(max_workers)
+
+    def recorded(seed, n, start, stop):
+        log.chunks.append((start, stop))
+        log.threads.add(threading.get_ident())
+        return uniforms(seed, n, start, stop)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(link, "_uniforms", recorded)
+    return log
+
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # counts around the 4,096-scenario chunk: one scenario, one short of a chunk,
 # one chunk, one over, and three chunks plus a partial one
 STREAM_COUNTS = (1, 4095, 4096, 4097, 3 * 4096 + 17)
+# the same around the 8,192-scenario pool chunk, and one sweep above the exact limit
+POOL_COUNTS = (8191, 8193, 3 * 8192 + 17, 100_001)
 
 
 @pytest.fixture(scope="module", params=["hand_scenario", "freespace", "hand_scenario_cap200"])
@@ -591,18 +638,44 @@ class TestStreamedSweep:
             assert link._uniforms(42, n, start, stop).tobytes() == whole[:, start:stop].tobytes()
 
     @pytest.mark.parametrize("n", STREAM_COUNTS)
-    def test_streams_equal_upfront_sweep(self, shipped, n):
+    def test_streams_equal_upfront_sweep(self, shipped, n, monkeypatch, sweep_log):
+        # one worker per 1,024 scenarios, on 1,024-scenario pool chunks
         cfg, asm = shipped
         args = (asm.perturbed_states, asm.perturbed_basis, asm.constellation)
         params = dict(separation_deg=cfg.separation_deg, condition_cap=cfg.condition_cap)
         *want, rejected = upfront_sweep(*args, n, cfg.seed, **params)
         if cfg.condition_cap == 200 and n > 1:
             assert 0 < rejected < n  # chunks reject, so their kept errors are shifted left
+        for name in ("_SCENARIOS_PER_WORKER", "_POOL_CHUNK"):
+            monkeypatch.setattr(link, name, 1024)
+        monkeypatch.setattr(link, "_cpu_count", lambda: 64)
         for threads in (1, 2, 8):
+            sweep_log.clear()
             mc = run_monte_carlo(*args, n_scenarios=n, seed=cfg.seed, threads=threads, **params)
+            workers = min(threads, max(1, n // 1024))
+            assert sweep_log.pools == ([] if workers == 1 else [workers - 1])
             assert mc.n_rejected == rejected
             for got, exact in zip(mc.stream_errors, want):
                 assert got.dtype == exact.dtype and got.tobytes() == exact.tobytes()
+
+    @pytest.mark.parametrize("n", POOL_COUNTS)
+    def test_chunk_size_does_not_change_bytes(self, shipped, n, monkeypatch):
+        cfg, asm = shipped
+        args = (asm.perturbed_states, asm.perturbed_basis, asm.constellation)
+        params = dict(separation_deg=cfg.separation_deg, condition_cap=cfg.condition_cap)
+        runs = []
+        for size in (link._CHUNK, link._POOL_CHUNK):
+            monkeypatch.setattr(link, "_CHUNK", size)
+            mc = run_monte_carlo(*args, n_scenarios=n, seed=cfg.seed, **params)
+            runs.append((mc, {**link._sketch_arrays("error_", mc.errors),
+                              **link._sketch_arrays("condition_", mc.conditions)}))
+        (a, sketch_a), (b, sketch_b) = runs
+        assert a.n_rejected == b.n_rejected
+        for got, want in zip(b.stream_errors, a.stream_errors):
+            _same_bits(got, want)
+        assert sketch_b.keys() == sketch_a.keys()
+        for name, want in sketch_a.items():
+            _same_bits(sketch_b[name], want)
 
     def test_working_memory_does_not_grow_with_n(self, hand_states, hand_basis):
         # numpy reports its buffers to tracemalloc; what a sweep holds beyond
@@ -848,12 +921,15 @@ class TestSketch:
             assert stream.summary() == mc.summaries()[s]
 
     def test_sketch_bytes_do_not_depend_on_threads(self, hand_states, hand_basis, tmp_path,
-                                                   monkeypatch):
+                                                   monkeypatch, sweep_log):
         # above the exact limit the CDFs and sketch.npz are read from the merged
-        # sketches; eight workers run even on a machine with fewer CPUs
+        # sketches; at one pool chunk per worker eight workers run, even on a
+        # machine with fewer CPUs
+        monkeypatch.setattr(link, "_SCENARIOS_PER_WORKER", link._POOL_CHUNK)
         monkeypatch.setattr(link, "_cpu_count", lambda: 64)
         for n in (100_001, 102_401):
             files = []
+            sweep_log.clear()
             for threads in (1, 2, 8):
                 mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=9,
                                      threads=threads)
@@ -864,6 +940,7 @@ class TestSketch:
                 files.append([written[k].read_bytes()
                               for k in ("sketch", "cdf_stream1", "cdf_stream2")])
             assert files[0] == files[1] == files[2]
+            assert sweep_log.pools == [1, 7]
 
 
 _POLS = (THETA_POL, PHI_POL, (np.sqrt(0.5), 0.5 + 0.5j), (np.cos(0.3), np.exp(0.7j) * np.sin(0.3)))
