@@ -156,7 +156,7 @@ def cmd_constellation(args) -> int:
 
 def cmd_monte_carlo(args) -> int:
     start = time.perf_counter()
-    from .link import run_monte_carlo
+    from .link import SKETCH_ALPHA, run_monte_carlo
 
     cfg = _load_config_with_overrides(args)
     asm = _assemble(cfg)
@@ -184,6 +184,7 @@ def cmd_monte_carlo(args) -> int:
                              "max": float(mc.conditions.maximum)},
         "seed": mc.seed,
         "separation_deg": list(mc.separation_deg),
+        "sketch_alpha": SKETCH_ALPHA,  # every quantile's relative accuracy
         "stream1": {"quantiles": s1.quantiles, "exceedance": s1.exceedance},
         "stream2": {"quantiles": s2.quantiles, "exceedance": s2.exceedance},
         "ratio_quantiles": {

@@ -3,7 +3,7 @@
 # Default cap on a receive channel's 2-norm condition number (SingularChannelError above).
 DEFAULT_CONDITION_CAP = 1e8
 # Largest Monte-Carlo sweep a config or run_monte_carlo accepts; it bounds run
-# time (12-13 s for the whole command on two workers of a 2-core machine).
+# time (7.6 s, 12.4 s CPU, for the whole command on two threads of a 2-vCPU host).
 MAX_SCENARIOS = 10**7
 
 

@@ -5,10 +5,9 @@ One writer puts floats in shortest round-trip form and one reader parses
 tables with ``np.loadtxt``, so writer/reader pairs are lossless at double
 precision; each version of a pattern CSV is parsed once, its rows kept in
 ``.beamspace-cache/`` beside it.  Monte-Carlo CDF tables have at most 10^4
-rows; ``errors.npz`` holds the exact samples up to 10^5 scenarios and
-``sketch.npz`` the error sketches above, each row's counts spanning only its
-own keys.  Non-finite metric values are encoded as the JSON strings "inf",
-"-inf", "nan".
+rows and ``sketch.npz`` holds the error sketches they are read from, each
+row's counts spanning only its own keys.  Non-finite metric values are
+encoded as the JSON strings "inf", "-inf", "nan".
 """
 
 from __future__ import annotations
@@ -361,12 +360,10 @@ def save_results(out_dir, metrics: dict | None = None, evm: EvmMap | None = None
                  mc=None) -> dict[str, Path]:
     """Write whichever of metrics.json, evm_map.csv, cdf_stream{1,2}.csv apply.
 
-    With ``mc`` in exact mode also errors.npz, ``mc.stream_errors`` as
-    arrays ``stream1`` and ``stream2``: uncompressed, so that they reload
-    bitwise.  Above the exact limit sketch.npz instead: the rows of
-    ``mc.errors`` as arrays ``error_*`` and ``mc.conditions`` as
-    ``condition_*`` (``link._sketch_arrays``), the one-row ``condition_*``
-    scalars stored with shape (1,).
+    With ``mc`` also sketch.npz: the rows of ``mc.errors`` as arrays
+    ``error_*`` and ``mc.conditions`` as ``condition_*``
+    (``link._sketch_arrays``), the one-row ``condition_*`` scalars stored
+    with shape (1,).
     """
     out_dir = _output_dir(out_dir)
     written: dict[str, Path] = {}
@@ -375,21 +372,17 @@ def save_results(out_dir, metrics: dict | None = None, evm: EvmMap | None = None
     if evm is not None:
         written["evm_map"] = _write_evm_csv(evm, out_dir / "evm_map.csv")
     if mc is not None:
+        from .link import _sketch_arrays
+
         for stream in (1, 2):
             errors, probs = mc.cdf(stream)
             written[f"cdf_stream{stream}"] = save_cdf_csv(
                 out_dir / f"cdf_stream{stream}.csv", errors, probs
             )
-        if mc.exact:
-            name, arrays = "errors", {"stream1": mc.stream_errors[0],
-                                      "stream2": mc.stream_errors[1]}
-        else:
-            from .link import _sketch_arrays
-
-            name, arrays = "sketch", {**_sketch_arrays("error_", mc.errors),
-                                      **_sketch_arrays("condition_", mc.conditions)}
-        written[name] = out_dir / f"{name}.npz"
-        with _create(written[name], "wb") as fh:
+        arrays = {**_sketch_arrays("error_", mc.errors),
+                  **_sketch_arrays("condition_", mc.conditions)}
+        written["sketch"] = out_dir / "sketch.npz"
+        with _create(written["sketch"], "wb") as fh:
             np.savez(fh, **{key: np.atleast_1d(a) for key, a in arrays.items()})
     return written
 

@@ -23,13 +23,12 @@ accepted geometry, one noiseless error per stream and ratio state:
 chunk jumps the seeded PCG64 stream ahead to its own columns of the draw.
 Every chunk folds its errors into a fixed-size ``Sketch`` per stream and
 ratio state (exact zero, exceedance and extreme values, and log-bucketed
-counts with relative accuracy ``SKETCH_ALPHA``), and up to
-``_EXACT_LIMIT`` scenarios also writes them in place into two exact sorted
-streams.  The arithmetic is elementwise over scenarios, merging sketches
-adds integers and the exact streams are sorted, so results are bitwise
-independent of the chunk size and the worker count, and above the limit
-memory is O(workers x chunk) whatever the scenario count.  The scenario
-count sets both, so a thread pool starts only where it pays.
+counts with relative accuracy ``SKETCH_ALPHA``); the stream summaries and
+CDFs read a stream's M sketches merged.  The arithmetic is elementwise over
+scenarios and merging sketches adds integers, so results are bitwise
+independent of the chunk size and the worker count, and memory is
+O(workers x chunk) whatever the scenario count.  The scenario count sets
+both, so a thread pool starts only where it pays.
 
 Every product is noiseless: the receiver sees the radiated field exactly,
 so the errors are those of the perturbation and the zero-forcing decode
@@ -70,11 +69,6 @@ __all__ = [
     "run_monte_carlo",
     "cdf_summary",
 ]
-
-# Up to this many scenarios the sorted error samples are kept too (6.4 MB for
-# QPSK at the limit), and summaries, CDFs and errors.npz are exact.  Above it a
-# sweep keeps only fixed-size sketches, so memory does not grow with the count.
-_EXACT_LIMIT = 100_000
 
 # Scenarios per chunk on one worker, and on several: each of a chunk's ~300
 # short numpy calls hands the GIL over, so workers on 4,096-scenario chunks
@@ -391,20 +385,15 @@ def _summary(n: int, order, thresholds, above) -> CdfSummary:
     )
 
 
-def _sorted(e: np.ndarray):
-    """``(count, order, thresholds, above)`` of a sorted float array, as
-    ``_summary`` reads them.
-
-    Exceedances are ``np.mean(values > t)``, counted by ``searchsorted``;
-    NaN sorts last and exceeds nothing.
-    """
-    above = np.searchsorted(e, np.nan) - np.searchsorted(e, _EXCEEDANCE_THRESHOLDS, side="right")
-    return e.size, e.__getitem__, _EXCEEDANCE_THRESHOLDS, above
-
-
 def cdf_summary(records) -> CdfSummary:
-    """Summary statistics of error magnitudes (linear interpolation quantiles)."""
-    return _summary(*_sorted(np.sort(np.asarray(records, dtype=float).ravel())))
+    """Summary statistics of error magnitudes (linear interpolation quantiles).
+
+    Quantiles are ``np.percentile``'s; exceedances are ``np.mean(values >
+    t)``, counted by ``searchsorted``, where NaN sorts last and exceeds nothing.
+    """
+    e = np.sort(np.asarray(records, dtype=float).ravel())
+    above = np.searchsorted(e, np.nan) - np.searchsorted(e, _EXCEEDANCE_THRESHOLDS, side="right")
+    return _summary(e.size, e.__getitem__, _EXCEEDANCE_THRESHOLDS, above)
 
 
 _MANTISSA_BITS = 7
@@ -523,18 +512,15 @@ def _sketch_arrays(prefix: str, sketches) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloResult:
-    """Error sketches and, up to ``_EXACT_LIMIT`` scenarios, sorted error samples.
+    """Error and condition-number sketches of a sweep.
 
     ``errors[s][k]`` sketches the errors of stream s + 1 at ratio index k
     over every kept scenario; ``conditions`` the condition numbers of the
-    kept channels.  Both are built on every run.  In exact mode (at most
-    ``_EXACT_LIMIT`` scenarios) ``stream_errors`` also holds each stream's
-    sorted errors, one per ratio state of every kept scenario, and
-    ``summaries`` and ``cdf`` read them; above the limit ``stream_errors``
-    holds two empty arrays and both read the stream's M sketches merged.
+    kept channels.  ``summaries`` and ``cdf`` read a stream's M sketches
+    merged, so their errors lie within ``SKETCH_ALPHA`` relative of the
+    exact ones.
     """
 
-    stream_errors: tuple[np.ndarray, np.ndarray]
     n_scenarios: int
     n_rejected: int
     seed: int
@@ -543,38 +529,38 @@ class MonteCarloResult:
     conditions: Sketch
 
     @property
-    def exact(self) -> bool:
-        """Whether ``stream_errors`` holds the error samples."""
-        return self.n_scenarios <= _EXACT_LIMIT
+    def stream_errors(self) -> tuple:
+        """No arrays: a sweep keeps no error samples.  Only the trace counter
+        of ``bench/child.py`` reads this, until it counts sketches (ROADMAP
+        item 1)."""
+        return ()
 
-    def _stream(self, stream: int):
-        """``(count, order, thresholds, above)`` of a stream's errors: its
-        sorted samples in exact mode, else its M ratio sketches merged."""
-        if self.exact:
-            return _sorted(self.stream_errors[stream - 1])
+    def _pooled(self, stream: int) -> Sketch:
+        """A stream's M ratio sketches merged into one."""
         pooled = Sketch.empty(_EXCEEDANCE_THRESHOLDS)
         for row in self.errors[stream - 1]:
             pooled.merge(row)
-        return pooled.count, pooled.order_statistics, pooled.thresholds, pooled.above
+        return pooled
 
     def cdf(self, stream: int) -> tuple[np.ndarray, np.ndarray]:
         """Empirical CDF of n errors at m = min(n, _CDF_LEVELS) levels.
 
         Row i = 1..m is (the ``ceil(i*n/m)``-th smallest error, i/m): every
-        sample when n <= m, else within 1/m of the exact CDF, finer than its
-        95% DKW band (+-1.1e-3 at 1.4e6 scenarios).  In exact mode the errors
-        are the samples; above the limit they are the sketch's estimates,
-        within ``SKETCH_ALPHA`` relative.
+        order statistic when n <= m, else within 1/m of the exact CDF, finer
+        than its 95% DKW band (+-1.1e-3 at 1.4e6 scenarios).  The errors are
+        the merged sketch's estimates, within ``SKETCH_ALPHA`` relative.
         """
-        n, order = self._stream(stream)[:2]
+        pooled = self._pooled(stream)
+        n = pooled.count
         m = min(n, _CDF_LEVELS)
         i = np.arange(1, m + 1)
-        return order((i * n + m - 1) // m - 1), i / m  # integer ceil; a float ceil can be 1 off
+        # integer ceil; a float ceil can be 1 off
+        return pooled.order_statistics((i * n + m - 1) // m - 1), i / m
 
     def summaries(self) -> tuple[CdfSummary, CdfSummary]:
-        """``cdf_summary`` of each stream: from the sorted errors without a copy
-        in exact mode, else from the sketches (quantiles within ``SKETCH_ALPHA``)."""
-        return _summary(*self._stream(1)), _summary(*self._stream(2))
+        """``cdf_summary`` of each stream from its sketches: counts and
+        exceedances exact, quantiles within ``SKETCH_ALPHA``."""
+        return self._pooled(1).summary(), self._pooled(2).summary()
 
 
 def _integer(value, name: str) -> int:
@@ -629,15 +615,13 @@ def run_monte_carlo(
     empirical CDF as all M^2 pairs.  Geometries whose channel condition
     number exceeds ``condition_cap`` are rejected and tallied.  Every chunk
     folds its errors and condition numbers into sketches, and each worker
-    merges its chunks' sketches as they finish; up to ``_EXACT_LIMIT``
-    scenarios the errors are also kept, sorted.  Identical (seed,
+    merges its chunks' sketches as they finish.  Identical (seed,
     parameters) give bitwise-identical output for any ``threads``.  At most
     ``MAX_SCENARIOS`` scenarios; ``min(threads, CPUs this process may use,
     max(1, n_scenarios // _SCENARIOS_PER_WORKER))`` workers run, the calling
     thread being one of them and a thread pool the others, on chunks of
     ``_CHUNK`` scenarios if one worker runs and ``_POOL_CHUNK`` if more do.
-    Memory is one chunk's working set and two sketches per worker, plus the
-    exact errors up to the limit.
+    Memory is one chunk's working set and 2M + 1 sketches per worker.
     """
     n = _integer(n_scenarios, "n_scenarios")
     seed = _integer(seed, "seed")
@@ -657,25 +641,16 @@ def run_monte_carlo(
     ratios = np.asarray(constellation.ratio_set.values)
     m = len(ratios)
     ideal = np.stack([np.ones(m), ratios])[..., None]  # what G should be: (2, M, 1)
-    exact = n <= _EXACT_LIMIT
-    # the chunk from scenario `start` on writes its kept errors from offset start*m on
-    streams = (np.empty(n * m if exact else 0), np.empty(n * m if exact else 0))
     workers = min(threads, _cpu_count(), max(1, n // _SCENARIOS_PER_WORKER))
     size = _CHUNK if workers == 1 else _POOL_CHUNK
     starts = range(0, n, size)
-    kept = [0] * len(starts)
 
-    def chunk(i: int, sketches: list[Sketch]) -> None:
-        start = starts[i]
+    def chunk(start: int, sketches: list[Sketch]) -> None:
         theta, phi = _angles(_uniforms(seed, n, start, min(start + size, n)), separation)
         resp = _responses(patterns, theta, phi, pols)
         keep, g, cond = _zf_gains(resp[:, :2], resp[:, 2:], condition_cap)
         e = np.abs(np.subtract(g, ideal, out=g))  # (2, M, kept): sketch rows, values last
         del resp, g  # the chunk's largest arrays: free them before the folds allocate
-        kept[i] = e.shape[-1]
-        if exact:
-            for s in (0, 1):
-                streams[s][start * m:(start + kept[i]) * m].reshape(-1, m)[:] = e[s].T
         for sketch, values in zip(sketches, (*e[0], *e[1], cond[keep])):
             sketch.add(values)
 
@@ -683,8 +658,8 @@ def run_monte_carlo(
         """Chunks w, w + workers, ..., each folded into the worker's sketches: one
         per stream and ratio index, stream 1's first, then the condition numbers'."""
         sketches = [Sketch.empty(_EXCEEDANCE_THRESHOLDS) for _ in range(2 * m)] + [Sketch.empty()]
-        for i in range(w, len(starts), workers):
-            chunk(i, sketches)
+        for start in starts[w::workers]:
+            chunk(start, sketches)
         return sketches
 
     if workers == 1:
@@ -699,21 +674,9 @@ def run_monte_carlo(
     for part in parts[1:]:
         for sketch, other in zip(sketches, part):
             sketch.merge(other)
-
-    end = 0  # shift each chunk's kept errors left, behind those of the chunks before it
-    for start, k in zip(starts, kept):
-        if exact and end != start * m:
-            for e in streams:
-                e[end:end + k * m] = e[start * m:(start + k) * m]
-        end += k * m
-    streams = tuple(e[:end] if exact else e for e in streams)
-    for e in streams:
-        e.sort()
-        e.setflags(write=False)
     return MonteCarloResult(
-        stream_errors=streams,
         n_scenarios=n,
-        n_rejected=n - sum(kept),
+        n_rejected=n - sketches[-1].count,  # the condition sketch counts the kept channels
         seed=seed,
         separation_deg=separation,
         errors=(tuple(sketches[:m]), tuple(sketches[m:2 * m])),

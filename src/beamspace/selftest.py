@@ -265,8 +265,7 @@ def criterion_monte_carlo_contract() -> CriterionResult:
     """Reproducibility across runs and worker counts, speed, CDF sanity, stream order."""
     con, s_hat, b_hat = _qpsk_states(perturbation=example_perturbation())
     # enough scenarios for two workers' shares, so threads 2 and 8 start a
-    # pool wherever two CPUs are free; above the exact limit, so the sweeps
-    # are compared through their sketches
+    # pool wherever two CPUs are free
     n = 2 * link._SCENARIOS_PER_WORKER + 1
     start = time.perf_counter()
     runs = [

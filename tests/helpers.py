@@ -8,7 +8,9 @@ which is what makes them an oracle for it.
 
 ``upfront_errors`` is the Monte-Carlo sweep with every geometry drawn before
 any chunk runs, the oracle the chunk-by-chunk draw and the sketches are
-pinned to; ``upfront_sweep`` sorts its errors into the two streams.
+pinned to; ``upfront_sketches`` folds its errors into the rows of
+``sketch.npz``.  ``result_arrays`` are those rows for a sweep's result, and
+``sketch_rows`` and ``pooled`` rebuild sketches from them.
 
 ``reference_responses``, ``reference_condition_2x2`` and
 ``reference_zf_gains`` are the decode kernel with the scenario axis first:
@@ -19,6 +21,7 @@ give the same bits.
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from beamspace import (
     link,
     ratio_label,
 )
-from beamspace.link import DEFAULT_CONDITION_CAP, THETA_POL
+from beamspace.link import DEFAULT_CONDITION_CAP, THETA_POL, Sketch
 from beamspace.sphere import apply_stencil, bilinear_stencil
 
 
@@ -114,10 +117,44 @@ def upfront_errors(s_hat, basis_hat, constellation, n, seed, separation_deg=(3.0
     return np.concatenate(errors), np.concatenate(conds), rejected
 
 
-def upfront_sweep(*args, **kwargs):
-    """Both sorted error streams and the rejection count of an up-front sweep."""
-    errors, _, rejected = upfront_errors(*args, **kwargs)
-    return np.sort(errors[:, 0].ravel()), np.sort(errors[:, 1].ravel()), rejected
+def result_arrays(mc) -> dict[str, np.ndarray]:
+    """The arrays of a sweep's ``sketch.npz``: its error rows, then its condition row."""
+    return {**link._sketch_arrays("error_", mc.errors),
+            **link._sketch_arrays("condition_", mc.conditions)}
+
+
+def upfront_sketches(*args, **kwargs):
+    """``result_arrays`` and the rejection count of an up-front sweep, each row's
+    errors folded into its sketch in one add."""
+    errors, conds, rejected = upfront_errors(*args, **kwargs)
+    rows = np.empty(errors.shape[1:], dtype=object)  # (2, M)
+    for i in np.ndindex(rows.shape):
+        rows[i] = Sketch.empty(link._EXCEEDANCE_THRESHOLDS)
+        rows[i].add(errors[(slice(None), *i)])
+    condition = Sketch.empty()
+    condition.add(conds)
+    return result_arrays(SimpleNamespace(errors=rows, conditions=condition)), rejected
+
+
+def sketch_rows(arrays, prefix: str) -> np.ndarray:
+    """The sketches stored under ``prefix`` in ``sketch.npz``-style arrays, in their
+    row shape."""
+    f = {name[len(prefix):]: a for name, a in arrays.items() if name.startswith(prefix)}
+    rows = np.empty(f["key0"].shape, dtype=object)
+    above = f["above"].reshape(rows.shape + f["thresholds"].shape)
+    for r, i in enumerate(np.ndindex(rows.shape)):
+        rows[i] = Sketch(tuple(f["thresholds"]), int(f["zeros"][i]), above[i],
+                         float(f["min"][i]), float(f["max"][i]), int(f["key0"][i]),
+                         f["counts"][f["offsets"][r]:f["offsets"][r + 1]])
+    return rows
+
+
+def pooled(rows) -> Sketch:
+    """A stream's sketch: an empty sketch merged with its ratio rows."""
+    out = Sketch.empty(link._EXCEEDANCE_THRESHOLDS)
+    for row in rows:
+        out.merge(row)
+    return out
 
 
 def reference_responses(patterns, theta, phi, pols) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 import beamspace
 
 # Lines of the package's source, as the last change to its size left them.
-LINE_BUDGET = 3011
+LINE_BUDGET = 2967
 
 # Every public name of the package; adding or removing one means editing this set.
 PUBLIC_NAMES = {

@@ -23,14 +23,13 @@ from beamspace import (
     RunConfig,
     SingularChannelError,
     VectorPattern,
-    cdf_summary,
     load_cdf_csv,
     load_config,
     load_pattern_csv,
     save_cdf_csv,
 )
 from beamspace.cli import main
-from helpers import load_metrics_json
+from helpers import load_metrics_json, pooled, sketch_rows
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -177,21 +176,21 @@ class TestMonteCarloCommand:
                      "--scenarios", "1500", "--out", str(tmp_path / "a")]) == 0
         assert main(["monte-carlo", "--config", str(hand_config),
                      "--scenarios", "1500", "--out", str(tmp_path / "b")]) == 0
-        for stream in (1, 2):
-            fa = (tmp_path / "a" / f"cdf_stream{stream}.csv").read_bytes()
-            fb = (tmp_path / "b" / f"cdf_stream{stream}.csv").read_bytes()
-            assert fa == fb
+        for name in ("cdf_stream1.csv", "cdf_stream2.csv", "sketch.npz"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         report = load_metrics_json(tmp_path / "a" / "mc_report.json")
         assert report["scenarios"] == 1500
         assert report["rejected"] >= 0
         assert report["seconds"] > 0
+        assert report["sketch_alpha"] == link.SKETCH_ALPHA
         assert set(report["stream1"]["quantiles"]) == {
             "1.0", "5.0", "25.0", "50.0", "75.0", "95.0", "99.0"}
-        # the exact streams reload from errors.npz and reproduce the report
-        with np.load(tmp_path / "a" / "errors.npz") as exact:
-            for stream in ("stream1", "stream2"):
-                quantiles = {str(q): v for q, v in cdf_summary(exact[stream]).quantiles.items()}
-                assert quantiles == report[stream]["quantiles"]
+        # each stream's rows reload from sketch.npz and reproduce the report
+        with np.load(tmp_path / "a" / "sketch.npz") as npz:
+            rows = sketch_rows(npz, "error_")
+        for s, stream in enumerate(("stream1", "stream2")):
+            quantiles = {str(q): v for q, v in pooled(rows[s]).summary().quantiles.items()}
+            assert quantiles == report[stream]["quantiles"]
 
     def test_seed_override(self, hand_config, tmp_path):
         assert main(["monte-carlo", "--config", str(hand_config),
@@ -223,19 +222,19 @@ class TestMonteCarloCommand:
         assert main(["monte-carlo", "--config", str(config)]) == 1
         assert "rejected" in capsys.readouterr().err
 
-    def test_all_rejected_above_exact_limit(self, hand_config, tmp_path, capsys):
-        # above the exact limit no error samples are kept, so the rejection
-        # tally, not an empty stream, decides exit 1
+    def test_rejection_tally_decides_exit_1(self, hand_config, tmp_path, capsys):
+        # no error samples are kept, so the rejection tally, not an empty stream,
+        # decides exit 1; a full chunk and a partial one
         capped = _write_config(tmp_path, {"monte_carlo": {"condition_cap": 1.000001}})
-        assert main(["monte-carlo", "--config", str(capped), "--scenarios", "100001",
+        assert main(["monte-carlo", "--config", str(capped), "--scenarios", "5001",
                      "--out", str(tmp_path / "capped")]) == 1
         assert "rejected" in capsys.readouterr().err
-        assert main(["monte-carlo", "--config", str(hand_config), "--scenarios", "100001",
+        assert main(["monte-carlo", "--config", str(hand_config), "--scenarios", "5001",
                      "--out", str(tmp_path / "out")]) == 0
         written = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert written == ["cdf_stream1.csv", "cdf_stream2.csv", "mc_report.json", "sketch.npz"]
         report = load_metrics_json(tmp_path / "out" / "mc_report.json")
-        assert report["scenarios"] == 100001 and report["rejected"] == 0
+        assert report["scenarios"] == 5001 and report["rejected"] == 0
 
     def test_ratio_quantiles_show_the_dichotomy(self, hand_config, tmp_path):
         # the pooled stream tables mix the exact +-1 decodes with the +-j ones;
@@ -305,7 +304,7 @@ class TestOutputDirectory:
     @pytest.mark.parametrize("command, name", [
         ("metrics", "metrics.json"), ("evm-map", "evm_map.csv"),
         ("constellation", "constellation.csv"), ("monte-carlo", "cdf_stream1.csv"),
-        ("monte-carlo", "errors.npz"), ("monte-carlo", "mc_report.json")])
+        ("monte-carlo", "sketch.npz"), ("monte-carlo", "mc_report.json")])
     def test_output_file_taken_by_a_directory_exit_2(self, tmp_path, capsys, command, name):
         config = _write_config(tmp_path, {"grid": {"n_theta": 19, "n_phi": 36},
                                           "monte_carlo": {"scenarios": 50}})

@@ -37,8 +37,9 @@ from beamspace.patterns import (
     perturbed_basis,
 )
 from beamspace import iokit
+from beamspace.link import SKETCH_ALPHA
 from beamspace.modulation import PskConstellation
-from helpers import load_metrics_json
+from helpers import load_metrics_json, upfront_errors
 
 QPSK = PskConstellation.qpsk()
 
@@ -565,7 +566,9 @@ class TestSaveResults:
         written = save_results(tmp_path, mc=mc)
         for stream in (1, 2):
             errors, probs = load_cdf_csv(written[f"cdf_stream{stream}"])
-            assert np.array_equal(errors, mc.stream_errors[stream - 1])
+            want_errors, want_probs = mc.cdf(stream)
+            assert errors.tobytes() == want_errors.tobytes()
+            assert probs.tobytes() == want_probs.tobytes()
             assert np.all(np.diff(probs) > 0)
 
     def test_mc_cdf_files_bounded_above_10k_samples(self, tmp_path):
@@ -574,23 +577,22 @@ class TestSaveResults:
         psi = generate_perturbation(example_perturbation(), grid, QPSK.ratio_set)
         from beamspace import run_monte_carlo
         s_hat = apply_perturbation(states, psi)
-        mc = run_monte_carlo(s_hat, perturbed_basis(s_hat), QPSK, n_scenarios=3000, seed=1)
+        args = (s_hat, perturbed_basis(s_hat), QPSK, 3000)
+        mc = run_monte_carlo(*args, seed=1)
         written = save_results(tmp_path, mc=mc)
-        with np.load(written["errors"]) as npz:
-            reloaded = {name: npz[name] for name in npz.files}
+        samples, _, rejected = upfront_errors(*args, seed=1)
+        assert mc.n_rejected == rejected
         for stream in (1, 2):
-            exact = mc.stream_errors[stream - 1]
+            exact = np.sort(samples[:, stream - 1].ravel())
             n = exact.size
             assert n > 10_000
-            assert reloaded[f"stream{stream}"].tobytes() == exact.tobytes()
             errors, probs = load_cdf_csv(written[f"cdf_stream{stream}"])
             i = np.arange(1, 10_001)
             assert np.array_equal(probs, i / 10_000)
-            assert np.array_equal(errors, exact[[-(-k * n // 10_000) - 1 for k in range(1, 10_001)]])
-            # the file's step CDF stays within 1/10^4 of the exact empirical CDF
-            file_cdf = np.concatenate([[0.0], probs])[np.searchsorted(errors, exact, "right")]
-            exact_cdf = np.searchsorted(exact, exact, "right") / n
-            assert np.max(np.abs(file_cdf - exact_cdf)) <= 1e-4
+            # row i holds the ceil(i n / 10^4)-th smallest error, within alpha
+            want = exact[-(-i * n // 10_000) - 1]
+            assert np.all(np.abs(errors - want) <= SKETCH_ALPHA * want)
+            assert errors[-1] == exact[-1]
 
 
 class TestRunConfig:

@@ -45,13 +45,16 @@ from beamspace import (
 from beamspace.cli import _assemble
 from beamspace.link import DEFAULT_CONDITION_CAP, PHI_POL, SKETCH_ALPHA, THETA_POL, Sketch
 from helpers import (
+    pooled,
     reference_condition_2x2,
     reference_responses,
     reference_zf_gains,
+    result_arrays,
     sample_pattern,
+    sketch_rows,
     transmit_and_receive,
     upfront_errors,
-    upfront_sweep,
+    upfront_sketches,
     zero_pattern,
     zf_equalize,
 )
@@ -121,6 +124,26 @@ def _pair_errors_oracle(states, basis, con, geometries, pols=(THETA_POL, THETA_P
                 y = transmit_and_receive(states, x1, x2, scenario)
                 errors[:, s, k1, k2] = np.abs(zf_equalize(y, scenario) - [x1, x2])
     return errors
+
+
+def _assert_rows_match_pairs(mc, errors):
+    """Each ratio row of a sweep against the oracle's errors of every pair of that
+    ratio: the extremes to round-off, the other order statistics within alpha."""
+    n, m = errors.shape[1:3]
+    k1 = np.arange(m)
+    for s, rows in enumerate(mc.errors):
+        for k, row in enumerate(rows):
+            want = np.sort(errors[s][:, k1, (k1 + k) % m], axis=0)  # (n, M): one column per k1
+            got = row.order_statistics(np.arange(n))[:, None]
+            assert row.count == n
+            assert np.allclose(got[[0, -1]], want[[0, -1]], rtol=1e-9, atol=1e-12)
+            assert np.allclose(got, want, rtol=SKETCH_ALPHA + 1e-9, atol=1e-12)
+
+
+def _same_arrays(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for name, a in want.items():
+        _same_bits(got[name], a)
 
 
 class TestBuildChannel:
@@ -368,16 +391,15 @@ class TestMonteCarlo:
     def test_identity_perturbation_step_cdf(self, free_states, free_basis):
         mc = run_monte_carlo(free_states, free_basis, QPSK, n_scenarios=2000, seed=3)
         assert mc.n_rejected == 0
-        assert mc.stream_errors[0][-1] <= 1e-10
-        assert mc.stream_errors[1][-1] <= 1e-10
+        assert mc.cdf(1)[0][-1] <= 1e-10  # the last row is the largest error, exactly
+        assert mc.cdf(2)[0][-1] <= 1e-10
 
     def test_seeded_reproducibility(self, hand_states, hand_basis):
         a = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=500, seed=11)
         b = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=500, seed=11)
-        for s in (0, 1):
-            assert np.array_equal(a.stream_errors[s], b.stream_errors[s])
+        _same_arrays(result_arrays(b), result_arrays(a))
         c = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=500, seed=12)
-        assert not np.array_equal(a.stream_errors[0], c.stream_errors[0])
+        assert not np.array_equal(a.cdf(1)[0], c.cdf(1)[0])
 
     def test_worker_count_does_not_change_bytes(self, hand_states, hand_basis, monkeypatch,
                                                 sweep_log):
@@ -388,8 +410,7 @@ class TestMonteCarlo:
                                 seed=9, threads=t) for t in (1, 2, 8)]
         assert sweep_log.pools == [1, 3]
         for r in runs[1:]:
-            for s in (0, 1):
-                assert runs[0].stream_errors[s].tobytes() == r.stream_errors[s].tobytes()
+            _same_arrays(result_arrays(r), result_arrays(runs[0]))
 
     def test_record_path_cross_check(self, hand_states, hand_basis):
         # the closed-form ratio-state kernel must agree with the per-pair
@@ -398,12 +419,8 @@ class TestMonteCarlo:
             mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=3, seed=21,
                                  rx_polarizations=pols)
             assert mc.n_rejected == 0
-            errors = _pair_errors_oracle(hand_states, hand_basis, QPSK,
-                                         _mc_geometries(3, seed=21), pols)
-            for stream in (1, 2):
-                want = np.sort(errors[stream - 1].ravel())
-                got = np.repeat(mc.stream_errors[stream - 1], 4)
-                assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+            _assert_rows_match_pairs(mc, _pair_errors_oracle(hand_states, hand_basis, QPSK,
+                                                             _mc_geometries(3, seed=21), pols))
 
     def test_ratio_state_reduction_8psk_with_offset(self, grid):
         con = PskConstellation(8, phase_offset=0.3)
@@ -425,10 +442,7 @@ class TestMonteCarlo:
                 same_ratio = e[:, k1, (k1 + k) % 8]
                 assert np.allclose(same_ratio, same_ratio[:, :1], rtol=1e-12, atol=1e-12)
         assert np.max(errors[1]) > 1e-2
-        for stream in (1, 2):
-            want = np.sort(errors[stream - 1].ravel())
-            got = np.repeat(mc.stream_errors[stream - 1], 8)
-            assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+        _assert_rows_match_pairs(mc, errors)
 
     def test_ratio_index_recorded(self, hand_states, hand_basis):
         scenario = build_channel(hand_basis, (RX1, RX2), QPSK)
@@ -494,8 +508,7 @@ class TestMonteCarlo:
             assert min(workers, 2) <= len(sweep_log.threads) <= workers
             size = link._CHUNK if workers == 1 else link._POOL_CHUNK
             assert sorted(sweep_log.chunks) == [(s, min(s + size, n)) for s in range(0, n, size)]
-            for s in (0, 1):
-                assert mc.stream_errors[s].tobytes() == serial.stream_errors[s].tobytes()
+            _same_arrays(result_arrays(mc), result_arrays(serial))
         assert 1 <= cpu_count() <= (os.cpu_count() or 1)
 
     def test_workers_follow_the_scenario_count(self, hand_states, hand_basis, monkeypatch,
@@ -522,7 +535,7 @@ class TestMonteCarlo:
         # min == max is a valid (single-distance) interval
         mc = run_monte_carlo(free_states, free_basis, QPSK, n_scenarios=50,
                              separation_deg=(4.0, 4.0), seed=3)
-        assert mc.stream_errors[0].size == 50 * 4
+        assert mc.summaries()[0].count == 50 * 4
 
     def test_grid_mismatch_rejected(self, free_states):
         from beamspace import GridMismatchError
@@ -542,7 +555,7 @@ class TestMonteCarlo:
         a = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=200, seed=6)
         b = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=200, seed=6,
                             rx_polarizations=(PHI_POL, PHI_POL))
-        assert not np.array_equal(a.stream_errors[0], b.stream_errors[0])
+        assert not np.array_equal(a.cdf(1)[0], b.cdf(1)[0])
 
     def test_rejection_tally(self, grid, free_states):
         # force universal rejection with an impossible condition cap
@@ -550,7 +563,7 @@ class TestMonteCarlo:
         mc = run_monte_carlo(free_states, basis, QPSK, n_scenarios=50, seed=5,
                              condition_cap=1.0 + 1e-12)
         assert mc.n_rejected == 50
-        assert mc.stream_errors[0].size == 0
+        assert all(r.count == 0 for rows in mc.errors for r in rows)
 
     def test_scale_invariance_of_error_geometry(self, grid, hand_states, hand_basis):
         c = 0.31 - 1.7j
@@ -563,9 +576,12 @@ class TestMonteCarlo:
         scaled_basis = perturbed_basis(scaled_states)
         a = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=300, seed=13)
         b = run_monte_carlo(scaled_states, scaled_basis, QPSK, n_scenarios=300, seed=13)
-        for s in (0, 1):
-            assert np.allclose(a.stream_errors[s], b.stream_errors[s],
-                               rtol=1e-9, atol=1e-12)
+        for rows_a, rows_b in zip(a.errors, b.errors):
+            for ra, rb in zip(rows_a, rows_b):  # the extremes are exact, the rest within alpha
+                assert np.allclose([rb.minimum, rb.maximum], [ra.minimum, ra.maximum],
+                                   rtol=1e-9, atol=1e-12)
+        for s in (1, 2):  # near-equal errors can fall in neighbouring buckets
+            assert np.allclose(b.cdf(s)[0], a.cdf(s)[0], rtol=2 * SKETCH_ALPHA, atol=1e-12)
 
     def test_mc_cdf_monotone_in_unit_interval(self, hand_states, hand_basis):
         mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=400, seed=2)
@@ -613,7 +629,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # counts around the 4,096-scenario chunk: one scenario, one short of a chunk,
 # one chunk, one over, and three chunks plus a partial one
 STREAM_COUNTS = (1, 4095, 4096, 4097, 3 * 4096 + 17)
-# the same around the 8,192-scenario pool chunk, and one sweep above the exact limit
+# the same around the 8,192-scenario pool chunk, and twelve pool chunks plus a partial one
 POOL_COUNTS = (8191, 8193, 3 * 8192 + 17, 100_001)
 
 
@@ -639,13 +655,14 @@ class TestStreamedSweep:
 
     @pytest.mark.parametrize("n", STREAM_COUNTS)
     def test_streams_equal_upfront_sweep(self, shipped, n, monkeypatch, sweep_log):
-        # one worker per 1,024 scenarios, on 1,024-scenario pool chunks
+        # one worker per 1,024 scenarios, on 1,024-scenario pool chunks; merging
+        # sketches adds integers, so the sweep's rows are the bits of one add per row
         cfg, asm = shipped
         args = (asm.perturbed_states, asm.perturbed_basis, asm.constellation)
         params = dict(separation_deg=cfg.separation_deg, condition_cap=cfg.condition_cap)
-        *want, rejected = upfront_sweep(*args, n, cfg.seed, **params)
+        want, rejected = upfront_sketches(*args, n, cfg.seed, **params)
         if cfg.condition_cap == 200 and n > 1:
-            assert 0 < rejected < n  # chunks reject, so their kept errors are shifted left
+            assert 0 < rejected < n  # chunks reject some of their scenarios
         for name in ("_SCENARIOS_PER_WORKER", "_POOL_CHUNK"):
             monkeypatch.setattr(link, name, 1024)
         monkeypatch.setattr(link, "_cpu_count", lambda: 64)
@@ -655,8 +672,7 @@ class TestStreamedSweep:
             workers = min(threads, max(1, n // 1024))
             assert sweep_log.pools == ([] if workers == 1 else [workers - 1])
             assert mc.n_rejected == rejected
-            for got, exact in zip(mc.stream_errors, want):
-                assert got.dtype == exact.dtype and got.tobytes() == exact.tobytes()
+            _same_arrays(result_arrays(mc), want)
 
     @pytest.mark.parametrize("n", POOL_COUNTS)
     def test_chunk_size_does_not_change_bytes(self, shipped, n, monkeypatch):
@@ -666,20 +682,14 @@ class TestStreamedSweep:
         runs = []
         for size in (link._CHUNK, link._POOL_CHUNK):
             monkeypatch.setattr(link, "_CHUNK", size)
-            mc = run_monte_carlo(*args, n_scenarios=n, seed=cfg.seed, **params)
-            runs.append((mc, {**link._sketch_arrays("error_", mc.errors),
-                              **link._sketch_arrays("condition_", mc.conditions)}))
-        (a, sketch_a), (b, sketch_b) = runs
+            runs.append(run_monte_carlo(*args, n_scenarios=n, seed=cfg.seed, **params))
+        a, b = runs
         assert a.n_rejected == b.n_rejected
-        for got, want in zip(b.stream_errors, a.stream_errors):
-            _same_bits(got, want)
-        assert sketch_b.keys() == sketch_a.keys()
-        for name, want in sketch_a.items():
-            _same_bits(sketch_b[name], want)
+        _same_arrays(result_arrays(b), result_arrays(a))
 
     def test_working_memory_does_not_grow_with_n(self, hand_states, hand_basis):
-        # numpy reports its buffers to tracemalloc; what a sweep holds beyond
-        # its result is one chunk's working set, whatever the scenario count
+        # numpy reports its buffers to tracemalloc; a sweep holds one chunk's
+        # working set and its result is 2M + 1 sketches, whatever the scenario count
         def traced(call):
             tracemalloc.start()
             try:
@@ -691,24 +701,17 @@ class TestStreamedSweep:
 
         # a first sweep leaves about 0.8 MB of one-time state behind; keep it out
         run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=1, seed=5)
-        working = {}
-        for n in (20_000, 100_000):
-            mc, peak = traced(lambda: run_monte_carlo(hand_states, hand_basis, QPSK,
-                                                      n_scenarios=n, seed=5))
-            assert mc.n_rejected == 0
-            working[n] = peak - sum(e.nbytes for e in mc.stream_errors)
-        assert abs(working[100_000] - working[20_000]) <= 2**20
-        summaries, peak = traced(mc.summaries)
-        assert peak < 64 * 1024
-        assert summaries == tuple(cdf_summary(e) for e in mc.stream_errors)
-        # above the exact limit the whole result is two sketches: nothing grows with n
         whole = {}
-        for n in (150_000, 400_000):
+        for n in (20_000, 100_000, 150_000, 400_000):
             mc, whole[n] = traced(lambda: run_monte_carlo(hand_states, hand_basis, QPSK,
                                                           n_scenarios=n, seed=5))
-            assert not mc.exact and sum(r.count for rows in mc.errors for r in rows) == 8 * n
-            assert [e.size for e in mc.stream_errors] == [0, 0]
-        assert abs(whole[400_000] - whole[150_000]) <= 2**20
+            assert mc.n_rejected == 0
+            assert sum(r.count for rows in mc.errors for r in rows) == 8 * n
+        assert max(whole.values()) - min(whole.values()) <= 2**20
+        # a stream's summary merges its rows into one store of some 10^4 keys here
+        summaries, peak = traced(mc.summaries)
+        assert peak < 256 * 1024
+        assert [s.count for s in summaries] == [4 * 400_000] * 2
 
 
 def _same_bits(got, want):
@@ -810,14 +813,6 @@ def _assert_within_alpha(got: CdfSummary, want: CdfSummary):
         assert abs(got.quantiles[p] - q) <= (SKETCH_ALPHA + 1e-12) * abs(q), p
 
 
-def _pooled(rows) -> Sketch:
-    """A stream's sketch: an empty sketch merged with its ratio rows."""
-    pooled = Sketch.empty(link._EXCEEDANCE_THRESHOLDS)
-    for row in rows:
-        pooled.merge(row)
-    return pooled
-
-
 class TestSketch:
     """The fixed-size error state every sweep builds, against exact samples."""
 
@@ -852,17 +847,16 @@ class TestSketch:
             _assert_within_alpha(one.summary(), cdf_summary(exact))
 
     def test_quantiles_within_alpha_of_exact(self, shipped):
-        # one run keeps the exact streams (1e5 is the exact limit) and builds the
-        # sketches; the per-ratio samples and condition numbers come from the oracle
+        # the exact samples and condition numbers come from the oracle
         cfg, asm = shipped
         args = (asm.perturbed_states, asm.perturbed_basis, asm.constellation)
         params = dict(separation_deg=cfg.separation_deg, condition_cap=cfg.condition_cap)
         n = 100_000
         mc = run_monte_carlo(*args, n_scenarios=n, seed=cfg.seed, **params)
         errors, conds, rejected = upfront_errors(*args, n, cfg.seed, **params)
-        assert mc.exact and mc.n_rejected == rejected
-        for s, exact in enumerate(mc.summaries()):
-            _assert_within_alpha(_pooled(mc.errors[s]).summary(), exact)
+        assert mc.n_rejected == rejected
+        for s, got in enumerate(mc.summaries()):
+            _assert_within_alpha(got, cdf_summary(errors[:, s]))
             for k in range(asm.constellation.order):
                 _assert_within_alpha(mc.errors[s][k].summary(), cdf_summary(errors[:, s, k]))
         got = mc.conditions.summary()
@@ -872,10 +866,11 @@ class TestSketch:
             assert abs(q - want) <= (SKETCH_ALPHA + 1e-12) * want
         assert (mc.conditions.minimum, mc.conditions.maximum) == (conds.min(), conds.max())
 
-    def test_all_rejected_in_sketch_mode(self, free_states, free_basis, tmp_path):
-        mc = run_monte_carlo(free_states, free_basis, QPSK, n_scenarios=100_001, seed=5,
+    def test_all_rejected_leaves_empty_sketches(self, free_states, free_basis, tmp_path):
+        # a full chunk and a partial one
+        mc = run_monte_carlo(free_states, free_basis, QPSK, n_scenarios=5_001, seed=5,
                              condition_cap=1.0 + 1e-12)
-        assert not mc.exact and mc.n_rejected == 100_001
+        assert mc.n_rejected == 5_001
         assert all(r.count == 0 and r.counts.size == 0 for rows in mc.errors for r in rows)
         assert [a.size for a in mc.cdf(1)] == [0, 0]
         with pytest.raises(InvalidArgumentError):
@@ -888,7 +883,7 @@ class TestSketch:
     def test_sketch_npz_rebuilds_rows_and_streams(self, hand_states, hand_basis, tmp_path):
         # from sketch.npz alone: each row's sketch, and each stream's (its rows
         # merged) CDF as the same run wrote it; every row's store is tight
-        mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=100_001, seed=9)
+        mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=5_001, seed=9)
         written = save_results(tmp_path, mc=mc)
         with np.load(written["sketch"]) as npz:
             f = {name: npz[name] for name in npz.files}
@@ -900,21 +895,18 @@ class TestSketch:
         def edge(key):  # the lower edge of a bucket key, as the README gives it
             return (np.int64(key) << 45).view(np.float64)
 
+        (condition,) = sketch_rows(f, "condition_")
+        assert condition.summary() == mc.conditions.summary()
+        rows = sketch_rows(f, "error_")
         for s in range(2):
-            rows = []
-            for k in range(4):
-                store = counts[offsets[4 * s + k]:offsets[4 * s + k + 1]]
+            for k, row in enumerate(rows[s]):
+                store, key0 = row.counts, row.key0
                 assert store.size and store[0] > 0 and store[-1] > 0
-                key0, top = f["error_key0"][s, k], f["error_max"][s, k]
-                assert edge(key0 + store.size - 1) <= top < edge(key0 + store.size)
-                if f["error_zeros"][s, k] == 0:
-                    assert edge(key0) <= f["error_min"][s, k] < edge(key0 + 1)
-                row = Sketch(tuple(f["error_thresholds"]), int(f["error_zeros"][s, k]),
-                             f["error_above"][s, k], float(f["error_min"][s, k]), float(top),
-                             int(key0), store)
+                assert edge(key0 + store.size - 1) <= row.maximum < edge(key0 + store.size)
+                if row.zeros == 0:
+                    assert edge(key0) <= row.minimum < edge(key0 + 1)
                 assert row.summary() == mc.errors[s][k].summary()
-                rows.append(row)
-            stream = _pooled(rows)
+            stream = pooled(rows[s])
             n, i = stream.count, np.arange(1, 10_001)
             errors, probs = load_cdf_csv(written[f"cdf_stream{s + 1}"])
             _same_bits(stream.order_statistics((i * n + 9_999) // 10_000 - 1), errors)
@@ -922,21 +914,21 @@ class TestSketch:
 
     def test_sketch_bytes_do_not_depend_on_threads(self, hand_states, hand_basis, tmp_path,
                                                    monkeypatch, sweep_log):
-        # above the exact limit the CDFs and sketch.npz are read from the merged
-        # sketches; at one pool chunk per worker eight workers run, even on a
-        # machine with fewer CPUs
-        monkeypatch.setattr(link, "_SCENARIOS_PER_WORKER", link._POOL_CHUNK)
+        # the CDFs and sketch.npz are read from the merged sketches; at one
+        # 512-scenario pool chunk per worker eight workers run, even on a machine
+        # with fewer CPUs, over eight and twelve chunks each plus a partial one
+        for name in ("_SCENARIOS_PER_WORKER", "_POOL_CHUNK"):
+            monkeypatch.setattr(link, name, 512)
         monkeypatch.setattr(link, "_cpu_count", lambda: 64)
-        for n in (100_001, 102_401):
+        for n in (8 * 512 + 1, 12 * 512 + 257):
             files = []
             sweep_log.clear()
             for threads in (1, 2, 8):
                 mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=9,
                                      threads=threads)
-                assert not mc.exact
-                assert [(e.dtype, e.size) for e in mc.stream_errors] == [(np.float64, 0)] * 2
+                assert mc.stream_errors == ()
                 written = save_results(tmp_path / f"{n}-{threads}", mc=mc)
-                assert "errors" not in written
+                assert sorted(written) == ["cdf_stream1", "cdf_stream2", "sketch"]
                 files.append([written[k].read_bytes()
                               for k in ("sketch", "cdf_stream1", "cdf_stream2")])
             assert files[0] == files[1] == files[2]
