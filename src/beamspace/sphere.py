@@ -290,20 +290,20 @@ def bilinear_stencil(grid: SphericalGrid, theta, phi):
         raise AngleOutOfRangeError("sample angles must be finite")
     if np.any(theta < -1e-12) or np.any(theta > np.pi + 1e-12):
         raise AngleOutOfRangeError("theta outside grid coverage [0, pi]")
-    tq = np.clip(theta, 0.0, np.pi)
+    tq, pq = np.clip(theta, 0.0, np.pi), np.mod(phi, 2.0 * np.pi)
     it = _cell(grid.theta, tq, grid.theta_step, grid.n_theta - 2)
-    ft = (tq - grid.theta[it]) / (grid.theta[it + 1] - grid.theta[it])
-    pq = np.mod(phi, 2.0 * np.pi)
+    theta0 = grid.theta[it]
+    ft = (tq - theta0) / (grid.theta[it + 1] - theta0)
     j0 = _cell(grid.phi, pq, grid.phi_step, grid.n_phi - 1)
-    j1 = (j0 + 1) % grid.n_phi
-    # last azimuth cell wraps to phi = 2*pi
-    upper = np.where(j1 == 0, 2.0 * np.pi, grid.phi[j1])
-    fp = (pq - grid.phi[j0]) / (upper - grid.phi[j0])
-    row0 = it * grid.n_phi
-    row1 = row0 + grid.n_phi
-    nodes = (row0 + j0, row0 + j1, row1 + j0, row1 + j1)
-    weights = ((1.0 - ft) * (1.0 - fp), (1.0 - ft) * fp, ft * (1.0 - fp), ft * fp)
-    return nodes, weights
+    j1, phi0 = (j0 + 1) % grid.n_phi, grid.phi[j0]
+    upper = np.where(j1 == 0, 2.0 * np.pi, grid.phi[j1])  # the last cell wraps to phi = 2*pi
+    fp = (pq - phi0) / (upper - phi0)
+    row0, row1 = it * grid.n_phi, (it + 1) * grid.n_phi
+    gt, gp = 1.0 - ft, 1.0 - fp
+    w00, w11 = gt * gp, ft * fp
+    gt *= fp  # in place, so four weight arrays are live, not six; a product's operand
+    gp *= ft  # order leaves its bits, so these are (1 - ft) * fp and ft * (1 - fp)
+    return (row0 + j0, row0 + j1, row1 + j0, row1 + j1), (w00, gt, gp, w11)
 
 
 def apply_stencil(stencil, fields: np.ndarray) -> np.ndarray:

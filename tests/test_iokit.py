@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from beamspace import (
     ConfigError,
@@ -462,7 +464,65 @@ class TestCdfCsv:
                 load_cdf_csv(path)
 
 
+# Bit patterns of the floats a run is drawn from: both zeros, NaNs of three payloads
+# or signs, both infinities, a subnormal, the largest double and two ordinary values.
+_RUN_BITS = np.concatenate([
+    np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 0.1, 3.0])
+    .view(np.int64), np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64)])
+
+
+def _with_float32(floats, *others):
+    with np.errstate(over="ignore"):  # the largest double is inf in float32
+        return [floats, floats.astype(np.float32), *others]
+
+
+@st.composite
+def _tables(draw):
+    """Columns of one length, chosen from: runs of the floats above, the same in
+    float32, arbitrary doubles, int64s and short strings; and a block size."""
+    runs = draw(st.lists(st.tuples(st.sampled_from(range(_RUN_BITS.size)), st.integers(1, 7)),
+                         max_size=8))
+    floats = _RUN_BITS[np.repeat([i for i, _ in runs], [k for _, k in runs]).astype(int)]
+    n = floats.size
+    pool = _with_float32(
+        floats.view(np.float64),
+        np.array(draw(st.lists(st.floats(), min_size=n, max_size=n)), dtype=float),
+        np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)),
+                 dtype=np.int64),
+        draw(st.lists(st.text("ab-x ", max_size=3), min_size=n, max_size=n)))
+    picks = draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=6))
+    return [pool[i] for i in picks], draw(st.sampled_from([1, 3, 512]))
+
+
+# every special run in turn, each crossing an edge of 3-row blocks
+_SPECIAL_RUNS = _RUN_BITS[np.repeat([0, 1, 0, 2, 9, 10, 2, 3, 4, 3], 4)].view(np.float64)
+
+
+def _per_row_table(header, columns) -> bytes:
+    """The table writer's contract, one value at a time: floats by repr, strings as
+    they are, other numbers by str."""
+    def cell(x):
+        return x if isinstance(x, str) else repr(x) if isinstance(x, float) else str(x)
+
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return "".join([f"{line}\n" for line in header]
+                   + [",".join(map(cell, row)) + "\n" for row in rows]).encode()
+
+
 class TestWriteTable:
+    @given(_tables())
+    @example((_with_float32(_SPECIAL_RUNS, [f"s{i}" for i in range(40)], np.arange(40)), 3))
+    @example(([np.zeros(0), np.zeros(0, dtype=int)], 3))  # an empty table
+    @example(([["s"], np.array([-0.0]), [7], np.array([np.nan], np.float32)], 3))  # one row
+    def test_matches_a_per_row_writer(self, tmp_path_factory, table):
+        columns, block = table
+        header = ["# head", ",".join(f"c{i}" for i in range(len(columns)))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(iokit, "_BLOCK_ROWS", block)
+            path = iokit._write_table(tmp_path_factory.mktemp("table") / "t.csv", header,
+                                      columns)
+        assert path.read_bytes() == _per_row_table(header, columns)
+
     @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 7])  # block of 3: 0, 1, B-1, B, B+1, 2B+1
     def test_blocks_match_one_shot_formatting(self, tmp_path, monkeypatch, rows):
         monkeypatch.setattr(iokit, "_BLOCK_ROWS", 3)

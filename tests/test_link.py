@@ -846,6 +846,30 @@ class TestSketch:
             assert got[0] == exact[0] and got[-1] == exact[-1]
             _assert_within_alpha(one.summary(), cdf_summary(exact))
 
+    def test_order_statistics_stay_within_row_extremes(self):
+        # every value in the bucket [1, 1 + 2^-7): its midpoint 1 + 2^-8 lies above
+        # the largest of `low` and below the smallest of `high`, so only the clip
+        # keeps an interior order statistic, and a CDF row, inside the row's range
+        low = 1.0 + np.arange(8) * 1e-4
+        high = 1.0 + 2.0**-7 - np.arange(1, 9) * 1e-4
+
+        def sketch(values):
+            s = Sketch.empty(link._EXCEEDANCE_THRESHOLDS)
+            s.add(values)
+            assert s.counts.size == 1
+            return s
+
+        for values in (low, high):
+            got = sketch(values).order_statistics(np.arange(values.size))
+            assert np.all((values.min() <= got) & (got <= values.max()))
+        mc = link.MonteCarloResult(n_scenarios=8, n_rejected=0, seed=0, separation_deg=(3.0, 5.0),
+                                   errors=((sketch(low), sketch(low[::2])),
+                                           (sketch(high), sketch(high[1::2]))),
+                                   conditions=Sketch.empty())
+        for stream, values in ((1, low), (2, high)):
+            errors, _ = mc.cdf(stream)
+            assert errors.size == 12 and np.all(errors <= values.max())
+
     def test_quantiles_within_alpha_of_exact(self, shipped):
         # the exact samples and condition numbers come from the oracle
         cfg, asm = shipped
