@@ -87,6 +87,8 @@ def _cells(block: np.ndarray):
     # .tolist() first: numpy 2 spells repr(np.float64(x)) as "np.float64(x)"
     if block.dtype.kind in "OU":
         return block.tolist()
+    if block.dtype.kind == "S":  # cells formatted before, as ASCII bytes
+        return [cell.decode() for cell in block.tolist()]
     if block.dtype.kind != "f":
         return map(str, block.tolist())
     bits = block.view(f"i{block.itemsize}")
@@ -311,8 +313,12 @@ def load_pattern_csv(path) -> VectorPattern:
 
 
 def save_cdf_csv(path, errors, probabilities) -> Path:
-    return _write_table(Path(path), [",".join(CDF_COLUMNS)], (
-        np.asarray(errors, dtype=float), np.asarray(probabilities, dtype=float)))
+    """``probabilities`` as numbers, or as the ASCII text of each (a bytes array)."""
+    probs = np.asarray(probabilities)
+    if probs.dtype.kind != "S":
+        probs = probs.astype(float, copy=False)
+    return _write_table(Path(path), [",".join(CDF_COLUMNS)],
+                        (np.asarray(errors, dtype=float), probs))
 
 
 def load_cdf_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -390,8 +396,16 @@ def save_results(out_dir, metrics: dict | None = None, evm: EvmMap | None = None
     if mc is not None:
         from .link import _sketch_arrays
 
-        for stream in (1, 2):
-            errors, probs = mc.cdf(stream)
+        cdfs = [mc.cdf(stream) for stream in (1, 2)]
+        if np.array_equal(cdfs[0][1], cdfs[1][1]):  # both pool M errors per kept channel
+            # formatted once for both files, a block at a time into ASCII bytes: as
+            # str objects, 10^4 cells would take some 0.6 MB
+            probs = cdfs[0][1]
+            probs = np.concatenate([np.zeros(0, "S1")] + [
+                np.array(list(_cells(probs[i:i + _BLOCK_ROWS])), dtype="S")
+                for i in range(0, probs.size, _BLOCK_ROWS)])
+            cdfs = [(errors, probs) for errors, _ in cdfs]
+        for stream, (errors, probs) in enumerate(cdfs, 1):
             written[f"cdf_stream{stream}"] = save_cdf_csv(
                 out_dir / f"cdf_stream{stream}.csv", errors, probs
             )

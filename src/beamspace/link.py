@@ -13,13 +13,14 @@ ratio index k = (k2 - k1) mod M, so zero forcing returns x1 * g_k, with
 G = H^-1 F and F the receivers' responses to the M states.  One batched
 kernel computes G for every decode path; the transmit-side constellation
 at one angle is that decode at two co-located receivers.  The kernel's
-arrays keep the scenario axis last and contiguous: the responses are
-(2 receivers, M + 2 patterns, n), H is (2, 2, n) and G (2 streams, M, n).
+arrays keep the scenario axis last and contiguous: a sweep's responses are
+(2 receivers, M states, n), H is (2, 2, n) and G (2 streams, M, n).
 
 The Monte-Carlo sweep draws the receive geometries of
 ``draw_geometries(np.random.default_rng(seed), n)`` and takes, per
 accepted geometry, one noiseless error per stream and ratio state:
-|g1_k - 1| and |g2_k - r_k|.  Scenarios are processed in chunks; each
+|g1_k - 1| and |g2_k - r_k|, exactly zero for the +-1 states by the basis
+identity (``run_monte_carlo``).  Scenarios are processed in chunks; each
 chunk jumps the seeded PCG64 stream ahead to its own columns of the draw.
 Every chunk folds its errors into a fixed-size ``Sketch`` per stream and
 ratio state (exact zero, exceedance and extreme values, and log-bucketed
@@ -51,7 +52,7 @@ import numpy as np
 from .errors import (DEFAULT_CONDITION_CAP, MAX_SCENARIOS, InvalidArgumentError,
                      RatioSetMismatchError, SingularChannelError)
 from .modulation import PskConstellation
-from .patterns import BasisPair, StatePatternSet
+from .patterns import BasisPair, StatePatternSet, perturbed_basis
 from .sphere import PHI_POL, THETA_POL, apply_stencil, bilinear_stencil, require_same_grid
 
 __all__ = [
@@ -70,11 +71,8 @@ __all__ = [
     "cdf_summary",
 ]
 
-# Scenarios per chunk on one worker, and on several: each of a chunk's ~300
-# short numpy calls hands the GIL over, so workers on 4,096-scenario chunks
-# mostly take turns.  The output bytes depend on neither size.
-_CHUNK = 4096
-_POOL_CHUNK = 8192
+# Scenarios per chunk, on one worker or several; the output bytes do not depend on it.
+_CHUNK = 8192
 # A sweep starts a worker per this many scenarios at most: below it the pool
 # costs more wall time than it saves.
 _SCENARIOS_PER_WORKER = 150_000
@@ -137,25 +135,28 @@ def _responses(patterns, theta, phi, pols) -> np.ndarray:
     """Responses p_r^H e(theta_r, phi_r) of two receivers to each pattern.
 
     ``theta`` and ``phi`` are (2, n) receive angles and ``pols`` the two
-    receive polarizations; one bilinear stencil serves both receivers.  A
-    field component whose polarization weight is zero is not sampled.
-    Returns a (2, len(patterns), n) complex array: receiver, pattern, then
-    scenario, so every row a product writes or reads is contiguous.
+    receive polarizations; each receiver's bilinear stencil serves every
+    pattern and is freed before the next one is built.  A field component
+    whose polarization weight is zero is not sampled.  Returns a
+    (2, len(patterns), n) complex array: receiver, pattern, then scenario,
+    so every row a product writes or reads is contiguous.
     """
-    nodes, weights = bilinear_stencil(patterns[0].grid, theta, phi)
     out = np.empty((2, len(patterns), np.shape(theta)[1]), dtype=complex)
     for rx in range(2):
+        nodes, weights = bilinear_stencil(patterns[0].grid, theta[rx], phi[rx])
         # the complex weights once, not a cast inside each product with a field
-        stencil = (tuple(i[rx] for i in nodes), tuple(w[rx].astype(complex) for w in weights))
+        stencil = (nodes, tuple(w.astype(complex) for w in weights))
+        del nodes, weights
         pt, pp = np.conj(pols[rx])
         for k, p in enumerate(patterns):
             if pt and pp:
-                out[rx, k] = (pt * apply_stencil(stencil, p.e_theta)
-                              + pp * apply_stencil(stencil, p.e_phi))
+                np.add(pt * apply_stencil(stencil, p.e_theta),
+                       pp * apply_stencil(stencil, p.e_phi), out=out[rx, k])
             elif pt:
-                out[rx, k] = pt * apply_stencil(stencil, p.e_theta)
+                np.multiply(pt, apply_stencil(stencil, p.e_theta), out=out[rx, k])
             else:
-                out[rx, k] = pp * apply_stencil(stencil, p.e_phi)
+                np.multiply(pp, apply_stencil(stencil, p.e_phi), out=out[rx, k])
+        del stencil
     return out
 
 
@@ -613,15 +614,22 @@ def run_monte_carlo(
     for unit-modulus PSK every symbol pair with that ratio has exactly
     this error magnitude, so M samples per geometry give the same
     empirical CDF as all M^2 pairs.  Geometries whose channel condition
-    number exceeds ``condition_cap`` are rejected and tallied.  Every chunk
-    folds its errors and condition numbers into sketches, and each worker
-    merges its chunks' sketches as they finish.  Identical (seed,
-    parameters) give bitwise-identical output for any ``threads``.  At most
-    ``MAX_SCENARIOS`` scenarios; ``min(threads, CPUs this process may use,
-    max(1, n_scenarios // _SCENARIOS_PER_WORKER))`` workers run, the calling
-    thread being one of them and a thread pool the others, on chunks of
-    ``_CHUNK`` scenarios if one worker runs and ``_POOL_CHUNK`` if more do.
-    Memory is one chunk's working set and 2M + 1 sketches per worker.
+    number exceeds ``condition_cap`` are rejected and tallied.
+
+    ``basis_hat`` must be ``perturbed_basis(s_hat)`` (else InvalidArgumentError,
+    after the grid check), so H = A T with A the responses to the +1 and -1
+    states and T = [[1, 1], [1, -1]] / 2.  The sweep samples the M states and
+    decodes in state coordinates, G = T^-1 A^-1 F: the +-1 columns of A^-1 F
+    are unit vectors, so only the M - 2 others are solved and each +-1 row is
+    one exact zero per kept channel.  cond(A) = cond(H), as T is sqrt(1/2)
+    times an orthogonal matrix.  Every chunk folds its errors and condition
+    numbers into sketches, and each worker merges its chunks' sketches as
+    they finish.  Identical (seed, parameters) give bitwise-identical output
+    for any ``threads``.  At most ``MAX_SCENARIOS`` scenarios; ``min(threads,
+    CPUs this process may use, max(1, n_scenarios // _SCENARIOS_PER_WORKER))``
+    workers run, the calling thread being one of them and a thread pool the
+    others, on chunks of ``_CHUNK`` scenarios.  Memory is one chunk's working
+    set and 2(M - 2) + 1 sketches per worker.
     """
     n = _integer(n_scenarios, "n_scenarios")
     seed = _integer(seed, "seed")
@@ -634,30 +642,37 @@ def run_monte_carlo(
         raise InvalidArgumentError(f"condition_cap must exceed 1, got {condition_cap!r}")
     if threads < 1:
         raise InvalidArgumentError("threads must be >= 1")
-    patterns = (basis_hat.b1, basis_hat.b2) + _states(s_hat, constellation)
+    states = _states(s_hat, constellation)
     require_same_grid(s_hat.grid, basis_hat.grid)
+    if not _same_bits(basis_hat, perturbed_basis(s_hat)):  # the +-1 states' basis
+        raise InvalidArgumentError("basis_hat must be perturbed_basis(s_hat)")
     pols = _unit_polarizations(rx_polarizations)
     separation = _separation(separation_deg)
-    ratios = np.asarray(constellation.ratio_set.values)
-    m = len(ratios)
-    ideal = np.stack([np.ones(m), ratios])[..., None]  # what G should be: (2, M, 1)
+    ratio_set, m = constellation.ratio_set, constellation.order
+    pm1 = (ratio_set.plus_one_index, ratio_set.minus_one_index)
+    solved = [k for k in range(m) if k not in pm1]  # the ratio indices the kernel solves
+    patterns = tuple(states[k] for k in (*pm1, *solved))
+    ratios = np.asarray(ratio_set.values)[solved]
+    ideal = np.stack([np.ones(m - 2), ratios])[..., None]  # what G should be: (2, M - 2, 1)
     workers = min(threads, _cpu_count(), max(1, n // _SCENARIOS_PER_WORKER))
-    size = _CHUNK if workers == 1 else _POOL_CHUNK
-    starts = range(0, n, size)
+    starts = range(0, n, _CHUNK)
 
     def chunk(start: int, sketches: list[Sketch]) -> None:
-        theta, phi = _angles(_uniforms(seed, n, start, min(start + size, n)), separation)
-        resp = _responses(patterns, theta, phi, pols)
-        keep, g, cond = _zf_gains(resp[:, :2], resp[:, 2:], condition_cap)
-        e = np.abs(np.subtract(g, ideal, out=g))  # (2, M, kept): sketch rows, values last
-        del resp, g  # the chunk's largest arrays: free them before the folds allocate
+        theta, phi = _angles(_uniforms(seed, n, start, min(start + _CHUNK, n)), separation)
+        resp = _responses(patterns, theta, phi, pols)  # the +1 state, the -1 state, the others
+        del theta, phi
+        keep, y, cond = _zf_gains(resp[:, :2], resp[:, 2:], condition_cap)  # y = A^-1 F
+        del resp  # the chunk's largest array: free it before the folds allocate
+        y[0], y[1] = y[0] + y[1], y[0] - y[1]  # G = T^-1 y
+        e = np.abs(np.subtract(y, ideal, out=y))  # (2, M - 2, kept): sketch rows, values last
+        del y
         for sketch, values in zip(sketches, (*e[0], *e[1], cond[keep])):
             sketch.add(values)
 
     def worker(w: int) -> list[Sketch]:
         """Chunks w, w + workers, ..., each folded into the worker's sketches: one
-        per stream and ratio index, stream 1's first, then the condition numbers'."""
-        sketches = [Sketch.empty(_EXCEEDANCE_THRESHOLDS) for _ in range(2 * m)] + [Sketch.empty()]
+        per stream and solved ratio index, stream 1's first, then the condition numbers'."""
+        sketches = [Sketch.empty(_EXCEEDANCE_THRESHOLDS) for _ in solved * 2] + [Sketch.empty()]
         for start in starts[w::workers]:
             chunk(start, sketches)
         return sketches
@@ -674,11 +689,28 @@ def run_monte_carlo(
     for part in parts[1:]:
         for sketch, other in zip(sketches, part):
             sketch.merge(other)
+    kept = sketches[-1].count  # the condition sketch counts the kept channels
+
+    def stream(rows) -> tuple[Sketch, ...]:
+        """A stream's rows in ratio order, each +-1 row one exact zero per kept channel
+        (as ``Sketch.add`` folds zeros)."""
+        rows = dict(zip(solved, rows))
+        for k in pm1:
+            rows[k] = Sketch.empty(_EXCEEDANCE_THRESHOLDS)
+            if kept:
+                rows[k].zeros, rows[k].minimum, rows[k].maximum = kept, 0.0, 0.0
+        return tuple(rows[k] for k in range(m))
+
     return MonteCarloResult(
         n_scenarios=n,
-        n_rejected=n - sketches[-1].count,  # the condition sketch counts the kept channels
+        n_rejected=n - kept,
         seed=seed,
         separation_deg=separation,
-        errors=(tuple(sketches[:m]), tuple(sketches[m:2 * m])),
+        errors=(stream(sketches[:m - 2]), stream(sketches[m - 2:-1])),
         conditions=sketches[-1],
     )
+
+
+def _same_bits(a: BasisPair, b: BasisPair) -> bool:
+    return all(np.array_equal(getattr(p, c).view(np.int64), getattr(q, c).view(np.int64))
+               for p, q in ((a.b1, b.b1), (a.b2, b.b2)) for c in ("e_theta", "e_phi"))

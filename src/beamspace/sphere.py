@@ -288,22 +288,30 @@ def bilinear_stencil(grid: SphericalGrid, theta, phi):
                                      np.asarray(phi, dtype=float))
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
         raise AngleOutOfRangeError("sample angles must be finite")
-    if np.any(theta < -1e-12) or np.any(theta > np.pi + 1e-12):
+    lo, hi = np.min(theta, initial=1.0), np.max(theta, initial=1.0)  # initial: empty input passes
+    if lo < -1e-12 or hi > np.pi + 1e-12:
         raise AngleOutOfRangeError("theta outside grid coverage [0, pi]")
-    tq, pq = np.clip(theta, 0.0, np.pi), np.mod(phi, 2.0 * np.pi)
+    # the clip and the mod are identities strictly inside their ranges (the mod maps -0.0 to 0.0)
+    tq = theta if 0.0 < lo and hi <= np.pi else np.clip(theta, 0.0, np.pi)
+    inside = 0.0 < np.min(phi, initial=1.0) and np.max(phi, initial=1.0) < 2.0 * np.pi
+    pq = phi if inside else np.mod(phi, 2.0 * np.pi)
     it = _cell(grid.theta, tq, grid.theta_step, grid.n_theta - 2)
-    theta0 = grid.theta[it]
-    ft = (tq - theta0) / (grid.theta[it + 1] - theta0)
+    ft = _fraction(tq, grid.theta[it], grid.theta[it + 1])
     j0 = _cell(grid.phi, pq, grid.phi_step, grid.n_phi - 1)
-    j1, phi0 = (j0 + 1) % grid.n_phi, grid.phi[j0]
-    upper = np.where(j1 == 0, 2.0 * np.pi, grid.phi[j1])  # the last cell wraps to phi = 2*pi
-    fp = (pq - phi0) / (upper - phi0)
+    wrap = j0 == grid.n_phi - 1  # the last cell wraps to phi = 2*pi at node 0
+    j1 = np.where(wrap, 0, j0 + 1)
+    fp = _fraction(pq, grid.phi[j0], np.where(wrap, 2.0 * np.pi, grid.phi[j1]))
     row0, row1 = it * grid.n_phi, (it + 1) * grid.n_phi
     gt, gp = 1.0 - ft, 1.0 - fp
     w00, w11 = gt * gp, ft * fp
     gt *= fp  # in place, so four weight arrays are live, not six; a product's operand
     gp *= ft  # order leaves its bits, so these are (1 - ft) * fp and ft * (1 - fp)
     return (row0 + j0, row0 + j1, row1 + j0, row1 + j1), (w00, gt, gp, w11)
+
+
+def _fraction(q, lower, upper):
+    """Where ``q`` lies between ``lower`` and ``upper``; the edges are freed on return."""
+    return (q - lower) / (upper - lower)
 
 
 def apply_stencil(stencil, fields: np.ndarray) -> np.ndarray:
@@ -313,8 +321,10 @@ def apply_stencil(stencil, fields: np.ndarray) -> np.ndarray:
     """
     (n00, n01, n10, n11), (w00, w01, w10, w11) = stencil
     flat = fields.reshape(fields.shape[:-2] + (-1,))
-    return (w00 * flat.take(n00, axis=-1) + w01 * flat.take(n01, axis=-1)
-            + w10 * flat.take(n10, axis=-1) + w11 * flat.take(n11, axis=-1))
+    out = w00 * flat.take(n00, axis=-1)
+    for nodes, w in ((n01, w01), (n10, w10), (n11, w11)):
+        out += w * flat.take(nodes, axis=-1)  # the sum's order, with fewer temporaries
+    return out
 
 
 def great_circle_distance(theta1, phi1, theta2, phi2) -> np.ndarray:

@@ -98,20 +98,28 @@ def upfront_errors(s_hat, basis_hat, constellation, n, seed, separation_deg=(3.0
     of an up-front sweep, in scenario order.
 
     ``draw_geometries(default_rng(seed), n)``, then the package's kernel on
-    each chunk of those angles.
+    each chunk of those angles, in the sweep's state coordinates: the +-1
+    states' responses are A, and stream 1's gain is y0 + y1 and stream 2's
+    y0 - y1 with y = A^-1 F for every other state.  The +-1 errors are zeros,
+    as the basis identity makes them; ``basis_hat`` only has to be
+    ``perturbed_basis(s_hat)``, which ``run_monte_carlo`` checks.
     """
     theta, phi = draw_geometries(np.random.default_rng(seed), n, separation_deg)
-    patterns = ((basis_hat.b1, basis_hat.b2)
-                + tuple(s_hat.state(k) for k in range(constellation.order)))
+    m = constellation.order
+    pm1 = (constellation.ratio_set.plus_one_index, constellation.ratio_set.minus_one_index)
+    solved = [k for k in range(m) if k not in pm1]
+    patterns = tuple(s_hat.state(k) for k in (*pm1, *solved))
     pols = np.asarray(rx_polarizations, dtype=complex)
-    ratios = np.asarray(constellation.ratio_set.values)
+    ratios = np.asarray(constellation.ratio_set.values)[solved]
     errors, conds, rejected = [], [], 0
     for i in range(0, n, link._CHUNK):
         resp = link._responses(patterns, theta[:, i:i + link._CHUNK], phi[:, i:i + link._CHUNK],
                                pols)
-        keep, g, cond = link._zf_gains(resp[:, :2], resp[:, 2:], condition_cap)
-        g = np.moveaxis(g, -1, 0)  # (kept, 2, M)
-        errors.append(np.stack([np.abs(g[:, 0] - 1.0), np.abs(g[:, 1] - ratios)], axis=1))
+        keep, y, cond = link._zf_gains(resp[:, :2], resp[:, 2:], condition_cap)
+        e = np.zeros((np.count_nonzero(keep), 2, m))
+        e[:, 0, solved] = np.abs(y[0] + y[1] - 1.0).T
+        e[:, 1, solved] = np.abs(y[0] - y[1] - ratios[:, None]).T
+        errors.append(e)
         conds.append(cond[keep])
         rejected += keep.size - np.count_nonzero(keep)
     return np.concatenate(errors), np.concatenate(conds), rejected

@@ -631,6 +631,39 @@ class TestSaveResults:
             assert probs.tobytes() == want_probs.tobytes()
             assert np.all(np.diff(probs) > 0)
 
+    def test_cdf_probabilities_formatted_once(self, tmp_path, monkeypatch):
+        # both streams of a sweep pool M errors per kept channel, so their probability
+        # columns are equal and formatted once; streams of unequal counts keep their
+        # own.  Either way each file holds a per-row repr writer's bytes
+        from beamspace import run_monte_carlo
+        from beamspace.link import _EXCEEDANCE_THRESHOLDS, MonteCarloResult, Sketch
+        grid = build_grid(11, 16)
+        states = generate_mirror_pair(default_mirror_profile(), grid, QPSK.ratio_set)
+        s_hat = apply_perturbation(states, generate_perturbation(example_perturbation(), grid,
+                                                                 QPSK.ratio_set))
+        swept = run_monte_carlo(s_hat, perturbed_basis(s_hat), QPSK, n_scenarios=3000, seed=1)
+
+        def sketch(values, thresholds=_EXCEEDANCE_THRESHOLDS):
+            s = Sketch.empty(thresholds)
+            s.add(np.asarray(values, dtype=float))
+            return s
+
+        rng = np.random.default_rng(2)
+        uneven = MonteCarloResult(n_scenarios=9, n_rejected=0, seed=0, separation_deg=(3.0, 5.0),
+                                  errors=((sketch(rng.random(700)),), (sketch(rng.random(1100)),)),
+                                  conditions=sketch([2.0], ()))
+        blocks, cells = [], iokit._cells
+        monkeypatch.setattr(iokit, "_cells", lambda b: (blocks.append(b.dtype.kind), cells(b))[1])
+        for mc, float_blocks in ((swept, 3 * 20), (uneven, 2 + 2 + 3 + 3)):
+            blocks.clear()
+            written = save_results(tmp_path, mc=mc)
+            assert blocks.count("f") == float_blocks  # 512-row blocks
+            for stream in (1, 2):
+                errors, probs = mc.cdf(stream)
+                want = "".join(f"{e!r},{p!r}\n" for e, p in zip(errors.tolist(), probs.tolist()))
+                assert written[f"cdf_stream{stream}"].read_text() == (
+                    "error,cumulative_probability\n" + want)
+
     def test_mc_cdf_files_bounded_above_10k_samples(self, tmp_path):
         grid = build_grid(11, 16)
         states = generate_mirror_pair(default_mirror_profile(), grid, QPSK.ratio_set)

@@ -444,6 +444,21 @@ class TestMonteCarlo:
         assert np.max(errors[1]) > 1e-2
         _assert_rows_match_pairs(mc, errors)
 
+    def test_basis_path_decodes_pm1_exactly(self, shipped_assembly):
+        # the sweep folds the +-1 rows as zeros by the basis identity; the
+        # per-pair LAPACK path, decoding through the basis, computes them
+        basis, states = shipped_assembly.perturbed_basis, shipped_assembly.perturbed_states
+        con = shipped_assembly.constellation
+        errors = _pair_errors_oracle(states, basis, con, _mc_geometries(40, seed=42))
+        k1 = np.arange(con.order)
+        pm1 = [errors[s][:, k1, (k1 + k) % con.order] for s in range(2) for k in (0, 2)]
+        assert np.max(pm1) <= 1e-10
+        mc = run_monte_carlo(states, basis, con, n_scenarios=40, seed=42)
+        assert mc.n_rejected == 0
+        for rows in mc.errors:
+            for k in (0, 2):
+                assert rows[k].zeros == rows[k].count == 40 and rows[k].maximum == 0.0
+
     def test_ratio_index_recorded(self, hand_states, hand_basis):
         scenario = build_channel(hand_basis, (RX1, RX2), QPSK)
         points = received_constellation(hand_states, scenario)
@@ -493,9 +508,9 @@ class TestMonteCarlo:
 
     def test_thread_pool_capped(self, hand_states, hand_basis, monkeypatch, sweep_log):
         # the calling thread is one of the workers: the pool runs the others; at
-        # one pool chunk per worker, three pool chunks start up to three workers
-        monkeypatch.setattr(link, "_SCENARIOS_PER_WORKER", link._POOL_CHUNK)
-        cpu_count, n = link._cpu_count, 3 * link._POOL_CHUNK
+        # one chunk per worker, three chunks start up to three workers
+        monkeypatch.setattr(link, "_SCENARIOS_PER_WORKER", link._CHUNK)
+        cpu_count, n = link._cpu_count, 3 * link._CHUNK
         serial = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=4)
         for cpus, threads, workers in ((64, 100_000, 3), (64, 2, 2), (2, 100_000, 2),
                                        (1, 8, 1)):
@@ -506,8 +521,8 @@ class TestMonteCarlo:
             assert sweep_log.pools == ([] if workers == 1 else [workers - 1])  # pool + caller
             assert threading.get_ident() in sweep_log.threads
             assert min(workers, 2) <= len(sweep_log.threads) <= workers
-            size = link._CHUNK if workers == 1 else link._POOL_CHUNK
-            assert sorted(sweep_log.chunks) == [(s, min(s + size, n)) for s in range(0, n, size)]
+            size = link._CHUNK
+            assert sorted(sweep_log.chunks) == [(s, s + size) for s in range(0, n, size)]
             _same_arrays(result_arrays(mc), result_arrays(serial))
         assert 1 <= cpu_count() <= (os.cpu_count() or 1)
 
@@ -523,7 +538,7 @@ class TestMonteCarlo:
         assert sweep_log.pools == [] and sweep_log.threads == {threading.get_ident()}
         assert sweep_log.chunks[0] == (0, link._CHUNK)
         # k shares start k workers, one scenario fewer k - 1
-        share = 2 * link._POOL_CHUNK
+        share = 2 * link._CHUNK
         monkeypatch.setattr(link, "_SCENARIOS_PER_WORKER", share)
         for k in (1, 2, 3):
             for n, workers in ((k * share - 1, max(1, k - 1)), (k * share, k)):
@@ -544,6 +559,48 @@ class TestMonteCarlo:
         with pytest.raises(GridMismatchError):
             run_monte_carlo(free_states, perturbed_basis(other), QPSK,
                             n_scenarios=5, seed=1)
+
+    def test_basis_of_other_states_rejected(self, free_states, free_basis, hand_states,
+                                             hand_basis):
+        # the sweep decodes through the +-1 states of s_hat, so a basis built from
+        # anything else on the same grid would be ignored: it is refused instead
+        psi = generate_perturbation([PerturbationLobe(theta=D(60), phi=D(310), width=D(65),
+                                                      amplitude=0.4, phase=D(100), states=(0,))],
+                                    grid=free_states.grid, ratios=RATIOS)
+        plus_one = apply_perturbation(free_states, psi)
+        swapped = BasisPair(b1=hand_basis.b2, b2=hand_basis.b1)
+        for states, basis in ((hand_states, perturbed_basis(plus_one)),
+                              (plus_one, hand_basis), (hand_states, swapped)):
+            with pytest.raises(InvalidArgumentError, match="perturbed_basis"):
+                run_monte_carlo(states, basis, QPSK, n_scenarios=5, seed=1)
+        # hand_states perturbs only the +-j states: its basis is the free one, bit for bit
+        run_monte_carlo(hand_states, free_basis, QPSK, n_scenarios=5, seed=1)
+
+    def test_bpsk_sweep_is_exact_zeros(self, grid):
+        # BPSK has only the +-1 states: every row holds one exact zero per kept
+        # channel, and the condition numbers are the basis channel's
+        bpsk = PskConstellation(2)
+        free = generate_mirror_pair(default_mirror_profile(), grid, bpsk.ratio_set)
+        psi = generate_perturbation(
+            [PerturbationLobe(theta=D(60), phi=D(310), width=D(65), amplitude=0.4,
+                              phase=D(100), states=(1,))], grid, bpsk.ratio_set)
+        s_hat = apply_perturbation(free, psi)
+        b_hat = perturbed_basis(s_hat)
+        n, cap = 3000, 500.0
+        mc = run_monte_carlo(s_hat, b_hat, bpsk, n_scenarios=n, seed=4, condition_cap=cap)
+        kept = mc.conditions.count
+        assert 0 < kept < n and mc.n_rejected == n - kept
+        for rows in mc.errors:
+            assert len(rows) == 2
+            for row in rows:
+                assert row.zeros == row.count == kept and row.counts.size == 0
+                assert row.minimum == row.maximum == 0.0 and not row.above.any()
+        conds = np.array([build_channel(b_hat, angles, bpsk).condition_number
+                          for angles in _mc_geometries(n, seed=4)])
+        conds = conds[conds <= cap]
+        assert conds.size == kept
+        assert np.allclose([mc.conditions.minimum, mc.conditions.maximum],
+                           [conds.min(), conds.max()], rtol=1e-9, atol=0)
 
     def test_bad_polarizations_rejected(self, free_states, free_basis):
         with pytest.raises(InvalidArgumentError):
@@ -626,11 +683,13 @@ def sweep_log(monkeypatch):
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-# counts around the 4,096-scenario chunk: one scenario, one short of a chunk,
-# one chunk, one over, and three chunks plus a partial one
-STREAM_COUNTS = (1, 4095, 4096, 4097, 3 * 4096 + 17)
-# the same around the 8,192-scenario pool chunk, and twelve pool chunks plus a partial one
-POOL_COUNTS = (8191, 8193, 3 * 8192 + 17, 100_001)
+# counts around chunk edges: one scenario; one short of four 1,024-scenario chunks
+# (the pool tests' size), four, one over, and twelve plus a partial one; then one
+# short of a _CHUNK, one _CHUNK and one over
+STREAM_COUNTS = (1, 4095, 4096, 4097, 3 * 4096 + 17,
+                 link._CHUNK - 1, link._CHUNK, link._CHUNK + 1)
+# around 8,192 scenarios, and three and twelve of them plus a partial one
+CHUNK_COUNTS = (8191, 8193, 3 * 8192 + 17, 100_001)
 
 
 @pytest.fixture(scope="module", params=["hand_scenario", "freespace", "hand_scenario_cap200"])
@@ -655,18 +714,20 @@ class TestStreamedSweep:
 
     @pytest.mark.parametrize("n", STREAM_COUNTS)
     def test_streams_equal_upfront_sweep(self, shipped, n, monkeypatch, sweep_log):
-        # one worker per 1,024 scenarios, on 1,024-scenario pool chunks; merging
-        # sketches adds integers, so the sweep's rows are the bits of one add per row
+        # one worker on _CHUNK-scenario chunks, then one worker per 1,024 scenarios
+        # on 1,024-scenario chunks; merging sketches adds integers, so the sweep's
+        # rows are the bits of one add per row
         cfg, asm = shipped
         args = (asm.perturbed_states, asm.perturbed_basis, asm.constellation)
         params = dict(separation_deg=cfg.separation_deg, condition_cap=cfg.condition_cap)
         want, rejected = upfront_sketches(*args, n, cfg.seed, **params)
         if cfg.condition_cap == 200 and n > 1:
             assert 0 < rejected < n  # chunks reject some of their scenarios
-        for name in ("_SCENARIOS_PER_WORKER", "_POOL_CHUNK"):
-            monkeypatch.setattr(link, name, 1024)
         monkeypatch.setattr(link, "_cpu_count", lambda: 64)
         for threads in (1, 2, 8):
+            if threads > 1:
+                for name in ("_SCENARIOS_PER_WORKER", "_CHUNK"):
+                    monkeypatch.setattr(link, name, 1024)
             sweep_log.clear()
             mc = run_monte_carlo(*args, n_scenarios=n, seed=cfg.seed, threads=threads, **params)
             workers = min(threads, max(1, n // 1024))
@@ -674,13 +735,13 @@ class TestStreamedSweep:
             assert mc.n_rejected == rejected
             _same_arrays(result_arrays(mc), want)
 
-    @pytest.mark.parametrize("n", POOL_COUNTS)
+    @pytest.mark.parametrize("n", CHUNK_COUNTS)
     def test_chunk_size_does_not_change_bytes(self, shipped, n, monkeypatch):
         cfg, asm = shipped
         args = (asm.perturbed_states, asm.perturbed_basis, asm.constellation)
         params = dict(separation_deg=cfg.separation_deg, condition_cap=cfg.condition_cap)
         runs = []
-        for size in (link._CHUNK, link._POOL_CHUNK):
+        for size in (link._CHUNK, link._CHUNK // 2 + 1):
             monkeypatch.setattr(link, "_CHUNK", size)
             runs.append(run_monte_carlo(*args, n_scenarios=n, seed=cfg.seed, **params))
         a, b = runs
@@ -925,10 +986,14 @@ class TestSketch:
         for s in range(2):
             for k, row in enumerate(rows[s]):
                 store, key0 = row.counts, row.key0
-                assert store.size and store[0] > 0 and store[-1] > 0
-                assert edge(key0 + store.size - 1) <= row.maximum < edge(key0 + store.size)
-                if row.zeros == 0:
-                    assert edge(key0) <= row.minimum < edge(key0 + 1)
+                if k in (0, 2):  # +-1: one exact zero per kept channel, and no store
+                    assert store.size == 0 and row.zeros == condition.count
+                    assert row.minimum == row.maximum == 0.0
+                else:
+                    assert store.size and store[0] > 0 and store[-1] > 0
+                    assert edge(key0 + store.size - 1) <= row.maximum < edge(key0 + store.size)
+                    if row.zeros == 0:
+                        assert edge(key0) <= row.minimum < edge(key0 + 1)
                 assert row.summary() == mc.errors[s][k].summary()
             stream = pooled(rows[s])
             n, i = stream.count, np.arange(1, 10_001)
@@ -939,9 +1004,9 @@ class TestSketch:
     def test_sketch_bytes_do_not_depend_on_threads(self, hand_states, hand_basis, tmp_path,
                                                    monkeypatch, sweep_log):
         # the CDFs and sketch.npz are read from the merged sketches; at one
-        # 512-scenario pool chunk per worker eight workers run, even on a machine
+        # 512-scenario chunk per worker eight workers run, even on a machine
         # with fewer CPUs, over eight and twelve chunks each plus a partial one
-        for name in ("_SCENARIOS_PER_WORKER", "_POOL_CHUNK"):
+        for name in ("_SCENARIOS_PER_WORKER", "_CHUNK"):
             monkeypatch.setattr(link, name, 512)
         monkeypatch.setattr(link, "_cpu_count", lambda: 64)
         for n in (8 * 512 + 1, 12 * 512 + 257):
