@@ -26,7 +26,7 @@ _HOMES = {name: module for module, names in {
     "iokit": ("RunConfig", "load_cdf_csv", "load_config", "load_pattern_csv", "save_cdf_csv",
               "save_metrics_json", "save_pattern_csv", "save_results"),
     "link": ("CdfSummary", "ConstellationPoint", "LinkScenario", "MonteCarloResult",
-             "build_channel", "cdf_summary", "constellation_at_angle", "draw_geometries",
+             "build_channel", "constellation_at_angle", "draw_geometries",
              "great_circle_offset", "received_constellation", "run_monte_carlo"),
     "modulation": ("PskConstellation", "RatioSet", "ratio_label"),
     "patterns": ("BasisPair", "EvmMap", "GaussianLobe", "PerturbationField", "PerturbationLobe",

@@ -10,11 +10,13 @@ states land away from their ideal constellation points.
 
 For unit-modulus PSK the antenna radiates x1 times the state pattern of
 ratio index k = (k2 - k1) mod M, so zero forcing returns x1 * g_k, with
-G = H^-1 F and F the receivers' responses to the M states.  One batched
-kernel computes G for every decode path; the transmit-side constellation
-at one angle is that decode at two co-located receivers.  The kernel's
-arrays keep the scenario axis last and contiguous: a sweep's responses are
-(2 receivers, M states, n), H is (2, 2, n) and G (2 streams, M, n).
+G = H^-1 F and F the receivers' responses to the M states.  The basis is
+the +-1 states', so H = A T with A their responses and T = [[1, 1],
+[1, -1]] / 2: G = T^-1 A^-1 F, whose +-1 gains are exactly (1, 1) and
+(1, -1).  One batched kernel (``_state_gains``) solves the M - 2 others for
+every decode path; the transmit-side constellation at one angle is that
+decode at two co-located receivers.  Its arrays keep the scenario axis
+last: responses are (2 receivers, M states, n) and G (2 streams, M - 2, n).
 
 The Monte-Carlo sweep draws the receive geometries of
 ``draw_geometries(np.random.default_rng(seed), n)`` and takes, per
@@ -52,7 +54,7 @@ import numpy as np
 from .errors import (DEFAULT_CONDITION_CAP, MAX_SCENARIOS, InvalidArgumentError,
                      RatioSetMismatchError, SingularChannelError)
 from .modulation import PskConstellation
-from .patterns import BasisPair, StatePatternSet, perturbed_basis
+from .patterns import BasisPair, StatePatternSet
 from .sphere import PHI_POL, THETA_POL, apply_stencil, bilinear_stencil, require_same_grid
 
 __all__ = [
@@ -68,7 +70,6 @@ __all__ = [
     "great_circle_offset",
     "draw_geometries",
     "run_monte_carlo",
-    "cdf_summary",
 ]
 
 # Scenarios per chunk, on one worker or several; the output bytes do not depend on it.
@@ -180,6 +181,22 @@ def _zf_gains(h: np.ndarray, f: np.ndarray, condition_cap: float):
     return keep, g, cond
 
 
+def _state_gains(states, angles, pols, condition_cap: float):
+    """Cap mask (n,), gains G (2, M - 2, kept) and condition numbers (n,) in state coordinates.
+
+    ``states`` are in ``_states`` order and ``angles`` a (theta, phi) pair of
+    (2, n) arrays, freed once sampled.  A holds the +-1 states' responses,
+    y = A^-1 F the others' and G = T^-1 y = (y0 + y1, y0 - y1).  cond(A) =
+    cond(H), as T is sqrt(1/2) times an orthogonal matrix.
+    """
+    resp = _responses(states, *angles, pols)
+    del angles
+    keep, y, cond = _zf_gains(resp[:, :2], resp[:, 2:], condition_cap)
+    del resp  # the largest array: free it before the map back allocates
+    y[0], y[1] = y[0] + y[1], y[0] - y[1]
+    return keep, y, cond
+
+
 def build_channel(
     basis_hat: BasisPair,
     rx_angles,
@@ -225,12 +242,14 @@ class ConstellationPoint:
 
 
 def _states(s_hat: StatePatternSet, constellation: PskConstellation):
-    """The M state patterns in ratio-index order, checked against the alphabet."""
+    """Ratio indices +1, -1, then the others, and their patterns; checked against the alphabet."""
     if constellation.order != s_hat.ratios.order:
         raise RatioSetMismatchError(
             "constellation order does not match the state-pattern alphabet"
         )
-    return tuple(s_hat.state(k) for k in range(s_hat.ratios.order))
+    pm1 = (s_hat.ratios.plus_one_index, s_hat.ratios.minus_one_index)
+    order = [*pm1, *(k for k in range(s_hat.ratios.order) if k not in pm1)]
+    return order, tuple(s_hat.state(k) for k in order)
 
 
 def _pair_points(constellation: PskConstellation, g: np.ndarray):
@@ -254,17 +273,27 @@ def received_constellation(
 ) -> list[ConstellationPoint]:
     """Equalized constellation for every symbol pair, noiselessly.
 
+    ``scenario.channel`` must be H of ``perturbed_basis(s_hat)``, so H = A T
+    with A the +-1 states' responses and T = [[1, 1], [1, -1]] / 2: the
+    decode (``_state_gains``) takes the +-1 gains as exactly (1, 1) and
+    (1, -1), and the cap is judged on ``scenario.condition_number``.
+
     Raises:
+        RatioSetMismatchError: the alphabet differs from the states' or is odd.
         SingularChannelError: channel singular or conditioned above the cap.
     """
-    angles = scenario.rx_angles
-    f = _responses(_states(s_hat, scenario.constellation), angles[:, :1],
-                   angles[:, 1:], scenario.rx_polarizations)
-    keep, g, cond = _zf_gains(scenario.channel[..., None], f, condition_cap)
-    if not keep[0]:
-        raise SingularChannelError(f"channel condition number {cond[0]:.3g} "
+    order, states = _states(s_hat, scenario.constellation)
+    cond = scenario.condition_number
+    if scenario.singular or not cond <= condition_cap:
+        raise SingularChannelError(f"channel condition number {cond:.3g} "
                                    f"exceeds cap {condition_cap:.3g}")
-    return _pair_points(scenario.constellation, g[..., 0])
+    angles = scenario.rx_angles
+    _, g, _ = _state_gains(states, (angles[:, :1], angles[:, 1:]), scenario.rx_polarizations,
+                           math.inf)
+    gains = np.empty((2, len(order)), dtype=complex)
+    gains[:, order[:2]] = ((1, 1), (1, -1))
+    gains[:, order[2:]] = g[..., 0]
+    return _pair_points(scenario.constellation, gains)
 
 
 def constellation_at_angle(
@@ -352,51 +381,6 @@ _EXCEEDANCE_THRESHOLDS = tuple(10.0 ** e for e in range(-6, 1))
 _Q = np.true_divide(_QUANTILES, 100)  # the fractions np.percentile interpolates at
 
 
-def _summary(n: int, order, thresholds, above) -> CdfSummary:
-    """Quantiles of n values from their order statistics, and exceedance counts.
-
-    ``order(i)`` is the i-th smallest value (i = -1 the largest) for an
-    integer array or scalar ``i``; ``above`` counts the values exceeding
-    each of ``thresholds``.  The quantiles repeat the arithmetic of
-    ``np.percentile``'s linear method (virtual index (n - 1) q, the lerp's
-    ``t >= 0.5`` branch, NaN when any value is NaN) at the two neighbouring
-    order statistics, so on exact order statistics they are the same bits;
-    only a zero's sign can differ when -0.0 and 0.0 tie, as
-    ``np.percentile``'s own follows its partition order.
-    """
-    if n == 0:
-        raise InvalidArgumentError("cdf summary needs at least one record")
-    v = (n - 1) * _Q
-    top = v >= n - 1
-    lo = np.where(top, -1, np.floor(v)).astype(np.intp)
-    hi = np.where(top, -1, lo + 1)
-    t = v - lo
-    a, b = order(lo), order(hi)
-    with np.errstate(invalid="ignore"):  # inf - inf, as in np.percentile
-        d = b - a
-        q = a + d * t
-        np.subtract(b, d * (1 - t), out=q, where=t >= 0.5)
-    last = order(-1)
-    if np.isnan(last):
-        q[:] = last
-    return CdfSummary(
-        count=n,
-        quantiles={p: float(x) for p, x in zip(_QUANTILES, q)},
-        exceedance={t: int(c) / n for t, c in zip(thresholds, above)},
-    )
-
-
-def cdf_summary(records) -> CdfSummary:
-    """Summary statistics of error magnitudes (linear interpolation quantiles).
-
-    Quantiles are ``np.percentile``'s; exceedances are ``np.mean(values >
-    t)``, counted by ``searchsorted``, where NaN sorts last and exceeds nothing.
-    """
-    e = np.sort(np.asarray(records, dtype=float).ravel())
-    above = np.searchsorted(e, np.nan) - np.searchsorted(e, _EXCEEDANCE_THRESHOLDS, side="right")
-    return _summary(e.size, e.__getitem__, _EXCEEDANCE_THRESHOLDS, above)
-
-
 _MANTISSA_BITS = 7
 _SHIFT = 52 - _MANTISSA_BITS  # a bucket key is a double's bit pattern shifted by this
 SKETCH_ALPHA = 2.0 ** -(_MANTISSA_BITS + 1)  # relative accuracy of a bucket's midpoint
@@ -434,7 +418,7 @@ class Sketch:
                    math.inf, -math.inf, 0, np.zeros(0, dtype=np.int64))
 
     def add(self, values: np.ndarray) -> None:
-        """Fold ``values`` (1-D), non-negative and not NaN, into this sketch."""
+        """Fold ``values`` (1-D), non-negative and finite, into this sketch."""
         v = np.sort(np.asarray(values, dtype=float))
         if v.size:
             below = np.searchsorted(v, (0.0,) + self.thresholds, side="right")
@@ -482,9 +466,28 @@ class Sketch:
         return np.where(ranks == 0, self.minimum, np.where(ranks == n - 1, self.maximum, values))
 
     def summary(self) -> CdfSummary:
-        """``cdf_summary`` of the sketched values: count and exceedances exact,
-        quantiles within ``SKETCH_ALPHA`` relative of the exact ones."""
-        return _summary(self.count, self.order_statistics, self.thresholds, self.above)
+        """Count, exceedance fractions (exact) and quantiles of the sketched values.
+
+        Each quantile is ``np.percentile``'s linear method (virtual index (n - 1) q,
+        the lerp's ``t >= 0.5`` branch) at two neighbouring order statistics:
+        within ``SKETCH_ALPHA`` relative of the exact one, and its bits where those are.
+        """
+        n = self.count
+        if n == 0:
+            raise InvalidArgumentError("cdf summary needs at least one record")
+        v = (n - 1) * _Q
+        top = v >= n - 1
+        lo = np.where(top, -1, np.floor(v)).astype(np.intp)
+        a, b = self.order_statistics(lo), self.order_statistics(np.where(top, -1, lo + 1))
+        t = v - lo
+        d = b - a
+        q = a + d * t
+        np.subtract(b, d * (1 - t), out=q, where=t >= 0.5)
+        return CdfSummary(
+            count=n,
+            quantiles={p: float(x) for p, x in zip(_QUANTILES, q)},
+            exceedance={x: int(c) / n for x, c in zip(self.thresholds, self.above)},
+        )
 
 
 def _sketch_arrays(prefix: str, sketches) -> dict[str, np.ndarray]:
@@ -559,8 +562,7 @@ class MonteCarloResult:
         return pooled.order_statistics((i * n + m - 1) // m - 1), i / m
 
     def summaries(self) -> tuple[CdfSummary, CdfSummary]:
-        """``cdf_summary`` of each stream from its sketches: counts and
-        exceedances exact, quantiles within ``SKETCH_ALPHA``."""
+        """Each stream's ``Sketch.summary``, its M ratio sketches merged."""
         return self._pooled(1).summary(), self._pooled(2).summary()
 
 
@@ -616,20 +618,19 @@ def run_monte_carlo(
     empirical CDF as all M^2 pairs.  Geometries whose channel condition
     number exceeds ``condition_cap`` are rejected and tallied.
 
-    ``basis_hat`` must be ``perturbed_basis(s_hat)`` (else InvalidArgumentError,
-    after the grid check), so H = A T with A the responses to the +1 and -1
-    states and T = [[1, 1], [1, -1]] / 2.  The sweep samples the M states and
-    decodes in state coordinates, G = T^-1 A^-1 F: the +-1 columns of A^-1 F
-    are unit vectors, so only the M - 2 others are solved and each +-1 row is
-    one exact zero per kept channel.  cond(A) = cond(H), as T is sqrt(1/2)
-    times an orthogonal matrix.  Every chunk folds its errors and condition
-    numbers into sketches, and each worker merges its chunks' sketches as
-    they finish.  Identical (seed, parameters) give bitwise-identical output
-    for any ``threads``.  At most ``MAX_SCENARIOS`` scenarios; ``min(threads,
-    CPUs this process may use, max(1, n_scenarios // _SCENARIOS_PER_WORKER))``
-    workers run, the calling thread being one of them and a thread pool the
-    others, on chunks of ``_CHUNK`` scenarios.  Memory is one chunk's working
-    set and 2(M - 2) + 1 sketches per worker.
+    ``basis_hat`` must be bitwise ``perturbed_basis(s_hat)`` (else
+    InvalidArgumentError, after the grid check); it is checked one field
+    component at a time and otherwise unused.  Each chunk decodes in state
+    coordinates (``_state_gains``, the decode of ``received_constellation``
+    too): it samples the M states and solves only the M - 2 other than +-1,
+    and each +-1 row is one exact zero per kept channel.  Every chunk folds
+    its errors and condition numbers into sketches, and each worker merges
+    its chunks' sketches as they finish.  Identical (seed, parameters) give
+    bitwise-identical output for any ``threads``.  At most ``MAX_SCENARIOS``
+    scenarios; ``min(threads, CPUs this process may use, max(1, n_scenarios
+    // _SCENARIOS_PER_WORKER))`` workers run, the calling thread being one
+    of them and a thread pool the others, on chunks of ``_CHUNK`` scenarios.
+    Memory is one chunk's working set and 2(M - 2) + 1 sketches per worker.
     """
     n = _integer(n_scenarios, "n_scenarios")
     seed = _integer(seed, "seed")
@@ -642,30 +643,29 @@ def run_monte_carlo(
         raise InvalidArgumentError(f"condition_cap must exceed 1, got {condition_cap!r}")
     if threads < 1:
         raise InvalidArgumentError("threads must be >= 1")
-    states = _states(s_hat, constellation)
+    order, states = _states(s_hat, constellation)
     require_same_grid(s_hat.grid, basis_hat.grid)
-    if not _same_bits(basis_hat, perturbed_basis(s_hat)):  # the +-1 states' basis
-        raise InvalidArgumentError("basis_hat must be perturbed_basis(s_hat)")
+    for b, beta in ((basis_hat.b1, 0.5), (basis_hat.b2, -0.5)):  # perturbed_basis's arithmetic
+        for c in ("e_theta", "e_phi"):
+            want = 0.5 * getattr(states[0], c) + beta * getattr(states[1], c)
+            if not np.array_equal(want.view(np.int64), getattr(b, c).view(np.int64)):
+                raise InvalidArgumentError("basis_hat must be perturbed_basis(s_hat)")
+    del want
     pols = _unit_polarizations(rx_polarizations)
     separation = _separation(separation_deg)
-    ratio_set, m = constellation.ratio_set, constellation.order
-    pm1 = (ratio_set.plus_one_index, ratio_set.minus_one_index)
-    solved = [k for k in range(m) if k not in pm1]  # the ratio indices the kernel solves
-    patterns = tuple(states[k] for k in (*pm1, *solved))
-    ratios = np.asarray(ratio_set.values)[solved]
+    pm1, solved, m = order[:2], order[2:], constellation.order
+    ratios = np.asarray(constellation.ratio_set.values)[solved]
     ideal = np.stack([np.ones(m - 2), ratios])[..., None]  # what G should be: (2, M - 2, 1)
     workers = min(threads, _cpu_count(), max(1, n // _SCENARIOS_PER_WORKER))
     starts = range(0, n, _CHUNK)
 
     def chunk(start: int, sketches: list[Sketch]) -> None:
-        theta, phi = _angles(_uniforms(seed, n, start, min(start + _CHUNK, n)), separation)
-        resp = _responses(patterns, theta, phi, pols)  # the +1 state, the -1 state, the others
-        del theta, phi
-        keep, y, cond = _zf_gains(resp[:, :2], resp[:, 2:], condition_cap)  # y = A^-1 F
-        del resp  # the chunk's largest array: free it before the folds allocate
-        y[0], y[1] = y[0] + y[1], y[0] - y[1]  # G = T^-1 y
-        e = np.abs(np.subtract(y, ideal, out=y))  # (2, M - 2, kept): sketch rows, values last
-        del y
+        # the angles go in as one temporary, so the kernel frees them once sampled
+        keep, g, cond = _state_gains(
+            states, _angles(_uniforms(seed, n, start, min(start + _CHUNK, n)), separation),
+            pols, condition_cap)
+        e = np.abs(np.subtract(g, ideal, out=g))  # (2, M - 2, kept): sketch rows, values last
+        del g
         for sketch, values in zip(sketches, (*e[0], *e[1], cond[keep])):
             sketch.add(values)
 
@@ -709,8 +709,3 @@ def run_monte_carlo(
         errors=(stream(sketches[:m - 2]), stream(sketches[m - 2:-1])),
         conditions=sketches[-1],
     )
-
-
-def _same_bits(a: BasisPair, b: BasisPair) -> bool:
-    return all(np.array_equal(getattr(p, c).view(np.int64), getattr(q, c).view(np.int64))
-               for p, q in ((a.b1, b.b1), (a.b2, b.b2)) for c in ("e_theta", "e_phi"))

@@ -7,10 +7,10 @@ H x = y.  They share no decode code with the package's batched kernel,
 which is what makes them an oracle for it.
 
 ``upfront_errors`` is the Monte-Carlo sweep with every geometry drawn before
-any chunk runs, the oracle the chunk-by-chunk draw and the sketches are
-pinned to; ``upfront_sketches`` folds its errors into the rows of
-``sketch.npz``.  ``result_arrays`` are those rows for a sweep's result, and
-``sketch_rows`` and ``pooled`` rebuild sketches from them.
+any chunk runs, on the package's decode, the oracle the chunk-by-chunk draw
+and the sketches are pinned to; ``upfront_sketches`` folds its errors into
+the rows of ``sketch.npz``.  ``result_arrays`` are those rows for a sweep's
+result, and ``sketch_rows`` and ``pooled`` rebuild sketches from them.
 
 ``reference_responses``, ``reference_condition_2x2`` and
 ``reference_zf_gains`` are the decode kernel with the scenario axis first:
@@ -97,28 +97,26 @@ def upfront_errors(s_hat, basis_hat, constellation, n, seed, separation_deg=(3.0
     """The errors (kept, 2, M), the kept condition numbers and the rejection count
     of an up-front sweep, in scenario order.
 
-    ``draw_geometries(default_rng(seed), n)``, then the package's kernel on
-    each chunk of those angles, in the sweep's state coordinates: the +-1
-    states' responses are A, and stream 1's gain is y0 + y1 and stream 2's
-    y0 - y1 with y = A^-1 F for every other state.  The +-1 errors are zeros,
-    as the basis identity makes them; ``basis_hat`` only has to be
-    ``perturbed_basis(s_hat)``, which ``run_monte_carlo`` checks.
+    ``draw_geometries(default_rng(seed), n)``, then the package's state-coordinate
+    decode (``link._state_gains``) on each chunk of those angles: stream 1's
+    error is |g1 - 1| and stream 2's |g2 - r_k| for every state other than
+    +-1, and the +-1 errors are zeros, as the basis identity makes them;
+    ``basis_hat`` only has to be ``perturbed_basis(s_hat)``, which
+    ``run_monte_carlo`` checks.
     """
     theta, phi = draw_geometries(np.random.default_rng(seed), n, separation_deg)
-    m = constellation.order
-    pm1 = (constellation.ratio_set.plus_one_index, constellation.ratio_set.minus_one_index)
-    solved = [k for k in range(m) if k not in pm1]
-    patterns = tuple(s_hat.state(k) for k in (*pm1, *solved))
+    order, states = link._states(s_hat, constellation)
+    solved = order[2:]
     pols = np.asarray(rx_polarizations, dtype=complex)
     ratios = np.asarray(constellation.ratio_set.values)[solved]
     errors, conds, rejected = [], [], 0
     for i in range(0, n, link._CHUNK):
-        resp = link._responses(patterns, theta[:, i:i + link._CHUNK], phi[:, i:i + link._CHUNK],
-                               pols)
-        keep, y, cond = link._zf_gains(resp[:, :2], resp[:, 2:], condition_cap)
-        e = np.zeros((np.count_nonzero(keep), 2, m))
-        e[:, 0, solved] = np.abs(y[0] + y[1] - 1.0).T
-        e[:, 1, solved] = np.abs(y[0] - y[1] - ratios[:, None]).T
+        keep, g, cond = link._state_gains(
+            states, (theta[:, i:i + link._CHUNK], phi[:, i:i + link._CHUNK]), pols,
+            condition_cap)
+        e = np.zeros((np.count_nonzero(keep), 2, constellation.order))
+        e[:, 0, solved] = np.abs(g[0] - 1.0).T
+        e[:, 1, solved] = np.abs(g[1] - ratios[:, None]).T
         errors.append(e)
         conds.append(cond[keep])
         rejected += keep.size - np.count_nonzero(keep)

@@ -9,7 +9,7 @@ import pytest
 import beamspace
 
 # Lines of the package's source, as the last change to its size left them.
-LINE_BUDGET = 3039
+LINE_BUDGET = 3033
 
 # Every public name of the package; adding or removing one means editing this set.
 PUBLIC_NAMES = {
@@ -22,8 +22,8 @@ PUBLIC_NAMES = {
     "save_cdf_csv", "save_metrics_json", "save_pattern_csv", "save_results",
     # link
     "DEFAULT_CONDITION_CAP", "CdfSummary", "ConstellationPoint", "LinkScenario",
-    "MonteCarloResult", "build_channel", "cdf_summary", "constellation_at_angle",
-    "draw_geometries", "great_circle_offset", "received_constellation", "run_monte_carlo",
+    "MonteCarloResult", "build_channel", "constellation_at_angle", "draw_geometries",
+    "great_circle_offset", "received_constellation", "run_monte_carlo",
     # modulation
     "PskConstellation", "RatioSet", "ratio_label",
     # patterns
@@ -44,7 +44,7 @@ def test_public_names_are_pinned():
         getattr(beamspace, name)
     names = {name for name, value in vars(beamspace).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(PUBLIC_NAMES) == 62
+    assert len(PUBLIC_NAMES) == 61
     assert names == PUBLIC_NAMES
     assert sorted(beamspace.__all__) == sorted(PUBLIC_NAMES) == dir(beamspace)
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
