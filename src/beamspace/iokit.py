@@ -382,10 +382,8 @@ def save_results(out_dir, metrics: dict | None = None, evm: EvmMap | None = None
                  mc=None) -> dict[str, Path]:
     """Write whichever of metrics.json, evm_map.csv, cdf_stream{1,2}.csv apply.
 
-    With ``mc`` also sketch.npz: the rows of ``mc.errors`` as arrays
-    ``error_*`` and ``mc.conditions`` as ``condition_*``
-    (``link._sketch_arrays``), the one-row ``condition_*`` scalars stored
-    with shape (1,).
+    With ``mc`` also sketch.npz: the arrays ``link._npz_arrays`` makes of
+    ``mc.errors`` and ``mc.conditions``.
     """
     out_dir = _output_dir(out_dir)
     written: dict[str, Path] = {}
@@ -394,7 +392,7 @@ def save_results(out_dir, metrics: dict | None = None, evm: EvmMap | None = None
     if evm is not None:
         written["evm_map"] = _write_evm_csv(evm, out_dir / "evm_map.csv")
     if mc is not None:
-        from .link import _sketch_arrays
+        from .link import _npz_arrays
 
         cdfs = [mc.cdf(stream) for stream in (1, 2)]
         if np.array_equal(cdfs[0][1], cdfs[1][1]):  # both pool M errors per kept channel
@@ -409,11 +407,9 @@ def save_results(out_dir, metrics: dict | None = None, evm: EvmMap | None = None
             written[f"cdf_stream{stream}"] = save_cdf_csv(
                 out_dir / f"cdf_stream{stream}.csv", errors, probs
             )
-        arrays = {**_sketch_arrays("error_", mc.errors),
-                  **_sketch_arrays("condition_", mc.conditions)}
         written["sketch"] = out_dir / "sketch.npz"
         with _create(written["sketch"], "wb") as fh:
-            np.savez(fh, **{key: np.atleast_1d(a) for key, a in arrays.items()})
+            np.savez(fh, **_npz_arrays(mc.errors, mc.conditions))
     return written
 
 

@@ -13,10 +13,11 @@ ratio index k = (k2 - k1) mod M, so zero forcing returns x1 * g_k, with
 G = H^-1 F and F the receivers' responses to the M states.  The basis is
 the +-1 states', so H = A T with A their responses and T = [[1, 1],
 [1, -1]] / 2: G = T^-1 A^-1 F, whose +-1 gains are exactly (1, 1) and
-(1, -1).  One batched kernel (``_state_gains``) solves the M - 2 others for
-every decode path; the transmit-side constellation at one angle is that
-decode at two co-located receivers.  Its arrays keep the scenario axis
-last: responses are (2 receivers, M states, n) and G (2 streams, M - 2, n).
+(1, -1): a +-1 pair decodes as sent.  One batched kernel (``_state_gains``)
+solves the M - 2 others for every decode path; the transmit-side
+constellation at one angle is that decode at two co-located receivers.
+Its arrays keep the scenario axis last: responses are (2 receivers, M
+states, n) and G (2 streams, M - 2, n).
 
 The Monte-Carlo sweep draws the receive geometries of
 ``draw_geometries(np.random.default_rng(seed), n)`` and takes, per
@@ -252,20 +253,6 @@ def _states(s_hat: StatePatternSet, constellation: PskConstellation):
     return order, tuple(s_hat.state(k) for k in order)
 
 
-def _pair_points(constellation: PskConstellation, g: np.ndarray):
-    """Expand ratio-state gains to every symbol pair: x_hat = x1 * g_k."""
-    points = constellation.points
-    m = constellation.order
-    out = []
-    for k1 in range(m):
-        for k2 in range(m):
-            x1, k = points[k1], (k2 - k1) % m
-            out.append(ConstellationPoint(1, k1, k2, complex(x1), complex(x1 * g[0, k])))
-            out.append(ConstellationPoint(2, k1, k2, complex(points[k2]),
-                                          complex(x1 * g[1, k])))
-    return out
-
-
 def received_constellation(
     s_hat: StatePatternSet,
     scenario: LinkScenario,
@@ -275,8 +262,8 @@ def received_constellation(
 
     ``scenario.channel`` must be H of ``perturbed_basis(s_hat)``, so H = A T
     with A the +-1 states' responses and T = [[1, 1], [1, -1]] / 2: the
-    decode (``_state_gains``) takes the +-1 gains as exactly (1, 1) and
-    (1, -1), and the cap is judged on ``scenario.condition_number``.
+    decode (``_state_gains``) returns a +-1 pair as sent, and any other
+    pair as x1 * g_k.  The cap is judged on ``scenario.condition_number``.
 
     Raises:
         RatioSetMismatchError: the alphabet differs from the states' or is odd.
@@ -290,10 +277,16 @@ def received_constellation(
     angles = scenario.rx_angles
     _, g, _ = _state_gains(states, (angles[:, :1], angles[:, 1:]), scenario.rx_polarizations,
                            math.inf)
-    gains = np.empty((2, len(order)), dtype=complex)
-    gains[:, order[:2]] = ((1, 1), (1, -1))
-    gains[:, order[2:]] = g[..., 0]
-    return _pair_points(scenario.constellation, gains)
+    gains = dict(zip(order[2:], g[..., 0].T))  # ratio index k -> (g1_k, g2_k)
+    points, m = scenario.constellation.points, len(order)
+    out = []
+    for k1 in range(m):
+        for k2 in range(m):
+            x1, x2, k = points[k1], points[k2], (k2 - k1) % m
+            y1, y2 = (x1 * gains[k][0], x1 * gains[k][1]) if k in gains else (x1, x2)
+            out.append(ConstellationPoint(1, k1, k2, complex(x1), complex(y1)))
+            out.append(ConstellationPoint(2, k1, k2, complex(x2), complex(y2)))
+    return out
 
 
 def constellation_at_angle(
@@ -512,6 +505,13 @@ def _sketch_arrays(prefix: str, sketches) -> dict[str, np.ndarray]:
         ("thresholds", np.array(flat[0].thresholds, dtype=float)),
         ("above", per_row("above", np.int64)), ("min", per_row("minimum", float)),
         ("max", per_row("maximum", float)))}
+
+
+def _npz_arrays(errors, conditions: Sketch) -> dict[str, np.ndarray]:
+    """The arrays of ``sketch.npz``: ``errors`` (rows of any shape) as ``error_*``,
+    then ``conditions`` as ``condition_*``, its one-row scalars with shape (1,)."""
+    arrays = {**_sketch_arrays("error_", errors), **_sketch_arrays("condition_", conditions)}
+    return {name: np.atleast_1d(a) for name, a in arrays.items()}
 
 
 @dataclass(frozen=True, eq=False)

@@ -275,8 +275,7 @@ def criterion_monte_carlo_contract() -> CriterionResult:
     ]
     elapsed = time.perf_counter() - start
 
-    sketches = [{**link._sketch_arrays("error_", r.errors),
-                 **link._sketch_arrays("condition_", r.conditions)} for r in runs]
+    sketches = [link._npz_arrays(r.errors, r.conditions) for r in runs]
     identical = all(
         a.dtype == b.dtype and a.tobytes() == b.tobytes()
         for other in sketches[1:]

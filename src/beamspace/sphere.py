@@ -2,7 +2,8 @@
 
 All angles are radians in memory; degrees appear only at file and CLI
 boundaries.  Far fields are sampled on an equiangular (theta, phi) grid
-covering the full sphere, poles included.  Quadrature is a product rule:
+covering the full sphere, poles included; a grid is its two sample counts,
+so grids of one shape are interchangeable.  Quadrature is a product rule:
 exact periodic rectangle weights in azimuth, and in the polar angle a
 trapezoidal rule whose sin(theta) surface factor is integrated
 analytically over each cell, plus a small pole-mass redistribution that
@@ -13,7 +14,7 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,9 +42,6 @@ THETA_POL = (1.0 + 0.0j, 0.0j)
 PHI_POL = (0.0j, 1.0 + 0.0j)
 POLARIZATIONS = {"theta": THETA_POL, "phi": PHI_POL}  # by config name
 
-# Relative tolerance for grid regularity checks (uniform spacing, span).
-_GRID_TOL = 1e-9
-
 
 def _polar_weights(theta: np.ndarray) -> np.ndarray:
     """Weights for integrating f(theta)*sin(theta) over [0, pi].
@@ -65,121 +63,85 @@ def _polar_weights(theta: np.ndarray) -> np.ndarray:
     return w
 
 
-def _check_uniform(values: np.ndarray, step: float, name: str) -> None:
-    # the node positions bound bilinear_stencil's index guess to one cell
-    if values.size > 1 and (
-            np.max(np.abs(np.diff(values) - step)) > _GRID_TOL * max(step, 1.0)
-            or np.max(np.abs(values - np.arange(values.size) * step)) > 0.5 * step):
-        raise InvalidArgumentError(f"{name} samples are not uniformly spaced")
-
-
 @dataclass(frozen=True, eq=False)
 class SphericalGrid:
     """Equiangular discretization of the full sphere with quadrature weights.
 
-    Attributes:
-        theta: (n_theta,) polar angles in radians, uniform over [0, pi],
-            both poles included, strictly increasing.
-        phi: (n_phi,) azimuth angles in radians, uniform over [0, 2*pi),
-            strictly increasing, period closed by wraparound.
-        weights: (n_theta, n_phi) per-sample solid-angle weights in
-            steradians; strictly positive, summing to 4*pi.
+    A grid is its two sample counts; the samples follow from them.
 
-    Instances are immutable and safe to share across workers.
+    Attributes:
+        n_theta: number of polar samples including both poles; >= 3.
+        n_phi: number of azimuth samples over [0, 2*pi); >= 4.
+        theta: (n_theta,) polar angles in radians, ``linspace(0, pi,
+            n_theta)``, both poles included.
+        phi: (n_phi,) azimuth angles in radians, ``i * 2*pi / n_phi``, the
+            period closed by wraparound.
+        weights: (n_theta, n_phi) per-sample solid-angle weights in
+            steradians; strictly positive, summing to 4*pi to machine
+            precision.
+
+    Every node lies within half a step of ``i * step`` (``bilinear_stencil``
+    relies on it), and two grids of one shape hold bitwise-equal samples.
+    Instances and their arrays are immutable and safe to share across
+    workers.
+
+    Raises:
+        InvalidArgumentError: a count is not integral or below its minimum.
     """
 
-    theta: np.ndarray
-    phi: np.ndarray
-    weights: np.ndarray
+    n_theta: int
+    n_phi: int
+    theta: np.ndarray = field(init=False, repr=False)
+    phi: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        theta = np.ascontiguousarray(self.theta, dtype=float)
-        phi = np.ascontiguousarray(self.phi, dtype=float)
-        weights = np.ascontiguousarray(self.weights, dtype=float)
-
-        if theta.ndim != 1 or theta.size < 2:
-            raise InvalidArgumentError("theta must be a 1-d array of at least 2 samples")
-        if phi.ndim != 1 or phi.size < 1:
-            raise InvalidArgumentError("phi must be a non-empty 1-d array")
-        if np.any(np.diff(theta) <= 0) or np.any(np.diff(phi) <= 0):
-            raise InvalidArgumentError("grid angles must be strictly increasing")
-        if abs(theta[0]) > _GRID_TOL or abs(theta[-1] - np.pi) > _GRID_TOL:
-            raise InvalidArgumentError("theta must span [0, pi] inclusive")
-        if phi[0] < 0.0 or phi[-1] >= 2.0 * np.pi:
-            raise InvalidArgumentError("phi must lie in [0, 2*pi)")
-        _check_uniform(theta, np.pi / (theta.size - 1), "theta")
-        _check_uniform(phi, 2.0 * np.pi / phi.size, "phi")
-        if abs(phi[0]) > _GRID_TOL:
-            raise InvalidArgumentError("phi must start at 0")
-        if weights.shape != (theta.size, phi.size):
-            raise InvalidArgumentError("weights shape must be (n_theta, n_phi)")
-        if np.any(weights <= 0.0):
-            raise InvalidArgumentError("quadrature weights must be strictly positive")
-
-        for name, arr in (("theta", theta), ("phi", phi), ("weights", weights)):
+        if int(self.n_theta) != self.n_theta or int(self.n_phi) != self.n_phi:
+            raise InvalidArgumentError("grid sample counts must be integers")
+        n_theta, n_phi = int(self.n_theta), int(self.n_phi)
+        if n_theta < 3:
+            raise InvalidArgumentError(f"n_theta must be >= 3, got {n_theta}")
+        if n_phi < 4:
+            raise InvalidArgumentError(f"n_phi must be >= 4, got {n_phi}")
+        theta = np.linspace(0.0, np.pi, n_theta)
+        phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
+        weights = np.outer(_polar_weights(theta), np.full(n_phi, 2.0 * np.pi / n_phi))
+        for arr in (theta, phi, weights):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_theta(self) -> int:
-        return self.theta.size
-
-    @property
-    def n_phi(self) -> int:
-        return self.phi.size
+        for name, value in zip(("n_theta", "n_phi", "theta", "phi", "weights"),
+                               (n_theta, n_phi, theta, phi, weights)):
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.theta.size, self.phi.size)
+        return (self.n_theta, self.n_phi)
 
     @property
     def theta_step(self) -> float:
-        return np.pi / (self.theta.size - 1)
+        return np.pi / (self.n_theta - 1)
 
     @property
     def phi_step(self) -> float:
-        return 2.0 * np.pi / self.phi.size
+        return 2.0 * np.pi / self.n_phi
 
 
 def build_grid(n_theta: int, n_phi: int) -> SphericalGrid:
-    """Build the default equiangular full-sphere grid.
+    """The equiangular full-sphere grid of ``n_theta`` x ``n_phi`` samples.
 
-    Args:
-        n_theta: number of polar samples including both poles; >= 3.
-        n_phi: number of azimuth samples over [0, 2*pi); >= 4.
-
-    Returns:
-        SphericalGrid whose weights sum to 4*pi to machine precision.
+    Equal to ``SphericalGrid(n_theta, n_phi)``; see there for the samples,
+    the weights and the checks on the counts.
     """
-    if int(n_theta) != n_theta or int(n_phi) != n_phi:
-        raise InvalidArgumentError("grid sample counts must be integers")
-    n_theta, n_phi = int(n_theta), int(n_phi)
-    if n_theta < 3:
-        raise InvalidArgumentError(f"n_theta must be >= 3, got {n_theta}")
-    if n_phi < 4:
-        raise InvalidArgumentError(f"n_phi must be >= 4, got {n_phi}")
-    theta = np.linspace(0.0, np.pi, n_theta)
-    phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
-    weights = np.outer(_polar_weights(theta), np.full(n_phi, 2.0 * np.pi / n_phi))
-    return SphericalGrid(theta=theta, phi=phi, weights=weights)
+    return SphericalGrid(n_theta, n_phi)
 
 
 def same_grid(a: SphericalGrid, b: SphericalGrid) -> bool:
-    """True when the two grids have identical samples."""
-    if a is b:
-        return True
-    return (
-        a.shape == b.shape
-        and np.array_equal(a.theta, b.theta)
-        and np.array_equal(a.phi, b.phi)
-    )
+    """True when the two grids have one shape, and so bitwise-equal samples."""
+    return a.shape == b.shape
 
 
 def require_same_grid(a: SphericalGrid, b: SphericalGrid) -> None:
     if not same_grid(a, b):
-        raise GridMismatchError(
-            f"grids differ: {a.shape} vs {b.shape} or unequal samples"
-        )
+        raise GridMismatchError(f"grids differ: {a.shape} vs {b.shape}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,9 +223,10 @@ def _cell(nodes: np.ndarray, x: np.ndarray, step: float, last: int) -> np.ndarra
     """Index of the last node <= x, clipped to [0, last], for x >= 0.
 
     Equal to ``clip(searchsorted(nodes, x, side="right") - 1, 0, last)``:
-    the uniform-grid guess ``floor(x / step)`` is at most one cell off
-    (every node lies within half a step of ``i * step``), and one compare
-    against the node on each side corrects it.
+    the uniform-grid guess ``floor(x / step)`` is at most one cell off, and
+    one compare against the node on each side corrects it.  That needs every
+    node within half a step of ``i * step``, which ``SphericalGrid`` holds by
+    construction (its tests state it); nothing checks it at run time.
     """
     i = np.minimum((x / step).astype(np.intp), last)
     i = np.maximum(i - (nodes[i] > x), 0)

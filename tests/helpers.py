@@ -21,7 +21,6 @@ give the same bits.
 
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -125,8 +124,7 @@ def upfront_errors(s_hat, basis_hat, constellation, n, seed, separation_deg=(3.0
 
 def result_arrays(mc) -> dict[str, np.ndarray]:
     """The arrays of a sweep's ``sketch.npz``: its error rows, then its condition row."""
-    return {**link._sketch_arrays("error_", mc.errors),
-            **link._sketch_arrays("condition_", mc.conditions)}
+    return link._npz_arrays(mc.errors, mc.conditions)
 
 
 def upfront_sketches(*args, **kwargs):
@@ -139,7 +137,7 @@ def upfront_sketches(*args, **kwargs):
         rows[i].add(errors[(slice(None), *i)])
     condition = Sketch.empty()
     condition.add(conds)
-    return result_arrays(SimpleNamespace(errors=rows, conditions=condition)), rejected
+    return link._npz_arrays(rows, condition), rejected
 
 
 def sketch_rows(arrays, prefix: str) -> np.ndarray:

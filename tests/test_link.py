@@ -145,6 +145,18 @@ def _same_arrays(got: dict, want: dict):
         _same_bits(got[name], a)
 
 
+def _lobed_states(grid, con):
+    """Mirror-pair states of ``con``'s alphabet, each state under its own lobe, and their basis."""
+    ratios = con.ratio_set
+    states = generate_mirror_pair(default_mirror_profile(), grid, ratios)
+    psi = generate_perturbation(
+        [PerturbationLobe(theta=D(50 + 10 * k), phi=D(290 - 25 * k), width=D(70),
+                          amplitude=0.35, phase=D(47 * k), states=(k,))
+         for k in range(con.order)], grid, ratios)
+    s_hat = apply_perturbation(states, psi)
+    return s_hat, perturbed_basis(s_hat)
+
+
 class TestBuildChannel:
     def test_zero_b2_is_flagged_singular(self, grid, free_basis):
         basis = BasisPair(b1=free_basis.b1, b2=zero_pattern(grid))
@@ -244,6 +256,17 @@ class TestBuildChannel:
                 constellation=QPSK,
             )
 
+    @pytest.mark.parametrize("channel,message", [
+        (np.ones((3, 2), dtype=complex), "must all be 2x2"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex), "must be finite"),
+    ])
+    def test_scenario_channel_must_be_finite_2x2(self, channel, message):
+        from beamspace import LinkScenario
+        with pytest.raises(InvalidArgumentError, match=message):
+            LinkScenario(rx_angles=np.array((RX1, RX2)),
+                         rx_polarizations=np.array((THETA_POL, THETA_POL)),
+                         channel=channel, condition_number=1.0, constellation=QPSK)
+
 
 class TestTransmitAndReceive:
     def test_free_space_consistency(self, free_states, free_basis):
@@ -302,6 +325,21 @@ class TestZfEqualize:
             y = transmit_and_receive(hand_states, x1, x2, scenario)
             xhat = zf_equalize(y, scenario)
             assert np.max(np.abs(xhat - np.array([x1, x2]))) <= 1e-10
+
+    @pytest.mark.parametrize("con", [PskConstellation(4, phase_offset=0.3), PskConstellation(8)])
+    def test_pm_one_pairs_decode_as_sent(self, grid, con):
+        # on the receive side and at one angle, a +-1 pair's actual points are its
+        # sent symbols bit for bit (a zero's sign too), while the other pairs move
+        s_hat, b_hat = _lobed_states(grid, con)
+        scenario = build_channel(b_hat, (RX1, RX2), con)
+        m = con.order
+        for points in (received_constellation(s_hat, scenario),
+                       constellation_at_angle(b_hat, s_hat, con, *RX1)):
+            pm1 = [p for p in points if (p.k2 - p.k1) % m in (0, m // 2)]
+            assert len(pm1) == 4 * m
+            for p in pm1:
+                assert np.complex128(p.actual).tobytes() == np.complex128(p.ideal).tobytes()
+            assert max(abs(p.actual - p.ideal) for p in points) > 1e-3
 
     def test_pm_j_three_cluster_structure(self, hand_states, hand_basis):
         scenario = build_channel(hand_basis, (RX1, RX2), QPSK)
@@ -423,14 +461,7 @@ class TestMonteCarlo:
 
     def test_ratio_state_reduction_8psk_with_offset(self, grid):
         con = PskConstellation(8, phase_offset=0.3)
-        ratios = con.ratio_set
-        states = generate_mirror_pair(default_mirror_profile(), grid, ratios)
-        psi = generate_perturbation(
-            [PerturbationLobe(theta=D(50 + 10 * k), phi=D(290 - 25 * k), width=D(70),
-                              amplitude=0.35, phase=D(47 * k), states=(k,))
-             for k in range(8)], grid, ratios)
-        s_hat = apply_perturbation(states, psi)
-        b_hat = perturbed_basis(s_hat)
+        s_hat, b_hat = _lobed_states(grid, con)
         mc = run_monte_carlo(s_hat, b_hat, con, n_scenarios=6, seed=8)
         assert mc.n_rejected == 0
         errors = _pair_errors_oracle(s_hat, b_hat, con, _mc_geometries(6, seed=8))
@@ -488,7 +519,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("bad", [
         {"condition_cap": float("nan")}, {"condition_cap": 0.5}, {"condition_cap": 1.0},
-        {"seed": 1.5}, {"n_scenarios": 2.5}, {"threads": 1.5},
+        {"seed": 1.5}, {"n_scenarios": 2.5}, {"threads": 1.5}, {"seed": -1}, {"threads": 0},
     ])
     def test_untrusted_arguments_rejected(self, free_states, free_basis, bad):
         with pytest.raises(InvalidArgumentError, match=next(iter(bad))):
@@ -799,8 +830,8 @@ def _kernel_angles(grid, n, at_nodes, seed):
 
 def _reference_points(states, basis, con, angles, pols):
     """The channel, its condition number and the decoded points of one geometry by
-    the reference kernel, in state coordinates: the +-1 gains exactly (1, 1) and
-    (1, -1), the others T^-1 A^-1 F with A the responses to the +1 and -1 states;
+    the reference kernel, in state coordinates: the +-1 pairs as sent, the others
+    x1 times the gains T^-1 A^-1 F with A the responses to the +1 and -1 states;
     None for the points when the channel is above the default cap."""
     angles = np.asarray(angles, dtype=float)
     pols = np.asarray(pols, dtype=complex)
@@ -811,10 +842,9 @@ def _reference_points(states, basis, con, angles, pols):
     order = [0, m // 2, *(k for k in range(m) if k not in (0, m // 2))]  # +1, -1, the others
     f = reference_responses(tuple(states.state(k) for k in order), theta, phi, pols)
     _, y, _ = reference_zf_gains(f[..., :2], f[..., 2:], np.inf)
-    g = np.empty((2, m), dtype=complex)
-    g[:, order[:2]] = ((1, 1), (1, -1))
-    g[0, order[2:]], g[1, order[2:]] = y[0, 0] + y[0, 1], y[0, 0] - y[0, 1]
-    points = [con.points[k1] * g[s, (k2 - k1) % m]
+    g = dict(zip(order[2:], zip(y[0, 0] + y[0, 1], y[0, 0] - y[0, 1])))
+    x = con.points
+    points = [x[k1] * g[(k2 - k1) % m][s] if (k2 - k1) % m in g else (x[k1], x[k2])[s]
               for k1 in range(m) for k2 in range(m) for s in (0, 1)]
     return h, cond, points if cond <= DEFAULT_CONDITION_CAP else None
 

@@ -10,6 +10,7 @@ from beamspace import (
     AngleOutOfRangeError,
     GridMismatchError,
     InvalidArgumentError,
+    SphericalGrid,
     VectorPattern,
     build_grid,
     great_circle_distance,
@@ -58,14 +59,37 @@ class TestBuildGrid:
                 assert grid.weights[i, j] == pytest.approx(oracle[i], rel=1e-12)
 
     def test_minimum_counts(self):
-        with pytest.raises(InvalidArgumentError):
-            build_grid(2, 180)
-        with pytest.raises(InvalidArgumentError):
-            build_grid(91, 3)
+        for make in (build_grid, SphericalGrid):
+            with pytest.raises(InvalidArgumentError):
+                make(2, 180)
+            with pytest.raises(InvalidArgumentError):
+                make(91, 3)
 
     def test_non_integer_counts(self):
-        with pytest.raises(InvalidArgumentError):
-            build_grid(5.5, 8)
+        for make in (build_grid, SphericalGrid):
+            with pytest.raises(InvalidArgumentError):
+                make(5.5, 8)
+            assert make(5.0, 8).shape == (5, 8)
+
+    @pytest.mark.parametrize("n_theta,n_phi", [(3, 4), (7, 13), (91, 180), (361, 720),
+                                               (40001, 4), (3, 40000)])
+    def test_nodes_within_half_a_step(self, n_theta, n_phi):
+        # what bilinear_stencil's cell guess floor(angle / step) needs, by construction
+        grid = SphericalGrid(n_theta, n_phi)
+        for nodes, step in ((grid.theta, grid.theta_step), (grid.phi, grid.phi_step)):
+            assert np.all(np.abs(nodes - np.arange(nodes.size) * step) <= 0.5 * step)
+            assert np.all(np.diff(nodes) > 0)
+        assert grid.theta[0] == grid.phi[0] == 0.0 and grid.theta[-1] == np.pi
+        assert grid.phi[-1] < 2 * np.pi and np.all(grid.weights > 0)
+
+    @pytest.mark.parametrize("n_theta,n_phi", [(3, 4), (7, 13), (91, 180)])
+    def test_one_shape_one_set_of_samples(self, n_theta, n_phi):
+        # same_grid compares shapes only, which holds because samples follow from them
+        a, b = build_grid(n_theta, n_phi), SphericalGrid(n_theta, n_phi)
+        assert a is not b
+        for name in ("theta", "phi", "weights"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
     def test_angles_strictly_increasing_and_ranges(self, default_grid):
         assert np.all(np.diff(default_grid.theta) > 0)
@@ -348,6 +372,8 @@ class TestValidation:
         assert same_grid(small_grid, small_grid)
         assert same_grid(small_grid, build_grid(5, 8))
         assert not same_grid(small_grid, build_grid(5, 9))
+        assert same_grid(build_grid(7, 13), SphericalGrid(7, 13))
+        assert not same_grid(SphericalGrid(7, 13), SphericalGrid(13, 7))
 
 
 def test_great_circle_distance_basics():
