@@ -29,7 +29,6 @@ from .iokit import (
 )
 from .modulation import PskConstellation
 from .patterns import (
-    BasisPair,
     StatePatternSet,
     apply_perturbation,
     basis_correlation_db,
@@ -51,7 +50,6 @@ class Assembly:
 
     constellation: PskConstellation
     perturbed_states: StatePatternSet
-    perturbed_basis: BasisPair
     free_states: StatePatternSet | None = None
 
 
@@ -69,7 +67,6 @@ def _assemble(cfg: RunConfig, keep_free: bool = False) -> Assembly:
     return Assembly(
         constellation=constellation,
         perturbed_states=perturbed,
-        perturbed_basis=perturbed_basis(perturbed),
         free_states=free if keep_free else None,
     )
 
@@ -91,8 +88,8 @@ def _load_config_with_overrides(args) -> RunConfig:
 def cmd_metrics(args) -> int:
     cfg = _load_config_with_overrides(args)
     asm = _assemble(cfg, keep_free=True)
-    free_basis = perturbed_basis(asm.free_states)
-    emap = evm_map(asm.perturbed_basis, asm.perturbed_states)
+    emap = evm_map(asm.perturbed_states)
+    basis, free_basis = perturbed_basis(asm.perturbed_states), perturbed_basis(asm.free_states)
     ratios = asm.constellation.ratio_set
     state_power_ratio = {
         ratios.label(k): integrate_power(asm.perturbed_states.state(k))
@@ -100,8 +97,8 @@ def cmd_metrics(args) -> int:
         for k in range(ratios.order)
     }
     metrics = {
-        "basis_correlation_db": basis_correlation_db(asm.perturbed_basis),
-        "power_imbalance_db": power_imbalance_db(asm.perturbed_basis),
+        "basis_correlation_db": basis_correlation_db(basis),
+        "power_imbalance_db": power_imbalance_db(basis),
         "free_space": {
             "basis_correlation_db": basis_correlation_db(free_basis),
             "power_imbalance_db": power_imbalance_db(free_basis),
@@ -123,7 +120,7 @@ def cmd_metrics(args) -> int:
 def cmd_evm_map(args) -> int:
     cfg = _load_config_with_overrides(args)
     asm = _assemble(cfg)
-    emap = evm_map(asm.perturbed_basis, asm.perturbed_states)
+    emap = evm_map(asm.perturbed_states)
     avg = emap.average()
     written = save_results(cfg.out_dir, evm=emap)
     print(f"evm map written to {written['evm_map']}")
@@ -141,12 +138,11 @@ def cmd_constellation(args) -> int:
 
     cfg = _load_config_with_overrides(args)
     asm = _assemble(cfg)
-    tx = constellation_at_angle(asm.perturbed_basis, asm.perturbed_states, asm.constellation,
-                                *cfg.rx1, condition_cap=cfg.condition_cap)
-    scenario = build_channel(asm.perturbed_basis, (cfg.rx1, cfg.rx2), asm.constellation,
-                             rx_polarizations=_rx_polarizations(cfg))
-    rx = received_constellation(asm.perturbed_states, scenario,
+    tx = constellation_at_angle(asm.perturbed_states, asm.constellation, *cfg.rx1,
                                 condition_cap=cfg.condition_cap)
+    scenario = build_channel(asm.perturbed_states, (cfg.rx1, cfg.rx2), asm.constellation,
+                             rx_polarizations=_rx_polarizations(cfg))
+    rx = received_constellation(scenario, condition_cap=cfg.condition_cap)
     path = save_constellation_csv(cfg.out_dir / "constellation.csv", tx, rx)
     m = asm.constellation.order
     print(f"constellation written to {path} ({m * m} pairs per side)")
@@ -162,7 +158,7 @@ def cmd_monte_carlo(args) -> int:
     asm = _assemble(cfg)
     mc = run_monte_carlo(
         asm.perturbed_states,
-        asm.perturbed_basis,
+        perturbed_basis(asm.perturbed_states),
         asm.constellation,
         n_scenarios=cfg.scenarios,
         separation_deg=cfg.separation_deg,

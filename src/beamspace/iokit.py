@@ -27,8 +27,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import (DEFAULT_CONDITION_CAP, MAX_SCENARIOS, ConfigError, InvalidArgumentError,
-                     PatternFormatError)
+from .errors import (DEFAULT_CONDITION_CAP, MAX_SCENARIOS, MAX_STATE_SAMPLES, ConfigError,
+                     InvalidArgumentError, PatternFormatError)
 from .modulation import ratio_label
 from .patterns import EvmMap, GaussianLobe, PerturbationLobe
 from .sphere import POLARIZATIONS, VectorPattern, build_grid
@@ -582,6 +582,9 @@ def load_config(path, overrides=()) -> RunConfig:
 
     con = top.section("constellation", ("order", "phase_offset_deg"))
     order = con.integer("order", 4, 2)
+    if order * n_theta * n_phi > MAX_STATE_SAMPLES:
+        raise ConfigError(f"constellation.order x grid.n_theta x grid.n_phi must be <= "
+                          f"{MAX_STATE_SAMPLES}; got {order} x {n_theta} x {n_phi}")
     labels = [ratio_label(k, order) for k in range(order)]
 
     antenna_lobes = pattern_files = None

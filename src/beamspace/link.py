@@ -1,23 +1,23 @@
 """Single-path LOS link simulation with zero-forcing recovery.
 
 A two-element receive array samples the transmitted far field at two
-nearby solid angles.  The channel matrix holds the response of each
-receiver to each virtual basis pattern; it is built from the perturbed
-basis, which models a receiver whose pilot-derived channel estimate has
-absorbed the perturbation.  Decoding is a plain zero-forcing inverse, so
-symbol pairs whose ratio is +-1 always recover exactly while the other
-states land away from their ideal constellation points.
+nearby solid angles, and a scenario holds each receiver's response to each
+antenna state.  The channel is that of the perturbed basis, which models a
+receiver whose pilot-derived channel estimate has absorbed the
+perturbation.  Decoding is a plain zero-forcing inverse, so symbol pairs
+whose ratio is +-1 always recover exactly while the other states land away
+from their ideal constellation points.
 
 For unit-modulus PSK the antenna radiates x1 times the state pattern of
 ratio index k = (k2 - k1) mod M, so zero forcing returns x1 * g_k, with
-G = H^-1 F and F the receivers' responses to the M states.  The basis is
-the +-1 states', so H = A T with A their responses and T = [[1, 1],
-[1, -1]] / 2: G = T^-1 A^-1 F, whose +-1 gains are exactly (1, 1) and
-(1, -1): a +-1 pair decodes as sent.  One batched kernel (``_state_gains``)
-solves the M - 2 others for every decode path; the transmit-side
-constellation at one angle is that decode at two co-located receivers.
-Its arrays keep the scenario axis last: responses are (2 receivers, M
-states, n) and G (2 streams, M - 2, n).
+G = H^-1 F and F the receivers' responses to the M states.  H = A T with
+A the +-1 states' responses and T = [[1, 1], [1, -1]] / 2: G = T^-1 A^-1
+F, whose +-1 gains are exactly (1, 1) and (1, -1): a +-1 pair decodes as
+sent.  One batched solve (``_decode``) takes the responses in ``_order``,
++-1 first, and solves the M - 2 others for every decode path; the
+transmit-side constellation at one angle is that decode at two co-located
+receivers.  Its arrays keep the scenario axis last: responses are (2
+receivers, M states, n) and G (2 streams, M - 2, n).
 
 The Monte-Carlo sweep draws the receive geometries of
 ``draw_geometries(np.random.default_rng(seed), n)`` and takes, per
@@ -48,13 +48,13 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DEFAULT_CONDITION_CAP, MAX_SCENARIOS, InvalidArgumentError,
                      RatioSetMismatchError, SingularChannelError)
-from .modulation import PskConstellation
+from .modulation import PskConstellation, RatioSet
 from .patterns import BasisPair, StatePatternSet
 from .sphere import PHI_POL, THETA_POL, apply_stencil, bilinear_stencil, require_same_grid
 
@@ -83,26 +83,32 @@ _CDF_LEVELS = 10_000  # rows of MonteCarloResult.cdf at most
 
 @dataclass(frozen=True, eq=False)
 class LinkScenario:
-    """Receive geometry, polarizations, and the derived channel matrix."""
+    """Receive geometry, polarizations, and the receivers' responses to the M states.
+
+    ``condition_number`` is cond(A) (inf if singular) of the +-1 states' responses A,
+    equal to cond(H) of the basis channel H = A T."""
 
     rx_angles: np.ndarray         # (2, 2) [(theta, phi)] radians
     rx_polarizations: np.ndarray  # (2, 2) complex unit vectors in (theta, phi)
-    channel: np.ndarray           # (2, 2) complex
-    condition_number: float
+    responses: np.ndarray         # (2, M) complex: receiver, then ratio index
     constellation: PskConstellation
+    condition_number: float = field(init=False)
 
     def __post_init__(self) -> None:
         angles = np.ascontiguousarray(self.rx_angles, dtype=float)
         pols = _unit_polarizations(self.rx_polarizations)
-        channel = np.ascontiguousarray(self.channel, dtype=complex)
-        if angles.shape != (2, 2) or channel.shape != (2, 2):
-            raise InvalidArgumentError("scenario arrays must all be 2x2")
-        if not np.all(np.isfinite(channel)):
-            raise InvalidArgumentError("channel matrix must be finite")
+        responses = np.ascontiguousarray(self.responses, dtype=complex)
+        if angles.shape != (2, 2) or responses.shape != (2, self.constellation.order):
+            raise InvalidArgumentError("a scenario needs 2x2 rx_angles and 2 x M responses")
+        if not np.all(np.isfinite(responses)):
+            raise InvalidArgumentError("responses must be finite")
         for name, arr in (("rx_angles", angles), ("rx_polarizations", pols),
-                          ("channel", channel)):
+                          ("responses", responses)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # a batch of one: a lone 2x2 matrix's numpy scalars can round unlike array loops
+        a = responses[:, _order(self.constellation.ratio_set)[:2], None]
+        object.__setattr__(self, "condition_number", float(_condition_2x2(a)[0][0]))
 
     @property
     def singular(self) -> bool:
@@ -182,53 +188,61 @@ def _zf_gains(h: np.ndarray, f: np.ndarray, condition_cap: float):
     return keep, g, cond
 
 
-def _state_gains(states, angles, pols, condition_cap: float):
+def _decode(resp: np.ndarray, condition_cap: float):
     """Cap mask (n,), gains G (2, M - 2, kept) and condition numbers (n,) in state coordinates.
 
-    ``states`` are in ``_states`` order and ``angles`` a (theta, phi) pair of
-    (2, n) arrays, freed once sampled.  A holds the +-1 states' responses,
-    y = A^-1 F the others' and G = T^-1 y = (y0 + y1, y0 - y1).  cond(A) =
-    cond(H), as T is sqrt(1/2) times an orthogonal matrix.
+    ``resp`` holds (2, M, n) responses in ``_order``, freed once solved.  A
+    holds the +-1 states' responses, y = A^-1 F the others' and G = T^-1 y
+    = (y0 + y1, y0 - y1).  cond(A) = cond(H), as T is sqrt(1/2) times an
+    orthogonal matrix.
     """
-    resp = _responses(states, *angles, pols)
-    del angles
     keep, y, cond = _zf_gains(resp[:, :2], resp[:, 2:], condition_cap)
     del resp  # the largest array: free it before the map back allocates
     y[0], y[1] = y[0] + y[1], y[0] - y[1]
     return keep, y, cond
 
 
+def _order(ratios: RatioSet) -> list[int]:
+    """Ratio indices +1, -1, then the others: the order ``_decode`` takes the states in."""
+    pm1 = (ratios.plus_one_index, ratios.minus_one_index)
+    return [*pm1, *(k for k in range(ratios.order) if k not in pm1)]
+
+
+def _states(s_hat: StatePatternSet, constellation: PskConstellation):
+    """``_order`` and the states' patterns in it; checked against the alphabet."""
+    if constellation.order != s_hat.ratios.order:
+        raise RatioSetMismatchError("constellation order does not match the state-pattern alphabet")
+    order = _order(s_hat.ratios)
+    return order, tuple(s_hat.state(k) for k in order)
+
+
 def build_channel(
-    basis_hat: BasisPair,
+    s_hat: StatePatternSet,
     rx_angles,
     constellation: PskConstellation,
     rx_polarizations=(THETA_POL, THETA_POL),
 ) -> LinkScenario:
-    """Channel matrix entries p_m^H . b_n at each receive angle.
+    """Responses p_r^H . e_k of each receiver r to each state k of ``s_hat``.
 
     ``rx_angles`` holds one (theta, phi) row per receiver and
     ``rx_polarizations`` two unit 2-vectors in (theta, phi) components.
-    The basis patterns are sampled bilinearly at the two receive solid
+    The state patterns are sampled bilinearly at the two receive solid
     angles and projected onto the receive polarization vectors; the link
     is noiseless.  Singular geometries are flagged through
     ``condition_number`` (inf), not raised; rejection happens at
     equalization time.
 
     Raises:
+        RatioSetMismatchError: the alphabet differs from the states' or is odd.
         InvalidArgumentError: the polarizations are not two unit 2-vectors.
     """
+    _states(s_hat, constellation)  # the alphabet check
     angles = np.asarray(rx_angles, dtype=float)
     pols = np.asarray(rx_polarizations, dtype=complex)
-    # a batch of one: the entries of a lone 2x2 matrix would be numpy scalars,
-    # whose arithmetic can round differently from the array loops'
-    h = _responses((basis_hat.b1, basis_hat.b2), angles[:, :1], angles[:, 1:], pols)
-    return LinkScenario(
-        rx_angles=angles,
-        rx_polarizations=pols,
-        channel=h[..., 0],
-        condition_number=float(_condition_2x2(h)[0][0]),
-        constellation=constellation,
-    )
+    resp = _responses([s_hat.state(k) for k in range(constellation.order)],
+                      angles[:, :1], angles[:, 1:], pols)
+    return LinkScenario(rx_angles=angles, rx_polarizations=pols, responses=resp[..., 0],
+                        constellation=constellation)
 
 
 @dataclass(frozen=True)
@@ -242,41 +256,24 @@ class ConstellationPoint:
     actual: complex
 
 
-def _states(s_hat: StatePatternSet, constellation: PskConstellation):
-    """Ratio indices +1, -1, then the others, and their patterns; checked against the alphabet."""
-    if constellation.order != s_hat.ratios.order:
-        raise RatioSetMismatchError(
-            "constellation order does not match the state-pattern alphabet"
-        )
-    pm1 = (s_hat.ratios.plus_one_index, s_hat.ratios.minus_one_index)
-    order = [*pm1, *(k for k in range(s_hat.ratios.order) if k not in pm1)]
-    return order, tuple(s_hat.state(k) for k in order)
-
-
 def received_constellation(
-    s_hat: StatePatternSet,
     scenario: LinkScenario,
     condition_cap: float = DEFAULT_CONDITION_CAP,
 ) -> list[ConstellationPoint]:
     """Equalized constellation for every symbol pair, noiselessly.
 
-    ``scenario.channel`` must be H of ``perturbed_basis(s_hat)``, so H = A T
-    with A the +-1 states' responses and T = [[1, 1], [1, -1]] / 2: the
-    decode (``_state_gains``) returns a +-1 pair as sent, and any other
-    pair as x1 * g_k.  The cap is judged on ``scenario.condition_number``.
+    Zero forcing on H = A T, solved from ``scenario.responses`` in state
+    coordinates (``_decode``, as the sweep solves): a +-1 pair decodes as
+    sent, and any other pair as x1 * g_k.
 
     Raises:
-        RatioSetMismatchError: the alphabet differs from the states' or is odd.
         SingularChannelError: channel singular or conditioned above the cap.
     """
-    order, states = _states(s_hat, scenario.constellation)
-    cond = scenario.condition_number
-    if scenario.singular or not cond <= condition_cap:
-        raise SingularChannelError(f"channel condition number {cond:.3g} "
+    order = _order(scenario.constellation.ratio_set)
+    keep, g, cond = _decode(scenario.responses[:, order, None], condition_cap)
+    if not keep[0]:
+        raise SingularChannelError(f"channel condition number {cond[0]:.3g} "
                                    f"exceeds cap {condition_cap:.3g}")
-    angles = scenario.rx_angles
-    _, g, _ = _state_gains(states, (angles[:, :1], angles[:, 1:]), scenario.rx_polarizations,
-                           math.inf)
     gains = dict(zip(order[2:], g[..., 0].T))  # ratio index k -> (g1_k, g2_k)
     points, m = scenario.constellation.points, len(order)
     out = []
@@ -290,7 +287,6 @@ def received_constellation(
 
 
 def constellation_at_angle(
-    basis_hat: BasisPair,
     s_hat: StatePatternSet,
     constellation: PskConstellation,
     theta: float,
@@ -302,16 +298,15 @@ def constellation_at_angle(
     The physical field of each symbol pair is decomposed onto the two
     basis patterns sampled at the same angle (a 2x2 solve across the two
     polarization components, i.e. the receive decode at two co-located
-    receivers); ideal points are the transmitted symbols.
+    THETA/PHI receivers); ideal points are the transmitted symbols.
 
     Raises:
         SingularChannelError: the basis polarization matrix at the angle
             is singular or conditioned above the cap.
     """
-    require_same_grid(basis_hat.grid, s_hat.grid)
-    scenario = build_channel(basis_hat, ((theta, phi), (theta, phi)), constellation,
+    scenario = build_channel(s_hat, ((theta, phi), (theta, phi)), constellation,
                              (THETA_POL, PHI_POL))
-    return received_constellation(s_hat, scenario, condition_cap)
+    return received_constellation(scenario, condition_cap)
 
 
 def great_circle_offset(theta, phi, distance, bearing):
@@ -621,7 +616,7 @@ def run_monte_carlo(
     ``basis_hat`` must be bitwise ``perturbed_basis(s_hat)`` (else
     InvalidArgumentError, after the grid check); it is checked one field
     component at a time and otherwise unused.  Each chunk decodes in state
-    coordinates (``_state_gains``, the decode of ``received_constellation``
+    coordinates (``_decode``, the decode of ``received_constellation``
     too): it samples the M states and solves only the M - 2 other than +-1,
     and each +-1 row is one exact zero per kept channel.  Every chunk folds
     its errors and condition numbers into sketches, and each worker merges
@@ -660,10 +655,10 @@ def run_monte_carlo(
     starts = range(0, n, _CHUNK)
 
     def chunk(start: int, sketches: list[Sketch]) -> None:
-        # the angles go in as one temporary, so the kernel frees them once sampled
-        keep, g, cond = _state_gains(
-            states, _angles(_uniforms(seed, n, start, min(start + _CHUNK, n)), separation),
-            pols, condition_cap)
+        # the angles and then the responses go in as temporaries, each freed once used
+        keep, g, cond = _decode(_responses(
+            states, *_angles(_uniforms(seed, n, start, min(start + _CHUNK, n)), separation),
+            pols), condition_cap)
         e = np.abs(np.subtract(g, ideal, out=g))  # (2, M - 2, kept): sketch rows, values last
         del g
         for sketch, values in zip(sketches, (*e[0], *e[1], cond[keep])):

@@ -243,18 +243,18 @@ class EvmMap:
         }
 
 
-def evm_map(basis_hat: BasisPair, s_hat: StatePatternSet) -> EvmMap:
+def evm_map(s_hat: StatePatternSet) -> EvmMap:
     """Error vector magnitude of the radiated constellation at every grid node.
 
-    At each angle the deviation of each state pattern from its basis
-    reconstruction is summed over the states of ``s_hat.ratios`` and both
+    At each angle the deviation of each state pattern from its reconstruction
+    on ``perturbed_basis(s_hat)`` is summed over the states and both
     polarization components, normalized by the total reconstructed power
     there.  Angles where that power vanishes are masked; values below the
     double-precision resolution of the ratio report as exactly zero, so an
     unperturbed run yields an identically zero map.
     """
-    require_same_grid(basis_hat.grid, s_hat.grid)
-    b1, b2 = basis_hat.b1, basis_hat.b2
+    basis = perturbed_basis(s_hat)
+    b1, b2 = basis.b1, basis.b2
     num = den = 0.0
     for k, xbar in enumerate(s_hat.ratios.values):
         e = s_hat.state(k)
@@ -263,12 +263,12 @@ def evm_map(basis_hat: BasisPair, s_hat: StatePatternSet) -> EvmMap:
         num += np.abs(ideal_t - e.e_theta) ** 2 + np.abs(ideal_p - e.e_phi) ** 2
         den += np.abs(ideal_t) ** 2 + np.abs(ideal_p) ** 2
     mask = den == 0.0
-    values = np.zeros(basis_hat.grid.shape)
+    values = np.zeros(s_hat.grid.shape)
     ok = ~mask
     values[ok] = np.sqrt(num[ok] / den[ok])
     values[values < _EVM_ZERO] = 0.0
     return EvmMap(
-        evm=ScalarAngularMap(grid=basis_hat.grid, values=values),
+        evm=ScalarAngularMap(grid=s_hat.grid, values=values),
         degenerate_mask=mask,
     )
 

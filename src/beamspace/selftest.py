@@ -84,12 +84,12 @@ def _random_pattern(rng: np.random.Generator, grid) -> VectorPattern:
 
 def _qpsk_states(lobes=None, perturbation=()):
     """QPSK, and on the default 91x180 grid the states of antenna ``lobes`` (default:
-    the default profile) under the ``perturbation`` lobes, and their basis."""
+    the default profile) under the ``perturbation`` lobes."""
     con = PskConstellation.qpsk()
     grid = build_grid(91, 180)
     free = generate_mirror_pair(lobes or default_mirror_profile(), grid, con.ratio_set)
     s_hat = apply_perturbation(free, generate_perturbation(perturbation, grid, con.ratio_set))
-    return con, s_hat, perturbed_basis(s_hat)
+    return con, s_hat
 
 
 def criterion_free_space_exactness() -> CriterionResult:
@@ -99,12 +99,12 @@ def criterion_free_space_exactness() -> CriterionResult:
     worst_decode = 0.0
     worst_evm = 0.0
     for _ in range(100):
-        con, states, basis = _qpsk_states(_random_profile(rng))
-        emap = evm_map(basis, states)
+        con, states = _qpsk_states(_random_profile(rng))
+        emap = evm_map(states)
         worst_evm = max(worst_evm, float(np.max(emap.evm.values)))
         # one receive pair drawn like the Monte-Carlo sweep: rows (theta, phi)
-        scenario = build_channel(basis, np.hstack(draw_geometries(rng, 1)), con)
-        for p in received_constellation(states, scenario):
+        scenario = build_channel(states, np.hstack(draw_geometries(rng, 1)), con)
+        for p in received_constellation(scenario):
             worst_decode = max(worst_decode, abs(p.actual - p.ideal))
     elapsed = time.perf_counter() - start
     passed = worst_decode <= 1e-10 and worst_evm <= 1e-12 and elapsed < 10.0
@@ -135,19 +135,19 @@ def criterion_dichotomy() -> CriterionResult:
     clusters_ok = True
     for _ in range(20):
         # broad lobes hitting only the +-j states, visible at any angle
-        con, s_hat, b_hat = _qpsk_states(perturbation=[
+        con, s_hat = _qpsk_states(perturbation=[
             _random_lobe(rng, PerturbationLobe, 0.3, (60.0, 90.0), (0.25, 0.6), states=(k,))
             for k in (1, 3)])
-        scenario = build_channel(b_hat, (rx1, rx2), con)
+        scenario = build_channel(s_hat, (rx1, rx2), con)
         best_j = 0.0
-        for p in received_constellation(s_hat, scenario):
+        for p in received_constellation(scenario):
             error = abs(p.actual - p.ideal)
             if (p.k2 - p.k1) % con.order in (0, 2):
                 worst_pm1 = max(worst_pm1, error)
             else:
                 best_j = max(best_j, error)
         min_best_j = min(min_best_j, best_j)
-        tx = constellation_at_angle(b_hat, s_hat, con, rx1[0], rx1[1])
+        tx = constellation_at_angle(s_hat, con, rx1[0], rx1[1])
         for stream in (1, 2):
             for sym in range(4):
                 pts = [p.actual for p in tx
@@ -169,12 +169,12 @@ def criterion_common_factor() -> CriterionResult:
     worst = 0.0
     for _ in range(20):
         # every state; the polarization target is each lobe's last draw from the seed
-        _, s_hat, b_hat = _qpsk_states(perturbation=[
+        _, s_hat = _qpsk_states(perturbation=[
             dataclasses.replace(_random_lobe(rng, PerturbationLobe, 0.2, (25.0, 80.0),
                                              (-0.5, 0.8)),
                                 polarization=str(rng.choice(["both", "theta", "phi"])))
             for _ in range(int(rng.integers(1, 3)))])
-        emap = evm_map(b_hat, s_hat)
+        emap = evm_map(s_hat)
         worst = max(worst, float(np.max(emap.evm.values)))
     passed = worst <= 1e-10
     return CriterionResult(
@@ -187,10 +187,9 @@ def criterion_common_factor() -> CriterionResult:
 def criterion_mirror_orthogonality() -> CriterionResult:
     """Mirror-pair bases decorrelate; the default profile hits its imbalance band."""
     rng = np.random.default_rng(1004)
-    worst_corr = -np.inf
-    for _ in range(30):
-        worst_corr = max(worst_corr, basis_correlation_db(_qpsk_states(_random_profile(rng))[2]))
-    imb = power_imbalance_db(_qpsk_states()[2])
+    worst_corr = max(basis_correlation_db(perturbed_basis(_qpsk_states(_random_profile(rng))[1]))
+                     for _ in range(30))
+    imb = power_imbalance_db(perturbed_basis(_qpsk_states()[1]))
     passed = worst_corr <= -100.0 and abs(imb - 0.8) <= 0.2
     return CriterionResult(
         "mirror-orthogonality",
@@ -226,7 +225,7 @@ def criterion_evm_oracle() -> CriterionResult:
         s_hat = StatePatternSet(ratios=con.ratio_set,
                                 patterns={k: _random_pattern(rng, grid) for k in range(4)})
         b_hat = perturbed_basis(s_hat)
-        emap = evm_map(b_hat, s_hat)
+        emap = evm_map(s_hat)
         for i in range(grid.n_theta):
             for j in range(grid.n_phi):
                 got = emap.evm.values[i, j]
@@ -263,7 +262,8 @@ def criterion_quadrature() -> CriterionResult:
 
 def criterion_monte_carlo_contract() -> CriterionResult:
     """Reproducibility across runs and worker counts, speed, CDF sanity, stream order."""
-    con, s_hat, b_hat = _qpsk_states(perturbation=example_perturbation())
+    con, s_hat = _qpsk_states(perturbation=example_perturbation())
+    b_hat = perturbed_basis(s_hat)
     # enough scenarios for two workers' shares, so threads 2 and 8 start a
     # pool wherever two CPUs are free
     n = 2 * link._SCENARIOS_PER_WORKER + 1

@@ -3,8 +3,10 @@
 ``transmit_and_receive`` and ``zf_equalize`` are the physical link pair by
 pair: the antenna radiates x1 times the state pattern of the symbol ratio,
 each receiver projects that field at its own angle, and LAPACK solves
-H x = y.  They share no decode code with the package's batched kernel,
-which is what makes them an oracle for it.
+H x = y with H sampled here from ``perturbed_basis(s_hat)``
+(``basis_channel``).  They share no decode code with the package's batched
+kernel and read no channel from it, which is what makes them an oracle
+for it.
 
 ``upfront_errors`` is the Monte-Carlo sweep with every geometry drawn before
 any chunk runs, on the package's decode, the oracle the chunk-by-chunk draw
@@ -31,6 +33,7 @@ from beamspace import (
     VectorPattern,
     draw_geometries,
     link,
+    perturbed_basis,
     ratio_label,
 )
 from beamspace.link import DEFAULT_CONDITION_CAP, THETA_POL, Sketch
@@ -69,26 +72,40 @@ def index_of(ratios, ratio: complex, tol: float = 1e-9) -> int:
     return k
 
 
+def _receive(pattern, scenario) -> np.ndarray:
+    """Each receiver's response p_r^H e(theta_r, phi_r) to ``pattern``."""
+    angles, pols = scenario.rx_angles, scenario.rx_polarizations
+    et, ep = sample_pattern(pattern, angles[:, 0], angles[:, 1])
+    return np.conj(pols[:, 0]) * et + np.conj(pols[:, 1]) * ep
+
+
 def transmit_and_receive(s_hat, x1, x2, scenario) -> np.ndarray:
     """Noiseless receive vector for one symbol pair radiated through the physical field."""
     if x1 == 0:
         raise UndefinedRatioError("x1 = 0 leaves the symbol ratio x2/x1 undefined")
     k = index_of(scenario.constellation.ratio_set, x2 / x1)
-    angles, pols = scenario.rx_angles, scenario.rx_polarizations
-    et, ep = sample_pattern(s_hat.state(k), angles[:, 0], angles[:, 1])
-    return x1 * (np.conj(pols[:, 0]) * et + np.conj(pols[:, 1]) * ep)
+    return x1 * _receive(s_hat.state(k), scenario)
 
 
-def zf_equalize(y, scenario, condition_cap=DEFAULT_CONDITION_CAP) -> np.ndarray:
-    """Zero-forcing estimate H^-1 y by a LAPACK solve.
+def basis_channel(s_hat, scenario) -> np.ndarray:
+    """H (2, 2): column n holds the receivers' responses to basis pattern n of
+    ``perturbed_basis(s_hat)``."""
+    basis = perturbed_basis(s_hat)
+    return np.stack([_receive(basis.b1, scenario), _receive(basis.b2, scenario)], axis=1)
+
+
+def zf_equalize(y, s_hat, scenario, condition_cap=DEFAULT_CONDITION_CAP) -> np.ndarray:
+    """Zero-forcing estimate H^-1 y by a LAPACK solve, H = ``basis_channel(s_hat, scenario)``.
 
     Raises:
-        SingularChannelError: channel singular or conditioned above the cap.
+        SingularChannelError: H singular or its 2-norm condition number above the cap.
     """
-    if not scenario.condition_number <= condition_cap:
-        raise SingularChannelError(f"channel condition number {scenario.condition_number:.3g} "
+    h = basis_channel(s_hat, scenario)
+    cond = np.linalg.cond(h)
+    if not cond <= condition_cap:
+        raise SingularChannelError(f"channel condition number {cond:.3g} "
                                    f"exceeds cap {condition_cap:.3g}")
-    return np.linalg.solve(scenario.channel, np.asarray(y, dtype=complex))
+    return np.linalg.solve(h, np.asarray(y, dtype=complex))
 
 
 def upfront_errors(s_hat, basis_hat, constellation, n, seed, separation_deg=(3.0, 5.0),
@@ -97,10 +114,10 @@ def upfront_errors(s_hat, basis_hat, constellation, n, seed, separation_deg=(3.0
     of an up-front sweep, in scenario order.
 
     ``draw_geometries(default_rng(seed), n)``, then the package's state-coordinate
-    decode (``link._state_gains``) on each chunk of those angles: stream 1's
-    error is |g1 - 1| and stream 2's |g2 - r_k| for every state other than
-    +-1, and the +-1 errors are zeros, as the basis identity makes them;
-    ``basis_hat`` only has to be ``perturbed_basis(s_hat)``, which
+    decode (``link._decode`` of ``link._responses``) on each chunk of those
+    angles: stream 1's error is |g1 - 1| and stream 2's |g2 - r_k| for every
+    state other than +-1, and the +-1 errors are zeros, as the basis identity
+    makes them; ``basis_hat`` only has to be ``perturbed_basis(s_hat)``, which
     ``run_monte_carlo`` checks.
     """
     theta, phi = draw_geometries(np.random.default_rng(seed), n, separation_deg)
@@ -110,9 +127,8 @@ def upfront_errors(s_hat, basis_hat, constellation, n, seed, separation_deg=(3.0
     ratios = np.asarray(constellation.ratio_set.values)[solved]
     errors, conds, rejected = [], [], 0
     for i in range(0, n, link._CHUNK):
-        keep, g, cond = link._state_gains(
-            states, (theta[:, i:i + link._CHUNK], phi[:, i:i + link._CHUNK]), pols,
-            condition_cap)
+        keep, g, cond = link._decode(link._responses(
+            states, theta[:, i:i + link._CHUNK], phi[:, i:i + link._CHUNK], pols), condition_cap)
         e = np.zeros((np.count_nonzero(keep), 2, constellation.order))
         e[:, 0, solved] = np.abs(g[0] - 1.0).T
         e[:, 1, solved] = np.abs(g[1] - ratios[:, None]).T

@@ -29,6 +29,7 @@ from beamspace import (
     save_cdf_csv,
 )
 from beamspace.cli import main
+from beamspace.errors import MAX_STATE_SAMPLES
 from helpers import load_metrics_json, pooled, sketch_rows
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -516,6 +517,9 @@ class TestMalformedInput:
         # ... and is named by its label, not its ratio index
         (("perturbation", "lobes", 0, "states"), ["-1", "+j", "+j"], [],
          'error: perturbation.lobes[0].states lists "+j" twice\n'),
+        # more state-pattern samples than MAX_STATE_SAMPLES: refused before any allocation
+        (("grid",), {"n_theta": 10**6, "n_phi": 10**6}, [], "grid.n_theta x grid.n_phi"),
+        (("constellation", "order"), 10**4, [], "constellation.order x grid"),
     ])
     def test_exit_2_naming_the_key(self, tmp_path, path, value, flags, named):
         payload = _set(json.loads((CONFIGS / "hand_scenario.json").read_text()), path, value)
@@ -537,6 +541,13 @@ class TestMalformedInput:
         # read only: a sweep of this size is not run here
         cfg = load_config(hand_config, [("monte_carlo.scenarios", 10**7)])
         assert cfg.scenarios == 10**7
+
+    def test_state_sample_limit_is_accepted(self, hand_config):
+        # read only: 4 x 1000 x 2500 samples is MAX_STATE_SAMPLES, one more row is not
+        cfg = load_config(hand_config, [("grid.n_theta", 1000), ("grid.n_phi", 2500)])
+        assert cfg.constellation_order * cfg.n_theta * cfg.n_phi == MAX_STATE_SAMPLES
+        with pytest.raises(ConfigError, match="must be <= 10000000; got 4 x 1001 x 2500"):
+            load_config(hand_config, [("grid.n_theta", 1001), ("grid.n_phi", 2500)])
 
     def test_unreadable_config_exit_2(self, tmp_path):
         (tmp_path / "bytes.json").write_bytes(b"\xff\xfe{}")
@@ -563,8 +574,10 @@ _FLAGS = ["--config", "--seed", "--threads", "--scenarios", "--out",
 class TestConfigContract:
     """A mutated shipped config or a random flag value is accepted, or exits 2 cleanly.
 
-    Accepted inputs never run: a valid ``n_theta`` of 10**9 would allocate
-    without bound, so ``_assemble`` is replaced by a stub that stops the run.
+    Accepted inputs never run: an accepted config may still ask for
+    ``MAX_STATE_SAMPLES`` pattern samples or ``MAX_SCENARIOS`` scenarios, a
+    gigabyte or seconds of work, so ``_assemble`` is replaced by a stub that
+    stops the run.
     """
 
     @settings(max_examples=60, deadline=None)

@@ -585,7 +585,7 @@ class TestSaveResults:
         states = StatePatternSet(
             ratios=QPSK.ratio_set,
             patterns={k: b1 for k in range(4)})
-        emap = evm_map(perturbed_basis(states), states)
+        emap = evm_map(states)
         assert np.max(emap.evm.values) == 0.0
         written = save_results(tmp_path, evm=emap)
         lines = written["evm_map"].read_text().splitlines()
@@ -609,7 +609,7 @@ class TestSaveResults:
             ratios=QPSK.ratio_set,
             patterns={k: synthesize_pattern(basis, 1.0, r)
                       for k, r in enumerate(QPSK.ratio_set.values)})
-        emap = evm_map(basis, states)
+        emap = evm_map(states)
         written = save_results(tmp_path, evm=emap)
         lines = written["evm_map"].read_text().splitlines()[1:]
         masked = [line for line in lines if line.endswith(",1")]

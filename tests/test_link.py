@@ -44,6 +44,7 @@ from beamspace import (
 from beamspace.cli import _assemble
 from beamspace.link import DEFAULT_CONDITION_CAP, PHI_POL, SKETCH_ALPHA, THETA_POL, Sketch
 from helpers import (
+    basis_channel,
     pooled,
     reference_condition_2x2,
     reference_responses,
@@ -54,7 +55,6 @@ from helpers import (
     transmit_and_receive,
     upfront_errors,
     upfront_sketches,
-    zero_pattern,
     zf_equalize,
 )
 
@@ -109,7 +109,7 @@ def _mc_geometries(n, seed, separation_deg=(3.0, 5.0)):
     return [((theta[0, s], phi[0, s]), (theta[1, s], phi[1, s])) for s in range(n)]
 
 
-def _pair_errors_oracle(states, basis, con, geometries, pols=(THETA_POL, THETA_POL)):
+def _pair_errors_oracle(states, con, geometries, pols=(THETA_POL, THETA_POL)):
     """Per-pair error magnitudes |x_hat - x| by transmit_and_receive + LAPACK.
 
     Returns one (scenario, k1, k2) array per stream.
@@ -117,11 +117,11 @@ def _pair_errors_oracle(states, basis, con, geometries, pols=(THETA_POL, THETA_P
     m = con.order
     errors = np.empty((2, len(geometries), m, m))
     for s, angles in enumerate(geometries):
-        scenario = build_channel(basis, angles, con, pols)
+        scenario = build_channel(states, angles, con, pols)
         for k1, x1 in enumerate(con.points):
             for k2, x2 in enumerate(con.points):
                 y = transmit_and_receive(states, x1, x2, scenario)
-                errors[:, s, k1, k2] = np.abs(zf_equalize(y, scenario) - [x1, x2])
+                errors[:, s, k1, k2] = np.abs(zf_equalize(y, states, scenario) - [x1, x2])
     return errors
 
 
@@ -157,64 +157,93 @@ def _lobed_states(grid, con):
     return s_hat, perturbed_basis(s_hat)
 
 
+def _with_states(s_hat, replaced: dict):
+    """``s_hat`` with the patterns of ``replaced`` (ratio index -> pattern) swapped in."""
+    return StatePatternSet(ratios=s_hat.ratios, patterns={**s_hat.patterns, **replaced})
+
+
 class TestBuildChannel:
-    def test_zero_b2_is_flagged_singular(self, grid, free_basis):
-        basis = BasisPair(b1=free_basis.b1, b2=zero_pattern(grid))
-        scenario = build_channel(basis, (RX1, RX2), QPSK)
-        assert np.all(scenario.channel[:, 1] == 0)
+    def test_zero_b2_is_flagged_singular(self, free_states):
+        # s+ == s- makes b2 = 0: A's two columns are equal, and H's second is zero
+        states = _with_states(free_states, {2: free_states.state(0)})
+        scenario = build_channel(states, (RX1, RX2), QPSK)
+        assert np.all(scenario.responses[:, 0] == scenario.responses[:, 2])
+        assert np.all(basis_channel(states, scenario)[:, 1] == 0)
         assert scenario.singular
         with pytest.raises(SingularChannelError):
-            zf_equalize(np.array([1.0, 1.0j]), scenario)
+            zf_equalize(np.array([1.0, 1.0j]), states, scenario)
 
-    def test_received_constellation_rejects_above_cap(self, grid, free_states, free_basis):
-        singular = build_channel(BasisPair(b1=free_basis.b1, b2=zero_pattern(grid)),
+    def test_received_constellation_rejects_above_cap(self, free_states):
+        singular = build_channel(_with_states(free_states, {2: free_states.state(0)}),
                                  (RX1, RX2), QPSK)
         for cap in (1e8, np.inf):  # a singular channel is rejected even without a cap
             with pytest.raises(SingularChannelError, match="condition number inf"):
-                received_constellation(free_states, singular, condition_cap=cap)
-        scenario = build_channel(free_basis, (RX1, RX2), QPSK)
+                received_constellation(singular, condition_cap=cap)
+        scenario = build_channel(free_states, (RX1, RX2), QPSK)
         cond = scenario.condition_number
         with pytest.raises(SingularChannelError, match=re.escape(f"number {cond:.3g} exceeds")):
-            received_constellation(free_states, scenario, condition_cap=0.99 * cond)
-        assert len(received_constellation(free_states, scenario, condition_cap=cond)) == 32
+            received_constellation(scenario, condition_cap=0.99 * cond)
+        assert len(received_constellation(scenario, condition_cap=cond)) == 32
 
     def test_theta_receiver_with_phi_only_pattern_flagged(self, grid):
         rng = np.random.default_rng(0)
-        phi_only = VectorPattern(
+        phi_only = {k: VectorPattern(
             grid=grid, e_theta=np.zeros(grid.shape),
             e_phi=rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-        basis = BasisPair(b1=phi_only, b2=phi_only)
-        scenario = build_channel(basis, (RX1, RX2), QPSK)
-        assert np.all(scenario.channel == 0)
+            for k in range(4)}
+        states = StatePatternSet(ratios=RATIOS, patterns=phi_only)
+        scenario = build_channel(states, (RX1, RX2), QPSK)
+        assert np.all(scenario.responses == 0)
         assert scenario.singular
 
-    def test_entries_match_node_lookup_oracle(self, grid, free_basis):
+    def test_entries_match_node_lookup_oracle(self, grid, hand_states):
+        # at grid nodes the bilinear weights are exactly one and zero
         i1, j1 = 30, 40
         i2, j2 = 31, 42
         angles = ((grid.theta[i1], grid.phi[j1]), (grid.theta[i2], grid.phi[j2]))
-        scenario = build_channel(free_basis, angles, QPSK)
-        want = np.array([
-            [free_basis.b1.e_theta[i1, j1], free_basis.b2.e_theta[i1, j1]],
-            [free_basis.b1.e_theta[i2, j2], free_basis.b2.e_theta[i2, j2]],
-        ])
-        assert np.allclose(scenario.channel, want, rtol=1e-12, atol=0)
+        scenario = build_channel(hand_states, angles, QPSK)
+        want = [[hand_states.state(k).e_theta[i, j] for k in range(4)]
+                for i, j in ((i1, j1), (i2, j2))]
+        assert np.array_equal(scenario.responses, want)
 
-    def test_phi_polarized_receivers(self, grid, free_basis):
+    def test_phi_polarized_receivers(self, grid, free_states):
         i1, j1 = 50, 10
         angles = ((grid.theta[i1], grid.phi[j1]), RX2)
         pol = ((0.0, 1.0), (0.0, 1.0))
-        scenario = build_channel(free_basis, angles, QPSK, rx_polarizations=pol)
-        assert scenario.channel[0, 0] == pytest.approx(
-            complex(free_basis.b1.e_phi[i1, j1]), rel=1e-12)
+        scenario = build_channel(free_states, angles, QPSK, rx_polarizations=pol)
+        assert scenario.responses[0, 2] == pytest.approx(
+            complex(free_states.state(2).e_phi[i1, j1]), rel=1e-12)
 
-    def test_angle_outside_grid(self, free_basis):
+    def test_angle_outside_grid(self, free_states):
         with pytest.raises(AngleOutOfRangeError):
-            build_channel(free_basis, ((-0.2, 0.0), RX2), QPSK)
+            build_channel(free_states, ((-0.2, 0.0), RX2), QPSK)
 
-    def test_condition_number_recorded(self, free_basis):
-        scenario = build_channel(free_basis, (RX1, RX2), QPSK)
+    def test_condition_number_recorded(self, free_states):
+        scenario = build_channel(free_states, (RX1, RX2), QPSK)
         assert np.isfinite(scenario.condition_number)
         assert scenario.condition_number >= 1.0
+
+    def test_condition_number_is_the_basis_channels(self, shipped):
+        # cond(A) of the +-1 states' responses equals cond(H) of the basis channel
+        # the oracle samples itself, at the config's receivers, at random pairs and
+        # at two co-located receivers of the transmit-side decode
+        cfg, asm = shipped
+        states, con = asm.perturbed_states, asm.constellation
+        theta, phi = draw_geometries(np.random.default_rng(17), 20)
+        geometries = [((cfg.rx1, cfg.rx2), (THETA_POL, THETA_POL))]
+        geometries += [(((t1, p1), (t2, p2)), (THETA_POL, THETA_POL))
+                       for t1, t2, p1, p2 in zip(*theta, *phi)]
+        geometries += [(((t, p), (t, p)), (THETA_POL, PHI_POL)) for t, p in zip(theta[0], phi[0])]
+        for angles, pols in geometries:
+            scenario = build_channel(states, angles, con, pols)
+            want = np.linalg.cond(basis_channel(states, scenario))
+            assert scenario.condition_number == pytest.approx(want, rel=1e-9)
+
+    def test_mismatched_alphabet_rejected(self, free_states):
+        with pytest.raises(RatioSetMismatchError):
+            build_channel(free_states, (RX1, RX2), PskConstellation(8))
+        with pytest.raises(RatioSetMismatchError):
+            constellation_at_angle(free_states, PskConstellation(8), *RX1)
 
     def test_condition_number_matches_svd_oracle(self, free_basis):
         from beamspace.link import _condition_2x2
@@ -240,55 +269,60 @@ class TestBuildChannel:
         with pytest.raises(InvalidArgumentError, match="two unit 2-vectors"):
             LinkScenario(rx_angles=np.array((RX1, RX2)),
                          rx_polarizations=np.array(pols, dtype=complex),
-                         channel=np.eye(2, dtype=complex), condition_number=1.0,
-                         constellation=QPSK)
+                         responses=np.ones((2, 4), dtype=complex), constellation=QPSK)
         with pytest.raises(InvalidArgumentError, match="two unit 2-vectors"):
-            build_channel(free_basis, (RX1, RX2), QPSK, pols)
+            build_channel(free_states, (RX1, RX2), QPSK, pols)
 
-    def test_scenario_polarization_must_be_unit(self, free_basis):
+    def test_scenario_polarization_must_be_unit(self):
         from beamspace import LinkScenario
         with pytest.raises(InvalidArgumentError):
             LinkScenario(
                 rx_angles=np.array([[1.0, 2.0], [1.0, 2.1]]),
                 rx_polarizations=np.array([[2.0, 0.0], [1.0, 0.0]], dtype=complex),
-                channel=np.eye(2, dtype=complex),
-                condition_number=1.0,
+                responses=np.ones((2, 4), dtype=complex),
                 constellation=QPSK,
             )
 
-    @pytest.mark.parametrize("channel,message", [
-        (np.ones((3, 2), dtype=complex), "must all be 2x2"),
-        (np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex), "must be finite"),
+    @pytest.mark.parametrize("responses,message", [
+        (np.ones((3, 4), dtype=complex), "2 x M responses"),
+        (np.ones((2, 8), dtype=complex), "2 x M responses"),
+        (np.array([[1.0, np.nan, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], dtype=complex),
+         "must be finite"),
     ])
-    def test_scenario_channel_must_be_finite_2x2(self, channel, message):
+    def test_scenario_responses_must_be_finite_2xm(self, responses, message):
         from beamspace import LinkScenario
         with pytest.raises(InvalidArgumentError, match=message):
             LinkScenario(rx_angles=np.array((RX1, RX2)),
                          rx_polarizations=np.array((THETA_POL, THETA_POL)),
-                         channel=channel, condition_number=1.0, constellation=QPSK)
+                         responses=responses, constellation=QPSK)
+        ok = LinkScenario(rx_angles=np.array((RX1, RX2)),
+                          rx_polarizations=np.array((THETA_POL, THETA_POL)),
+                          responses=np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, -1.0, 0.0]]),
+                          constellation=QPSK)
+        assert ok.condition_number == 1.0 and not ok.responses.flags.writeable
 
 
 class TestTransmitAndReceive:
-    def test_free_space_consistency(self, free_states, free_basis):
-        scenario = build_channel(free_basis, (RX1, RX2), QPSK)
-        h = scenario.channel
+    def test_free_space_consistency(self, free_states):
+        scenario = build_channel(free_states, (RX1, RX2), QPSK)
+        h = basis_channel(free_states, scenario)
         for x1 in QPSK.points:
             for x2 in QPSK.points:
                 y = transmit_and_receive(free_states, x1, x2, scenario)
                 want = h @ np.array([x1, x2])
                 assert np.max(np.abs(y - want)) <= 1e-12
 
-    def test_pm_one_consistency_under_any_perturbation(self, hand_states, hand_basis):
-        scenario = build_channel(hand_basis, (RX1, RX2), QPSK)
-        h = scenario.channel
+    def test_pm_one_consistency_under_any_perturbation(self, hand_states):
+        scenario = build_channel(hand_states, (RX1, RX2), QPSK)
+        h = basis_channel(hand_states, scenario)
         for x1, x2 in [(1, 1), (1j, 1j), (1, -1), (1j, -1j)]:
             y = transmit_and_receive(hand_states, x1, x2, scenario)
             want = h @ np.array([x1, x2])
             assert np.max(np.abs(y - want)) <= 1e-12
 
     def test_pm_j_residual_matches_direct_oracle(self, hand_states, hand_basis):
-        scenario = build_channel(hand_basis, (RX1, RX2), QPSK)
-        h = scenario.channel
+        scenario = build_channel(hand_states, (RX1, RX2), QPSK)
+        h = basis_channel(hand_states, scenario)
         x1, x2 = 1.0, 1.0j
         y = transmit_and_receive(hand_states, x1, x2, scenario)
         residual = y - h @ np.array([x1, x2])
@@ -303,8 +337,8 @@ class TestTransmitAndReceive:
             want[m] = x1 * (et_s - et_b1 - 1j * et_b2)
         assert np.allclose(residual, want, rtol=1e-10, atol=1e-14)
 
-    def test_ratio_not_in_alphabet(self, free_states, free_basis):
-        scenario = build_channel(free_basis, (RX1, RX2), QPSK)
+    def test_ratio_not_in_alphabet(self, free_states):
+        scenario = build_channel(free_states, (RX1, RX2), QPSK)
         with pytest.raises(RatioSetMismatchError):
             transmit_and_receive(free_states, 1.0, np.exp(0.3j), scenario)
         with pytest.raises(UndefinedRatioError):
@@ -312,38 +346,38 @@ class TestTransmitAndReceive:
 
 
 class TestZfEqualize:
-    def test_inverts_exactly(self, free_states, free_basis):
-        scenario = build_channel(free_basis, (RX1, RX2), QPSK)
+    def test_inverts_exactly(self, free_states):
+        scenario = build_channel(free_states, (RX1, RX2), QPSK)
         x = np.array([1.0j, -1.0])
-        y = scenario.channel @ x
-        xhat = zf_equalize(y, scenario)
+        y = basis_channel(free_states, scenario) @ x
+        xhat = zf_equalize(y, free_states, scenario)
         assert np.max(np.abs(xhat - x)) <= 1e-10
 
-    def test_pm_one_decodes_exactly_under_perturbation(self, hand_states, hand_basis):
-        scenario = build_channel(hand_basis, (RX1, RX2), QPSK)
+    def test_pm_one_decodes_exactly_under_perturbation(self, hand_states):
+        scenario = build_channel(hand_states, (RX1, RX2), QPSK)
         for x1, x2 in [(1, 1), (1j, 1j), (-1, 1), (1j, -1j)]:
             y = transmit_and_receive(hand_states, x1, x2, scenario)
-            xhat = zf_equalize(y, scenario)
+            xhat = zf_equalize(y, hand_states, scenario)
             assert np.max(np.abs(xhat - np.array([x1, x2]))) <= 1e-10
 
     @pytest.mark.parametrize("con", [PskConstellation(4, phase_offset=0.3), PskConstellation(8)])
     def test_pm_one_pairs_decode_as_sent(self, grid, con):
         # on the receive side and at one angle, a +-1 pair's actual points are its
         # sent symbols bit for bit (a zero's sign too), while the other pairs move
-        s_hat, b_hat = _lobed_states(grid, con)
-        scenario = build_channel(b_hat, (RX1, RX2), con)
+        s_hat, _ = _lobed_states(grid, con)
+        scenario = build_channel(s_hat, (RX1, RX2), con)
         m = con.order
-        for points in (received_constellation(s_hat, scenario),
-                       constellation_at_angle(b_hat, s_hat, con, *RX1)):
+        for points in (received_constellation(scenario),
+                       constellation_at_angle(s_hat, con, *RX1)):
             pm1 = [p for p in points if (p.k2 - p.k1) % m in (0, m // 2)]
             assert len(pm1) == 4 * m
             for p in pm1:
                 assert np.complex128(p.actual).tobytes() == np.complex128(p.ideal).tobytes()
             assert max(abs(p.actual - p.ideal) for p in points) > 1e-3
 
-    def test_pm_j_three_cluster_structure(self, hand_states, hand_basis):
-        scenario = build_channel(hand_basis, (RX1, RX2), QPSK)
-        points = received_constellation(hand_states, scenario)
+    def test_pm_j_three_cluster_structure(self, hand_states):
+        scenario = build_channel(hand_states, (RX1, RX2), QPSK)
+        points = received_constellation(scenario)
         for stream in (1, 2):
             for sym in range(4):
                 cluster_values = [
@@ -357,10 +391,10 @@ class TestZfEqualize:
                         clusters.append(v)
                 assert len(clusters) == 3
 
-    def test_quantization_is_separate(self, hand_states, hand_basis):
-        scenario = build_channel(hand_basis, (RX1, RX2), QPSK)
+    def test_quantization_is_separate(self, hand_states):
+        scenario = build_channel(hand_states, (RX1, RX2), QPSK)
         y = transmit_and_receive(hand_states, 1.0, 1.0j, scenario)
-        xhat = zf_equalize(y, scenario)
+        xhat = zf_equalize(y, hand_states, scenario)
         assert np.max(np.abs(xhat - np.array([1.0, 1.0j]))) > 1e-6
         decided = QPSK.nearest(xhat)
         assert decided[0] in QPSK.points
@@ -368,14 +402,14 @@ class TestZfEqualize:
 
 
 class TestConstellationAtAngle:
-    def test_free_space_actual_equals_ideal(self, free_states, free_basis):
-        points = constellation_at_angle(free_basis, free_states, QPSK, *RX1)
+    def test_free_space_actual_equals_ideal(self, free_states):
+        points = constellation_at_angle(free_states, QPSK, *RX1)
         assert len(points) == 2 * 16
         for p in points:
             assert abs(p.actual - p.ideal) <= 1e-9
 
-    def test_perturbed_dichotomy(self, hand_states, hand_basis):
-        points = constellation_at_angle(hand_basis, hand_states, QPSK, *RX1)
+    def test_perturbed_dichotomy(self, hand_states):
+        points = constellation_at_angle(hand_states, QPSK, *RX1)
         for p in points:
             ratio = (p.k2 - p.k1) % 4
             if ratio in (0, 2):
@@ -456,7 +490,7 @@ class TestMonteCarlo:
             mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=3, seed=21,
                                  rx_polarizations=pols)
             assert mc.n_rejected == 0
-            _assert_rows_match_pairs(mc, _pair_errors_oracle(hand_states, hand_basis, QPSK,
+            _assert_rows_match_pairs(mc, _pair_errors_oracle(hand_states, QPSK,
                                                              _mc_geometries(3, seed=21), pols))
 
     def test_ratio_state_reduction_8psk_with_offset(self, grid):
@@ -464,7 +498,7 @@ class TestMonteCarlo:
         s_hat, b_hat = _lobed_states(grid, con)
         mc = run_monte_carlo(s_hat, b_hat, con, n_scenarios=6, seed=8)
         assert mc.n_rejected == 0
-        errors = _pair_errors_oracle(s_hat, b_hat, con, _mc_geometries(6, seed=8))
+        errors = _pair_errors_oracle(s_hat, con, _mc_geometries(6, seed=8))
         k1 = np.arange(8)
         for e in errors:
             for k in range(8):
@@ -477,9 +511,9 @@ class TestMonteCarlo:
     def test_basis_path_decodes_pm1_exactly(self, shipped_assembly):
         # the sweep folds the +-1 rows as zeros by the basis identity; the
         # per-pair LAPACK path, decoding through the basis, computes them
-        basis, states = shipped_assembly.perturbed_basis, shipped_assembly.perturbed_states
-        con = shipped_assembly.constellation
-        errors = _pair_errors_oracle(states, basis, con, _mc_geometries(40, seed=42))
+        states = shipped_assembly.perturbed_states
+        basis, con = perturbed_basis(states), shipped_assembly.constellation
+        errors = _pair_errors_oracle(states, con, _mc_geometries(40, seed=42))
         k1 = np.arange(con.order)
         pm1 = [errors[s][:, k1, (k1 + k) % con.order] for s in range(2) for k in (0, 2)]
         assert np.max(pm1) <= 1e-10
@@ -489,9 +523,9 @@ class TestMonteCarlo:
             for k in (0, 2):
                 assert rows[k].zeros == rows[k].count == 40 and rows[k].maximum == 0.0
 
-    def test_ratio_index_recorded(self, hand_states, hand_basis):
-        scenario = build_channel(hand_basis, (RX1, RX2), QPSK)
-        points = received_constellation(hand_states, scenario)
+    def test_ratio_index_recorded(self, hand_states):
+        scenario = build_channel(hand_states, (RX1, RX2), QPSK)
+        points = received_constellation(scenario)
         assert len(points) == 32
         magnitudes: dict[tuple[int, int], list[float]] = {}
         for p in points:
@@ -616,7 +650,7 @@ class TestMonteCarlo:
 
     def test_bpsk_sweep_is_exact_zeros(self, grid):
         # BPSK has only the +-1 states: every row holds one exact zero per kept
-        # channel, and the condition numbers are the basis channel's
+        # channel, and the condition numbers are the per-pair path's
         bpsk = PskConstellation(2)
         free = generate_mirror_pair(default_mirror_profile(), grid, bpsk.ratio_set)
         psi = generate_perturbation(
@@ -633,7 +667,7 @@ class TestMonteCarlo:
             for row in rows:
                 assert row.zeros == row.count == kept and row.counts.size == 0
                 assert row.minimum == row.maximum == 0.0 and not row.above.any()
-        conds = np.array([build_channel(b_hat, angles, bpsk).condition_number
+        conds = np.array([build_channel(s_hat, angles, bpsk).condition_number
                           for angles in _mc_geometries(n, seed=4)])
         conds = conds[conds <= cap]
         assert conds.size == kept
@@ -756,7 +790,7 @@ class TestStreamedSweep:
         # on 1,024-scenario chunks; merging sketches adds integers, so the sweep's
         # rows are the bits of one add per row
         cfg, asm = shipped
-        args = (asm.perturbed_states, asm.perturbed_basis, asm.constellation)
+        args = (asm.perturbed_states, perturbed_basis(asm.perturbed_states), asm.constellation)
         params = dict(separation_deg=cfg.separation_deg, condition_cap=cfg.condition_cap)
         want, rejected = upfront_sketches(*args, n, cfg.seed, **params)
         if cfg.condition_cap == 200 and n > 1:
@@ -776,7 +810,7 @@ class TestStreamedSweep:
     @pytest.mark.parametrize("n", CHUNK_COUNTS)
     def test_chunk_size_does_not_change_bytes(self, shipped, n, monkeypatch):
         cfg, asm = shipped
-        args = (asm.perturbed_states, asm.perturbed_basis, asm.constellation)
+        args = (asm.perturbed_states, perturbed_basis(asm.perturbed_states), asm.constellation)
         params = dict(separation_deg=cfg.separation_deg, condition_cap=cfg.condition_cap)
         runs = []
         for size in (link._CHUNK, link._CHUNK // 2 + 1):
@@ -828,25 +862,29 @@ def _kernel_angles(grid, n, at_nodes, seed):
     return draw_geometries(rng, n)
 
 
-def _reference_points(states, basis, con, angles, pols):
-    """The channel, its condition number and the decoded points of one geometry by
-    the reference kernel, in state coordinates: the +-1 pairs as sent, the others
-    x1 times the gains T^-1 A^-1 F with A the responses to the +1 and -1 states;
-    None for the points when the channel is above the default cap."""
+def _reference_points(states, con, angles, pols):
+    """The responses (2, M) in ratio order, the condition number of A and the
+    decoded points of one geometry by the reference kernel, in state
+    coordinates: the +-1 pairs as sent, the others x1 times the gains T^-1 A^-1 F
+    with A the responses to the +1 and -1 states; None for the points when the
+    channel is above the default cap."""
     angles = np.asarray(angles, dtype=float)
     pols = np.asarray(pols, dtype=complex)
     theta, phi = angles[:, :1], angles[:, 1:]
-    h = reference_responses((basis.b1, basis.b2), theta, phi, pols)[0]
-    cond = reference_condition_2x2(h)[0]
     m = con.order
+    f = reference_responses(tuple(states.state(k) for k in range(m)), theta, phi, pols)
     order = [0, m // 2, *(k for k in range(m) if k not in (0, m // 2))]  # +1, -1, the others
-    f = reference_responses(tuple(states.state(k) for k in order), theta, phi, pols)
+    f = f[..., order]
+    # A contiguous, so that its four squared magnitudes are summed in row order
+    cond = reference_condition_2x2(np.ascontiguousarray(f[0, :, :2]))[0]
     _, y, _ = reference_zf_gains(f[..., :2], f[..., 2:], np.inf)
     g = dict(zip(order[2:], zip(y[0, 0] + y[0, 1], y[0, 0] - y[0, 1])))
     x = con.points
     points = [x[k1] * g[(k2 - k1) % m][s] if (k2 - k1) % m in g else (x[k1], x[k2])[s]
               for k1 in range(m) for k2 in range(m) for s in (0, 1)]
-    return h, cond, points if cond <= DEFAULT_CONDITION_CAP else None
+    responses = np.empty((2, m), dtype=complex)
+    responses[:, order] = f[0]
+    return responses, cond, points if cond <= DEFAULT_CONDITION_CAP else None
 
 
 @pytest.fixture(scope="module", params=["hand_scenario", "freespace"])
@@ -861,7 +899,8 @@ class TestScenarioLastKernel:
     @pytest.mark.parametrize("pols", POLARIZATION_PAIRS.values(), ids=POLARIZATION_PAIRS)
     @pytest.mark.parametrize("n", (1, 4095, 4096, 4097))
     def test_responses_and_gains(self, shipped_assembly, pols, n):
-        basis, states = shipped_assembly.perturbed_basis, shipped_assembly.perturbed_states
+        states = shipped_assembly.perturbed_states
+        basis = perturbed_basis(states)
         patterns = (basis.b1, basis.b2) + tuple(states.state(k) for k in range(QPSK.order))
         pols = np.asarray(pols, dtype=complex)
         for at_nodes in (True, False):
@@ -879,35 +918,35 @@ class TestScenarioLastKernel:
 
     @pytest.mark.parametrize("pols", POLARIZATION_PAIRS.values(), ids=POLARIZATION_PAIRS)
     def test_build_channel_and_received_constellation(self, shipped_assembly, pols):
-        basis, states = shipped_assembly.perturbed_basis, shipped_assembly.perturbed_states
+        states = shipped_assembly.perturbed_states
         for at_nodes in (True, False):
-            theta, phi = _kernel_angles(basis.grid, 16, at_nodes, seed=5)
+            theta, phi = _kernel_angles(states.grid, 16, at_nodes, seed=5)
             for s in range(16):
                 angles = ((theta[0, s], phi[0, s]), (theta[1, s], phi[1, s]))
-                scenario = build_channel(basis, angles, QPSK, pols)
-                h, cond, points = _reference_points(states, basis, QPSK, angles, pols)
-                _same_bits(scenario.channel, h)
+                scenario = build_channel(states, angles, QPSK, pols)
+                responses, cond, points = _reference_points(states, QPSK, angles, pols)
+                _same_bits(scenario.responses, responses)
                 _same_bits(scenario.condition_number, cond)
                 if points is None:
                     with pytest.raises(SingularChannelError):
-                        received_constellation(states, scenario)
+                        received_constellation(scenario)
                     continue
-                got = received_constellation(states, scenario)
+                got = received_constellation(scenario)
                 _same_bits([p.actual for p in got], points)
                 assert all(p.actual == p.ideal for p in got if (p.k2 - p.k1) % 4 in (0, 2))
 
     def test_constellation_at_angle(self, shipped_assembly):
-        basis, states = shipped_assembly.perturbed_basis, shipped_assembly.perturbed_states
+        states = shipped_assembly.perturbed_states
         for at_nodes in (True, False):
-            theta, phi = _kernel_angles(basis.grid, 16, at_nodes, seed=6)
+            theta, phi = _kernel_angles(states.grid, 16, at_nodes, seed=6)
             for angle in zip(theta[0], phi[0]):
-                *_, points = _reference_points(states, basis, QPSK, (angle, angle),
+                *_, points = _reference_points(states, QPSK, (angle, angle),
                                                (THETA_POL, PHI_POL))
                 if points is None:
                     with pytest.raises(SingularChannelError):
-                        constellation_at_angle(basis, states, QPSK, *angle)
+                        constellation_at_angle(states, QPSK, *angle)
                     continue
-                got = constellation_at_angle(basis, states, QPSK, *angle)
+                got = constellation_at_angle(states, QPSK, *angle)
                 _same_bits([p.actual for p in got], points)
 
 
@@ -982,7 +1021,7 @@ class TestSketch:
     def test_quantiles_within_alpha_of_exact(self, shipped):
         # the exact samples and condition numbers come from the oracle
         cfg, asm = shipped
-        args = (asm.perturbed_states, asm.perturbed_basis, asm.constellation)
+        args = (asm.perturbed_states, perturbed_basis(asm.perturbed_states), asm.constellation)
         params = dict(separation_deg=cfg.separation_deg, condition_cap=cfg.condition_cap)
         n = 100_000
         mc = run_monte_carlo(*args, n_scenarios=n, seed=cfg.seed, **params)
@@ -1088,13 +1127,13 @@ _seam_geometry = _geometries(st.floats(0.0, 2 * np.pi)
                              | st.floats(2 * np.pi - D(2.0), 2 * np.pi, exclude_max=True))
 
 
-def _decoded(states, basis, angles, pols):
-    """The channel and the (ideal, actual) points of every symbol pair, in
+def _decoded(states, angles, pols):
+    """The scenario and the (ideal, actual) points of every symbol pair, in
     emitted order; no points when the channel is over the default cap."""
-    scenario = build_channel(basis, angles, QPSK, pols)
+    scenario = build_channel(states, angles, QPSK, pols)
     if not scenario.condition_number <= 1e8:
         return scenario, None
-    points = received_constellation(states, scenario)
+    points = received_constellation(scenario)
     return scenario, np.array([(p.ideal, p.actual) for p in points])
 
 
@@ -1109,14 +1148,14 @@ class TestMetamorphic:
 
     @settings(max_examples=40, deadline=None)
     @given(geometry=_geometry)
-    def test_receiver_swap(self, hand_states, hand_basis, geometry):
-        # swapping the receivers swaps the rows of H and F and leaves G = H^-1 F
+    def test_receiver_swap(self, hand_states, geometry):
+        # swapping the receivers swaps the rows of A and F and leaves G = H^-1 F
         theta1, phi1, dist, bearing, pol1, pol2 = geometry
         rx1 = (theta1, phi1)
         rx2 = great_circle_offset(theta1, phi1, dist, bearing)
-        sa, a = _decoded(hand_states, hand_basis, (rx1, rx2), (pol1, pol2))
-        sb, b = _decoded(hand_states, hand_basis, (rx2, rx1), (pol2, pol1))
-        assert sb.channel.tobytes() == sa.channel[::-1].tobytes()
+        sa, a = _decoded(hand_states, (rx1, rx2), (pol1, pol2))
+        sb, b = _decoded(hand_states, (rx2, rx1), (pol2, pol1))
+        assert sb.responses.tobytes() == sa.responses[::-1].tobytes()
         assert (a is None) == (b is None)
         if a is not None:
             # not bitwise: numpy's complex multiply need not commute bitwise (it
@@ -1127,7 +1166,7 @@ class TestMetamorphic:
     @settings(max_examples=25, deadline=None)
     @given(geometry=_geometry, log_scale=st.floats(-2.0, 2.0), phase=st.floats(0.0, 2 * np.pi))
     def test_global_scale(self, grid, hand_states, geometry, log_scale, phase):
-        # H and F scale together, so the decoded points move by round-off only
+        # A and F scale together, so the decoded points move by round-off only
         theta1, phi1, dist, bearing, pol1, pol2 = geometry
         angles = ((theta1, phi1), great_circle_offset(theta1, phi1, dist, bearing))
         c = 10.0 ** log_scale * np.exp(1j * phase)
@@ -1136,8 +1175,8 @@ class TestMetamorphic:
             patterns={k: VectorPattern(grid=grid, e_theta=c * hand_states.state(k).e_theta,
                                        e_phi=c * hand_states.state(k).e_phi)
                       for k in range(4)})
-        sa, a = _decoded(hand_states, perturbed_basis(hand_states), angles, (pol1, pol2))
-        _, b = _decoded(scaled, perturbed_basis(scaled), angles, (pol1, pol2))
+        sa, a = _decoded(hand_states, angles, (pol1, pol2))
+        _, b = _decoded(scaled, angles, (pol1, pol2))
         assert (a is None) == (b is None)
         if a is not None:
             _assert_round_off(a, b, sa)
@@ -1147,9 +1186,9 @@ class TestMetamorphic:
            lobe=st.builds(PerturbationLobe, theta=st.floats(0.2, np.pi - 0.2),
                           phi=st.floats(0.0, 2 * np.pi), width=st.floats(D(25.0), D(80.0)),
                           amplitude=st.floats(0.05, 0.8), phase=st.floats(0.0, 2 * np.pi)))
-    def test_common_factor_at_nodes(self, grid, hand_states, hand_basis, data, pols, lobe):
-        # one angular factor c on every state scales row r of H and of F by
-        # c(rx_r), which G = H^-1 F cancels; bilinear sampling is exact only at
+    def test_common_factor_at_nodes(self, grid, hand_states, data, pols, lobe):
+        # one angular factor c on every state scales row r of A and of F by
+        # c(rx_r), which G = T^-1 A^-1 F cancels; bilinear sampling is exact only at
         # the nodes (a sample of a product is not the product of samples), so
         # the receivers sit on nodes, up to 3 steps apart
         i1 = data.draw(st.integers(0, grid.n_theta - 1))
@@ -1158,15 +1197,15 @@ class TestMetamorphic:
         j2 = (j1 + data.draw(st.integers(-3, 3))) % grid.n_phi
         angles = ((grid.theta[i1], grid.phi[j1]), (grid.theta[i2], grid.phi[j2]))
         factored = apply_perturbation(hand_states, generate_perturbation([lobe], grid, RATIOS))
-        sa, a = _decoded(hand_states, hand_basis, angles, pols)
-        _, b = _decoded(factored, perturbed_basis(factored), angles, pols)
+        sa, a = _decoded(hand_states, angles, pols)
+        _, b = _decoded(factored, angles, pols)
         assert (a is None) == (b is None)
         if a is not None:
             _assert_round_off(a, b, sa)
 
     @settings(max_examples=40, deadline=None)
     @given(geometry=_seam_geometry, steps=st.integers(1, 179))
-    def test_azimuth_rotation(self, grid, hand_states, hand_basis, geometry, steps):
+    def test_azimuth_rotation(self, grid, hand_states, geometry, steps):
         # rolling every state by whole azimuth steps rotates the antenna with
         # its perturbation; receivers rotated by the same angle see the same
         # field, up to the round-off of locating them in their new cells
@@ -1180,8 +1219,8 @@ class TestMetamorphic:
                       for k in range(4)})
         moved = angles.copy()
         moved[:, 1] = np.mod(angles[:, 1] + steps * grid.phi_step, 2 * np.pi)
-        sa, a = _decoded(hand_states, hand_basis, angles, (pol1, pol2))
-        _, b = _decoded(rotated, perturbed_basis(rotated), moved, (pol1, pol2))
+        sa, a = _decoded(hand_states, angles, (pol1, pol2))
+        _, b = _decoded(rotated, moved, (pol1, pol2))
         assert (a is None) == (b is None)
         if a is not None:
             _assert_round_off(a, b, sa)

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamspace import (
     BasisPair,
@@ -278,8 +282,7 @@ class TestEvm:
         states = generate_mirror_pair(
             [GaussianLobe(theta=1.1, phi=0.7, width=0.6, polarization=(0.8, 0.6j))],
             small_grid, RATIOS)
-        basis = perturbed_basis(states)
-        emap = evm_map(basis, states)
+        emap = evm_map(states)
         assert np.max(emap.evm.values) <= 1e-12
 
     def test_state_independent_perturbation_cancels(self, small_grid):
@@ -288,7 +291,7 @@ class TestEvm:
             [GaussianLobe(theta=1.3, phi=0.5, width=0.7, polarization=(1.0, 0.3))],
             small_grid, RATIOS)
         s_hat = apply_perturbation(states, _gaussian_psi(small_grid, rng, states=None))
-        emap = evm_map(perturbed_basis(s_hat), s_hat)
+        emap = evm_map(s_hat)
         assert np.max(emap.evm.values) <= 1e-10
 
     def test_pm_one_numerator_terms_vanish_and_bruteforce(self, small_grid):
@@ -316,7 +319,7 @@ class TestEvm:
         assert num[2] == 0.0
         assert num[1] > 0.0
         brute = np.sqrt(sum(num.values()) / den_total)
-        got = evm_map(b_hat, s_hat).evm.values[i, j]
+        got = evm_map(s_hat).evm.values[i, j]
         assert got == pytest.approx(brute, rel=1e-12)
 
     def test_degenerate_angle_raises_and_is_masked(self, small_grid):
@@ -330,7 +333,7 @@ class TestEvm:
             ratios=RATIOS,
             patterns={k: synthesize_pattern(basis, 1.0, r)
                       for k, r in enumerate(RATIOS.values)})
-        emap = evm_map(basis, states)
+        emap = evm_map(states)
         assert emap.degenerate_mask[0, 0]
         assert emap.degenerate_mask[-1, 0]
         assert not emap.degenerate_mask[2, 3]
@@ -341,14 +344,14 @@ class TestEvm:
 
     def test_masked_fraction_zero_for_nonvanishing_basis(self, default_grid):
         states = generate_mirror_pair(default_mirror_profile(), default_grid, RATIOS)
-        emap = evm_map(perturbed_basis(states), states)
+        emap = evm_map(states)
         assert emap.masked_fraction() == 0.0
 
     def test_average_matches_weighted_mean_oracle(self, small_grid):
         rng = np.random.default_rng(17)
         states = generate_mirror_pair(default_mirror_profile(), small_grid, RATIOS)
         s_hat = apply_perturbation(states, _gaussian_psi(small_grid, rng, states=(1,)))
-        emap = evm_map(perturbed_basis(s_hat), s_hat)
+        emap = evm_map(s_hat)
         w = small_grid.weights
         v = emap.evm.values
         mean = float((w * v).sum() / w.sum())
@@ -368,8 +371,8 @@ class TestEvm:
                                        e_theta=c * states.state(k).e_theta,
                                        e_phi=c * states.state(k).e_phi)
                       for k in range(4)})
-        m1 = evm_map(perturbed_basis(states), states)
-        m2 = evm_map(perturbed_basis(scaled), scaled)
+        m1 = evm_map(states)
+        m2 = evm_map(scaled)
         assert np.allclose(m1.evm.values, m2.evm.values, rtol=1e-12, atol=1e-13)
 
 
@@ -535,7 +538,7 @@ class TestGenerators:
                               states=(1, 3))],
             small_grid, RATIOS)
         s_hat = apply_perturbation(states, psi)
-        emap = evm_map(perturbed_basis(s_hat), s_hat)
+        emap = evm_map(s_hat)
         assert float(np.max(emap.evm.values)) > 1e-6
 
     def test_lobe_profile_uses_great_circle_distance(self, small_grid):
@@ -561,22 +564,54 @@ class TestOtherOrders:
                                   phase=2.0, states=(1,))]
         psi = generate_perturbation(lobes, small_grid, bpsk)
         s_hat = apply_perturbation(states, psi)
-        emap = evm_map(perturbed_basis(s_hat), s_hat)
+        emap = evm_map(s_hat)
         assert float(np.max(emap.evm.values)) <= 1e-12
 
     def test_8psk_distorts_non_pm_one_states(self, small_grid):
         ratios8 = PskConstellation(8).ratio_set
         states = generate_mirror_pair(default_mirror_profile(), small_grid, ratios8)
         assert set(states.patterns) == set(range(8))
-        free = evm_map(perturbed_basis(states), states)
+        free = evm_map(states)
         assert float(np.max(free.evm.values)) <= 1e-12
         psi = generate_perturbation(
             [PerturbationLobe(theta=1.2, phi=0.4, width=0.8, amplitude=0.4,
                               states=(1, 3, 5))],
             small_grid, ratios8)
         s_hat = apply_perturbation(states, psi)
-        emap = evm_map(perturbed_basis(s_hat), s_hat)
+        emap = evm_map(s_hat)
         assert float(np.max(emap.evm.values)) > 1e-3
+
+
+# Strengths of one perturbation, a decade apart: small enough for the first-order term to
+# dominate (the second is about 0.1% at 1e-3), far above round-off.
+_WEAK = (1e-5, 1e-4, 1e-3)
+
+
+class TestFirstOrderPhysics:
+    """Weak perturbations act to first order: the EVM is linear in their strength."""
+
+    @pytest.mark.parametrize("target", ["theta", "phi", "both"])
+    @pytest.mark.parametrize("order", [4, 8])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_evm_steps_20_db_per_decade(self, order, target, data):
+        # a sign, factor or conjugation error in generating, applying or decomposing
+        # the perturbation breaks this; a common factor, which cancels, would not show it
+        ratios = PskConstellation(order).ratio_set
+        grid = build_grid(19, 36)
+        states = generate_mirror_pair(default_mirror_profile(), grid, ratios)
+        lobes = data.draw(st.lists(st.builds(
+            PerturbationLobe, theta=st.floats(0.2, np.pi - 0.2), phi=st.floats(0.0, 2 * np.pi),
+            width=st.floats(0.4, 1.4), amplitude=st.floats(0.1, 1.0),
+            phase=st.floats(0.0, 2 * np.pi), polarization=st.just(target),
+            # never every state: a lobe on all of them is a common factor
+            states=st.sets(st.integers(0, order - 1), min_size=1, max_size=order - 1).map(
+                sorted)), min_size=1, max_size=3))
+        db = [evm_map(apply_perturbation(states, generate_perturbation(
+                  [dataclasses.replace(lobe, amplitude=s * lobe.amplitude) for lobe in lobes],
+                  grid, ratios))).average()["db_of_rms"]
+              for s in _WEAK]
+        assert np.all(np.abs(np.diff(db) - 20.0) <= 0.05), db
 
 
 class TestStatePatternSetValidation:
