@@ -25,7 +25,7 @@ _HOMES = {name: module for module, names in {
                "SingularChannelError", "UndefinedRatioError"),
     "iokit": ("RunConfig", "load_cdf_csv", "load_config", "load_pattern_csv", "save_cdf_csv",
               "save_metrics_json", "save_pattern_csv", "save_results"),
-    "link": ("CdfSummary", "ConstellationPoint", "LinkScenario", "MonteCarloResult",
+    "link": ("CdfSummary", "LinkScenario", "MonteCarloResult", "SymbolPairs",
              "build_channel", "constellation_at_angle", "draw_geometries",
              "great_circle_offset", "received_constellation", "run_monte_carlo"),
     "modulation": ("PskConstellation", "RatioSet", "ratio_label"),

@@ -144,8 +144,7 @@ def cmd_constellation(args) -> int:
                              rx_polarizations=_rx_polarizations(cfg))
     rx = received_constellation(scenario, condition_cap=cfg.condition_cap)
     path = save_constellation_csv(cfg.out_dir / "constellation.csv", tx, rx)
-    m = asm.constellation.order
-    print(f"constellation written to {path} ({m * m} pairs per side)")
+    print(f"constellation written to {path} ({rx.k1.size} pairs per side)")
     print(f"channel condition number: {scenario.condition_number!r}")
     return 0
 

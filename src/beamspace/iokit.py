@@ -99,6 +99,14 @@ def _cells(block: np.ndarray):
     return np.repeat(runs, np.diff(starts, append=block.size)).tolist()
 
 
+def _formatted_once(values: np.ndarray) -> np.ndarray:
+    """A column's cells as strings, each distinct bit pattern formatted once."""
+    if values.size <= _BLOCK_ROWS:  # sorting one block costs more than it saves
+        return np.array(list(_cells(values)), dtype=object)
+    keys, inverse = np.unique(values.view(f"i{values.itemsize}"), return_inverse=True)
+    return np.array(list(_cells(keys.view(values.dtype))), dtype=object)[inverse]
+
+
 @contextlib.contextmanager
 def _text(path: Path, raw: bytes):
     """``raw``, the bytes of ``path``, as UTF-8 text; a byte that is not is a PatternFormatError."""
@@ -232,10 +240,8 @@ def save_pattern_csv(
 
 
 def _grid_columns(grid) -> tuple[np.ndarray, np.ndarray]:
-    """theta_deg and phi_deg of every node in theta-major order, as the strings the table
-    writer would make: each grid angle is formatted once, -0.0 as "-0.0"."""
-    theta, phi = (np.array([repr(x) for x in np.rad2deg(a).tolist()], dtype=object)
-                  for a in (grid.theta, grid.phi))
+    """theta_deg and phi_deg of every node in theta-major order, each angle formatted once."""
+    theta, phi = (_formatted_once(np.rad2deg(a)) for a in (grid.theta, grid.phi))
     return np.repeat(theta, grid.n_phi), np.tile(phi, grid.n_theta)
 
 
@@ -337,16 +343,17 @@ def _output_dir(out_dir) -> Path:
 
 
 def save_constellation_csv(path, transmit, receive) -> Path:
-    """One row per side and symbol pair; each list holds the stream-1 then the stream-2
-    point of every (k1, k2) in order, as the link's constellation functions return them."""
-    points = [*transmit, *receive]
-    p1, p2 = points[0::2], points[1::2]
-    side = ["transmit"] * (len(transmit) // 2) + ["receive"] * (len(receive) // 2)
-    xy = np.array([(a.ideal, a.actual, b.ideal, b.actual) for a, b in zip(p1, p2)])
+    """One row per side and symbol pair of ``transmit``, then ``receive`` (``SymbolPairs``)."""
+    sides = (transmit, receive)
+    k1, k2, ideal, actual = (np.concatenate([getattr(p, name) for p in sides], axis=-1)
+                             for name in ("k1", "k2", "ideal", "actual"))
+    columns = [np.repeat(["transmit", "receive"], [len(p.k1) for p in sides]),
+               _formatted_once(k1), _formatted_once(k2)]
+    for i, a in zip(ideal, actual):
+        columns += [_formatted_once(i.real), _formatted_once(i.imag), a.real, a.imag]
     return _write_table(_output_dir(Path(path).parent) / Path(path).name, [
         "side,k1,k2,x1_ideal_re,x1_ideal_im,x1_actual_re,x1_actual_im,"
-        "x2_ideal_re,x2_ideal_im,x2_actual_re,x2_actual_im"],
-        (side, [a.k1 for a in p1], [a.k2 for a in p1], *xy.view(float).T))
+        "x2_ideal_re,x2_ideal_im,x2_actual_re,x2_actual_im"], columns)
 
 
 def _json_encode(obj: Any) -> Any:

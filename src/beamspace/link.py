@@ -14,10 +14,11 @@ G = H^-1 F and F the receivers' responses to the M states.  H = A T with
 A the +-1 states' responses and T = [[1, 1], [1, -1]] / 2: G = T^-1 A^-1
 F, whose +-1 gains are exactly (1, 1) and (1, -1): a +-1 pair decodes as
 sent.  One batched solve (``_decode``) takes the responses in ``_order``,
-+-1 first, and solves the M - 2 others for every decode path; the
-transmit-side constellation at one angle is that decode at two co-located
-receivers.  Its arrays keep the scenario axis last: responses are (2
-receivers, M states, n) and G (2 streams, M - 2, n).
++-1 first, and solves the M - 2 others for every decode path, scenarios
+last: responses are (2 receivers, M states, n) and G (2 streams, M - 2,
+n).  The transmit-side constellation at one angle is that decode at two
+co-located receivers; each side's M^2 pairs are one ``SymbolPairs``
+record of arrays, gathered from the M - 2 gains by ratio index.
 
 The Monte-Carlo sweep draws the receive geometries of
 ``draw_geometries(np.random.default_rng(seed), n)`` and takes, per
@@ -61,7 +62,7 @@ from .sphere import PHI_POL, THETA_POL, apply_stencil, bilinear_stencil, require
 __all__ = [
     "SKETCH_ALPHA",
     "LinkScenario",
-    "ConstellationPoint",
+    "SymbolPairs",
     "MonteCarloResult",
     "Sketch",
     "CdfSummary",
@@ -245,26 +246,29 @@ def build_channel(
                         constellation=constellation)
 
 
-@dataclass(frozen=True)
-class ConstellationPoint:
-    """Ideal and actual I/Q location of one stream for one symbol pair."""
+@dataclass(frozen=True, eq=False)
+class SymbolPairs:
+    """Ideal and actual I/Q points of both streams for each symbol pair, read-only."""
 
-    stream: int
-    k1: int
-    k2: int
-    ideal: complex
-    actual: complex
+    k1: np.ndarray      # (M^2,) int: pair i is (k1[i], k2[i]), k1-major
+    k2: np.ndarray      # (M^2,) int
+    ideal: np.ndarray   # (2, M^2) complex: stream, then pair
+    actual: np.ndarray  # (2, M^2) complex
+
+    def __post_init__(self) -> None:
+        for a in (self.k1, self.k2, self.ideal, self.actual):
+            a.setflags(write=False)
 
 
 def received_constellation(
     scenario: LinkScenario,
     condition_cap: float = DEFAULT_CONDITION_CAP,
-) -> list[ConstellationPoint]:
+) -> SymbolPairs:
     """Equalized constellation for every symbol pair, noiselessly.
 
     Zero forcing on H = A T, solved from ``scenario.responses`` in state
     coordinates (``_decode``, as the sweep solves): a +-1 pair decodes as
-    sent, and any other pair as x1 * g_k.
+    sent, and any other pair as x1 * g_k with k = (k2 - k1) mod M.
 
     Raises:
         SingularChannelError: channel singular or conditioned above the cap.
@@ -274,16 +278,17 @@ def received_constellation(
     if not keep[0]:
         raise SingularChannelError(f"channel condition number {cond[0]:.3g} "
                                    f"exceeds cap {condition_cap:.3g}")
-    gains = dict(zip(order[2:], g[..., 0].T))  # ratio index k -> (g1_k, g2_k)
     points, m = scenario.constellation.points, len(order)
-    out = []
-    for k1 in range(m):
-        for k2 in range(m):
-            x1, x2, k = points[k1], points[k2], (k2 - k1) % m
-            y1, y2 = (x1 * gains[k][0], x1 * gains[k][1]) if k in gains else (x1, x2)
-            out.append(ConstellationPoint(1, k1, k2, complex(x1), complex(y1)))
-            out.append(ConstellationPoint(2, k1, k2, complex(x2), complex(y2)))
-    return out
+    k1, k2 = np.divmod(np.arange(m * m), m)
+    ideal = np.stack([points[k1], points[k2]])
+    gains = np.zeros((2, m), dtype=complex)  # (g1_k, g2_k) by ratio index k
+    gains[:, order[2:]] = g[..., 0]
+    k = (k2 - k1) % m
+    x, y = ideal[0], gains[:, k]
+    actual = np.empty_like(ideal)  # x * y, rounded as numpy's scalar (not array) product
+    actual.real = x.real * y.real - x.imag * y.imag
+    actual.imag = x.real * y.imag + x.imag * y.real
+    return SymbolPairs(k1, k2, ideal, np.where((k == order[0]) | (k == order[1]), ideal, actual))
 
 
 def constellation_at_angle(
@@ -292,7 +297,7 @@ def constellation_at_angle(
     theta: float,
     phi: float,
     condition_cap: float = DEFAULT_CONDITION_CAP,
-) -> list[ConstellationPoint]:
+) -> SymbolPairs:
     """Transmit-side constellation observed in the radiated field at one angle.
 
     The physical field of each symbol pair is decomposed onto the two

@@ -104,8 +104,8 @@ def criterion_free_space_exactness() -> CriterionResult:
         worst_evm = max(worst_evm, float(np.max(emap.evm.values)))
         # one receive pair drawn like the Monte-Carlo sweep: rows (theta, phi)
         scenario = build_channel(states, np.hstack(draw_geometries(rng, 1)), con)
-        for p in received_constellation(scenario):
-            worst_decode = max(worst_decode, abs(p.actual - p.ideal))
+        pairs = received_constellation(scenario)
+        worst_decode = max(worst_decode, float(np.max(np.abs(pairs.actual - pairs.ideal))))
     elapsed = time.perf_counter() - start
     passed = worst_decode <= 1e-10 and worst_evm <= 1e-12 and elapsed < 10.0
     return CriterionResult(
@@ -114,14 +114,6 @@ def criterion_free_space_exactness() -> CriterionResult:
         f"max decode error {worst_decode:.2e} (<=1e-10), max EVM {worst_evm:.2e} "
         f"(<=1e-12) over 100 profiles x all 16 pairs, {elapsed:.1f} s (<10 s)",
     )
-
-
-def _cluster_count(values: list[complex], tol: float) -> int:
-    clusters: list[complex] = []
-    for v in values:
-        if not any(abs(v - c) <= tol for c in clusters):
-            clusters.append(v)
-    return len(clusters)
 
 
 def criterion_dichotomy() -> CriterionResult:
@@ -139,21 +131,17 @@ def criterion_dichotomy() -> CriterionResult:
             _random_lobe(rng, PerturbationLobe, 0.3, (60.0, 90.0), (0.25, 0.6), states=(k,))
             for k in (1, 3)])
         scenario = build_channel(s_hat, (rx1, rx2), con)
-        best_j = 0.0
-        for p in received_constellation(scenario):
-            error = abs(p.actual - p.ideal)
-            if (p.k2 - p.k1) % con.order in (0, 2):
-                worst_pm1 = max(worst_pm1, error)
-            else:
-                best_j = max(best_j, error)
-        min_best_j = min(min_best_j, best_j)
-        tx = constellation_at_angle(s_hat, con, rx1[0], rx1[1])
-        for stream in (1, 2):
-            for sym in range(4):
-                pts = [p.actual for p in tx
-                       if p.stream == stream and (p.k1 if stream == 1 else p.k2) == sym]
-                if _cluster_count(pts, 1e-6) != 3:
-                    clusters_ok = False
+        pairs = received_constellation(scenario)
+        error = np.abs(pairs.actual - pairs.ideal)
+        pm1 = np.isin((pairs.k2 - pairs.k1) % con.order, (0, 2))
+        worst_pm1 = max(worst_pm1, float(np.max(error[:, pm1])))
+        min_best_j = min(min_best_j, float(np.max(error[:, ~pm1])))
+        # stream 1's decoded points of each symbol k1 and stream 2's of each k2 (the
+        # pairs are k1-major) form 3 clusters: 3 points with no earlier one within 1e-6
+        tx = constellation_at_angle(s_hat, con, rx1[0], rx1[1]).actual.reshape(2, 4, 4)
+        pts = np.stack([tx[0], tx[1].T])
+        near = np.tril(np.abs(pts[..., :, None] - pts[..., None, :]) <= 1e-6, -1)
+        clusters_ok &= bool(np.all(np.count_nonzero(~near.any(-1), -1) == 3))
     passed = worst_pm1 == 0.0 and min_best_j >= 1e-3 and clusters_ok
     return CriterionResult(
         "state-dichotomy",

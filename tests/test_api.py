@@ -9,7 +9,7 @@ import pytest
 import beamspace
 
 # Lines of the package's source, as the last change to its size left them.
-LINE_BUDGET = 2988
+LINE_BUDGET = 2987
 
 # Every public name of the package; adding or removing one means editing this set.
 PUBLIC_NAMES = {
@@ -21,8 +21,8 @@ PUBLIC_NAMES = {
     "RunConfig", "load_cdf_csv", "load_config", "load_pattern_csv",
     "save_cdf_csv", "save_metrics_json", "save_pattern_csv", "save_results",
     # link
-    "DEFAULT_CONDITION_CAP", "CdfSummary", "ConstellationPoint", "LinkScenario",
-    "MonteCarloResult", "build_channel", "constellation_at_angle", "draw_geometries",
+    "DEFAULT_CONDITION_CAP", "CdfSummary", "LinkScenario", "MonteCarloResult",
+    "SymbolPairs", "build_channel", "constellation_at_angle", "draw_geometries",
     "great_circle_offset", "received_constellation", "run_monte_carlo",
     # modulation
     "PskConstellation", "RatioSet", "ratio_label",

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -115,6 +116,13 @@ class TestEvmMapCommand:
         assert "masked fraction: 0.0" in out
 
 
+def _transmit_rows(path) -> np.ndarray:
+    """The transmit rows of a constellation.csv, every column after ``side``."""
+    lines = Path(path).read_text().splitlines()[1:]
+    return np.array([line.split(",")[1:] for line in lines if line.startswith("transmit,")],
+                    dtype=float)
+
+
 class TestConstellationCommand:
     def test_free_space_actual_equals_ideal(self, freespace_config, tmp_path):
         assert main(["constellation", "--config", str(freespace_config)]) == 0
@@ -154,21 +162,33 @@ class TestConstellationCommand:
         assert max(displaced) > 1e-3
 
     def test_unequal_table_columns_exit_2(self, hand_config, tmp_path, monkeypatch, capsys):
-        # an odd point list leaves the side column one row short of the others
+        # a transmit k1 column one pair short leaves it and the side column one row
+        # short of the others
         at_angle = link.constellation_at_angle
-        monkeypatch.setattr(link, "constellation_at_angle", lambda *a, **k: at_angle(*a, **k)[:-1])
+
+        def short(*args, **kwargs):
+            pairs = at_angle(*args, **kwargs)
+            return dataclasses.replace(pairs, k1=pairs.k1[:-1])
+        monkeypatch.setattr(link, "constellation_at_angle", short)
         assert main(["constellation", "--config", str(hand_config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "unequal lengths [31, 32]" in err
         assert "Traceback" not in err and not (tmp_path / "out" / "constellation.csv").exists()
 
     def test_rx_override_changes_angle(self, hand_config, tmp_path):
+        # the transmit rows are the decode at the overridden angle, not at the config's
+        assert main(["constellation", "--config", str(hand_config)]) == 0
         assert main(["constellation", "--config", str(hand_config),
                      "--rx1-theta", "100", "--rx1-phi", "40",
                      "--out", str(tmp_path / "out2")]) == 0
-        a = (tmp_path / "out" / "constellation.csv") if (tmp_path / "out").exists() else None
-        b = (tmp_path / "out2" / "constellation.csv").read_text()
-        assert "transmit" in b
+        default, moved = (_transmit_rows(tmp_path / out / "constellation.csv")
+                          for out in ("out", "out2"))
+        asm = cli._assemble(load_config(hand_config))
+        pairs = link.constellation_at_angle(asm.perturbed_states, asm.constellation,
+                                            np.deg2rad(100.0), np.deg2rad(40.0))
+        xy = np.stack([pairs.ideal[0], pairs.actual[0], pairs.ideal[1], pairs.actual[1]], -1)
+        assert np.array_equal(moved, np.column_stack([pairs.k1, pairs.k2, xy.view(float)]))
+        assert not np.array_equal(moved, default)
 
 
 class TestMonteCarloCommand:

@@ -18,6 +18,7 @@ from beamspace import (
     InvalidArgumentError,
     PatternFormatError,
     PerturbationLobe,
+    SymbolPairs,
     VectorPattern,
     build_grid,
     load_cdf_csv,
@@ -554,6 +555,30 @@ class TestWriteTable:
                                       np.repeat(np.rad2deg(g.theta), g.n_phi).tolist()]
             assert phi.tolist() == [repr(x) for x in np.tile(np.rad2deg(g.phi), g.n_theta).tolist()]
         assert theta.tolist()[:2] == ["-0.0"] * 2 and phi.tolist()[::2] == ["-0.0"] * 3
+
+
+class TestConstellationCsv:
+    @pytest.mark.parametrize("m", [4, 24])  # 32 rows, one block; 1,152, each value once
+    def test_every_cell_is_its_value(self, tmp_path, m):
+        # ideal parts of both zero signs, actual points that are and are not the ideal ones
+        rng = np.random.default_rng(m)
+        points = np.exp(2j * np.pi * rng.random(m))
+        points[:2] = complex(1.0, 0.0), complex(-0.0, -0.0)
+        k1, k2 = np.divmod(np.arange(m * m), m)
+        ideal = np.stack([points[k1], points[k2]])
+        sides = {side: SymbolPairs(k1, k2, ideal, np.where(
+            rng.random(m * m) < 0.3, ideal, ideal + rng.standard_normal((2, m * m)) * 1e-3))
+            for side in ("transmit", "receive")}
+        path = iokit.save_constellation_csv(tmp_path / "c.csv", *sides.values())
+        header = ("side,k1,k2,x1_ideal_re,x1_ideal_im,x1_actual_re,x1_actual_im,"
+                  "x2_ideal_re,x2_ideal_im,x2_actual_re,x2_actual_im\n")
+        rows = [",".join([side, str(i), str(j), *(repr(part) for z in zs
+                                                   for part in (z.real, z.imag))]) + "\n"
+                for side, pairs in sides.items()
+                for i, j, *zs in zip(k1.tolist(), k2.tolist(), pairs.ideal[0].tolist(),
+                                     pairs.actual[0].tolist(), pairs.ideal[1].tolist(),
+                                     pairs.actual[1].tolist())]
+        assert path.read_text() == header + "".join(rows)
 
 
 class TestMetricsJson:

@@ -183,7 +183,7 @@ class TestBuildChannel:
         cond = scenario.condition_number
         with pytest.raises(SingularChannelError, match=re.escape(f"number {cond:.3g} exceeds")):
             received_constellation(scenario, condition_cap=0.99 * cond)
-        assert len(received_constellation(scenario, condition_cap=cond)) == 32
+        assert received_constellation(scenario, condition_cap=cond).actual.shape == (2, 16)
 
     def test_theta_receiver_with_phi_only_pattern_flagged(self, grid):
         rng = np.random.default_rng(0)
@@ -367,24 +367,20 @@ class TestZfEqualize:
         s_hat, _ = _lobed_states(grid, con)
         scenario = build_channel(s_hat, (RX1, RX2), con)
         m = con.order
-        for points in (received_constellation(scenario),
-                       constellation_at_angle(s_hat, con, *RX1)):
-            pm1 = [p for p in points if (p.k2 - p.k1) % m in (0, m // 2)]
-            assert len(pm1) == 4 * m
-            for p in pm1:
-                assert np.complex128(p.actual).tobytes() == np.complex128(p.ideal).tobytes()
-            assert max(abs(p.actual - p.ideal) for p in points) > 1e-3
+        for pairs in (received_constellation(scenario),
+                      constellation_at_angle(s_hat, con, *RX1)):
+            pm1 = np.isin((pairs.k2 - pairs.k1) % m, (0, m // 2))
+            assert np.count_nonzero(pm1) == 2 * m
+            assert pairs.actual[:, pm1].tobytes() == pairs.ideal[:, pm1].tobytes()
+            assert np.max(np.abs(pairs.actual - pairs.ideal)) > 1e-3
 
     def test_pm_j_three_cluster_structure(self, hand_states):
         scenario = build_channel(hand_states, (RX1, RX2), QPSK)
-        points = received_constellation(scenario)
+        pairs = received_constellation(scenario)
         for stream in (1, 2):
             for sym in range(4):
-                cluster_values = [
-                    p.actual for p in points
-                    if p.stream == stream
-                    and (p.k1 if stream == 1 else p.k2) == sym
-                ]
+                cluster_values = pairs.actual[stream - 1][
+                    (pairs.k1 if stream == 1 else pairs.k2) == sym]
                 clusters: list[complex] = []
                 for v in cluster_values:
                     if not any(abs(v - c) <= 1e-6 for c in clusters):
@@ -403,20 +399,15 @@ class TestZfEqualize:
 
 class TestConstellationAtAngle:
     def test_free_space_actual_equals_ideal(self, free_states):
-        points = constellation_at_angle(free_states, QPSK, *RX1)
-        assert len(points) == 2 * 16
-        for p in points:
-            assert abs(p.actual - p.ideal) <= 1e-9
+        pairs = constellation_at_angle(free_states, QPSK, *RX1)
+        assert pairs.actual.shape == pairs.ideal.shape == (2, 16)
+        assert np.max(np.abs(pairs.actual - pairs.ideal)) <= 1e-9
 
     def test_perturbed_dichotomy(self, hand_states):
-        points = constellation_at_angle(hand_states, QPSK, *RX1)
-        for p in points:
-            ratio = (p.k2 - p.k1) % 4
-            if ratio in (0, 2):
-                assert p.actual == p.ideal
-        displaced = [abs(p.actual - p.ideal) for p in points
-                     if (p.k2 - p.k1) % 4 in (1, 3)]
-        assert max(displaced) > 1e-3
+        pairs = constellation_at_angle(hand_states, QPSK, *RX1)
+        pm1 = np.isin((pairs.k2 - pairs.k1) % 4, (0, 2))
+        assert np.array_equal(pairs.actual[:, pm1], pairs.ideal[:, pm1])
+        assert np.max(np.abs(pairs.actual - pairs.ideal)[:, ~pm1]) > 1e-3
 
 
 class TestGeometry:
@@ -525,18 +516,16 @@ class TestMonteCarlo:
 
     def test_ratio_index_recorded(self, hand_states):
         scenario = build_channel(hand_states, (RX1, RX2), QPSK)
-        points = received_constellation(scenario)
-        assert len(points) == 32
-        magnitudes: dict[tuple[int, int], list[float]] = {}
-        for p in points:
-            assert p.stream in (1, 2)
-            ratio_index = (p.k2 - p.k1) % 4
-            magnitudes.setdefault((p.stream, ratio_index), []).append(abs(p.actual - p.ideal))
+        pairs = received_constellation(scenario)
+        assert pairs.k1.shape == pairs.k2.shape == (16,)
+        assert not any(a.flags.writeable for a in (pairs.k1, pairs.k2, pairs.ideal, pairs.actual))
+        ratio_index = (pairs.k2 - pairs.k1) % 4
+        errors = np.abs(pairs.actual - pairs.ideal)
         # every (stream, ratio index) occurs, and the error magnitude is a function of it
-        assert len(magnitudes) == 8
-        for mags in magnitudes.values():
-            assert len(mags) == 4
-            assert np.allclose(mags, mags[0], rtol=1e-9, atol=1e-12)
+        for k in range(4):
+            mags = errors[:, ratio_index == k]
+            assert mags.shape == (2, 4)
+            assert np.allclose(mags, mags[:, :1], rtol=1e-9, atol=1e-12)
 
     def test_invalid_arguments(self, free_states, free_basis):
         with pytest.raises(InvalidArgumentError):
@@ -864,9 +853,10 @@ def _kernel_angles(grid, n, at_nodes, seed):
 
 def _reference_points(states, con, angles, pols):
     """The responses (2, M) in ratio order, the condition number of A and the
-    decoded points of one geometry by the reference kernel, in state
-    coordinates: the +-1 pairs as sent, the others x1 times the gains T^-1 A^-1 F
-    with A the responses to the +1 and -1 states; None for the points when the
+    decoded points (2 streams, M^2 pairs in k1-major order) of one geometry by
+    the reference kernel, in state coordinates: the +-1 pairs as sent, the
+    others x1 times the gains T^-1 A^-1 F, each a numpy scalar product, with A
+    the responses to the +1 and -1 states; None for the points when the
     channel is above the default cap."""
     angles = np.asarray(angles, dtype=float)
     pols = np.asarray(pols, dtype=complex)
@@ -880,8 +870,9 @@ def _reference_points(states, con, angles, pols):
     _, y, _ = reference_zf_gains(f[..., :2], f[..., 2:], np.inf)
     g = dict(zip(order[2:], zip(y[0, 0] + y[0, 1], y[0, 0] - y[0, 1])))
     x = con.points
-    points = [x[k1] * g[(k2 - k1) % m][s] if (k2 - k1) % m in g else (x[k1], x[k2])[s]
-              for k1 in range(m) for k2 in range(m) for s in (0, 1)]
+    points = np.array([[x[k1] * g[(k2 - k1) % m][s] if (k2 - k1) % m in g
+                         else (x[k1], x[k2])[s] for k1 in range(m) for k2 in range(m)]
+                        for s in (0, 1)])
     responses = np.empty((2, m), dtype=complex)
     responses[:, order] = f[0]
     return responses, cond, points if cond <= DEFAULT_CONDITION_CAP else None
@@ -932,8 +923,9 @@ class TestScenarioLastKernel:
                         received_constellation(scenario)
                     continue
                 got = received_constellation(scenario)
-                _same_bits([p.actual for p in got], points)
-                assert all(p.actual == p.ideal for p in got if (p.k2 - p.k1) % 4 in (0, 2))
+                _same_bits(got.actual, points)
+                pm1 = np.isin((got.k2 - got.k1) % 4, (0, 2))
+                assert np.array_equal(got.actual[:, pm1], got.ideal[:, pm1])
 
     def test_constellation_at_angle(self, shipped_assembly):
         states = shipped_assembly.perturbed_states
@@ -947,7 +939,20 @@ class TestScenarioLastKernel:
                         constellation_at_angle(states, QPSK, *angle)
                     continue
                 got = constellation_at_angle(states, QPSK, *angle)
-                _same_bits([p.actual for p in got], points)
+                _same_bits(got.actual, points)
+
+    def test_non_exact_alphabet(self, grid):
+        # QPSK's points are exact units; 8-PSK off the axes is not, so a product
+        # rounded unlike the scalar one (numpy's array complex multiply) shows here
+        con = PskConstellation(8, phase_offset=0.3)
+        s_hat, _ = _lobed_states(grid, con)
+        theta, phi = _kernel_angles(grid, 8, False, seed=7)
+        for rx1, rx2 in zip(zip(theta[0], phi[0]), zip(theta[1], phi[1])):
+            *_, points = _reference_points(s_hat, con, (rx1, rx2), (THETA_POL, THETA_POL))
+            _same_bits(received_constellation(build_channel(s_hat, (rx1, rx2), con)).actual,
+                       points)
+            *_, points = _reference_points(s_hat, con, (rx1, rx1), (THETA_POL, PHI_POL))
+            _same_bits(constellation_at_angle(s_hat, con, *rx1).actual, points)
 
 
 def _assert_within_alpha(got: CdfSummary, values):
@@ -1133,8 +1138,8 @@ def _decoded(states, angles, pols):
     scenario = build_channel(states, angles, QPSK, pols)
     if not scenario.condition_number <= 1e8:
         return scenario, None
-    points = received_constellation(scenario)
-    return scenario, np.array([(p.ideal, p.actual) for p in points])
+    pairs = received_constellation(scenario)
+    return scenario, np.stack([pairs.ideal, pairs.actual])
 
 
 def _assert_round_off(a, b, scenario):

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from beamspace import (
@@ -592,7 +592,9 @@ class TestFirstOrderPhysics:
 
     @pytest.mark.parametrize("target", ["theta", "phi", "both"])
     @pytest.mark.parametrize("order", [4, 8])
-    @settings(max_examples=8, deadline=None)
+    # no explain phase: on a failure it re-runs the slow EVM maps for tens of seconds
+    @settings(max_examples=8, deadline=None,
+              phases=[phase for phase in Phase if phase is not Phase.explain])
     @given(data=st.data())
     def test_evm_steps_20_db_per_decade(self, order, target, data):
         # a sign, factor or conjugation error in generating, applying or decomposing
