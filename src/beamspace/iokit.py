@@ -101,10 +101,8 @@ def _cells(block: np.ndarray):
 
 def _formatted_once(values: np.ndarray) -> np.ndarray:
     """A column's cells as strings, each distinct bit pattern formatted once."""
-    if values.size <= _BLOCK_ROWS:  # sorting one block costs more than it saves
-        return np.array(list(_cells(values)), dtype=object)
     keys, inverse = np.unique(values.view(f"i{values.itemsize}"), return_inverse=True)
-    return np.array(list(_cells(keys.view(values.dtype))), dtype=object)[inverse]
+    return np.array([repr(x) for x in keys.view(values.dtype).tolist()], dtype=object)[inverse]
 
 
 @contextlib.contextmanager
@@ -240,8 +238,10 @@ def save_pattern_csv(
 
 
 def _grid_columns(grid) -> tuple[np.ndarray, np.ndarray]:
-    """theta_deg and phi_deg of every node in theta-major order, each angle formatted once."""
-    theta, phi = (_formatted_once(np.rad2deg(a)) for a in (grid.theta, grid.phi))
+    """theta_deg and phi_deg of every node in theta-major order, as the strings the table
+    writer would make: each grid angle is formatted once, -0.0 as "-0.0"."""
+    theta, phi = (np.array([repr(x) for x in np.rad2deg(a).tolist()], dtype=object)
+                  for a in (grid.theta, grid.phi))
     return np.repeat(theta, grid.n_phi), np.tile(phi, grid.n_theta)
 
 

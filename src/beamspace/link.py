@@ -285,7 +285,7 @@ def received_constellation(
     gains[:, order[2:]] = g[..., 0]
     k = (k2 - k1) % m
     x, y = ideal[0], gains[:, k]
-    actual = np.empty_like(ideal)  # x * y, rounded as numpy's scalar (not array) product
+    actual = np.empty_like(ideal)  # x * y, each real multiply and sum rounded alone
     actual.real = x.real * y.real - x.imag * y.imag
     actual.imag = x.real * y.imag + x.imag * y.real
     return SymbolPairs(k1, k2, ideal, np.where((k == order[0]) | (k == order[1]), ideal, actual))

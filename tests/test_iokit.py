@@ -558,7 +558,7 @@ class TestWriteTable:
 
 
 class TestConstellationCsv:
-    @pytest.mark.parametrize("m", [4, 24])  # 32 rows, one block; 1,152, each value once
+    @pytest.mark.parametrize("m", [4, 24])  # 32 rows, one block; 1,152 rows, three blocks
     def test_every_cell_is_its_value(self, tmp_path, m):
         # ideal parts of both zero signs, actual points that are and are not the ideal ones
         rng = np.random.default_rng(m)

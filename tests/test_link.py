@@ -855,9 +855,10 @@ def _reference_points(states, con, angles, pols):
     """The responses (2, M) in ratio order, the condition number of A and the
     decoded points (2 streams, M^2 pairs in k1-major order) of one geometry by
     the reference kernel, in state coordinates: the +-1 pairs as sent, the
-    others x1 times the gains T^-1 A^-1 F, each a numpy scalar product, with A
-    the responses to the +1 and -1 states; None for the points when the
-    channel is above the default cap."""
+    others x1 times the gains T^-1 A^-1 F, with A the responses to the +1 and
+    -1 states; None for the points when the channel is above the default cap.
+    Each product is re = ar br - ai bi, im = ar bi + ai br in Python floats,
+    every operation rounded on its own."""
     angles = np.asarray(angles, dtype=float)
     pols = np.asarray(pols, dtype=complex)
     theta, phi = angles[:, :1], angles[:, 1:]
@@ -869,8 +870,12 @@ def _reference_points(states, con, angles, pols):
     cond = reference_condition_2x2(np.ascontiguousarray(f[0, :, :2]))[0]
     _, y, _ = reference_zf_gains(f[..., :2], f[..., 2:], np.inf)
     g = dict(zip(order[2:], zip(y[0, 0] + y[0, 1], y[0, 0] - y[0, 1])))
-    x = con.points
-    points = np.array([[x[k1] * g[(k2 - k1) % m][s] if (k2 - k1) % m in g
+    x = con.points.tolist()
+
+    def times(a, b):
+        return complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+    points = np.array([[times(x[k1], g[(k2 - k1) % m][s]) if (k2 - k1) % m in g
                          else (x[k1], x[k2])[s] for k1 in range(m) for k2 in range(m)]
                         for s in (0, 1)])
     responses = np.empty((2, m), dtype=complex)
@@ -943,7 +948,7 @@ class TestScenarioLastKernel:
 
     def test_non_exact_alphabet(self, grid):
         # QPSK's points are exact units; 8-PSK off the axes is not, so a product
-        # rounded unlike the scalar one (numpy's array complex multiply) shows here
+        # rounded unlike the explicit formula (numpy's array complex multiply) shows here
         con = PskConstellation(8, phase_offset=0.3)
         s_hat, _ = _lobed_states(grid, con)
         theta, phi = _kernel_angles(grid, 8, False, seed=7)
