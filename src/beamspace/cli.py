@@ -225,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override monte_carlo.seed")
         p.add_argument("--out", help="output directory, relative to the working directory")
         p.add_argument("--threads", type=int, dest="monte_carlo.threads", metavar="N",
-                       help="override monte_carlo.threads (results unchanged)")
+                       help="override monte_carlo.threads (checked; a sweep runs on one thread)")
 
     p = sub.add_parser("metrics", help="basis correlation/imbalance and state power ratios")
     add_common(p)

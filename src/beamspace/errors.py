@@ -3,10 +3,10 @@
 # Default cap on a receive channel's 2-norm condition number (SingularChannelError above).
 DEFAULT_CONDITION_CAP = 1e8
 # Largest Monte-Carlo sweep a config or run_monte_carlo accepts; it bounds run
-# time (7.6 s, 12.4 s CPU, for the whole command on two threads of a 2-vCPU host).
+# time (5.8 s, 5.9 s CPU, for the whole command on a 2-vCPU host).
 MAX_SCENARIOS = 10**7
 # Most state-pattern samples (order x n_theta x n_phi) a config accepts; it bounds memory
-# (every command peaked under 1.3 GiB RSS at it on a 2-vCPU host).
+# (every command peaked at 946-1,065 MiB RSS at it on a 2-vCPU host).
 MAX_STATE_SAMPLES = 10**7
 
 

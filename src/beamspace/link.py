@@ -31,24 +31,22 @@ ratio state (exact zero, exceedance and extreme values, and log-bucketed
 counts with relative accuracy ``SKETCH_ALPHA``); the stream summaries and
 CDFs read a stream's M sketches merged.  The arithmetic is elementwise over
 scenarios and merging sketches adds integers, so results are bitwise
-independent of the chunk size and the worker count, and memory is
-O(workers x chunk) whatever the scenario count.  The scenario count sets
-both, so a thread pool starts only where it pays.
+independent of the chunk size, and memory is one chunk's working set
+whatever the scenario count.  The chunks run one after another on the
+calling thread.
 
 Every product is noiseless: the receiver sees the radiated field exactly,
 so the errors are those of the perturbation and the zero-forcing decode
 alone.
 
 Of the commands, only ``constellation``, ``monte-carlo`` and ``selftest``
-import this module, and a sweep imports ``concurrent.futures`` only when
-more than one worker runs.
+import this module.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,11 +72,8 @@ __all__ = [
     "run_monte_carlo",
 ]
 
-# Scenarios per chunk, on one worker or several; the output bytes do not depend on it.
+# Scenarios per chunk; the output bytes do not depend on it.
 _CHUNK = 8192
-# A sweep starts a worker per this many scenarios at most: below it the pool
-# costs more wall time than it saves.
-_SCENARIOS_PER_WORKER = 150_000
 _CDF_LEVELS = 10_000  # rows of MonteCarloResult.cdf at most
 
 
@@ -540,7 +535,9 @@ class MonteCarloResult:
         return ()
 
     def _pooled(self, stream: int) -> Sketch:
-        """A stream's M ratio sketches merged into one."""
+        """Stream 1's or 2's M ratio sketches merged into one."""
+        if _integer(stream, "stream") not in (1, 2):
+            raise InvalidArgumentError(f"stream must be 1 or 2, got {stream}")
         pooled = Sketch.empty(_EXCEEDANCE_THRESHOLDS)
         for row in self.errors[stream - 1]:
             pooled.merge(row)
@@ -567,18 +564,13 @@ class MonteCarloResult:
 
 
 def _integer(value, name: str) -> int:
+    """``value`` as an int; never a bool."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _uniforms(seed: int, n: int, start: int, stop: int) -> np.ndarray:
@@ -624,13 +616,11 @@ def run_monte_carlo(
     coordinates (``_decode``, the decode of ``received_constellation``
     too): it samples the M states and solves only the M - 2 other than +-1,
     and each +-1 row is one exact zero per kept channel.  Every chunk folds
-    its errors and condition numbers into sketches, and each worker merges
-    its chunks' sketches as they finish.  Identical (seed, parameters) give
-    bitwise-identical output for any ``threads``.  At most ``MAX_SCENARIOS``
-    scenarios; ``min(threads, CPUs this process may use, max(1, n_scenarios
-    // _SCENARIOS_PER_WORKER))`` workers run, the calling thread being one
-    of them and a thread pool the others, on chunks of ``_CHUNK`` scenarios.
-    Memory is one chunk's working set and 2(M - 2) + 1 sketches per worker.
+    its errors and condition numbers into one set of sketches, chunk after
+    chunk of ``_CHUNK`` scenarios on the calling thread.  Identical (seed,
+    parameters) give bitwise-identical output; ``threads`` is checked and
+    changes nothing.  At most ``MAX_SCENARIOS`` scenarios.  Memory is one
+    chunk's working set and 2(M - 2) + 1 sketches.
     """
     n = _integer(n_scenarios, "n_scenarios")
     seed = _integer(seed, "seed")
@@ -656,8 +646,6 @@ def run_monte_carlo(
     pm1, solved, m = order[:2], order[2:], constellation.order
     ratios = np.asarray(constellation.ratio_set.values)[solved]
     ideal = np.stack([np.ones(m - 2), ratios])[..., None]  # what G should be: (2, M - 2, 1)
-    workers = min(threads, _cpu_count(), max(1, n // _SCENARIOS_PER_WORKER))
-    starts = range(0, n, _CHUNK)
 
     def chunk(start: int, sketches: list[Sketch]) -> None:
         # the angles and then the responses go in as temporaries, each freed once used
@@ -669,26 +657,10 @@ def run_monte_carlo(
         for sketch, values in zip(sketches, (*e[0], *e[1], cond[keep])):
             sketch.add(values)
 
-    def worker(w: int) -> list[Sketch]:
-        """Chunks w, w + workers, ..., each folded into the worker's sketches: one
-        per stream and solved ratio index, stream 1's first, then the condition numbers'."""
-        sketches = [Sketch.empty(_EXCEEDANCE_THRESHOLDS) for _ in solved * 2] + [Sketch.empty()]
-        for start in starts[w::workers]:
-            chunk(start, sketches)
-        return sketches
-
-    if workers == 1:
-        parts = [worker(0)]
-    else:  # the calling thread is worker 0; the pool runs the others
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            others = pool.map(worker, range(1, workers))  # submitted before worker 0 starts
-            parts = [worker(0), *others]
-    sketches = parts[0]
-    for part in parts[1:]:
-        for sketch, other in zip(sketches, part):
-            sketch.merge(other)
+    # one sketch per stream and solved ratio index, stream 1's first, then the condition numbers'
+    sketches = [Sketch.empty(_EXCEEDANCE_THRESHOLDS) for _ in solved * 2] + [Sketch.empty()]
+    for start in range(0, n, _CHUNK):
+        chunk(start, sketches)
     kept = sketches[-1].count  # the condition sketch counts the kept channels
 
     def stream(rows) -> tuple[Sketch, ...]:

@@ -1,5 +1,4 @@
 import dataclasses
-import os
 import re
 import sys
 import threading
@@ -463,17 +462,6 @@ class TestMonteCarlo:
         c = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=500, seed=12)
         assert not np.array_equal(a.cdf(1)[0], c.cdf(1)[0])
 
-    def test_worker_count_does_not_change_bytes(self, hand_states, hand_basis, monkeypatch,
-                                                sweep_log):
-        # at 10,000 scenarios per worker, 40,000 scenarios start up to four workers
-        monkeypatch.setattr(link, "_SCENARIOS_PER_WORKER", 10_000)
-        monkeypatch.setattr(link, "_cpu_count", lambda: 64)
-        runs = [run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=40_000,
-                                seed=9, threads=t) for t in (1, 2, 8)]
-        assert sweep_log.pools == [1, 3]
-        for r in runs[1:]:
-            _same_arrays(result_arrays(r), result_arrays(runs[0]))
-
     def test_record_path_cross_check(self, hand_states, hand_basis):
         # the closed-form ratio-state kernel must agree with the per-pair
         # LAPACK path: each state's error, once per pair of that ratio
@@ -543,6 +531,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("bad", [
         {"condition_cap": float("nan")}, {"condition_cap": 0.5}, {"condition_cap": 1.0},
         {"seed": 1.5}, {"n_scenarios": 2.5}, {"threads": 1.5}, {"seed": -1}, {"threads": 0},
+        {"n_scenarios": True}, {"seed": True},
     ])
     def test_untrusted_arguments_rejected(self, free_states, free_basis, bad):
         with pytest.raises(InvalidArgumentError, match=next(iter(bad))):
@@ -559,45 +548,23 @@ class TestMonteCarlo:
             with pytest.raises(InvalidArgumentError, match="n_scenarios"):
                 run_monte_carlo(free_states, free_basis, QPSK, n_scenarios=n, seed=1)
 
-    def test_thread_pool_capped(self, hand_states, hand_basis, monkeypatch, sweep_log):
-        # the calling thread is one of the workers: the pool runs the others; at
-        # one chunk per worker, three chunks start up to three workers
-        monkeypatch.setattr(link, "_SCENARIOS_PER_WORKER", link._CHUNK)
-        cpu_count, n = link._cpu_count, 3 * link._CHUNK
-        serial = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=4)
-        for cpus, threads, workers in ((64, 100_000, 3), (64, 2, 2), (2, 100_000, 2),
-                                       (1, 8, 1)):
-            monkeypatch.setattr(link, "_cpu_count", lambda cpus=cpus: cpus)
-            sweep_log.clear()
-            mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=4,
-                                 threads=threads)
-            assert sweep_log.pools == ([] if workers == 1 else [workers - 1])  # pool + caller
-            assert threading.get_ident() in sweep_log.threads
-            assert min(workers, 2) <= len(sweep_log.threads) <= workers
-            size = link._CHUNK
-            assert sorted(sweep_log.chunks) == [(s, s + size) for s in range(0, n, size)]
-            _same_arrays(result_arrays(mc), result_arrays(serial))
-        assert 1 <= cpu_count() <= (os.cpu_count() or 1)
+    def test_sweep_runs_on_the_calling_thread(self, hand_states, hand_basis, monkeypatch,
+                                              sweep_log):
+        # eight threads over 300,001 scenarios start no thread and never import
+        # concurrent.futures: every chunk runs on the calling thread, in order
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t))[1])
+        monkeypatch.setitem(sys.modules, "concurrent.futures", None)  # importing it raises
+        n = 300_001
+        run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=4, threads=8)
+        assert started == [] and sweep_log.threads == {threading.get_ident()}
+        assert sweep_log.chunks == [(s, min(s + link._CHUNK, n)) for s in range(0, n, link._CHUNK)]
 
-    def test_workers_follow_the_scenario_count(self, hand_states, hand_basis, monkeypatch,
-                                               sweep_log):
-        # short of two workers' shares, eight threads on 64 CPUs stay on the
-        # calling thread and never import the pool module
-        monkeypatch.setattr(link, "_cpu_count", lambda: 64)
-        with monkeypatch.context() as m:
-            m.setitem(sys.modules, "concurrent.futures", None)  # importing it raises
-            n = 2 * link._SCENARIOS_PER_WORKER - 1
-            run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=4, threads=8)
-        assert sweep_log.pools == [] and sweep_log.threads == {threading.get_ident()}
-        assert sweep_log.chunks[0] == (0, link._CHUNK)
-        # k shares start k workers, one scenario fewer k - 1
-        share = 2 * link._CHUNK
-        monkeypatch.setattr(link, "_SCENARIOS_PER_WORKER", share)
-        for k in (1, 2, 3):
-            for n, workers in ((k * share - 1, max(1, k - 1)), (k * share, k)):
-                sweep_log.clear()
-                run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=n, seed=4, threads=8)
-                assert sweep_log.pools == ([] if workers == 1 else [workers - 1])
+    def test_stream_must_be_one_or_two(self, hand_states, hand_basis):
+        mc = run_monte_carlo(hand_states, hand_basis, QPSK, n_scenarios=10, seed=1)
+        for stream in (0, -1, 3, True, 1.0):
+            with pytest.raises(InvalidArgumentError, match="stream"):
+                mc.cdf(stream)
 
     def test_degenerate_separation_interval_allowed(self, free_states, free_basis):
         # min == max is a valid (single-distance) interval
@@ -712,41 +679,33 @@ class TestMonteCarlo:
 
 
 class SweepLog:
-    """What a test's sweeps start: the size of each thread pool, and the
-    (start, stop) of each chunk and the threads that drew them."""
+    """What a test's sweeps run: the (start, stop) of each chunk and the
+    threads that drew them."""
 
     def __init__(self):
         self.clear()
 
     def clear(self):
-        self.pools, self.chunks, self.threads = [], [], set()
+        self.chunks, self.threads = [], set()
 
 
 @pytest.fixture
 def sweep_log(monkeypatch):
-    import concurrent.futures
-
     log, uniforms = SweepLog(), link._uniforms
-
-    class Recorder(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            log.pools.append(max_workers)
-            super().__init__(max_workers)
 
     def recorded(seed, n, start, stop):
         log.chunks.append((start, stop))
         log.threads.add(threading.get_ident())
         return uniforms(seed, n, start, stop)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(link, "_uniforms", recorded)
     return log
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # counts around chunk edges: one scenario; one short of four 1,024-scenario chunks
-# (the pool tests' size), four, one over, and twelve plus a partial one; then one
-# short of a _CHUNK, one _CHUNK and one over
+# (the chunk size the stream test patches in), four, one over, and twelve plus a
+# partial one; then one short of a _CHUNK, one _CHUNK and one over
 STREAM_COUNTS = (1, 4095, 4096, 4097, 3 * 4096 + 17,
                  link._CHUNK - 1, link._CHUNK, link._CHUNK + 1)
 # around 8,192 scenarios, and three and twelve of them plus a partial one
@@ -775,24 +734,21 @@ class TestStreamedSweep:
 
     @pytest.mark.parametrize("n", STREAM_COUNTS)
     def test_streams_equal_upfront_sweep(self, shipped, n, monkeypatch, sweep_log):
-        # one worker on _CHUNK-scenario chunks, then one worker per 1,024 scenarios
-        # on 1,024-scenario chunks; merging sketches adds integers, so the sweep's
-        # rows are the bits of one add per row
+        # _CHUNK-scenario chunks, then 1,024-scenario chunks, all on the calling
+        # thread at any thread count; merging sketches adds integers, so the
+        # sweep's rows are the bits of one add per row
         cfg, asm = shipped
         args = (asm.perturbed_states, perturbed_basis(asm.perturbed_states), asm.constellation)
         params = dict(separation_deg=cfg.separation_deg, condition_cap=cfg.condition_cap)
         want, rejected = upfront_sketches(*args, n, cfg.seed, **params)
         if cfg.condition_cap == 200 and n > 1:
             assert 0 < rejected < n  # chunks reject some of their scenarios
-        monkeypatch.setattr(link, "_cpu_count", lambda: 64)
         for threads in (1, 2, 8):
             if threads > 1:
-                for name in ("_SCENARIOS_PER_WORKER", "_CHUNK"):
-                    monkeypatch.setattr(link, name, 1024)
+                monkeypatch.setattr(link, "_CHUNK", 1024)
             sweep_log.clear()
             mc = run_monte_carlo(*args, n_scenarios=n, seed=cfg.seed, threads=threads, **params)
-            workers = min(threads, max(1, n // 1024))
-            assert sweep_log.pools == ([] if workers == 1 else [workers - 1])
+            assert sweep_log.threads == {threading.get_ident()}
             assert mc.n_rejected == rejected
             _same_arrays(result_arrays(mc), want)
 
@@ -1100,12 +1056,9 @@ class TestSketch:
 
     def test_sketch_bytes_do_not_depend_on_threads(self, hand_states, hand_basis, tmp_path,
                                                    monkeypatch, sweep_log):
-        # the CDFs and sketch.npz are read from the merged sketches; at one
-        # 512-scenario chunk per worker eight workers run, even on a machine
-        # with fewer CPUs, over eight and twelve chunks each plus a partial one
-        for name in ("_SCENARIOS_PER_WORKER", "_CHUNK"):
-            monkeypatch.setattr(link, name, 512)
-        monkeypatch.setattr(link, "_cpu_count", lambda: 64)
+        # the CDFs and sketch.npz are read from the merged sketches of eight and
+        # twelve 512-scenario chunks plus a partial one, all on the calling thread
+        monkeypatch.setattr(link, "_CHUNK", 512)
         for n in (8 * 512 + 1, 12 * 512 + 257):
             files = []
             sweep_log.clear()
@@ -1118,7 +1071,7 @@ class TestSketch:
                 files.append([written[k].read_bytes()
                               for k in ("sketch", "cdf_stream1", "cdf_stream2")])
             assert files[0] == files[1] == files[2]
-            assert sweep_log.pools == [1, 7]
+            assert sweep_log.threads == {threading.get_ident()}
 
 
 _POLS = (THETA_POL, PHI_POL, (np.sqrt(0.5), 0.5 + 0.5j), (np.cos(0.3), np.exp(0.7j) * np.sin(0.3)))
