@@ -1,13 +1,13 @@
 """File formats: pattern CSV, result tables, metrics JSON, run configs.
 
 Angle columns are degrees at every file boundary (radians in memory).
-One writer puts floats in shortest round-trip form and one reader parses
-tables with ``np.loadtxt``, so writer/reader pairs are lossless at double
-precision; each version of a pattern CSV is parsed once, its rows kept in
-``.beamspace-cache/`` beside it.  Monte-Carlo CDF tables have at most 10^4
-rows and ``sketch.npz`` holds the error sketches they are read from, each
-row's counts spanning only its own keys.  Non-finite metric values are
-encoded as the JSON strings "inf", "-inf", "nan".
+One writer makes every table cell by one rule (a float by its shortest
+repr) and one reader parses tables with ``np.loadtxt``, so writer/reader
+pairs are lossless at double precision; each version of a pattern CSV is
+parsed once, its rows kept in ``.beamspace-cache/`` beside it.  Monte-Carlo
+CDF tables have at most 10^4 rows and ``sketch.npz`` holds the error sketches
+they are read from, each row's counts spanning only its own keys.  Non-finite
+metric values are encoded as the JSON strings "inf", "-inf", "nan".
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ def _create(path: Path, mode: str = "w", **kwargs):
 
 
 def _write_table(path: Path, header, columns) -> Path:
-    """Header lines, then row i: element i of each column (floats by repr, strings as they
-    are, others by str; an object column holds strings).
+    """Header lines, then row i: element i of each column as ``str`` of its Python value
+    (a float's shortest round-trip repr, an int in decimal, a string as it is).
 
     Columns of unequal length are an InvalidArgumentError, raised before the file is opened.
     """
@@ -72,37 +72,30 @@ def _write_table(path: Path, header, columns) -> Path:
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise InvalidArgumentError(f"{path}: columns of unequal lengths {sorted(lengths)}")
+    blocks = [_blocks(c) for c in columns]
     with _create(path, newline="") as fh:
         fh.writelines(line + "\n" for line in header)
-        for i in range(0, max(lengths, default=0), _BLOCK_ROWS):
-            cells = [_cells(c[i:i + _BLOCK_ROWS]) for c in columns]
+        for cells in zip(*blocks):
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return path
 
 
-def _cells(block: np.ndarray):
-    """The strings of one column's block.  A float block with at most half as many runs
-    of equal bit patterns as rows (CDF errors are bucket estimates) formats each run once;
-    bits, not values, keep -0.0 beside 0.0 and NaNs of other payloads apart, as repr does."""
-    # .tolist() first: numpy 2 spells repr(np.float64(x)) as "np.float64(x)"
-    if block.dtype.kind in "OU":
-        return block.tolist()
-    if block.dtype.kind == "S":  # cells formatted before, as ASCII bytes
-        return [cell.decode() for cell in block.tolist()]
-    if block.dtype.kind != "f":
-        return map(str, block.tolist())
-    bits = block.view(f"i{block.itemsize}")
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))  # run starts
-    if 2 * starts.size > block.size:
-        return map(repr, block.tolist())
-    runs = np.array(list(map(repr, block[starts].tolist())), dtype=object)
-    return np.repeat(runs, np.diff(starts, append=block.size)).tolist()
-
-
-def _formatted_once(values: np.ndarray) -> np.ndarray:
-    """A column's cells as strings, each distinct bit pattern formatted once."""
-    keys, inverse = np.unique(values.view(f"i{values.itemsize}"), return_inverse=True)
-    return np.array([repr(x) for x in keys.view(values.dtype).tolist()], dtype=object)[inverse]
+def _blocks(column: np.ndarray):
+    """The cells of ``column``, ``_BLOCK_ROWS`` rows at a time.  A numeric column with at
+    most half as many distinct bit patterns as rows formats each pattern once; bits, not
+    values, keep -0.0 beside 0.0 and NaNs of other payloads apart, as repr does."""
+    # .tolist() first: a float32's cell is repr of its double, not numpy's shorter str
+    starts = range(0, len(column), _BLOCK_ROWS)
+    if column.dtype.kind == "U":
+        return (column[i:i + _BLOCK_ROWS].tolist() for i in starts)
+    bits = column.view(f"i{column.itemsize}")
+    ordered = np.sort(bits)  # counting by sort: np.unique alone takes a slower hashing path
+    if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > len(column):
+        return (map(str, column[i:i + _BLOCK_ROWS].tolist()) for i in starts)
+    del ordered  # 6 MB at 744,200 rows, not held through np.unique
+    keys, inverse = np.unique(bits, return_inverse=True)
+    strings = np.array(list(map(str, keys.view(column.dtype).tolist())), dtype=object)
+    return (strings[inverse[i:i + _BLOCK_ROWS]].tolist() for i in starts)
 
 
 @contextlib.contextmanager
@@ -238,11 +231,9 @@ def save_pattern_csv(
 
 
 def _grid_columns(grid) -> tuple[np.ndarray, np.ndarray]:
-    """theta_deg and phi_deg of every node in theta-major order, as the strings the table
-    writer would make: each grid angle is formatted once, -0.0 as "-0.0"."""
-    theta, phi = (np.array([repr(x) for x in np.rad2deg(a).tolist()], dtype=object)
-                  for a in (grid.theta, grid.phi))
-    return np.repeat(theta, grid.n_phi), np.tile(phi, grid.n_theta)
+    """theta_deg and phi_deg of every node in theta-major order."""
+    return (np.repeat(np.rad2deg(grid.theta), grid.n_phi),
+            np.tile(np.rad2deg(grid.phi), grid.n_theta))
 
 
 def _pattern_header(path, lines) -> tuple[dict[str, int], bool]:
@@ -319,12 +310,9 @@ def load_pattern_csv(path) -> VectorPattern:
 
 
 def save_cdf_csv(path, errors, probabilities) -> Path:
-    """``probabilities`` as numbers, or as the ASCII text of each (a bytes array)."""
-    probs = np.asarray(probabilities)
-    if probs.dtype.kind != "S":
-        probs = probs.astype(float, copy=False)
+    """One row per error and its cumulative probability, both numbers."""
     return _write_table(Path(path), [",".join(CDF_COLUMNS)],
-                        (np.asarray(errors, dtype=float), probs))
+                        (np.asarray(errors, dtype=float), np.asarray(probabilities, dtype=float)))
 
 
 def load_cdf_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -347,10 +335,9 @@ def save_constellation_csv(path, transmit, receive) -> Path:
     sides = (transmit, receive)
     k1, k2, ideal, actual = (np.concatenate([getattr(p, name) for p in sides], axis=-1)
                              for name in ("k1", "k2", "ideal", "actual"))
-    columns = [np.repeat(["transmit", "receive"], [len(p.k1) for p in sides]),
-               _formatted_once(k1), _formatted_once(k2)]
+    columns = [np.repeat(["transmit", "receive"], [len(p.k1) for p in sides]), k1, k2]
     for i, a in zip(ideal, actual):
-        columns += [_formatted_once(i.real), _formatted_once(i.imag), a.real, a.imag]
+        columns += [i.real, i.imag, a.real, a.imag]
     return _write_table(_output_dir(Path(path).parent) / Path(path).name, [
         "side,k1,k2,x1_ideal_re,x1_ideal_im,x1_actual_re,x1_actual_im,"
         "x2_ideal_re,x2_ideal_im,x2_actual_re,x2_actual_im"], columns)
@@ -401,19 +388,9 @@ def save_results(out_dir, metrics: dict | None = None, evm: EvmMap | None = None
     if mc is not None:
         from .link import _npz_arrays
 
-        cdfs = [mc.cdf(stream) for stream in (1, 2)]
-        if np.array_equal(cdfs[0][1], cdfs[1][1]):  # both pool M errors per kept channel
-            # formatted once for both files, a block at a time into ASCII bytes: as
-            # str objects, 10^4 cells would take some 0.6 MB
-            probs = cdfs[0][1]
-            probs = np.concatenate([np.zeros(0, "S1")] + [
-                np.array(list(_cells(probs[i:i + _BLOCK_ROWS])), dtype="S")
-                for i in range(0, probs.size, _BLOCK_ROWS)])
-            cdfs = [(errors, probs) for errors, _ in cdfs]
-        for stream, (errors, probs) in enumerate(cdfs, 1):
+        for stream in (1, 2):
             written[f"cdf_stream{stream}"] = save_cdf_csv(
-                out_dir / f"cdf_stream{stream}.csv", errors, probs
-            )
+                out_dir / f"cdf_stream{stream}.csv", *mc.cdf(stream))
         written["sketch"] = out_dir / "sketch.npz"
         with _create(written["sketch"], "wb") as fh:
             np.savez(fh, **_npz_arrays(mc.errors, mc.conditions))
@@ -512,7 +489,7 @@ class _Section:
         """null (or absent) or a list of ratio labels, as indices into ``known``."""
         value = self.raw.get(key)
         if value is not None and not (isinstance(value, list) and all(v in known for v in value)):
-            self.fail(key, "null or a list of the labels " + ", ".join(known))
+            self.fail(key, "null or a list of the labels " + _named(known))
         repeated = [v for i, v in enumerate(value or ()) if v in value[:i]]
         if repeated:
             raise ConfigError(f'{self.path(key)} lists "{repeated[0]}" twice')
@@ -526,6 +503,12 @@ class _Section:
         if not isinstance(value, list):
             self.fail(key, "a list of JSON objects")
         return [_Section(v, f"{self.path(key)}[{i}]", keys) for i, v in enumerate(value)]
+
+
+def _named(labels: list[str]) -> str:
+    """``labels`` joined by commas; more than 8 as the first, the last and their count."""
+    return (", ".join(labels) if len(labels) <= 8
+            else f"{labels[0]}, ..., {labels[-1]} ({len(labels)} labels)")
 
 
 _LOBE_KEYS = ("theta_deg", "phi_deg", "width_deg", "amplitude", "phase_deg", "polarization")
@@ -606,9 +589,10 @@ def load_config(path, overrides=()) -> RunConfig:
                               for s in entries)
     elif "pattern_files" in ant.raw:
         files = ant.section("pattern_files", labels)
-        if set(files.raw) != set(labels):
-            raise ConfigError(f"antenna.pattern_files must cover states {sorted(labels)}, "
-                              f"got {sorted(files.raw)}")
+        missing = [label for label in labels if label not in files.raw]
+        if missing:
+            raise ConfigError(f"antenna.pattern_files must cover states {_named(labels)}; "
+                              f"missing {_named(missing)}")
         pattern_files = {}
         for k, label in enumerate(labels):
             fpath = base / files.string(label, None)

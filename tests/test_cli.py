@@ -550,6 +550,27 @@ class TestMalformedInput:
         assert named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("order, antenna, named", [
+        # the hand config's lobes name QPSK states; at order 610 the labels are ratio_k
+        (4, {"pattern_files": {"+1": "."}},
+         "states +1, +j, -1, -j; missing +j, -1, -j\n"),
+        (610, None, "the labels ratio_0, ..., ratio_609 (610 labels); got ['+1']\n"),
+        (610, {"pattern_files": {"ratio_0": "."}},
+         "states ratio_0, ..., ratio_609 (610 labels); missing ratio_1, ..., ratio_609 (609 "),
+    ])
+    def test_alphabet_named_compactly(self, tmp_path, order, antenna, named):
+        # an alphabet of more than 8 labels is named by its ends and its count, so the
+        # message stays one short line at the largest order the state-sample limit allows
+        payload = json.loads((CONFIGS / "hand_scenario.json").read_text())
+        payload["constellation"]["order"] = order
+        if antenna is not None:
+            payload["antenna"] = antenna
+        code, err = _exit_code(["monte-carlo", "--config", str(_write_config(tmp_path, payload))])
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 300
+        assert named in err
+
     def test_flag_and_key_give_one_message(self, hand_config, tmp_path):
         payload = json.loads(hand_config.read_text())
         payload["monte_carlo"]["threads"] = 0

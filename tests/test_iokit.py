@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-import types
 from pathlib import Path
 
 import numpy as np
@@ -481,16 +480,19 @@ def _with_float32(floats, *others):
 @st.composite
 def _tables(draw):
     """Columns of one length, chosen from: runs of the floats above, the same in
-    float32, arbitrary doubles, int64s and short strings; and a block size."""
+    float32, the runs' floats permuted (repeats apart), arbitrary doubles, int64s of a
+    wide and of a small range and short strings; and a block size."""
     runs = draw(st.lists(st.tuples(st.sampled_from(range(_RUN_BITS.size)), st.integers(1, 7)),
                          max_size=8))
     floats = _RUN_BITS[np.repeat([i for i, _ in runs], [k for _, k in runs]).astype(int)]
     n = floats.size
     pool = _with_float32(
         floats.view(np.float64),
+        floats[draw(st.permutations(range(n)))].view(np.float64),
         np.array(draw(st.lists(st.floats(), min_size=n, max_size=n)), dtype=float),
         np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)),
                  dtype=np.int64),
+        np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=np.int64),
         draw(st.lists(st.text("ab-x ", max_size=3), min_size=n, max_size=n)))
     picks = draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=6))
     return [pool[i] for i in picks], draw(st.sampled_from([1, 3, 512]))
@@ -498,6 +500,10 @@ def _tables(draw):
 
 # every special run in turn, each crossing an edge of 3-row blocks
 _SPECIAL_RUNS = _RUN_BITS[np.repeat([0, 1, 0, 2, 9, 10, 2, 3, 4, 3], 4)].view(np.float64)
+# 11 distinct bit patterns in 22 rows, each pattern's two rows apart: formatted once per
+# pattern; with one more pattern in place of a repeat, row by row
+_HALF_DISTINCT = _RUN_BITS[np.tile(np.arange(11), 2)].view(np.float64)
+_OVER_HALF = np.concatenate([_HALF_DISTINCT[:-1], [2.5]])
 
 
 def _per_row_table(header, columns) -> bytes:
@@ -516,6 +522,8 @@ class TestWriteTable:
     @example((_with_float32(_SPECIAL_RUNS, [f"s{i}" for i in range(40)], np.arange(40)), 3))
     @example(([np.zeros(0), np.zeros(0, dtype=int)], 3))  # an empty table
     @example(([["s"], np.array([-0.0]), [7], np.array([np.nan], np.float32)], 3))  # one row
+    @example((_with_float32(_HALF_DISTINCT, np.arange(22) % 11), 3))
+    @example((_with_float32(_OVER_HALF, np.append(np.arange(21) % 11, 11)), 3))
     def test_matches_a_per_row_writer(self, tmp_path_factory, table):
         columns, block = table
         header = ["# head", ",".join(f"c{i}" for i in range(len(columns)))]
@@ -544,17 +552,6 @@ class TestWriteTable:
         with pytest.raises(InvalidArgumentError, match=r"unequal lengths \[1, 2\]"):
             save_cdf_csv(path, [1.0, 2.0], [0.5])
         assert not path.exists()
-
-    def test_grid_columns_format_each_angle_once(self, small_grid):
-        # the per-node strings equal repr of every node's angle, -0.0 included
-        grid = types.SimpleNamespace(theta=np.array([-0.0, 0.5, np.pi]), phi=np.array([-0.0, 1.0]),
-                                     n_theta=3, n_phi=2)
-        for g in (small_grid, grid):
-            theta, phi = iokit._grid_columns(g)
-            assert theta.tolist() == [repr(x) for x in
-                                      np.repeat(np.rad2deg(g.theta), g.n_phi).tolist()]
-            assert phi.tolist() == [repr(x) for x in np.tile(np.rad2deg(g.phi), g.n_theta).tolist()]
-        assert theta.tolist()[:2] == ["-0.0"] * 2 and phi.tolist()[::2] == ["-0.0"] * 3
 
 
 class TestConstellationCsv:
@@ -657,10 +654,10 @@ class TestSaveResults:
             assert probs.tobytes() == want_probs.tobytes()
             assert np.all(np.diff(probs) > 0)
 
-    def test_cdf_probabilities_formatted_once(self, tmp_path, monkeypatch):
+    def test_cdf_probabilities_formatted_once(self, tmp_path):
         # both streams of a sweep pool M errors per kept channel, so their probability
-        # columns are equal and formatted once; streams of unequal counts keep their
-        # own.  Either way each file holds a per-row repr writer's bytes
+        # columns are equal; streams of unequal counts are not.  Either way each file
+        # holds a per-row repr writer's bytes
         from beamspace import run_monte_carlo
         from beamspace.link import _EXCEEDANCE_THRESHOLDS, MonteCarloResult, Sketch
         grid = build_grid(11, 16)
@@ -678,12 +675,8 @@ class TestSaveResults:
         uneven = MonteCarloResult(n_scenarios=9, n_rejected=0, seed=0, separation_deg=(3.0, 5.0),
                                   errors=((sketch(rng.random(700)),), (sketch(rng.random(1100)),)),
                                   conditions=sketch([2.0], ()))
-        blocks, cells = [], iokit._cells
-        monkeypatch.setattr(iokit, "_cells", lambda b: (blocks.append(b.dtype.kind), cells(b))[1])
-        for mc, float_blocks in ((swept, 3 * 20), (uneven, 2 + 2 + 3 + 3)):
-            blocks.clear()
+        for mc in (swept, uneven):
             written = save_results(tmp_path, mc=mc)
-            assert blocks.count("f") == float_blocks  # 512-row blocks
             for stream in (1, 2):
                 errors, probs = mc.cdf(stream)
                 want = "".join(f"{e!r},{p!r}\n" for e, p in zip(errors.tolist(), probs.tolist()))
