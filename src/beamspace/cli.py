@@ -62,8 +62,8 @@ def _assemble(cfg: RunConfig, keep_free: bool = False) -> Assembly:
     else:
         lobes = cfg.antenna_lobes if cfg.antenna_lobes is not None else default_mirror_profile()
         free = generate_mirror_pair(lobes, build_grid(cfg.n_theta, cfg.n_phi), ratios)
-    psi = generate_perturbation(cfg.perturbation_lobes, free.grid, ratios)
-    perturbed = apply_perturbation(free, psi)
+    factors = generate_perturbation(cfg.perturbation_lobes, free.grid, ratios)
+    perturbed = apply_perturbation(free, factors)
     return Assembly(
         constellation=constellation,
         perturbed_states=perturbed,

@@ -1,4 +1,6 @@
-"""Exception types, and the input limits that raise them, shared across the simulator."""
+"""Exception types, and the input limits and checks that raise them, shared by the simulator."""
+
+import operator
 
 # Default cap on a receive channel's 2-norm condition number (SingularChannelError above).
 DEFAULT_CONDITION_CAP = 1e8
@@ -6,7 +8,7 @@ DEFAULT_CONDITION_CAP = 1e8
 # time (5.8 s, 5.9 s CPU, for the whole command on a 2-vCPU host).
 MAX_SCENARIOS = 10**7
 # Most state-pattern samples (order x n_theta x n_phi) a config accepts; it bounds memory
-# (every command peaked at 946-1,065 MiB RSS at it on a 2-vCPU host).
+# (every pattern command peaked at 642-1,065 MiB RSS at it on a 2-vCPU host).
 MAX_STATE_SAMPLES = 10**7
 
 
@@ -52,3 +54,13 @@ class PatternFormatError(BeamspaceError):
 
 class ConfigError(BeamspaceError):
     """A run configuration is invalid or references missing files."""
+
+
+def require_integer(value, name: str) -> int:
+    """``value`` as an int; never a bool, a float or a string."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None

@@ -167,16 +167,17 @@ def _own_dir(path: Path) -> bool:
 
 
 def _cached_rows(path: Path, raw: bytes) -> np.ndarray:
-    """The data rows of pattern CSV ``path`` (bytes ``raw``): its cache entry if that is a
-    (rows, 6) float64 array, else parsed and stored in place of the file's older entries.
-    The cache is skipped if it is not this user's own directory or cannot be written."""
+    """The data rows of pattern CSV ``path`` (bytes ``raw``): its cache entry if that reads
+    as a (rows, 6) float64 array, else (whatever failed in the read) parsed and stored in
+    place of the file's older entries.  The cache is skipped if it is not this user's own
+    directory or cannot be written."""
     cache = path.parent / ".beamspace-cache"
     with contextlib.suppress(OSError):
         cache.mkdir(mode=0o755)
     if not _own_dir(cache):  # an entry another user could write is never read
         return _rows(path, raw, len(PATTERN_COLUMNS))
     entry = cache / f"{path.name}.{importlib.util.source_hash(raw).hex()}.npy"
-    with contextlib.suppress(OSError, ValueError), entry.open("rb") as fh:
+    with contextlib.suppress(Exception), entry.open("rb") as fh:
         data = np.lib.format.read_array(fh, allow_pickle=False)
         if data.dtype == np.float64 and data.ndim == 2 and data.shape[1] == len(PATTERN_COLUMNS):
             return data
@@ -364,7 +365,7 @@ def save_metrics_json(metrics: dict, path) -> Path:
 
 
 def _write_evm_csv(evm: EvmMap, path: Path) -> Path:
-    values = np.asarray(evm.evm.values, dtype=float).ravel()
+    values = evm.values.ravel()
     with np.errstate(divide="ignore"):
         values_db = np.where(values > 0.0, 20.0 * np.log10(np.maximum(values, 1e-300)),
                              -np.inf)

@@ -46,13 +46,12 @@ import this module.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DEFAULT_CONDITION_CAP, MAX_SCENARIOS, InvalidArgumentError,
-                     RatioSetMismatchError, SingularChannelError)
+                     RatioSetMismatchError, SingularChannelError, require_integer)
 from .modulation import PskConstellation, RatioSet
 from .patterns import BasisPair, StatePatternSet
 from .sphere import PHI_POL, THETA_POL, apply_stencil, bilinear_stencil, require_same_grid
@@ -331,7 +330,7 @@ def draw_geometries(rng: np.random.Generator, n: int, separation_deg=(3.0, 5.0))
     distance uniform in ``separation_deg`` (degrees) along a uniform bearing.
     The draw consumes ``rng.random((4, n))``.
     """
-    n, separation = _integer(n, "n"), _separation(separation_deg)
+    n, separation = require_integer(n, "n"), _separation(separation_deg)
     if n < 0:
         raise InvalidArgumentError(f"geometries need n >= 0, got n={n}")
     return _angles(rng.random((4, n)), separation)
@@ -536,7 +535,7 @@ class MonteCarloResult:
 
     def _pooled(self, stream: int) -> Sketch:
         """Stream 1's or 2's M ratio sketches merged into one."""
-        if _integer(stream, "stream") not in (1, 2):
+        if require_integer(stream, "stream") not in (1, 2):
             raise InvalidArgumentError(f"stream must be 1 or 2, got {stream}")
         pooled = Sketch.empty(_EXCEEDANCE_THRESHOLDS)
         for row in self.errors[stream - 1]:
@@ -561,16 +560,6 @@ class MonteCarloResult:
     def summaries(self) -> tuple[CdfSummary, CdfSummary]:
         """Each stream's ``Sketch.summary``, its M ratio sketches merged."""
         return self._pooled(1).summary(), self._pooled(2).summary()
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int; never a bool."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _uniforms(seed: int, n: int, start: int, stop: int) -> np.ndarray:
@@ -622,9 +611,9 @@ def run_monte_carlo(
     changes nothing.  At most ``MAX_SCENARIOS`` scenarios.  Memory is one
     chunk's working set and 2(M - 2) + 1 sketches.
     """
-    n = _integer(n_scenarios, "n_scenarios")
-    seed = _integer(seed, "seed")
-    threads = _integer(threads, "threads")
+    n = require_integer(n_scenarios, "n_scenarios")
+    seed = require_integer(seed, "seed")
+    threads = require_integer(threads, "threads")
     if not 1 <= n <= MAX_SCENARIOS:
         raise InvalidArgumentError(f"n_scenarios must be in [1, {MAX_SCENARIOS}], got {n}")
     if seed < 0:

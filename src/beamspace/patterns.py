@@ -7,8 +7,8 @@ that decomposition, per-state angular perturbation of the radiated
 fields, the resulting transmit-side error vector magnitude over the
 sphere, and the full-sphere basis quality metrics (power imbalance and
 correlation).  Synthetic generators stand in for a measured antenna: a
-mirror-image Gaussian-lobe pattern pair and a lobe-based perturbation
-field.
+mirror-image Gaussian-lobe pattern pair and lobe-based perturbation
+factors.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from .errors import (
     InvalidArgumentError,
     RatioSetMismatchError,
     UndefinedRatioError,
+    require_integer,
 )
 from .modulation import RatioSet
 from .sphere import (
     THETA_POL,
-    ScalarAngularMap,
     SphericalGrid,
     VectorPattern,
     great_circle_distance,
@@ -42,7 +42,6 @@ from .sphere import (
 __all__ = [
     "BasisPair",
     "StatePatternSet",
-    "PerturbationField",
     "EvmMap",
     "GaussianLobe",
     "PerturbationLobe",
@@ -111,37 +110,6 @@ class StatePatternSet:
         return self.patterns[k]
 
 
-@dataclass(frozen=True, eq=False)
-class PerturbationField:
-    """Per-state, per-polarization complex angular factors.
-
-    ``factors[k]`` holds a (theta-hat, phi-hat) pair of complex maps by
-    which the state-k pattern components are multiplied pointwise.  The
-    factor is a diagonal per-polarization model; cross-polarizing
-    coupling is not represented.
-    """
-
-    ratios: RatioSet
-    factors: Mapping[int, tuple[ScalarAngularMap, ScalarAngularMap]]
-
-    def __post_init__(self) -> None:
-        factors = dict(self.factors)
-        if set(factors) != set(range(self.ratios.order)):
-            raise RatioSetMismatchError(
-                f"perturbation keys {sorted(factors)} do not cover ratio indices "
-                f"0..{self.ratios.order - 1}"
-            )
-        grid = factors[0][0].grid
-        for pair in factors.values():
-            require_same_grid(grid, pair[0].grid)
-            require_same_grid(grid, pair[1].grid)
-        object.__setattr__(self, "factors", MappingProxyType(factors))
-
-    @property
-    def grid(self) -> SphericalGrid:
-        return self.factors[0][0].grid
-
-
 def compute_basis(e_plus: VectorPattern, e_minus: VectorPattern) -> BasisPair:
     """Half-sum and half-difference of the +1 and -1 state patterns."""
     require_same_grid(e_plus.grid, e_minus.grid)
@@ -158,24 +126,24 @@ def synthesize_pattern(basis: BasisPair, x1: complex, x2: complex) -> VectorPatt
     return lincomb(x1, basis.b1, x2, basis.b2)
 
 
-def apply_perturbation(s: StatePatternSet, psi: PerturbationField) -> StatePatternSet:
-    """Multiply each state pattern pointwise by its perturbation factor.
+def apply_perturbation(s: StatePatternSet, factors: Mapping[int, VectorPattern]) -> StatePatternSet:
+    """Multiply each state pattern's components pointwise by those of ``factors[k]``.
 
-    A component whose factor is 1 everywhere passes through uncopied.
+    The keys must cover the ratio alphabet and every factor lie on the
+    states' grid.  A component whose factor is 1 everywhere passes
+    through uncopied.
     """
-    if psi.ratios.order != s.ratios.order:
+    if set(factors) != set(range(s.ratios.order)):
         raise RatioSetMismatchError(
-            f"perturbation order {psi.ratios.order} != state order {s.ratios.order}"
+            f"perturbation keys {sorted(factors)} do not cover ratio indices "
+            f"0..{s.ratios.order - 1}"
         )
-    require_same_grid(s.grid, psi.grid)
     out = {}
     for k, p in s.patterns.items():
-        f_theta, f_phi = psi.factors[k]
-        out[k] = VectorPattern(
-            grid=p.grid,
-            e_theta=_scaled(f_theta.values, p.e_theta),
-            e_phi=_scaled(f_phi.values, p.e_phi),
-        )
+        f = factors[k]
+        require_same_grid(p.grid, f.grid)
+        out[k] = VectorPattern(grid=p.grid, e_theta=_scaled(f.e_theta, p.e_theta),
+                               e_phi=_scaled(f.e_phi, p.e_phi))
     return StatePatternSet(ratios=s.ratios, patterns=out)
 
 
@@ -199,19 +167,24 @@ _EVM_ZERO = 1e-15  # below the double-precision resolution of the power ratio
 
 @dataclass(frozen=True, eq=False)
 class EvmMap:
-    """Angular EVM map with a sidecar mask of degenerate angles.
+    """Linear EVM per grid node, with a sidecar mask of degenerate angles.
 
-    Angles where the normalizing power vanishes carry value 0 in ``evm``
+    Angles where the normalizing power vanishes carry value 0 in ``values``
     and True in ``degenerate_mask``; they are excluded from averages, not
-    interpolated.
+    interpolated.  Both arrays are read-only and of the grid's shape.
     """
 
-    evm: ScalarAngularMap
+    grid: SphericalGrid
+    values: np.ndarray
     degenerate_mask: np.ndarray
 
-    @property
-    def grid(self) -> SphericalGrid:
-        return self.evm.grid
+    def __post_init__(self) -> None:
+        for name, dtype in (("values", float), ("degenerate_mask", bool)):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            if arr.shape != self.grid.shape:
+                raise InvalidArgumentError(f"EVM {name} must match grid shape {self.grid.shape}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def masked_fraction(self) -> float:
         return float(np.mean(self.degenerate_mask))
@@ -228,7 +201,7 @@ class EvmMap:
         total = float(np.sum(w))
         if total == 0.0:
             raise DegenerateAngleError("every angle of the EVM map is degenerate")
-        v = np.asarray(self.evm.values, dtype=float)[ok]
+        v = self.values[ok]
         mean = float(np.sum(w * v) / total)
         rms = float(np.sqrt(np.sum(w * v * v) / total))
         with np.errstate(divide="ignore"):
@@ -267,10 +240,7 @@ def evm_map(s_hat: StatePatternSet) -> EvmMap:
     ok = ~mask
     values[ok] = np.sqrt(num[ok] / den[ok])
     values[values < _EVM_ZERO] = 0.0
-    return EvmMap(
-        evm=ScalarAngularMap(grid=s_hat.grid, values=values),
-        degenerate_mask=mask,
-    )
+    return EvmMap(grid=s_hat.grid, values=values, degenerate_mask=mask)
 
 
 def _db20(x: float) -> float:
@@ -445,42 +415,46 @@ class PerturbationLobe:
                 f"polarization must be one of {_POLARIZATION_TARGETS}"
             )
         if self.states is not None:
-            object.__setattr__(self, "states", tuple(int(k) for k in self.states))
+            object.__setattr__(self, "states", tuple(
+                require_integer(k, "perturbation lobe state") for k in self.states))
             if len(set(self.states)) < len(self.states):  # a repeat would add the bump twice
                 raise InvalidArgumentError(f"perturbation lobe lists a state twice: {self.states}")
 
 
 def generate_perturbation(
     lobes: Sequence[PerturbationLobe], grid: SphericalGrid, ratios: RatioSet
-) -> PerturbationField:
-    """Perturbation factors 1 + sum of Gaussian bumps per state and pol.
+) -> Mapping[int, VectorPattern]:
+    """Perturbation factor pattern per ratio index: 1 + the sum of its lobes' bumps.
 
-    An empty lobe list yields the identity field.  Every factor no lobe
-    touches is one shared read-only unity map.
+    ``factors[k]`` multiplies the theta-hat and phi-hat components of state
+    k pointwise (a diagonal model; cross-polarizing coupling is not
+    represented).  Each distinct subset of lobes is summed once, its bumps
+    added in lobe order with one bump alive at a time: components touched
+    by the same lobes share one read-only array, states with the same pair
+    of subsets share one pattern, and every component no lobe touches is
+    one unity map.  An empty lobe list yields the identity.
     """
-    f_theta = dict.fromkeys(range(ratios.order))  # None: no lobe yet, the unity factor
-    f_phi = dict(f_theta)
-    for lobe in lobes:
-        states = range(ratios.order) if lobe.states is None else lobe.states
-        for k in states:
+    touched = {k: ([], []) for k in range(ratios.order)}  # lobe indices per theta, phi
+    for i, lobe in enumerate(lobes):
+        for k in range(ratios.order) if lobe.states is None else lobe.states:
             if not 0 <= k < ratios.order:
-                raise RatioSetMismatchError(
-                    f"perturbation lobe targets unknown state index {k}"
-                )
+                raise RatioSetMismatchError(f"perturbation lobe targets unknown state index {k}")
+            for pol, subset in zip(("theta", "phi"), touched[k]):
+                if lobe.polarization in (pol, "both"):
+                    subset.append(i)
+    pairs = {k: (tuple(t), tuple(p)) for k, (t, p) in touched.items()}
+    sums = dict.fromkeys(s for pair in pairs.values() for s in pair)  # None: no bump yet
+    for i, lobe in enumerate(lobes):
         bump = _lobe_profile(grid, lobe.theta, lobe.phi, lobe.width,
                              lobe.amplitude, lobe.phase)
-        for k in states:
-            if lobe.polarization in ("theta", "both"):
-                f_theta[k] = (1.0 if f_theta[k] is None else f_theta[k]) + bump
-            if lobe.polarization in ("phi", "both"):
-                f_phi[k] = (1.0 if f_phi[k] is None else f_phi[k]) + bump
-    unity = ScalarAngularMap(grid=grid, values=np.ones(grid.shape, dtype=complex))
-    factors = {
-        k: tuple(unity if f is None else ScalarAngularMap(grid=grid, values=f)
-                 for f in (f_theta[k], f_phi[k]))
-        for k in range(ratios.order)
-    }
-    return PerturbationField(ratios=ratios, factors=factors)
+        for s, f in sums.items():
+            if i in s:
+                sums[s] = 1.0 + bump if f is None else np.add(f, bump, out=f)
+    if () in sums:
+        sums[()] = np.ones(grid.shape, dtype=complex)
+    patterns = {pair: VectorPattern(grid=grid, e_theta=sums[pair[0]], e_phi=sums[pair[1]])
+                for pair in set(pairs.values())}
+    return MappingProxyType({k: patterns[pair] for k, pair in pairs.items()})
 
 
 def example_perturbation() -> tuple[PerturbationLobe, ...]:

@@ -101,7 +101,7 @@ def criterion_free_space_exactness() -> CriterionResult:
     for _ in range(100):
         con, states = _qpsk_states(_random_profile(rng))
         emap = evm_map(states)
-        worst_evm = max(worst_evm, float(np.max(emap.evm.values)))
+        worst_evm = max(worst_evm, float(np.max(emap.values)))
         # one receive pair drawn like the Monte-Carlo sweep: rows (theta, phi)
         scenario = build_channel(states, np.hstack(draw_geometries(rng, 1)), con)
         pairs = received_constellation(scenario)
@@ -163,7 +163,7 @@ def criterion_common_factor() -> CriterionResult:
                                 polarization=str(rng.choice(["both", "theta", "phi"])))
             for _ in range(int(rng.integers(1, 3)))])
         emap = evm_map(s_hat)
-        worst = max(worst, float(np.max(emap.evm.values)))
+        worst = max(worst, float(np.max(emap.values)))
     passed = worst <= 1e-10
     return CriterionResult(
         "common-factor-cancellation",
@@ -216,7 +216,7 @@ def criterion_evm_oracle() -> CriterionResult:
         emap = evm_map(s_hat)
         for i in range(grid.n_theta):
             for j in range(grid.n_phi):
-                got = emap.evm.values[i, j]
+                got = emap.values[i, j]
                 want = _evm_brute_force(b_hat, s_hat, con.ratio_set, i, j)
                 worst = max(worst, abs(got - want) / abs(want))
     passed = worst <= 1e-12

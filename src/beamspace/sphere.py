@@ -24,7 +24,6 @@ __all__ = [
     "FOUR_PI",
     "SphericalGrid",
     "VectorPattern",
-    "ScalarAngularMap",
     "build_grid",
     "same_grid",
     "require_same_grid",
@@ -168,27 +167,6 @@ class VectorPattern:
         for name, arr in (("e_theta", e_theta), ("e_phi", e_phi)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True, eq=False)
-class ScalarAngularMap:
-    """One finite scalar (real or complex) per grid point."""
-
-    grid: SphericalGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.ascontiguousarray(self.values)
-        if not np.issubdtype(values.dtype, np.number):
-            values = values.astype(float)
-        if values.shape != self.grid.shape:
-            raise InvalidArgumentError(
-                f"map shape must match grid shape {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise InvalidArgumentError("map values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
 
 def integrate_power(p: VectorPattern) -> float:

@@ -338,7 +338,7 @@ class TestOutputDirectory:
 
 class TestAssemblyLifetime:
     """Only ``metrics`` keeps the free-space states; the other commands let them
-    and the perturbation field go before their work starts."""
+    and the perturbation factors go before their work starts."""
 
     @pytest.mark.parametrize("command, work", [
         ("monte-carlo", "run_monte_carlo"), ("evm-map", "evm_map"),
@@ -347,17 +347,18 @@ class TestAssemblyLifetime:
                                                    command, work):
         refs, alive = [], []
 
-        def referenced(name):
+        def referenced(name, parts):
             make = getattr(cli, name)
 
             def wrapped(*args, **kwargs):
                 made = make(*args, **kwargs)
-                refs.append(weakref.ref(made))
+                refs.extend(weakref.ref(part) for part in parts(made))
                 return made
             monkeypatch.setattr(cli, name, wrapped)
 
-        referenced("generate_mirror_pair")
-        referenced("generate_perturbation")
+        referenced("generate_mirror_pair", lambda states: [states])
+        # a read-only mapping cannot be weakly referenced: follow its factor patterns
+        referenced("generate_perturbation", lambda factors: set(factors.values()))
         home = cli if work == "evm_map" else link  # the link layer loads when its command runs
         run = getattr(home, work)
 
@@ -368,7 +369,8 @@ class TestAssemblyLifetime:
 
         monkeypatch.setattr(home, work, checked)
         assert main([command, "--config", str(hand_config), "--out", str(tmp_path)]) == 0
-        assert len(refs) == 2 and alive == []
+        # the free states and four factor patterns: each state has a lobe of its own
+        assert len(refs) == 5 and alive == []
 
 
 class TestPatternFilePipeline:

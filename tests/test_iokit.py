@@ -392,13 +392,16 @@ class TestPatternCache:
         patterns = [_random_pattern(build_grid(3, 4), np.random.default_rng(20 + i))
                     for i in range(2)]
         paths = [save_pattern_csv(p, tmp_path / f"s{i}.csv") for i, p in enumerate(patterns)]
-        wrong = []
+        wrong, raised = [], []
 
         def reader(i):
-            for _ in range(25):
-                loaded = load_pattern_csv(paths[i % 2])
-                if loaded.e_phi.tobytes() != patterns[i % 2].e_phi.tobytes():
-                    wrong.append(i)
+            try:
+                for _ in range(25):
+                    loaded = load_pattern_csv(paths[i % 2])
+                    if loaded.e_phi.tobytes() != patterns[i % 2].e_phi.tobytes():
+                        wrong.append(i)
+            except Exception as exc:  # a reader that dies fails the test, not only warns
+                raised.append((i, exc))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -411,9 +414,27 @@ class TestPatternCache:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
+        assert raised == []
         assert wrong == []
         assert self._entries(tmp_path) == sorted(
             f"{f.name}.{importlib.util.source_hash(f.read_bytes()).hex()}.npy" for f in paths)
+
+    @pytest.mark.parametrize("error", [SystemError, RecursionError, KeyError])
+    def test_any_failed_entry_read_is_a_miss(self, tmp_path, monkeypatch, error):
+        # whatever the entry read raises, the file is parsed again and the entry rewritten
+        pattern, path = self._saved(tmp_path)
+        load_pattern_csv(path)
+        parses = self._count_parses(monkeypatch)
+
+        def fails(*args, **kwargs):
+            raise error("entry read failed")
+        with monkeypatch.context() as patched:
+            patched.setattr(np.lib.format, "read_array", fails)
+            loaded = load_pattern_csv(path)
+        assert len(parses) == 1
+        assert loaded.e_theta.tobytes() == pattern.e_theta.tobytes()
+        assert load_pattern_csv(path).e_phi.tobytes() == pattern.e_phi.tobytes()
+        assert len(parses) == 1
 
     def test_cache_leaves_hashlib_unloaded(self, tmp_path):
         _, path = self._saved(tmp_path)
@@ -608,7 +629,7 @@ class TestSaveResults:
             ratios=QPSK.ratio_set,
             patterns={k: b1 for k in range(4)})
         emap = evm_map(states)
-        assert np.max(emap.evm.values) == 0.0
+        assert np.max(emap.values) == 0.0
         written = save_results(tmp_path, evm=emap)
         lines = written["evm_map"].read_text().splitlines()
         assert lines[0] == "theta_deg,phi_deg,evm_linear,evm_db,masked"

@@ -13,11 +13,9 @@ from beamspace import (
     GaussianLobe,
     GridMismatchError,
     InvalidArgumentError,
-    PerturbationField,
     PerturbationLobe,
     PskConstellation,
     RatioSetMismatchError,
-    ScalarAngularMap,
     StatePatternSet,
     UndefinedRatioError,
     VectorPattern,
@@ -38,6 +36,7 @@ from beamspace import (
     power_imbalance_db,
     synthesize_pattern,
 )
+from beamspace.patterns import _lobe_profile
 
 QPSK = PskConstellation.qpsk()
 RATIOS = QPSK.ratio_set
@@ -144,11 +143,9 @@ class TestApplyPerturbation:
     def test_uniform_half_quarters_power(self, small_grid):
         rng = np.random.default_rng(8)
         states = _random_states(small_grid, rng)
-        half = ScalarAngularMap(grid=small_grid,
-                                values=np.full(small_grid.shape, 0.5, dtype=complex))
-        psi = PerturbationField(ratios=RATIOS,
-                                factors={k: (half, half) for k in range(4)})
-        out = apply_perturbation(states, psi)
+        half = np.full(small_grid.shape, 0.5, dtype=complex)
+        factor = VectorPattern(grid=small_grid, e_theta=half, e_phi=half)
+        out = apply_perturbation(states, {k: factor for k in range(4)})
         for k in range(4):
             assert integrate_power(out.state(k)) == pytest.approx(
                 integrate_power(states.state(k)) / 4.0, rel=1e-12)
@@ -162,16 +159,16 @@ class TestApplyPerturbation:
             k = int(rng.integers(0, 4))
             i = int(rng.integers(0, small_grid.n_theta))
             j = int(rng.integers(0, small_grid.n_phi))
-            f_theta, _ = psi.factors[k]
-            want = complex(f_theta.values[i, j]) * complex(states.state(k).e_theta[i, j])
+            want = complex(psi[k].e_theta[i, j]) * complex(states.state(k).e_theta[i, j])
             assert complex(out.state(k).e_theta[i, j]) == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("field", ["identity", "no-lobes"])
     def test_unity_factor_passes_components_through(self, small_grid, field):
         # a unity field built by hand, or the generator's lobe-free field
         states = _random_states(small_grid, np.random.default_rng(11))
-        ones = ScalarAngularMap(grid=small_grid, values=np.ones(small_grid.shape, complex))
-        psi = (PerturbationField(ratios=RATIOS, factors={k: (ones, ones) for k in range(4)})
+        ones = np.ones(small_grid.shape, complex)
+        unity = VectorPattern(grid=small_grid, e_theta=ones, e_phi=ones)
+        psi = ({k: unity for k in range(4)}
                if field == "identity" else generate_perturbation([], small_grid, RATIOS))
         out = apply_perturbation(states, psi)
         for k in range(4):
@@ -183,7 +180,7 @@ class TestApplyPerturbation:
         states = _random_states(small_grid, rng)
         psi = _gaussian_psi(small_grid, rng, states=(2,), polarization="phi")
         out = apply_perturbation(states, psi)
-        assert len({id(f) for pair in psi.factors.values() for f in pair}) == 2
+        assert len({id(a) for f in psi.values() for a in (f.e_theta, f.e_phi)}) == 2
         for k in range(4):
             for name in ("e_theta", "e_phi"):
                 shared = np.shares_memory(getattr(out.state(k), name),
@@ -207,11 +204,17 @@ class TestApplyPerturbation:
         rng = np.random.default_rng(10)
         states = _random_states(small_grid, rng)
         bpsk_psi = generate_perturbation((), small_grid, PskConstellation(2).ratio_set)
-        with pytest.raises(RatioSetMismatchError):
+        with pytest.raises(RatioSetMismatchError, match=r"do not cover ratio indices 0\.\.3"):
             apply_perturbation(states, bpsk_psi)
+        psi = generate_perturbation((), small_grid, RATIOS)
+        with pytest.raises(RatioSetMismatchError):
+            apply_perturbation(states, {**psi, 4: psi[0]})
         other_psi = generate_perturbation((), build_grid(6, 8), RATIOS)
         with pytest.raises(GridMismatchError):
             apply_perturbation(states, other_psi)
+        # one factor off the grid is enough
+        with pytest.raises(GridMismatchError):
+            apply_perturbation(states, {**psi, 3: other_psi[3]})
 
 
 class TestPerturbedBasis:
@@ -232,10 +235,9 @@ class TestPerturbedBasis:
         psi = _gaussian_psi(small_grid, rng, states=None)
         b0 = perturbed_basis(states)
         b_hat = perturbed_basis(apply_perturbation(states, psi))
-        f_theta, f_phi = psi.factors[0]
-        assert np.allclose(b_hat.b1.e_theta, f_theta.values * b0.b1.e_theta,
+        assert np.allclose(b_hat.b1.e_theta, psi[0].e_theta * b0.b1.e_theta,
                            rtol=1e-13, atol=1e-14)
-        assert np.allclose(b_hat.b2.e_phi, f_phi.values * b0.b2.e_phi,
+        assert np.allclose(b_hat.b2.e_phi, psi[0].e_phi * b0.b2.e_phi,
                            rtol=1e-13, atol=1e-14)
 
     def test_distinct_factors_match_expansion_oracle(self, small_grid):
@@ -249,8 +251,8 @@ class TestPerturbedBasis:
             small_grid, RATIOS)
         s_hat = apply_perturbation(states, psi)
         b_hat = perturbed_basis(s_hat)
-        psi_p = psi.factors[0][0].values
-        psi_m = psi.factors[2][0].values
+        psi_p = psi[0].e_theta
+        psi_m = psi[2].e_theta
         want_b1 = 0.5 * (psi_p * states.state(0).e_theta + psi_m * states.state(2).e_theta)
         want_b2 = 0.5 * (psi_p * states.state(0).e_theta - psi_m * states.state(2).e_theta)
         assert np.allclose(b_hat.b1.e_theta, want_b1, rtol=1e-13, atol=1e-14)
@@ -283,7 +285,7 @@ class TestEvm:
             [GaussianLobe(theta=1.1, phi=0.7, width=0.6, polarization=(0.8, 0.6j))],
             small_grid, RATIOS)
         emap = evm_map(states)
-        assert np.max(emap.evm.values) <= 1e-12
+        assert np.max(emap.values) <= 1e-12
 
     def test_state_independent_perturbation_cancels(self, small_grid):
         rng = np.random.default_rng(16)
@@ -292,7 +294,7 @@ class TestEvm:
             small_grid, RATIOS)
         s_hat = apply_perturbation(states, _gaussian_psi(small_grid, rng, states=None))
         emap = evm_map(s_hat)
-        assert np.max(emap.evm.values) <= 1e-10
+        assert np.max(emap.values) <= 1e-10
 
     def test_pm_one_numerator_terms_vanish_and_bruteforce(self, small_grid):
         # perturb only the +j state; +-1 contributions stay identically zero
@@ -319,7 +321,7 @@ class TestEvm:
         assert num[2] == 0.0
         assert num[1] > 0.0
         brute = np.sqrt(sum(num.values()) / den_total)
-        got = evm_map(s_hat).evm.values[i, j]
+        got = evm_map(s_hat).values[i, j]
         assert got == pytest.approx(brute, rel=1e-12)
 
     def test_degenerate_angle_raises_and_is_masked(self, small_grid):
@@ -338,7 +340,8 @@ class TestEvm:
         assert emap.degenerate_mask[-1, 0]
         assert not emap.degenerate_mask[2, 3]
         assert emap.masked_fraction() == pytest.approx(2.0 / small_grid.n_theta, rel=1e-12)
-        everywhere = EvmMap(evm=emap.evm, degenerate_mask=np.ones(small_grid.shape, bool))
+        everywhere = EvmMap(grid=small_grid, values=emap.values,
+                            degenerate_mask=np.ones(small_grid.shape, bool))
         with pytest.raises(DegenerateAngleError):
             everywhere.average()
 
@@ -353,7 +356,7 @@ class TestEvm:
         s_hat = apply_perturbation(states, _gaussian_psi(small_grid, rng, states=(1,)))
         emap = evm_map(s_hat)
         w = small_grid.weights
-        v = emap.evm.values
+        v = emap.values
         mean = float((w * v).sum() / w.sum())
         rms = float(np.sqrt((w * v * v).sum() / w.sum()))
         avg = emap.average()
@@ -373,7 +376,7 @@ class TestEvm:
                       for k in range(4)})
         m1 = evm_map(states)
         m2 = evm_map(scaled)
-        assert np.allclose(m1.evm.values, m2.evm.values, rtol=1e-12, atol=1e-13)
+        assert np.allclose(m1.values, m2.values, rtol=1e-12, atol=1e-13)
 
 
 class TestBasisMetrics:
@@ -489,10 +492,11 @@ class TestGenerators:
     def test_perturbation_empty_spec_is_identity(self, small_grid):
         psi = generate_perturbation([], small_grid, RATIOS)
         for k in range(4):
-            assert np.all(psi.factors[k][0].values == 1.0)
-            assert np.all(psi.factors[k][1].values == 1.0)
+            assert np.all(psi[k].e_theta == 1.0)
+            assert np.all(psi[k].e_phi == 1.0)
         # one unity map, shared by every state and polarization
-        assert len({id(f) for pair in psi.factors.values() for f in pair}) == 1
+        assert len({id(f) for f in psi.values()}) == 1
+        assert psi[0].e_theta is psi[0].e_phi
 
     def test_perturbation_negative_half_at_center(self, small_grid):
         # center placed exactly on a grid node
@@ -501,7 +505,7 @@ class TestGenerators:
                                 phi=float(small_grid.phi[j]),
                                 width=0.5, amplitude=-0.5)
         psi = generate_perturbation([lobe], small_grid, RATIOS)
-        assert abs(psi.factors[0][0].values[i, j]) == pytest.approx(0.5, rel=1e-12)
+        assert abs(psi[0].e_theta[i, j]) == pytest.approx(0.5, rel=1e-12)
 
     def test_perturbation_invalid_width(self, small_grid):
         with pytest.raises(InvalidArgumentError):
@@ -525,6 +529,36 @@ class TestGenerators:
         assert PerturbationLobe(theta=1.0, phi=1.0, width=0.5, amplitude=0.3,
                                 states=(2, 0)).states == (2, 0)
 
+    @pytest.mark.parametrize("state", [1.7, 1.0, True, "1", None])
+    def test_perturbation_lobe_rejects_non_integer_state(self, state):
+        # int() would have turned 1.7, 1.0, True and "1" into state 1
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            PerturbationLobe(theta=1.0, phi=1.0, width=0.5, amplitude=0.3, states=(state,))
+        states = PerturbationLobe(theta=1.0, phi=1.0, width=0.5, amplitude=0.3,
+                                  states=(np.int64(1), 0)).states
+        assert states == (1, 0) and type(states[0]) is int
+
+    def test_factors_are_shared_by_lobe_subset(self, small_grid):
+        # at order 8, a lobe on every state and a theta-only lobe on state 3 touch the
+        # components in two subsets, {0} and {0, 1}: two sums, two patterns
+        ratios8 = PskConstellation(8).ratio_set
+        lobes = [PerturbationLobe(theta=1.2, phi=0.4, width=0.8, amplitude=0.4, phase=0.3),
+                 PerturbationLobe(theta=2.0, phi=4.0, width=0.6, amplitude=-0.3, phase=1.1,
+                                  states=(3,), polarization="theta")]
+        psi = generate_perturbation(lobes, small_grid, ratios8)
+        b0, b1 = (_lobe_profile(small_grid, lobe.theta, lobe.phi, lobe.width,
+                                lobe.amplitude, lobe.phase) for lobe in lobes)
+        assert len({id(a) for f in psi.values() for a in (f.e_theta, f.e_phi)}) == 2
+        assert len({id(f) for f in psi.values()}) == 2
+        for k in range(8):
+            # the sum in lobe order, bit for bit
+            want = (1.0 + b0) + b1 if k == 3 else 1.0 + b0
+            assert psi[k].e_theta.tobytes() == want.tobytes()
+            assert psi[k].e_phi.tobytes() == (1.0 + b0).tobytes()
+            # the first lobe's theta and phi factors are one array
+            assert (psi[k].e_theta is psi[k].e_phi) == (k != 3)
+            assert psi[k].e_phi is psi[0].e_phi
+
     def test_perturbation_unknown_state_rejected(self, small_grid):
         lobe = PerturbationLobe(theta=1.0, phi=1.0, width=0.5, amplitude=0.2,
                                 states=(7,))
@@ -539,7 +573,7 @@ class TestGenerators:
             small_grid, RATIOS)
         s_hat = apply_perturbation(states, psi)
         emap = evm_map(s_hat)
-        assert float(np.max(emap.evm.values)) > 1e-6
+        assert float(np.max(emap.values)) > 1e-6
 
     def test_lobe_profile_uses_great_circle_distance(self, small_grid):
         lobe = GaussianLobe(theta=1.0, phi=2.0, width=0.5, amplitude=1.0,
@@ -565,21 +599,21 @@ class TestOtherOrders:
         psi = generate_perturbation(lobes, small_grid, bpsk)
         s_hat = apply_perturbation(states, psi)
         emap = evm_map(s_hat)
-        assert float(np.max(emap.evm.values)) <= 1e-12
+        assert float(np.max(emap.values)) <= 1e-12
 
     def test_8psk_distorts_non_pm_one_states(self, small_grid):
         ratios8 = PskConstellation(8).ratio_set
         states = generate_mirror_pair(default_mirror_profile(), small_grid, ratios8)
         assert set(states.patterns) == set(range(8))
         free = evm_map(states)
-        assert float(np.max(free.evm.values)) <= 1e-12
+        assert float(np.max(free.values)) <= 1e-12
         psi = generate_perturbation(
             [PerturbationLobe(theta=1.2, phi=0.4, width=0.8, amplitude=0.4,
                               states=(1, 3, 5))],
             small_grid, ratios8)
         s_hat = apply_perturbation(states, psi)
         emap = evm_map(s_hat)
-        assert float(np.max(emap.evm.values)) > 1e-3
+        assert float(np.max(emap.values)) > 1e-3
 
 
 # Strengths of one perturbation, a decade apart: small enough for the first-order term to
@@ -634,4 +668,6 @@ class TestStatePatternSetValidation:
 
     def test_identity_field_constructible(self, small_grid):
         psi = generate_perturbation((), small_grid, RATIOS)
-        assert set(psi.factors) == {0, 1, 2, 3}
+        assert set(psi) == {0, 1, 2, 3}
+        with pytest.raises(TypeError):
+            psi[0] = psi[1]  # a read-only mapping
