@@ -27,15 +27,15 @@ _HOMES = {name: module for module, names in {
               "save_metrics_json", "save_pattern_csv", "save_results"),
     "link": ("CdfSummary", "LinkScenario", "MonteCarloResult", "SymbolPairs",
              "build_channel", "constellation_at_angle", "draw_geometries",
-             "great_circle_offset", "received_constellation", "run_monte_carlo"),
+             "received_constellation", "run_monte_carlo"),
     "modulation": ("PskConstellation", "RatioSet", "ratio_label"),
     "patterns": ("BasisPair", "EvmMap", "GaussianLobe", "PerturbationLobe", "StatePatternSet",
                  "apply_perturbation", "basis_correlation_db", "compute_basis",
                  "default_mirror_profile", "evm_map", "example_perturbation",
                  "generate_mirror_pair", "generate_perturbation", "mirror_pattern",
                  "perturbed_basis", "power_imbalance_db", "synthesize_pattern"),
-    "sphere": ("FOUR_PI", "SphericalGrid", "VectorPattern", "build_grid",
-               "great_circle_distance", "inner_product", "integrate_power", "lincomb", "same_grid"),
+    "sphere": ("FOUR_PI", "SphericalGrid", "VectorPattern", "build_grid", "inner_product",
+               "integrate_power", "lincomb"),
 }.items() for name in names}
 __all__ = sorted(_HOMES)
 

@@ -1,5 +1,7 @@
 """Exception types, and the input limits and checks that raise them, shared by the simulator."""
 
+import contextlib
+import math
 import operator
 
 # Default cap on a receive channel's 2-norm condition number (SingularChannelError above).
@@ -58,9 +60,23 @@ class ConfigError(BeamspaceError):
 
 def require_integer(value, name: str) -> int:
     """``value`` as an int; never a bool, a float or a string."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+    with contextlib.suppress(TypeError):
+        if not isinstance(value, bool):
+            return operator.index(value)
+    raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+
+
+def require_whole(value, name: str) -> int:
+    """``value`` as an int when it equals one (``5``, ``5.0``); never a string."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):  # None, "a", NaN, inf
+        if int(value) == value:
+            return int(value)
+    raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+
+
+def require_float(value, name: str, finite: bool = True) -> float:
+    """``value`` as ``float()`` reads it; finite unless ``finite`` is False."""
+    with contextlib.suppress(TypeError, ValueError):
+        if not finite or math.isfinite(float(value)):
+            return float(value)
+    raise InvalidArgumentError(f"{name} must be a {'finite ' * finite}number, got {value!r}")

@@ -45,13 +45,15 @@ import this module.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DEFAULT_CONDITION_CAP, MAX_SCENARIOS, InvalidArgumentError,
-                     RatioSetMismatchError, SingularChannelError, require_integer)
+                     RatioSetMismatchError, SingularChannelError, require_float,
+                     require_integer)
 from .modulation import PskConstellation, RatioSet
 from .patterns import BasisPair, StatePatternSet
 from .sphere import PHI_POL, THETA_POL, apply_stencil, bilinear_stencil, require_same_grid
@@ -66,7 +68,6 @@ __all__ = [
     "build_channel",
     "received_constellation",
     "constellation_at_angle",
-    "great_circle_offset",
     "draw_geometries",
     "run_monte_carlo",
 ]
@@ -112,11 +113,12 @@ class LinkScenario:
 
 def _unit_polarizations(pols) -> np.ndarray:
     """Two receive polarizations as a (2, 2) complex array of unit 2-vectors."""
-    pols = np.ascontiguousarray(pols, dtype=complex)
-    # written so that NaN fails: every comparison with NaN is False
-    if pols.shape != (2, 2) or not np.all(np.abs(np.linalg.norm(pols, axis=1) - 1.0) <= 1e-6):
-        raise InvalidArgumentError("rx_polarizations must be two unit 2-vectors")
-    return pols
+    with contextlib.suppress(TypeError, ValueError):  # not numbers
+        pols = np.ascontiguousarray(pols, dtype=complex)
+        # written so that NaN fails: every comparison with NaN is False
+        if pols.shape == (2, 2) and np.all(np.abs(np.linalg.norm(pols, axis=1) - 1.0) <= 1e-6):
+            return pols
+    raise InvalidArgumentError("rx_polarizations must be two unit 2-vectors")
 
 
 def _condition_2x2(h: np.ndarray):
@@ -163,36 +165,25 @@ def _responses(patterns, theta, phi, pols) -> np.ndarray:
     return out
 
 
-def _zf_gains(h: np.ndarray, f: np.ndarray, condition_cap: float):
-    """Condition cap and closed-form zero-forcing gains G = H^-1 F.
-
-    ``h`` is (2, 2, n) and ``f`` (2, M, n), scenarios last.  Returns the
-    (n,) mask of channels conditioned within the cap, G (2, M, kept) for
-    them and the (n,) condition numbers.
-    """
-    cond, det = _condition_2x2(h)
-    keep = np.isfinite(cond) & (cond <= condition_cap)
-    if not keep.all():
-        h, f, det = h[..., keep], f[..., keep], det[keep]
-    g, scratch = np.empty_like(f), np.empty_like(f[0])
-    # g[r] = (a * fa - b * fb) / det in that operation order, written in place
-    for r, (a, fa, b, fb) in enumerate(((h[1, 1], f[0], h[0, 1], f[1]),
-                                        (h[0, 0], f[1], h[1, 0], f[0]))):
-        np.subtract(np.multiply(a, fa, out=g[r]), np.multiply(b, fb, out=scratch), out=g[r])
-        np.divide(g[r], det, out=g[r])
-    return keep, g, cond
-
-
 def _decode(resp: np.ndarray, condition_cap: float):
     """Cap mask (n,), gains G (2, M - 2, kept) and condition numbers (n,) in state coordinates.
 
     ``resp`` holds (2, M, n) responses in ``_order``, freed once solved.  A
-    holds the +-1 states' responses, y = A^-1 F the others' and G = T^-1 y
-    = (y0 + y1, y0 - y1).  cond(A) = cond(H), as T is sqrt(1/2) times an
-    orthogonal matrix.
+    holds the +-1 states' responses, y = A^-1 F the others' (in closed form, for
+    cond(A) <= ``condition_cap``) and G = T^-1 y = (y0 + y1, y0 - y1).  cond(A) =
+    cond(H), as T is sqrt(1/2) times an orthogonal matrix.
     """
-    keep, y, cond = _zf_gains(resp[:, :2], resp[:, 2:], condition_cap)
-    del resp  # the largest array: free it before the map back allocates
+    a, f = resp[:, :2], resp[:, 2:]
+    cond, det = _condition_2x2(a)
+    keep = np.isfinite(cond) & (cond <= condition_cap)
+    if not keep.all():
+        a, f, det = a[..., keep], f[..., keep], det[keep]
+    y, scratch = np.empty_like(f), np.empty_like(f[0])
+    for r, c in ((0, 1), (1, 0)):  # y[r] = (a[c, c] f[r] - a[r, c] f[c]) / det, in that order
+        np.multiply(a[c, c], f[r], out=y[r])
+        np.subtract(y[r], np.multiply(a[r, c], f[c], out=scratch), out=y[r])
+        np.divide(y[r], det, out=y[r])
+    del resp, a, f, det, scratch  # resp is the largest: free it before the map back allocates
     y[0], y[1] = y[0] + y[1], y[0] - y[1]
     return keep, y, cond
 
@@ -229,11 +220,16 @@ def build_channel(
 
     Raises:
         RatioSetMismatchError: the alphabet differs from the states' or is odd.
-        InvalidArgumentError: the polarizations are not two unit 2-vectors.
+        InvalidArgumentError: the angles are not two rows of two numbers, or the
+            polarizations not two unit 2-vectors.
     """
     _states(s_hat, constellation)  # the alphabet check
-    angles = np.asarray(rx_angles, dtype=float)
-    pols = np.asarray(rx_polarizations, dtype=complex)
+    angles = None
+    with contextlib.suppress(TypeError, ValueError):  # not numbers
+        angles = np.asarray(rx_angles, dtype=float)
+    if np.shape(angles) != (2, 2):
+        raise InvalidArgumentError(f"rx_angles must be two (theta, phi) rows, got {rx_angles!r}")
+    pols = _unit_polarizations(rx_polarizations)
     resp = _responses([s_hat.state(k) for k in range(constellation.order)],
                       angles[:, :1], angles[:, 1:], pols)
     return LinkScenario(rx_angles=angles, rx_polarizations=pols, responses=resp[..., 0],
@@ -266,7 +262,9 @@ def received_constellation(
 
     Raises:
         SingularChannelError: channel singular or conditioned above the cap.
+        InvalidArgumentError: the cap is not a number.
     """
+    condition_cap = require_float(condition_cap, "condition_cap", finite=False)
     order = _order(scenario.constellation.ratio_set)
     keep, g, cond = _decode(scenario.responses[:, order, None], condition_cap)
     if not keep[0]:
@@ -308,21 +306,6 @@ def constellation_at_angle(
     return received_constellation(scenario, condition_cap)
 
 
-def great_circle_offset(theta, phi, distance, bearing):
-    """Destination of a great-circle step from (theta, phi).
-
-    Bearing 0 heads toward the north pole (decreasing theta); angles are
-    radians.  Vectorized over all inputs.
-    """
-    ct1 = np.cos(theta)
-    st1 = np.sin(theta)
-    cd, sd = np.cos(distance), np.sin(distance)
-    ct2 = np.clip(ct1 * cd + st1 * sd * np.cos(bearing), -1.0, 1.0)
-    theta2 = np.arccos(ct2)
-    dphi = np.arctan2(np.sin(bearing) * sd * st1, cd - ct1 * ct2)
-    return theta2, np.mod(phi + dphi, 2.0 * np.pi)
-
-
 def draw_geometries(rng: np.random.Generator, n: int, separation_deg=(3.0, 5.0)):
     """``n`` random two-receiver geometries as (2, n) theta and phi arrays in radians.
 
@@ -337,10 +320,12 @@ def draw_geometries(rng: np.random.Generator, n: int, separation_deg=(3.0, 5.0))
 
 
 def _separation(separation_deg) -> tuple[float, float]:
-    lo, hi = map(float, separation_deg)
+    lo = hi = math.nan
+    with contextlib.suppress(TypeError, ValueError):  # not two numbers
+        lo, hi = map(float, separation_deg)
     if not 0.0 < lo <= hi:  # NaN fails
-        raise InvalidArgumentError("geometries need a separation interval with "
-                                   f"0 < min <= max, got ({lo}, {hi})")
+        raise InvalidArgumentError("separation_deg must be (min, max) with 0 < min <= max, "
+                                   f"got {separation_deg!r}")
     return lo, hi
 
 
@@ -350,8 +335,16 @@ def _angles(u: np.ndarray, separation: tuple[float, float]):
     theta1 = np.arccos(1.0 - 2.0 * u[0])
     phi1 = 2.0 * np.pi * u[1]
     dist = np.deg2rad(lo) + (np.deg2rad(hi) - np.deg2rad(lo)) * u[2]
-    theta2, phi2 = great_circle_offset(theta1, phi1, dist, 2.0 * np.pi * u[3])
-    return np.stack([theta1, theta2]), np.stack([phi1, phi2])
+    bearing = 2.0 * np.pi * u[3]  # of receiver 2's great-circle step; 0 heads north
+    ct1, st1 = np.cos(theta1), np.sin(theta1)
+    cd, sd = np.cos(dist), np.sin(dist)
+    ct2 = np.clip(ct1 * cd + st1 * sd * np.cos(bearing), -1.0, 1.0)
+    phi2 = phi1 + np.arctan2(np.sin(bearing) * sd * st1, cd - ct1 * ct2)  # in [-pi, 3 pi)
+    # np.mod(phi2, 2 pi) bit for bit: the subtract is exact, the add rounds as the mod
+    # does, and no sum is -0.0 (phi1 >= +0.0), where the two would differ
+    two_pi = 2.0 * np.pi
+    phi2 = np.where(phi2 < 0.0, phi2 + two_pi, np.where(phi2 >= two_pi, phi2 - two_pi, phi2))
+    return np.stack([theta1, np.arccos(ct2)]), np.stack([phi1, phi2])
 
 
 @dataclass(frozen=True)
@@ -618,6 +611,7 @@ def run_monte_carlo(
         raise InvalidArgumentError(f"n_scenarios must be in [1, {MAX_SCENARIOS}], got {n}")
     if seed < 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
+    condition_cap = require_float(condition_cap, "condition_cap", finite=False)
     if not condition_cap > 1.0:
         raise InvalidArgumentError(f"condition_cap must exceed 1, got {condition_cap!r}")
     if threads < 1:

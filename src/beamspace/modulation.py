@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, RatioSetMismatchError
+from .errors import InvalidArgumentError, RatioSetMismatchError, require_float, require_whole
 
 __all__ = ["RatioSet", "PskConstellation", "ratio_label"]
 
@@ -45,12 +45,11 @@ class RatioSet:
     values: tuple[complex, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if int(self.order) != self.order or self.order < 2:
-            raise InvalidArgumentError("ratio-set order must be an integer >= 2")
-        object.__setattr__(self, "order", int(self.order))
-        object.__setattr__(
-            self, "values", tuple(_unit_phasor(k, self.order) for k in range(self.order))
-        )
+        order = require_whole(self.order, "ratio-set order")
+        if order < 2:
+            raise InvalidArgumentError(f"ratio-set order must be >= 2, got {order}")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "values", tuple(_unit_phasor(k, order) for k in range(order)))
 
     def label(self, k: int) -> str:
         return ratio_label(k, self.order)
@@ -77,10 +76,11 @@ class PskConstellation:
     phase_offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if int(self.order) != self.order or self.order < 2:
-            raise InvalidArgumentError("constellation order must be an integer >= 2")
-        object.__setattr__(self, "order", int(self.order))
-        object.__setattr__(self, "phase_offset", float(self.phase_offset))
+        order = require_whole(self.order, "constellation order")
+        if order < 2:
+            raise InvalidArgumentError(f"constellation order must be >= 2, got {order}")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "phase_offset", require_float(self.phase_offset, "phase offset"))
 
     @classmethod
     def qpsk(cls) -> "PskConstellation":

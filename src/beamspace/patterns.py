@@ -25,6 +25,7 @@ from .errors import (
     InvalidArgumentError,
     RatioSetMismatchError,
     UndefinedRatioError,
+    require_float,
     require_integer,
 )
 from .modulation import RatioSet
@@ -32,7 +33,6 @@ from .sphere import (
     THETA_POL,
     SphericalGrid,
     VectorPattern,
-    great_circle_distance,
     inner_product,
     integrate_power,
     lincomb,
@@ -315,22 +315,33 @@ class GaussianLobe:
     polarization: tuple[complex, complex] = THETA_POL
 
     def __post_init__(self) -> None:
-        if not self.width > 0.0:
-            raise InvalidArgumentError("lobe width must be positive")
-        vals = (self.theta, self.phi, self.width, self.amplitude, self.phase,
-                *self.polarization)
-        if not np.all(np.isfinite(np.asarray(vals, dtype=complex))):
-            raise InvalidArgumentError("lobe parameters must be finite")
-        object.__setattr__(
-            self, "polarization",
-            (complex(self.polarization[0]), complex(self.polarization[1])),
-        )
+        _check_fields(self, "lobe")
+        try:
+            pol = tuple(map(complex, self.polarization))
+        except (TypeError, ValueError):
+            pol = ()
+        if len(pol) != 2 or not np.all(np.isfinite(pol)):
+            raise InvalidArgumentError("lobe polarization must be two finite complex numbers, "
+                                       f"got {self.polarization!r}")
+        object.__setattr__(self, "polarization", pol)
 
 
-def _lobe_profile(grid: SphericalGrid, theta0, phi0, width, amplitude, phase) -> np.ndarray:
-    t, p = np.meshgrid(grid.theta, grid.phi, indexing="ij")
-    d = great_circle_distance(t, p, theta0, phi0)
-    return amplitude * np.exp(1j * phase) * np.exp(-(d * d) / (2.0 * width * width))
+def _check_fields(lobe, kind: str) -> None:
+    """A lobe's center, width, amplitude and phase as finite floats, its width positive."""
+    for name in ("theta", "phi", "width", "amplitude", "phase"):
+        object.__setattr__(lobe, name, require_float(getattr(lobe, name), f"{kind} {name}"))
+    if not lobe.width > 0.0:
+        raise InvalidArgumentError(f"{kind} width must be positive")
+
+
+def _lobe_profile(grid: SphericalGrid, lobe) -> np.ndarray:
+    """A lobe's complex Gaussian at every node, formed on the grid's axes: a meshgrid's
+    operations in its order, so its bits, but cos and sin of n_theta + n_phi angles."""
+    t, p = grid.theta[:, None], grid.phi[None, :]
+    cosd = np.cos(t) * np.cos(lobe.theta) + np.sin(t) * np.sin(lobe.theta) * np.cos(p - lobe.phi)
+    d = np.arccos(np.clip(cosd, -1.0, 1.0))
+    w = lobe.width
+    return lobe.amplitude * np.exp(1j * lobe.phase) * np.exp(-(d * d) / (2.0 * w * w))
 
 
 def generate_mirror_pair(
@@ -350,7 +361,7 @@ def generate_mirror_pair(
     e_theta = np.zeros(grid.shape, dtype=complex)
     e_phi = np.zeros(grid.shape, dtype=complex)
     for lobe in lobes:
-        g = _lobe_profile(grid, lobe.theta, lobe.phi, lobe.width, lobe.amplitude, lobe.phase)
+        g = _lobe_profile(grid, lobe)
         e_theta += g * lobe.polarization[0]
         e_phi += g * lobe.polarization[1]
     e_plus = VectorPattern(grid=grid, e_theta=e_theta, e_phi=e_phi)
@@ -406,10 +417,7 @@ class PerturbationLobe:
     polarization: str = "both"
 
     def __post_init__(self) -> None:
-        if not self.width > 0.0:
-            raise InvalidArgumentError("perturbation lobe width must be positive")
-        if not np.all(np.isfinite((self.theta, self.phi, self.width, self.amplitude, self.phase))):
-            raise InvalidArgumentError("perturbation lobe parameters must be finite")
+        _check_fields(self, "perturbation lobe")
         if self.polarization not in _POLARIZATION_TARGETS:
             raise InvalidArgumentError(
                 f"polarization must be one of {_POLARIZATION_TARGETS}"
@@ -445,8 +453,7 @@ def generate_perturbation(
     pairs = {k: (tuple(t), tuple(p)) for k, (t, p) in touched.items()}
     sums = dict.fromkeys(s for pair in pairs.values() for s in pair)  # None: no bump yet
     for i, lobe in enumerate(lobes):
-        bump = _lobe_profile(grid, lobe.theta, lobe.phi, lobe.width,
-                             lobe.amplitude, lobe.phase)
+        bump = _lobe_profile(grid, lobe)
         for s, f in sums.items():
             if i in s:
                 sums[s] = 1.0 + bump if f is None else np.add(f, bump, out=f)

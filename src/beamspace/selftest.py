@@ -56,11 +56,9 @@ class CriterionResult:
 def _random_lobe(rng: np.random.Generator, cls, margin, width_deg, amplitude, **fixed):
     """A ``cls`` lobe drawn uniformly: theta at least ``margin`` from the poles, any phi,
     width (degrees) and amplitude in the given ranges, any phase."""
-    return cls(theta=float(rng.uniform(margin, np.pi - margin)),
-               phi=float(rng.uniform(0.0, 2.0 * np.pi)),
-               width=float(rng.uniform(*np.deg2rad(width_deg))),
-               amplitude=float(rng.uniform(*amplitude)),
-               phase=float(rng.uniform(0.0, 2.0 * np.pi)), **fixed)
+    return cls(theta=rng.uniform(margin, np.pi - margin), phi=rng.uniform(0.0, 2.0 * np.pi),
+               width=rng.uniform(*np.deg2rad(width_deg)), amplitude=rng.uniform(*amplitude),
+               phase=rng.uniform(0.0, 2.0 * np.pi), **fixed)
 
 
 def _unit_polarization(rng: np.random.Generator) -> tuple[complex, complex]:

@@ -18,21 +18,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AngleOutOfRangeError, GridMismatchError, InvalidArgumentError
+from .errors import AngleOutOfRangeError, GridMismatchError, InvalidArgumentError, require_whole
 
 __all__ = [
     "FOUR_PI",
     "SphericalGrid",
     "VectorPattern",
     "build_grid",
-    "same_grid",
     "require_same_grid",
     "integrate_power",
     "inner_product",
     "lincomb",
     "bilinear_stencil",
     "apply_stencil",
-    "great_circle_distance",
 ]
 
 FOUR_PI = 4.0 * np.pi
@@ -95,9 +93,7 @@ class SphericalGrid:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if int(self.n_theta) != self.n_theta or int(self.n_phi) != self.n_phi:
-            raise InvalidArgumentError("grid sample counts must be integers")
-        n_theta, n_phi = int(self.n_theta), int(self.n_phi)
+        n_theta, n_phi = require_whole(self.n_theta, "n_theta"), require_whole(self.n_phi, "n_phi")
         if n_theta < 3:
             raise InvalidArgumentError(f"n_theta must be >= 3, got {n_theta}")
         if n_phi < 4:
@@ -133,13 +129,8 @@ def build_grid(n_theta: int, n_phi: int) -> SphericalGrid:
     return SphericalGrid(n_theta, n_phi)
 
 
-def same_grid(a: SphericalGrid, b: SphericalGrid) -> bool:
-    """True when the two grids have one shape, and so bitwise-equal samples."""
-    return a.shape == b.shape
-
-
 def require_same_grid(a: SphericalGrid, b: SphericalGrid) -> None:
-    if not same_grid(a, b):
+    if a.shape != b.shape:
         raise GridMismatchError(f"grids differ: {a.shape} vs {b.shape}")
 
 
@@ -267,10 +258,3 @@ def apply_stencil(stencil, fields: np.ndarray) -> np.ndarray:
         out += w * flat.take(nodes, axis=-1)  # the sum's order, with fewer temporaries
     return out
 
-
-def great_circle_distance(theta1, phi1, theta2, phi2) -> np.ndarray:
-    """Central angle between two solid angles given as polar/azimuth radians."""
-    cosd = np.cos(theta1) * np.cos(theta2) + np.sin(theta1) * np.sin(theta2) * np.cos(
-        np.asarray(phi1) - np.asarray(phi2)
-    )
-    return np.arccos(np.clip(cosd, -1.0, 1.0))

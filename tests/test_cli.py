@@ -505,6 +505,7 @@ def _exit_code(argv):
 
 
 _NAN, _INF = float("nan"), float("inf")
+_PROFILE_LOBE = {"theta_deg": 90.0, "phi_deg": 0.0, "width_deg": 30.0}
 
 
 class TestMalformedInput:
@@ -542,6 +543,17 @@ class TestMalformedInput:
         # more state-pattern samples than MAX_STATE_SAMPLES: refused before any allocation
         (("grid",), {"n_theta": 10**6, "n_phi": 10**6}, [], "grid.n_theta x grid.n_phi"),
         (("constellation", "order"), 10**4, [], "constellation.order x grid"),
+        # a lobe the lobe's own checks refuse, named by its entry
+        (("perturbation", "lobes", 0, "width_deg"), 0, [],
+         "error: perturbation.lobes[0]: perturbation lobe width must be positive\n"),
+        (("antenna",), {"profile": {"lobes": [_PROFILE_LOBE | {"polarization": [[1, 0]]}]}}, [],
+         "antenna.profile.lobes[0].polarization must be 'theta', 'phi' or [[re, im], [re, im]]"),
+        (("antenna",), {"profile": {"lobes": [_PROFILE_LOBE]}, "pattern_files": {}}, [],
+         "error: antenna: give either profile or pattern_files, not both\n"),
+        (("antenna",), {"profile": {"lobes": []}}, [],
+         "error: antenna.profile.lobes must not be empty\n"),
+        (("monte_carlo", "condition_cap"), 1, [],
+         "error: monte_carlo.condition_cap must exceed 1, got 1.0\n"),
     ])
     def test_exit_2_naming_the_key(self, tmp_path, path, value, flags, named):
         payload = _set(json.loads((CONFIGS / "hand_scenario.json").read_text()), path, value)
@@ -551,6 +563,15 @@ class TestMalformedInput:
         assert code == 2
         assert named in err
         assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_accepted_spellings(self, hand_config):
+        # an integral float for an integer key, and a named antenna lobe polarization
+        lobe = _PROFILE_LOBE | {"polarization": "phi"}
+        cfg = load_config(hand_config, [("monte_carlo.scenarios", 1.4e6),
+                                        ("antenna.profile", {"lobes": [lobe]})])
+        assert cfg.scenarios == 1_400_000 and type(cfg.scenarios) is int
+        assert cfg.antenna_lobes[0].polarization == (0j, 1 + 0j)
 
     @pytest.mark.parametrize("order, antenna, named", [
         # the hand config's lobes name QPSK states; at order 610 the labels are ratio_k

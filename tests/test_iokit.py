@@ -145,6 +145,28 @@ class TestPatternCsv:
             with pytest.raises(PatternFormatError, match="n_theta"):
                 load_pattern_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        # every column present, two of them swapped
+        ("theta_deg,phi_deg,re_etheta,im_etheta,im_ephi,re_ephi\n0,0,1,0,0,0\n",
+         "columns must be exactly theta_deg,phi_deg,"),
+        ("# n_theta: 3.5\n" + ",".join(iokit.PATTERN_COLUMNS) + "\n0,0,1,0,0,0\n",
+         "bad header metadata in .*p.csv"),
+        ("# n_theta: 3\n" + ",".join(iokit.PATTERN_COLUMNS) + "\n", "p.csv: no data rows"),
+        # one polar angle over four azimuths
+        (",".join(iokit.PATTERN_COLUMNS) + "\n"
+         + "".join(f"90,{phi},1,0,0,0\n" for phi in (0, 90, 180, 270)),
+         "single polar angle; full grid required"),
+        # two polar rows, pole to pole: below the grid's minimum of three
+        (",".join(iokit.PATTERN_COLUMNS) + "\n"
+         + "".join(f"{t},{phi},1,0,0,0\n" for t in (0, 180) for phi in (0, 90, 180, 270)),
+         "p.csv: n_theta must be >= 3, got 2"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        with pytest.raises(PatternFormatError, match=message):
+            load_pattern_csv(path)
+
     def test_hand_written_small_file_lands_on_indices(self, tmp_path):
         # 3x4 grid written by hand with two marked samples; then again with
         # comment and blank lines between data rows and quoted numbers

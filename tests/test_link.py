@@ -30,8 +30,6 @@ from beamspace import (
     draw_geometries,
     generate_mirror_pair,
     generate_perturbation,
-    great_circle_distance,
-    great_circle_offset,
     link,
     load_cdf_csv,
     load_config,
@@ -409,32 +407,79 @@ class TestConstellationAtAngle:
         assert np.max(np.abs(pairs.actual - pairs.ideal)[:, ~pm1]) > 1e-3
 
 
+def _distance(theta1, phi1, theta2, phi2):
+    """Great-circle angle between two directions, by the spherical law of cosines."""
+    cosd = np.cos(theta1) * np.cos(theta2) + np.sin(theta1) * np.sin(theta2) * np.cos(phi1 - phi2)
+    return np.arccos(np.clip(cosd, -1.0, 1.0))
+
+
+def _step(theta1, phi1, dist, bearing):
+    """``link._angles`` of the uniforms that put receiver 1 at (theta1, phi1) and
+    receiver 2 one step of ``dist`` radians along ``bearing`` from it, by the
+    separation (d, d) degrees: (2,) theta and phi, receiver 1 first."""
+    u = np.array([[(1.0 - np.cos(theta1)) / 2.0], [phi1 / (2 * np.pi)], [0.5],
+                  [bearing / (2 * np.pi)]])
+    theta, phi = link._angles(u, (np.rad2deg(dist),) * 2)
+    return theta[:, 0], phi[:, 0]
+
+
+def _wrapped_reference(u, separation):
+    """The transform of ``draw_geometries`` with its azimuth wrapped by ``np.mod``,
+    and receiver 2's azimuth before the wrap."""
+    lo, hi = separation
+    theta1, phi1 = np.arccos(1.0 - 2.0 * u[0]), 2.0 * np.pi * u[1]
+    dist = np.deg2rad(lo) + (np.deg2rad(hi) - np.deg2rad(lo)) * u[2]
+    bearing = 2.0 * np.pi * u[3]
+    ct1, st1, cd, sd = np.cos(theta1), np.sin(theta1), np.cos(dist), np.sin(dist)
+    ct2 = np.clip(ct1 * cd + st1 * sd * np.cos(bearing), -1.0, 1.0)
+    phi2 = phi1 + np.arctan2(np.sin(bearing) * sd * st1, cd - ct1 * ct2)
+    return (np.stack([theta1, np.arccos(ct2)]),
+            np.stack([phi1, np.mod(phi2, 2.0 * np.pi)])), phi2
+
+
 class TestGeometry:
     def test_offset_distance_preserved(self):
-        rng = np.random.default_rng(7)
-        theta = np.arccos(1 - 2 * rng.random(200))
-        phi = 2 * np.pi * rng.random(200)
-        dist = D(3.0) + D(2.0) * rng.random(200)
-        bearing = 2 * np.pi * rng.random(200)
-        theta2, phi2 = great_circle_offset(theta, phi, dist, bearing)
-        got = great_circle_distance(theta, phi, theta2, phi2)
-        assert np.max(np.abs(got - dist)) <= 1e-9
+        u = np.random.default_rng(7).random((4, 200))
+        theta, phi = link._angles(u, (3.0, 5.0))
+        got = _distance(theta[0], phi[0], theta[1], phi[1])
+        assert np.max(np.abs(got - (D(3.0) + (D(5.0) - D(3.0)) * u[2]))) <= 1e-9
 
     def test_zero_bearing_heads_to_north_pole(self):
-        theta2, phi2 = great_circle_offset(1.0, 2.0, 0.3, 0.0)
-        assert theta2 == pytest.approx(0.7, abs=1e-12)
-        assert phi2 == pytest.approx(2.0, abs=1e-12)
+        theta, phi = _step(1.0, 2.0, 0.3, 0.0)
+        assert theta[0] == pytest.approx(1.0, abs=1e-12) and phi[0] == pytest.approx(2.0)
+        assert theta[1] == pytest.approx(0.7, abs=1e-12)
+        assert phi[1] == pytest.approx(2.0, abs=1e-12)
 
     def test_pole_crossing(self):
-        theta2, phi2 = great_circle_offset(0.1, 1.0, 0.3, 0.0)
-        assert theta2 == pytest.approx(0.2, abs=1e-12)
-        assert phi2 == pytest.approx(1.0 + np.pi, abs=1e-9)
+        theta, phi = _step(0.1, 1.0, 0.3, 0.0)
+        assert theta[1] == pytest.approx(0.2, abs=1e-12)
+        assert phi[1] == pytest.approx(1.0 + np.pi, abs=1e-9)
+
+    @pytest.mark.parametrize("separation", [(3.0, 5.0), (0.1, 179.0)])
+    def test_wrap_is_np_mod_bit_for_bit(self, separation):
+        # a drawn chunk, then receiver 2 on the edges of the wrap: bearing 0 from the
+        # equator heads due north, dphi = +0.0, so its azimuth before the wrap is 2 pi u1
+        two_pi = 2.0 * np.pi
+        u1 = np.array([-5e-324, -1e-17 / two_pi, -0.0, 0.0, np.nextafter(1.0, 0.0), 1.0])
+        edges = np.stack([np.full(6, 0.5), u1, np.full(6, 0.5), np.zeros(6)])
+        drawn = np.random.default_rng(11).random((4, link._CHUNK))
+        for u in (drawn, edges):
+            (want_theta, want_phi), before = _wrapped_reference(u, separation)
+            theta, phi = link._angles(u, separation)
+            assert theta.tobytes() == want_theta.tobytes()
+            assert phi.tobytes() == want_phi.tobytes()
+            if u is drawn:  # both branches of the wrap are taken
+                assert (before < 0.0).any() and (before >= two_pi).any()
+        # the edges: the negative denormal nearest 0 that 2 pi u1 reaches, about -1e-17,
+        # zero (-0.0 + 0.0 is +0.0), the double below 2 pi and 2 pi itself
+        assert before[0] == -6 * 5e-324 and before[1] == pytest.approx(-1e-17, rel=1e-15)
+        assert before[2:].tolist() == [0.0, 0.0, np.nextafter(two_pi, 0.0), two_pi]
 
     def test_draw_geometries(self):
         n = 100_000
         theta, phi = draw_geometries(np.random.default_rng(19), n, (3.0, 5.0))
         assert theta.shape == phi.shape == (2, n)
-        dist = great_circle_distance(theta[0], phi[0], theta[1], phi[1])
+        dist = _distance(theta[0], phi[0], theta[1], phi[1])
         assert np.all((dist >= D(3.0) - 1e-9) & (dist <= D(5.0) + 1e-9))
         assert np.all((theta >= 0.0) & (theta <= np.pi))
         assert np.all((phi >= 0.0) & (phi < 2 * np.pi))
@@ -532,10 +577,29 @@ class TestMonteCarlo:
         {"condition_cap": float("nan")}, {"condition_cap": 0.5}, {"condition_cap": 1.0},
         {"seed": 1.5}, {"n_scenarios": 2.5}, {"threads": 1.5}, {"seed": -1}, {"threads": 0},
         {"n_scenarios": True}, {"seed": True},
+        # malformed scalars and sequences, not a raw TypeError or ValueError
+        {"condition_cap": "x"}, {"condition_cap": None}, {"separation_deg": ("a", 5)},
+        {"separation_deg": None}, {"separation_deg": (3.0, 4.0, 5.0)}, {"rx_polarizations": "x"},
     ])
     def test_untrusted_arguments_rejected(self, free_states, free_basis, bad):
         with pytest.raises(InvalidArgumentError, match=next(iter(bad))):
             run_monte_carlo(free_states, free_basis, QPSK, **({"n_scenarios": 10, "seed": 1} | bad))
+
+    @pytest.mark.parametrize("call, named", [
+        (lambda s: draw_geometries(np.random.default_rng(0), 3, ("a", 5)), "separation_deg"),
+        (lambda s: draw_geometries(np.random.default_rng(0), 3, None), "separation_deg"),
+        (lambda s: build_channel(s, "x", QPSK), "rx_angles"),
+        (lambda s: build_channel(s, (RX1,), QPSK), "rx_angles"),
+        (lambda s: build_channel(s, (RX1, RX2), QPSK, "x"), "rx_polarizations"),
+        (lambda s: constellation_at_angle(s, QPSK, "a", 1.0), "rx_angles"),
+        (lambda s: received_constellation(build_channel(s, (RX1, RX2), QPSK), "x"),
+         "condition_cap"),
+    ], ids=["draw_geometries-('a', 5)", "draw_geometries-None", "build_channel-'x'",
+            "build_channel-one-row", "build_channel-pols-'x'", "constellation_at_angle-'a'",
+            "received_constellation-cap-'x'"])
+    def test_untrusted_link_arguments_rejected(self, free_states, call, named):
+        with pytest.raises(InvalidArgumentError, match=named):
+            call(free_states)
 
     def test_scenario_limit(self, free_states, free_basis, monkeypatch):
         def no_draw(*args, **kwargs):
@@ -861,12 +925,13 @@ class TestScenarioLastKernel:
             want = reference_responses(patterns, theta, phi, pols)
             _same_bits(resp, np.moveaxis(want, 0, -1))
             for cap in (DEFAULT_CONDITION_CAP, 200.0):
-                keep, g, cond = link._zf_gains(resp[:, :2], resp[:, 2:], cap)
-                want_keep, want_g, want_cond = reference_zf_gains(want[:, :, :2],
-                                                                  want[:, :, 2:], cap)
+                # _decode's solve is the reference's, then the map back G = T^-1 y
+                keep, g, cond = link._decode(resp, cap)
+                want_keep, y, want_cond = reference_zf_gains(want[:, :, :2], want[:, :, 2:], cap)
                 _same_bits(keep, want_keep)
                 _same_bits(cond, want_cond)
-                _same_bits(g, np.moveaxis(want_g, 0, -1))
+                y = np.moveaxis(y, 0, -1)
+                _same_bits(g, np.stack([y[0] + y[1], y[0] - y[1]]))
 
     @pytest.mark.parametrize("pols", POLARIZATION_PAIRS.values(), ids=POLARIZATION_PAIRS)
     def test_build_channel_and_received_constellation(self, shipped_assembly, pols):
@@ -1077,17 +1142,27 @@ class TestSketch:
 _POLS = (THETA_POL, PHI_POL, (np.sqrt(0.5), 0.5 + 0.5j), (np.cos(0.3), np.exp(0.7j) * np.sin(0.3)))
 
 
-def _geometries(phi1=st.floats(0.0, 2 * np.pi)):
-    """Receiver 1, then receiver 2's distance and bearing from it, then both polarizations."""
-    return st.tuples(st.floats(0.05, np.pi - 0.05), phi1, st.floats(D(3.0), D(5.0)),
-                     st.floats(0.0, 2 * np.pi), st.sampled_from(_POLS), st.sampled_from(_POLS))
+def _receivers(draw):
+    """(2, 2) receive angles, receiver 1's row first, from ``link._angles`` of one draw."""
+    *u, d, pol1, pol2 = draw
+    theta, phi = link._angles(np.array(u)[:, None], (d, d))
+    return np.stack([theta[:, 0], phi[:, 0]], axis=1), pol1, pol2
+
+
+def _geometries(u1=st.floats(0.0, 1.0, exclude_max=True)):
+    """Receive angles from four uniforms and a separation (d, d) degrees, receiver 1
+    at least 0.05 rad from the poles, then both polarizations."""
+    margin = (1.0 - np.cos(0.05)) / 2.0  # the u0 of theta1 = 0.05
+    return st.tuples(st.floats(margin, 1.0 - margin), u1, st.floats(0.0, 1.0),
+                     st.floats(0.0, 1.0, exclude_max=True), st.floats(3.0, 5.0),
+                     st.sampled_from(_POLS), st.sampled_from(_POLS)).map(_receivers)
 
 
 _geometry = _geometries()
 # half of the draws put receiver 1 in the last azimuth cell of the 2-degree grid,
 # where bilinear sampling wraps to phi = 0
-_seam_geometry = _geometries(st.floats(0.0, 2 * np.pi)
-                             | st.floats(2 * np.pi - D(2.0), 2 * np.pi, exclude_max=True))
+_seam_geometry = _geometries(st.floats(0.0, 1.0, exclude_max=True)
+                             | st.floats(1.0 - 1.0 / 180.0, 1.0, exclude_max=True))
 
 
 def _decoded(states, angles, pols):
@@ -1113,9 +1188,7 @@ class TestMetamorphic:
     @given(geometry=_geometry)
     def test_receiver_swap(self, hand_states, geometry):
         # swapping the receivers swaps the rows of A and F and leaves G = H^-1 F
-        theta1, phi1, dist, bearing, pol1, pol2 = geometry
-        rx1 = (theta1, phi1)
-        rx2 = great_circle_offset(theta1, phi1, dist, bearing)
+        (rx1, rx2), pol1, pol2 = geometry
         sa, a = _decoded(hand_states, (rx1, rx2), (pol1, pol2))
         sb, b = _decoded(hand_states, (rx2, rx1), (pol2, pol1))
         assert sb.responses.tobytes() == sa.responses[::-1].tobytes()
@@ -1130,8 +1203,7 @@ class TestMetamorphic:
     @given(geometry=_geometry, log_scale=st.floats(-2.0, 2.0), phase=st.floats(0.0, 2 * np.pi))
     def test_global_scale(self, grid, hand_states, geometry, log_scale, phase):
         # A and F scale together, so the decoded points move by round-off only
-        theta1, phi1, dist, bearing, pol1, pol2 = geometry
-        angles = ((theta1, phi1), great_circle_offset(theta1, phi1, dist, bearing))
+        angles, pol1, pol2 = geometry
         c = 10.0 ** log_scale * np.exp(1j * phase)
         scaled = StatePatternSet(
             ratios=RATIOS,
@@ -1172,8 +1244,7 @@ class TestMetamorphic:
         # rolling every state by whole azimuth steps rotates the antenna with
         # its perturbation; receivers rotated by the same angle see the same
         # field, up to the round-off of locating them in their new cells
-        theta1, phi1, dist, bearing, pol1, pol2 = geometry
-        angles = np.array(((theta1, phi1), great_circle_offset(theta1, phi1, dist, bearing)))
+        angles, pol1, pol2 = geometry
         rotated = StatePatternSet(
             ratios=RATIOS,
             patterns={k: VectorPattern(grid=grid,

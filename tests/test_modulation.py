@@ -33,6 +33,8 @@ class TestPskConstellation:
     def test_order_validation(self):
         with pytest.raises(InvalidArgumentError):
             PskConstellation(1)
+        with pytest.raises(InvalidArgumentError, match="ratio-set order must be >= 2, got 1"):
+            RatioSet(1)
 
     def test_nearest_quantization(self):
         con = PskConstellation.qpsk()

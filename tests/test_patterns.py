@@ -27,7 +27,6 @@ from beamspace import (
     evm_map,
     generate_mirror_pair,
     generate_perturbation,
-    great_circle_distance,
     inner_product,
     integrate_power,
     lincomb,
@@ -345,6 +344,12 @@ class TestEvm:
         with pytest.raises(DegenerateAngleError):
             everywhere.average()
 
+    def test_arrays_must_match_grid_shape(self, small_grid):
+        ok, wrong = np.zeros(small_grid.shape), np.zeros(small_grid.shape[::-1])
+        for values, mask, named in ((wrong, ok, "values"), (ok, ok[:-1], "degenerate_mask")):
+            with pytest.raises(InvalidArgumentError, match=f"EVM {named} must match grid shape"):
+                EvmMap(grid=small_grid, values=values, degenerate_mask=mask)
+
     def test_masked_fraction_zero_for_nonvanishing_basis(self, default_grid):
         states = generate_mirror_pair(default_mirror_profile(), default_grid, RATIOS)
         emap = evm_map(states)
@@ -546,8 +551,7 @@ class TestGenerators:
                  PerturbationLobe(theta=2.0, phi=4.0, width=0.6, amplitude=-0.3, phase=1.1,
                                   states=(3,), polarization="theta")]
         psi = generate_perturbation(lobes, small_grid, ratios8)
-        b0, b1 = (_lobe_profile(small_grid, lobe.theta, lobe.phi, lobe.width,
-                                lobe.amplitude, lobe.phase) for lobe in lobes)
+        b0, b1 = (_lobe_profile(small_grid, lobe) for lobe in lobes)
         assert len({id(a) for f in psi.values() for a in (f.e_theta, f.e_phi)}) == 2
         assert len({id(f) for f in psi.values()}) == 2
         for k in range(8):
@@ -580,9 +584,44 @@ class TestGenerators:
                             polarization=(1.0, 0.0))
         states = generate_mirror_pair([lobe], small_grid, RATIOS)
         i, j = 3, 5
-        d = great_circle_distance(small_grid.theta[i], small_grid.phi[j], 1.0, 2.0)
+        t, p = small_grid.theta[i], small_grid.phi[j]
+        d = np.arccos(np.cos(t) * np.cos(1.0) + np.sin(t) * np.sin(1.0) * np.cos(p - 2.0))
         want = np.exp(-d * d / (2 * 0.5 * 0.5))
         assert abs(states.state(0).e_theta[i, j]) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(7, 13), (91, 180), (37, 101)])
+    def test_lobe_profile_is_the_meshgrid_profile_bit_for_bit(self, shape):
+        # the profile on the grid's axes against every node's angles as a meshgrid:
+        # each node's operations in one order, so the same bits
+        grid = build_grid(*shape)
+        t, p = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+        rng = np.random.default_rng(shape[0])
+        lobes = [*default_mirror_profile(), *(
+            PerturbationLobe(theta=rng.uniform(0.0, np.pi), phi=rng.uniform(0.0, 2 * np.pi),
+                             width=rng.uniform(0.05, 1.5), amplitude=rng.uniform(-1.0, 1.0),
+                             phase=rng.uniform(-np.pi, np.pi)) for _ in range(8))]
+        for lobe in lobes:
+            cosd = (np.cos(t) * np.cos(lobe.theta)
+                    + np.sin(t) * np.sin(lobe.theta) * np.cos(p - lobe.phi))
+            d = np.arccos(np.clip(cosd, -1.0, 1.0))
+            want = (lobe.amplitude * np.exp(1j * lobe.phase)
+                    * np.exp(-(d * d) / (2.0 * lobe.width * lobe.width)))
+            assert _lobe_profile(grid, lobe).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("make, named", [
+        (lambda: GaussianLobe(theta=np.nan, phi=0.0, width=0.5), "lobe theta"),
+        (lambda: GaussianLobe(theta=1.0, phi=0.0, width=0.5, amplitude=np.inf), "amplitude"),
+        (lambda: GaussianLobe(theta=1.0, phi=0.0, width=0.5, polarization=(np.nan, 1.0)),
+         "lobe polarization"),
+        (lambda: GaussianLobe(theta=1.0, phi=0.0, width=0.0), "lobe width must be positive"),
+        (lambda: PerturbationLobe(theta=1.0, phi=0.0, width=0.5, amplitude=0.2,
+                                  polarization="x"), "polarization must be one of"),
+        (lambda: PerturbationLobe(theta=1.0, phi=0.0, width=-0.5, amplitude=0.2),
+         "perturbation lobe width must be positive"),
+    ])
+    def test_lobe_parameters_checked(self, make, named):
+        with pytest.raises(InvalidArgumentError, match=named):
+            make()
 
 
 class TestOtherOrders:

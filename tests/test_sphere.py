@@ -13,12 +13,11 @@ from beamspace import (
     SphericalGrid,
     VectorPattern,
     build_grid,
-    great_circle_distance,
     inner_product,
     integrate_power,
     lincomb,
-    same_grid,
 )
+from beamspace.sphere import require_same_grid
 from helpers import sample_pattern, uniform_pattern, zero_pattern
 
 
@@ -84,7 +83,7 @@ class TestBuildGrid:
 
     @pytest.mark.parametrize("n_theta,n_phi", [(3, 4), (7, 13), (91, 180)])
     def test_one_shape_one_set_of_samples(self, n_theta, n_phi):
-        # same_grid compares shapes only, which holds because samples follow from them
+        # require_same_grid compares shapes only, which holds because samples follow from them
         a, b = build_grid(n_theta, n_phi), SphericalGrid(n_theta, n_phi)
         assert a is not b
         for name in ("theta", "phi", "weights"):
@@ -369,14 +368,10 @@ class TestValidation:
                           e_phi=np.zeros((2, 2)))
 
     def test_same_grid(self, small_grid):
-        assert same_grid(small_grid, small_grid)
-        assert same_grid(small_grid, build_grid(5, 8))
-        assert not same_grid(small_grid, build_grid(5, 9))
-        assert same_grid(build_grid(7, 13), SphericalGrid(7, 13))
-        assert not same_grid(SphericalGrid(7, 13), SphericalGrid(13, 7))
-
-
-def test_great_circle_distance_basics():
-    assert great_circle_distance(0.0, 0.0, np.pi, 0.0) == pytest.approx(np.pi)
-    assert great_circle_distance(np.pi / 2, 0.0, np.pi / 2, np.pi / 2) == pytest.approx(np.pi / 2)
-    assert great_circle_distance(1.0, 2.0, 1.0, 2.0) == 0.0
+        # one shape passes, whichever way the grid was built; any other raises
+        for a, b in ((small_grid, small_grid), (small_grid, build_grid(5, 8)),
+                     (build_grid(7, 13), SphericalGrid(7, 13))):
+            assert require_same_grid(a, b) is None
+        for a, b in ((small_grid, build_grid(5, 9)), (SphericalGrid(7, 13), SphericalGrid(13, 7))):
+            with pytest.raises(GridMismatchError, match=r"grids differ: \(\d+, \d+\) vs"):
+                require_same_grid(a, b)
