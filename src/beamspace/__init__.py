@@ -22,7 +22,7 @@ _HOMES = {name: module for module, names in {
     "errors": ("AngleOutOfRangeError", "BeamspaceError", "ConfigError", "DEFAULT_CONDITION_CAP",
                "DegenerateAngleError", "DegenerateBasisError", "GridMismatchError",
                "InvalidArgumentError", "PatternFormatError", "RatioSetMismatchError",
-               "SingularChannelError", "UndefinedRatioError"),
+               "SingularChannelError"),
     "iokit": ("RunConfig", "load_cdf_csv", "load_config", "load_pattern_csv", "save_cdf_csv",
               "save_metrics_json", "save_pattern_csv", "save_results"),
     "link": ("CdfSummary", "LinkScenario", "MonteCarloResult", "SymbolPairs",
@@ -30,12 +30,10 @@ _HOMES = {name: module for module, names in {
              "received_constellation", "run_monte_carlo"),
     "modulation": ("PskConstellation", "RatioSet", "ratio_label"),
     "patterns": ("BasisPair", "EvmMap", "GaussianLobe", "PerturbationLobe", "StatePatternSet",
-                 "apply_perturbation", "basis_correlation_db", "compute_basis",
-                 "default_mirror_profile", "evm_map", "example_perturbation",
-                 "generate_mirror_pair", "generate_perturbation", "mirror_pattern",
-                 "perturbed_basis", "power_imbalance_db", "synthesize_pattern"),
-    "sphere": ("FOUR_PI", "SphericalGrid", "VectorPattern", "build_grid", "inner_product",
-               "integrate_power", "lincomb"),
+                 "apply_perturbation", "basis_correlation_db", "default_mirror_profile",
+                 "evm_map", "example_perturbation", "generate_mirror_pair",
+                 "generate_perturbation", "perturbed_basis", "power_imbalance_db"),
+    "sphere": ("FOUR_PI", "SphericalGrid", "VectorPattern", "build_grid", "integrate_power"),
 }.items() for name in names}
 __all__ = sorted(_HOMES)
 

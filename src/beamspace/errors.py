@@ -30,10 +30,6 @@ class AngleOutOfRangeError(BeamspaceError):
     """A requested solid angle lies outside the grid coverage."""
 
 
-class UndefinedRatioError(BeamspaceError):
-    """Symbol ratio x2/x1 requested with x1 = 0."""
-
-
 class RatioSetMismatchError(BeamspaceError):
     """State keys or a requested ratio do not match the ratio alphabet."""
 
@@ -75,8 +71,16 @@ def require_whole(value, name: str) -> int:
 
 
 def require_float(value, name: str, finite: bool = True) -> float:
-    """``value`` as ``float()`` reads it; finite unless ``finite`` is False."""
+    """``value`` as ``float()`` reads it, never from a string; finite unless ``finite`` is False."""
     with contextlib.suppress(TypeError, ValueError):
-        if not finite or math.isfinite(float(value)):
+        if not isinstance(value, (str, bytes)) and (not finite or math.isfinite(float(value))):
             return float(value)
     raise InvalidArgumentError(f"{name} must be a {'finite ' * finite}number, got {value!r}")
+
+
+def require_condition_cap(value) -> float:
+    """``value`` as a cap on a channel's condition number: a number above 1, ``inf`` included."""
+    cap = require_float(value, "condition_cap", finite=False)
+    if not cap > 1.0:  # NaN fails
+        raise InvalidArgumentError(f"condition_cap must exceed 1, got {cap!r}")
+    return cap

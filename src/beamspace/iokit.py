@@ -199,7 +199,7 @@ def _cached_rows(path: Path, raw: bytes) -> np.ndarray:
 
 
 def _first_bad_line(path: Path, raw: bytes, n_header: int, n_fields: int) -> str | None:
-    """Name the first data line with a wrong field count or a non-numeric field."""
+    """Name the first data line with a wrong field count or a field ``_rows`` cannot read."""
     with _text(path, raw) as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.split("#", 1)[0].rstrip("\n")
@@ -208,10 +208,10 @@ def _first_bad_line(path: Path, raw: bytes, n_header: int, n_fields: int) -> str
             fields = body.split(",")
             if len(fields) != n_fields:
                 return f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}"
-            try:
-                [float(f.strip().strip('"')) for f in fields]
-            except ValueError as exc:
-                return f"{path}:{lineno}: {exc}"
+            try:  # the line alone, read as _rows reads the file
+                np.loadtxt([body], delimiter=",", quotechar='"')
+            except ValueError as exc:  # "could not convert string 'x' to float64 at row 0, ..."
+                return f"{path}:{lineno}: {str(exc).split(' at row')[0]}"
     return None
 
 

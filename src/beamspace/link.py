@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DEFAULT_CONDITION_CAP, MAX_SCENARIOS, InvalidArgumentError,
-                     RatioSetMismatchError, SingularChannelError, require_float,
+                     RatioSetMismatchError, SingularChannelError, require_condition_cap,
                      require_integer)
 from .modulation import PskConstellation, RatioSet
 from .patterns import BasisPair, StatePatternSet
@@ -224,9 +224,7 @@ def build_channel(
             polarizations not two unit 2-vectors.
     """
     _states(s_hat, constellation)  # the alphabet check
-    angles = None
-    with contextlib.suppress(TypeError, ValueError):  # not numbers
-        angles = np.asarray(rx_angles, dtype=float)
+    angles = _reals(rx_angles)
     if np.shape(angles) != (2, 2):
         raise InvalidArgumentError(f"rx_angles must be two (theta, phi) rows, got {rx_angles!r}")
     pols = _unit_polarizations(rx_polarizations)
@@ -262,9 +260,9 @@ def received_constellation(
 
     Raises:
         SingularChannelError: channel singular or conditioned above the cap.
-        InvalidArgumentError: the cap is not a number.
+        InvalidArgumentError: the cap is not a number above 1.
     """
-    condition_cap = require_float(condition_cap, "condition_cap", finite=False)
+    condition_cap = require_condition_cap(condition_cap)
     order = _order(scenario.constellation.ratio_set)
     keep, g, cond = _decode(scenario.responses[:, order, None], condition_cap)
     if not keep[0]:
@@ -319,10 +317,19 @@ def draw_geometries(rng: np.random.Generator, n: int, separation_deg=(3.0, 5.0))
     return _angles(rng.random((4, n)), separation)
 
 
+def _reals(value) -> np.ndarray | None:
+    """``value`` as a float array if numpy reads it as numbers (bool, int or float), else None:
+    never from strings or bytes."""
+    with contextlib.suppress(TypeError, ValueError):  # ragged
+        arr = np.asarray(value)
+        if arr.dtype.kind in "biuf":
+            return arr.astype(float)
+    return None
+
+
 def _separation(separation_deg) -> tuple[float, float]:
-    lo = hi = math.nan
-    with contextlib.suppress(TypeError, ValueError):  # not two numbers
-        lo, hi = map(float, separation_deg)
+    pair = _reals(separation_deg)
+    lo, hi = map(float, pair) if np.shape(pair) == (2,) else (math.nan, math.nan)
     if not 0.0 < lo <= hi:  # NaN fails
         raise InvalidArgumentError("separation_deg must be (min, max) with 0 < min <= max, "
                                    f"got {separation_deg!r}")
@@ -340,10 +347,13 @@ def _angles(u: np.ndarray, separation: tuple[float, float]):
     cd, sd = np.cos(dist), np.sin(dist)
     ct2 = np.clip(ct1 * cd + st1 * sd * np.cos(bearing), -1.0, 1.0)
     phi2 = phi1 + np.arctan2(np.sin(bearing) * sd * st1, cd - ct1 * ct2)  # in [-pi, 3 pi)
-    # np.mod(phi2, 2 pi) bit for bit: the subtract is exact, the add rounds as the mod
-    # does, and no sum is -0.0 (phi1 >= +0.0), where the two would differ
+    # np.mod(phi2, 2 pi) bit for bit, in place: the subtract is exact, the add rounds as the
+    # mod does, and no sum is -0.0 (phi1 >= +0.0), where the two would differ; a False mask
+    # adds or subtracts +0.0, which leaves every value but -0.0 as it is
     two_pi = 2.0 * np.pi
-    phi2 = np.where(phi2 < 0.0, phi2 + two_pi, np.where(phi2 >= two_pi, phi2 - two_pi, phi2))
+    low, high = phi2 < 0.0, phi2 >= two_pi
+    phi2 += two_pi * low
+    phi2 -= two_pi * high
     return np.stack([theta1, np.arccos(ct2)]), np.stack([phi1, phi2])
 
 
@@ -611,9 +621,7 @@ def run_monte_carlo(
         raise InvalidArgumentError(f"n_scenarios must be in [1, {MAX_SCENARIOS}], got {n}")
     if seed < 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
-    condition_cap = require_float(condition_cap, "condition_cap", finite=False)
-    if not condition_cap > 1.0:
-        raise InvalidArgumentError(f"condition_cap must exceed 1, got {condition_cap!r}")
+    condition_cap = require_condition_cap(condition_cap)
     if threads < 1:
         raise InvalidArgumentError("threads must be >= 1")
     order, states = _states(s_hat, constellation)

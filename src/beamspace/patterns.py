@@ -24,7 +24,6 @@ from .errors import (
     DegenerateBasisError,
     InvalidArgumentError,
     RatioSetMismatchError,
-    UndefinedRatioError,
     require_float,
     require_integer,
 )
@@ -33,9 +32,7 @@ from .sphere import (
     THETA_POL,
     SphericalGrid,
     VectorPattern,
-    inner_product,
     integrate_power,
-    lincomb,
     require_same_grid,
 )
 
@@ -45,14 +42,11 @@ __all__ = [
     "EvmMap",
     "GaussianLobe",
     "PerturbationLobe",
-    "compute_basis",
-    "synthesize_pattern",
     "apply_perturbation",
     "perturbed_basis",
     "evm_map",
     "basis_correlation_db",
     "power_imbalance_db",
-    "mirror_pattern",
     "generate_mirror_pair",
     "generate_perturbation",
     "default_mirror_profile",
@@ -110,20 +104,20 @@ class StatePatternSet:
         return self.patterns[k]
 
 
-def compute_basis(e_plus: VectorPattern, e_minus: VectorPattern) -> BasisPair:
-    """Half-sum and half-difference of the +1 and -1 state patterns."""
-    require_same_grid(e_plus.grid, e_minus.grid)
-    return BasisPair(
-        b1=lincomb(0.5, e_plus, 0.5, e_minus),
-        b2=lincomb(0.5, e_plus, -0.5, e_minus),
+def _lincomb(alpha: complex, a: VectorPattern, beta: complex, b: VectorPattern) -> VectorPattern:
+    """Pointwise linear combination alpha*a + beta*b."""
+    require_same_grid(a.grid, b.grid)
+    return VectorPattern(
+        grid=a.grid,
+        e_theta=alpha * a.e_theta + beta * b.e_theta,
+        e_phi=alpha * a.e_phi + beta * b.e_phi,
     )
 
 
-def synthesize_pattern(basis: BasisPair, x1: complex, x2: complex) -> VectorPattern:
-    """Instantaneous radiated pattern x1*b1 + x2*b2 for a symbol pair."""
-    if x1 == 0:
-        raise UndefinedRatioError("x1 = 0 leaves the symbol ratio x2/x1 undefined")
-    return lincomb(x1, basis.b1, x2, basis.b2)
+def _basis(e_plus: VectorPattern, e_minus: VectorPattern) -> BasisPair:
+    """Half-sum and half-difference of the +1 and -1 state patterns."""
+    return BasisPair(b1=_lincomb(0.5, e_plus, 0.5, e_minus),
+                     b2=_lincomb(0.5, e_plus, -0.5, e_minus))
 
 
 def apply_perturbation(s: StatePatternSet, factors: Mapping[int, VectorPattern]) -> StatePatternSet:
@@ -158,8 +152,8 @@ def perturbed_basis(s_hat: StatePatternSet) -> BasisPair:
     By construction b1 + b2 and b1 - b2 reproduce the +-1 state patterns
     identically, whatever the perturbation did to them.
     """
-    return compute_basis(s_hat.state(s_hat.ratios.plus_one_index),
-                         s_hat.state(s_hat.ratios.minus_one_index))
+    return _basis(s_hat.state(s_hat.ratios.plus_one_index),
+                  s_hat.state(s_hat.ratios.minus_one_index))
 
 
 _EVM_ZERO = 1e-15  # below the double-precision resolution of the power ratio
@@ -268,12 +262,18 @@ def _basis_powers(basis: BasisPair) -> tuple[float, float]:
 def basis_correlation_db(basis: BasisPair) -> float:
     """Magnitude of the normalized full-sphere basis inner product, in dB.
 
-    Numerically orthogonal bases (normalized magnitude below the double
-    precision resolution of the integral) report -inf.  The magnitude is
-    clamped at 1 so roundoff cannot push the result above 0 dB.
+    The inner product is the quadrature sum of conj(b1) * b2 over both
+    polarization components; swapping b1 and b2 conjugates it, so the
+    result does not change.  Numerically orthogonal bases (normalized
+    magnitude below the double precision resolution of the integral)
+    report -inf.  The magnitude is clamped at 1 so roundoff cannot push
+    the result above 0 dB.
     """
     p1, p2 = _basis_powers(basis)
-    mag = min(abs(inner_product(basis.b1, basis.b2)) / np.sqrt(p1 * p2), 1.0)
+    b1, b2 = basis.b1, basis.b2
+    ip = complex(np.sum(b1.grid.weights * (np.conj(b1.e_theta) * b2.e_theta
+                                           + np.conj(b1.e_phi) * b2.e_phi)))
+    mag = min(abs(ip) / np.sqrt(p1 * p2), 1.0)
     if mag < _CORRELATION_ZERO:
         return -np.inf
     return _db20(mag)
@@ -283,18 +283,6 @@ def power_imbalance_db(basis: BasisPair) -> float:
     """Unsigned dB ratio of the total powers of the two basis patterns."""
     p1, p2 = _basis_powers(basis)
     return float(abs(10.0 * np.log10(p1 / p2)))
-
-
-def mirror_pattern(p: VectorPattern) -> VectorPattern:
-    """Reflect a pattern about the phi = 0 plane.
-
-    Azimuth maps to 2*pi - phi (an exact index permutation on the uniform
-    grid) and the phi-hat component changes sign.
-    """
-    idx = (-np.arange(p.grid.n_phi)) % p.grid.n_phi
-    return VectorPattern(
-        grid=p.grid, e_theta=p.e_theta[:, idx], e_phi=-p.e_phi[:, idx]
-    )
 
 
 @dataclass(frozen=True)
@@ -350,9 +338,11 @@ def generate_mirror_pair(
     """Synthetic free-space antenna states from a Gaussian-lobe profile.
 
     The +1 state is the lobe sum, the -1 state its mirror image about the
-    phi = 0 plane (which makes the basis patterns orthogonal by symmetry),
-    and every other state is synthesized from the resulting basis so that
-    the free-space set decomposes onto it identically.
+    phi = 0 plane (azimuth 2*pi - phi, an exact index permutation on the
+    uniform grid, with the phi-hat component negated; this makes the basis
+    patterns orthogonal by symmetry), and every other state k is
+    b1 + ratio_k * b2 on the resulting basis, so that the free-space set
+    decomposes onto it identically.
     """
     if len(lobes) == 0:
         raise InvalidArgumentError("profile needs at least one lobe")
@@ -364,16 +354,17 @@ def generate_mirror_pair(
         g = _lobe_profile(grid, lobe)
         e_theta += g * lobe.polarization[0]
         e_phi += g * lobe.polarization[1]
+    mirror = (-np.arange(grid.n_phi)) % grid.n_phi
     e_plus = VectorPattern(grid=grid, e_theta=e_theta, e_phi=e_phi)
-    e_minus = mirror_pattern(e_plus)
-    basis = compute_basis(e_plus, e_minus)
+    e_minus = VectorPattern(grid=grid, e_theta=e_theta[:, mirror], e_phi=-e_phi[:, mirror])
+    basis = _basis(e_plus, e_minus)
     patterns: dict[int, VectorPattern] = {
         ratios.plus_one_index: e_plus,
         ratios.minus_one_index: e_minus,
     }
     for k, xbar in enumerate(ratios.values):
         if k not in patterns:
-            patterns[k] = synthesize_pattern(basis, 1.0, xbar)
+            patterns[k] = _lincomb(1.0, basis.b1, xbar, basis.b2)
     return StatePatternSet(ratios=ratios, patterns=patterns)
 
 

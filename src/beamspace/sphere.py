@@ -27,8 +27,6 @@ __all__ = [
     "build_grid",
     "require_same_grid",
     "integrate_power",
-    "inner_product",
-    "lincomb",
     "bilinear_stencil",
     "apply_stencil",
 ]
@@ -164,27 +162,6 @@ def integrate_power(p: VectorPattern) -> float:
     """Total radiated power: sum of w * (|e_theta|^2 + |e_phi|^2)."""
     return float(
         np.sum(p.grid.weights * (np.abs(p.e_theta) ** 2 + np.abs(p.e_phi) ** 2))
-    )
-
-
-def inner_product(a: VectorPattern, b: VectorPattern) -> complex:
-    """Weighted full-sphere inner product, conjugate-linear in ``a``."""
-    require_same_grid(a.grid, b.grid)
-    return complex(
-        np.sum(
-            a.grid.weights
-            * (np.conj(a.e_theta) * b.e_theta + np.conj(a.e_phi) * b.e_phi)
-        )
-    )
-
-
-def lincomb(alpha: complex, a: VectorPattern, beta: complex, b: VectorPattern) -> VectorPattern:
-    """Pointwise linear combination alpha*a + beta*b."""
-    require_same_grid(a.grid, b.grid)
-    return VectorPattern(
-        grid=a.grid,
-        e_theta=alpha * a.e_theta + beta * b.e_theta,
-        e_phi=alpha * a.e_phi + beta * b.e_phi,
     )
 
 

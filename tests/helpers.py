@@ -29,7 +29,6 @@ import numpy as np
 from beamspace import (
     RatioSetMismatchError,
     SingularChannelError,
-    UndefinedRatioError,
     VectorPattern,
     draw_geometries,
     link,
@@ -82,7 +81,7 @@ def _receive(pattern, scenario) -> np.ndarray:
 def transmit_and_receive(s_hat, x1, x2, scenario) -> np.ndarray:
     """Noiseless receive vector for one symbol pair radiated through the physical field."""
     if x1 == 0:
-        raise UndefinedRatioError("x1 = 0 leaves the symbol ratio x2/x1 undefined")
+        raise ZeroDivisionError("x1 = 0 leaves the symbol ratio x2/x1 undefined")
     k = index_of(scenario.constellation.ratio_set, x2 / x1)
     return x1 * _receive(s_hat.state(k), scenario)
 

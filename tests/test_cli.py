@@ -755,6 +755,24 @@ def test_unreadable_pattern_file_exit_2(tmp_path, state_files, monkeypatch):
     assert "Traceback" not in err.getvalue()
 
 
+def test_unreadable_pattern_field_exit_2(tmp_path, state_files):
+    # a field float() reads but the table reader does not: one error line naming the file line
+    lines = state_files["+1"].read_text().splitlines(keepends=True)
+    lineno = len(lines) - 2
+    fields = lines[lineno - 1].split(",")
+    lines[lineno - 1] = ",".join(fields[:2] + ["1_0"] + fields[3:])
+    (tmp_path / "plus.csv").write_text("".join(lines))
+    config = _write_config(tmp_path, {
+        "antenna": {"pattern_files": {**{k: str(v) for k, v in state_files.items()},
+                                      "+1": "plus.csv"}}})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["metrics", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert err.getvalue() == (f"error: {tmp_path / 'plus.csv'}:{lineno}: "
+                              "could not convert string '1_0' to float64\n")
+
+
 @pytest.mark.parametrize("error", [BeamspaceError, *BeamspaceError.__subclasses__(),
                                    FileNotFoundError], ids=lambda error: error.__name__)
 def test_exit_code_of_every_error_class(monkeypatch, capsys, error):

@@ -160,6 +160,13 @@ class TestPatternCsv:
         (",".join(iokit.PATTERN_COLUMNS) + "\n"
          + "".join(f"{t},{phi},1,0,0,0\n" for t in (0, 180) for phi in (0, 90, 180, 270)),
          "p.csv: n_theta must be >= 3, got 2"),
+        # fields the table reader refuses though float() reads them (the last once stripped
+        # of its quote), each named by its file line
+        *(pytest.param(",".join(iokit.PATTERN_COLUMNS) + "\n"
+                       + "".join(f"{t},{phi},{field if (t, phi) == (180, 90) else 1},0,0,0\n"
+                                 for t in (0, 90, 180) for phi in (0, 90, 180, 270)),
+                       f"p.csv:11: could not convert string '{field}' to float64$",
+                       id=f"field-{field!a}") for field in ("1_0", "\u0661", '1"')),
     ])
     def test_malformed_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "p.csv"
@@ -668,11 +675,14 @@ class TestSaveResults:
         shape = (t * (np.pi - t))[:, None] * np.ones((1, grid.n_phi))
         e = VectorPattern(grid=grid, e_theta=shape.astype(complex),
                           e_phi=np.zeros(grid.shape))
-        from beamspace import StatePatternSet, compute_basis, synthesize_pattern
-        basis = compute_basis(e, e)
+        from beamspace import StatePatternSet, perturbed_basis
+        # every state is e: its basis is (e, 0), and each state is b1 + r * b2
+        basis = perturbed_basis(StatePatternSet(ratios=QPSK.ratio_set,
+                                                patterns=dict.fromkeys(range(4), e)))
         states = StatePatternSet(
             ratios=QPSK.ratio_set,
-            patterns={k: synthesize_pattern(basis, 1.0, r)
+            patterns={k: VectorPattern(grid=grid, e_theta=basis.b1.e_theta + r * basis.b2.e_theta,
+                                       e_phi=basis.b1.e_phi + r * basis.b2.e_phi)
                       for k, r in enumerate(QPSK.ratio_set.values)})
         emap = evm_map(states)
         written = save_results(tmp_path, evm=emap)

@@ -20,7 +20,6 @@ from beamspace import (
     RatioSetMismatchError,
     SingularChannelError,
     StatePatternSet,
-    UndefinedRatioError,
     VectorPattern,
     apply_perturbation,
     build_channel,
@@ -338,7 +337,7 @@ class TestTransmitAndReceive:
         scenario = build_channel(free_states, (RX1, RX2), QPSK)
         with pytest.raises(RatioSetMismatchError):
             transmit_and_receive(free_states, 1.0, np.exp(0.3j), scenario)
-        with pytest.raises(UndefinedRatioError):
+        with pytest.raises(ZeroDivisionError, match="x1 = 0"):
             transmit_and_receive(free_states, 0.0, 1.0, scenario)
 
 
@@ -580,6 +579,9 @@ class TestMonteCarlo:
         # malformed scalars and sequences, not a raw TypeError or ValueError
         {"condition_cap": "x"}, {"condition_cap": None}, {"separation_deg": ("a", 5)},
         {"separation_deg": None}, {"separation_deg": (3.0, 4.0, 5.0)}, {"rx_polarizations": "x"},
+        # numbers float() reads from a string are still strings
+        {"condition_cap": "1e8"}, {"separation_deg": ("3", "5")}, {"separation_deg": "35"},
+        {"separation_deg": b"35"},
     ])
     def test_untrusted_arguments_rejected(self, free_states, free_basis, bad):
         with pytest.raises(InvalidArgumentError, match=next(iter(bad))):
@@ -594,9 +596,25 @@ class TestMonteCarlo:
         (lambda s: constellation_at_angle(s, QPSK, "a", 1.0), "rx_angles"),
         (lambda s: received_constellation(build_channel(s, (RX1, RX2), QPSK), "x"),
          "condition_cap"),
+        # a cap of 1 or less, or NaN, is refused as run_monte_carlo refuses it, before any solve
+        *((lambda s, cap=cap: received_constellation(build_channel(s, (RX1, RX2), QPSK), cap),
+           "condition_cap must exceed 1") for cap in (0.5, 1.0, float("nan"))),
+        (lambda s: constellation_at_angle(s, QPSK, 0.8, 1.0, 1.0), "condition_cap must exceed 1"),
+        # a number is never a string, not even one float() reads
+        (lambda s: received_constellation(build_channel(s, (RX1, RX2), QPSK), "1e8"),
+         "condition_cap"),
+        (lambda s: constellation_at_angle(s, QPSK, "0.8", 1.0), "rx_angles"),
+        (lambda s: draw_geometries(np.random.default_rng(0), 3, ("3", "5")), "separation_deg"),
+        (lambda s: draw_geometries(np.random.default_rng(0), 3, b"35"), "separation_deg"),
+        (lambda s: build_channel(s, [["0.8", "1.0"], ["0.8", "1.07"]], QPSK), "rx_angles"),
+        (lambda s: build_channel(s, [[0.8, b"1.0"], [0.8, 1.07]], QPSK), "rx_angles"),
     ], ids=["draw_geometries-('a', 5)", "draw_geometries-None", "build_channel-'x'",
             "build_channel-one-row", "build_channel-pols-'x'", "constellation_at_angle-'a'",
-            "received_constellation-cap-'x'"])
+            "received_constellation-cap-'x'", "received_constellation-cap-0.5",
+            "received_constellation-cap-1.0", "received_constellation-cap-nan",
+            "constellation_at_angle-cap-1.0", "received_constellation-cap-'1e8'",
+            "constellation_at_angle-'0.8'", "draw_geometries-('3', '5')", "draw_geometries-b'35'",
+            "build_channel-strings", "build_channel-bytes"])
     def test_untrusted_link_arguments_rejected(self, free_states, call, named):
         with pytest.raises(InvalidArgumentError, match=named):
             call(free_states)

@@ -17,23 +17,17 @@ from beamspace import (
     PskConstellation,
     RatioSetMismatchError,
     StatePatternSet,
-    UndefinedRatioError,
     VectorPattern,
     apply_perturbation,
     basis_correlation_db,
     build_grid,
-    compute_basis,
     default_mirror_profile,
     evm_map,
     generate_mirror_pair,
     generate_perturbation,
-    inner_product,
     integrate_power,
-    lincomb,
-    mirror_pattern,
     perturbed_basis,
     power_imbalance_db,
-    synthesize_pattern,
 )
 from beamspace.patterns import _lobe_profile
 
@@ -55,6 +49,25 @@ def _random_states(grid, rng):
     )
 
 
+def _pm_one_states(grid, e_plus, e_minus):
+    """A QPSK state set with the given +-1 states; the +-j states are random."""
+    rng = np.random.default_rng(99)
+    return StatePatternSet(ratios=RATIOS, patterns={
+        0: e_plus, 1: _random_pattern(grid, rng), 2: e_minus, 3: _random_pattern(grid, rng)})
+
+
+def _sum(a, alpha, b):
+    """The pattern a + alpha * b, computed here."""
+    return VectorPattern(grid=a.grid, e_theta=a.e_theta + alpha * b.e_theta,
+                         e_phi=a.e_phi + alpha * b.e_phi)
+
+
+def _inner(a, b):
+    """The weighted full-sphere inner product <a, b>, conjugate-linear in a."""
+    return complex(np.sum(a.grid.weights * (np.conj(a.e_theta) * b.e_theta
+                                            + np.conj(a.e_phi) * b.e_phi)))
+
+
 def _gaussian_psi(grid, rng, states=None, polarization="both"):
     lobe = PerturbationLobe(
         theta=float(rng.uniform(0.3, np.pi - 0.3)),
@@ -69,10 +82,12 @@ def _gaussian_psi(grid, rng, states=None, polarization="both"):
 
 
 class TestComputeBasis:
+    """The basis of the +-1 states, read through ``perturbed_basis``."""
+
     def test_equal_patterns_make_b2_vanish(self, small_grid):
         rng = np.random.default_rng(0)
         e = _random_pattern(small_grid, rng)
-        basis = compute_basis(e, e)
+        basis = perturbed_basis(_pm_one_states(small_grid, e, e))
         assert np.array_equal(basis.b1.e_theta, e.e_theta)
         assert np.all(basis.b2.e_theta == 0)
         assert np.all(basis.b2.e_phi == 0)
@@ -80,54 +95,58 @@ class TestComputeBasis:
     def test_opposite_patterns_make_b1_vanish(self, small_grid):
         rng = np.random.default_rng(1)
         e = _random_pattern(small_grid, rng)
-        minus = lincomb(-1.0, e, 0.0, e)
-        basis = compute_basis(e, minus)
+        minus = VectorPattern(grid=small_grid, e_theta=-e.e_theta, e_phi=-e.e_phi)
+        basis = perturbed_basis(_pm_one_states(small_grid, e, minus))
         assert np.all(basis.b1.e_theta == 0)
         assert np.array_equal(basis.b2.e_theta, e.e_theta)
 
     def test_algebraic_round_trip(self, small_grid):
+        # b1 + b2 and b1 - b2 give back the +-1 states to the last rounding, and bit for
+        # bit where b1 +- b2 is exact (equal or opposite states: one member is zero)
         rng = np.random.default_rng(2)
         e_plus = _random_pattern(small_grid, rng)
         e_minus = _random_pattern(small_grid, rng)
-        basis = compute_basis(e_plus, e_minus)
-        re_plus = lincomb(1.0, basis.b1, 1.0, basis.b2)
-        re_minus = lincomb(1.0, basis.b1, -1.0, basis.b2)
+        basis = perturbed_basis(_pm_one_states(small_grid, e_plus, e_minus))
+        re_plus = _sum(basis.b1, 1.0, basis.b2)
+        re_minus = _sum(basis.b1, -1.0, basis.b2)
         assert np.allclose(re_plus.e_theta, e_plus.e_theta, rtol=1e-12, atol=1e-14)
         assert np.allclose(re_minus.e_phi, e_minus.e_phi, rtol=1e-12, atol=1e-14)
+        for e_minus in (e_plus, VectorPattern(grid=small_grid, e_theta=-e_plus.e_theta,
+                                              e_phi=-e_plus.e_phi)):
+            basis = perturbed_basis(_pm_one_states(small_grid, e_plus, e_minus))
+            for sign, e in ((1.0, e_plus), (-1.0, e_minus)):
+                back = _sum(basis.b1, sign, basis.b2)
+                assert np.array_equal(back.e_theta, e.e_theta)
+                assert np.array_equal(back.e_phi, e.e_phi)
 
     def test_grid_mismatch(self, small_grid):
+        # +-1 states on two grids never meet: neither a state set nor a basis takes them
         rng = np.random.default_rng(3)
+        e, other = _random_pattern(small_grid, rng), _random_pattern(build_grid(6, 8), rng)
         with pytest.raises(GridMismatchError):
-            compute_basis(_random_pattern(small_grid, rng),
-                          _random_pattern(build_grid(6, 8), rng))
+            _pm_one_states(small_grid, e, other)
+        with pytest.raises(GridMismatchError):
+            BasisPair(b1=e, b2=other)
 
 
 class TestSynthesizePattern:
+    """The states of ``generate_mirror_pair`` other than +-1 are b1 + ratio * b2."""
+
     def test_unit_pair_recovers_plus_state(self, small_grid):
-        rng = np.random.default_rng(4)
-        e_plus = _random_pattern(small_grid, rng)
-        e_minus = _random_pattern(small_grid, rng)
-        basis = compute_basis(e_plus, e_minus)
-        got = synthesize_pattern(basis, 1.0, 1.0)
-        assert np.allclose(got.e_theta, e_plus.e_theta, rtol=1e-12, atol=1e-14)
-        got_minus = synthesize_pattern(basis, 1.0, -1.0)
-        assert np.allclose(got_minus.e_theta, e_minus.e_theta, rtol=1e-12, atol=1e-14)
+        states = generate_mirror_pair(default_mirror_profile(), small_grid, RATIOS)
+        basis = perturbed_basis(states)
+        for k, sign in ((0, 1.0), (2, -1.0)):
+            got = _sum(basis.b1, sign, basis.b2)
+            assert np.allclose(got.e_theta, states.state(k).e_theta, rtol=1e-12, atol=1e-14)
+            assert np.allclose(got.e_phi, states.state(k).e_phi, rtol=1e-12, atol=1e-14)
 
     def test_quarter_ratio_matches_pointwise_arithmetic(self, small_grid):
-        rng = np.random.default_rng(5)
-        basis = BasisPair(b1=_random_pattern(small_grid, rng),
-                          b2=_random_pattern(small_grid, rng))
-        got = synthesize_pattern(basis, 1.0, 1.0j)
+        states = generate_mirror_pair(default_mirror_profile(), small_grid, RATIOS)
+        basis = perturbed_basis(states)
+        got = states.state(1)  # the +j state
         i, j = 3, 6
         want = complex(basis.b1.e_theta[i, j]) + 1j * complex(basis.b2.e_theta[i, j])
         assert complex(got.e_theta[i, j]) == pytest.approx(want, rel=1e-15)
-
-    def test_zero_x1_rejected(self, small_grid):
-        rng = np.random.default_rng(6)
-        basis = BasisPair(b1=_random_pattern(small_grid, rng),
-                          b2=_random_pattern(small_grid, rng))
-        with pytest.raises(UndefinedRatioError):
-            synthesize_pattern(basis, 0.0, 1.0)
 
 
 class TestApplyPerturbation:
@@ -263,8 +282,8 @@ class TestPerturbedBasis:
         states = _random_states(small_grid, rng)
         s_hat = apply_perturbation(states, _gaussian_psi(small_grid, rng, states=(0,)))
         b_hat = perturbed_basis(s_hat)
-        plus = lincomb(1.0, b_hat.b1, 1.0, b_hat.b2)
-        minus = lincomb(1.0, b_hat.b1, -1.0, b_hat.b2)
+        plus = _sum(b_hat.b1, 1.0, b_hat.b2)
+        minus = _sum(b_hat.b1, -1.0, b_hat.b2)
         assert np.max(np.abs(plus.e_theta - s_hat.state(0).e_theta)) <= 1e-14
         assert np.max(np.abs(plus.e_phi - s_hat.state(0).e_phi)) <= 1e-14
         assert np.max(np.abs(minus.e_theta - s_hat.state(2).e_theta)) <= 1e-14
@@ -329,11 +348,8 @@ class TestEvm:
         shape = (t * (np.pi - t))[:, None] * np.ones((1, small_grid.n_phi))
         e = VectorPattern(grid=small_grid, e_theta=shape.astype(complex),
                           e_phi=np.zeros(small_grid.shape))
-        basis = compute_basis(e, e)
-        states = StatePatternSet(
-            ratios=RATIOS,
-            patterns={k: synthesize_pattern(basis, 1.0, r)
-                      for k, r in enumerate(RATIOS.values)})
+        # every state is e; its basis is (e, 0), so each state decomposes as e + r * 0
+        states = StatePatternSet(ratios=RATIOS, patterns=dict.fromkeys(range(4), e))
         emap = evm_map(states)
         assert emap.degenerate_mask[0, 0]
         assert emap.degenerate_mask[-1, 0]
@@ -401,7 +417,7 @@ class TestBasisMetrics:
             assert basis_correlation_db(basis) <= -100.0
             p1 = integrate_power(basis.b1)
             p2 = integrate_power(basis.b2)
-            assert abs(inner_product(basis.b1, basis.b2)) <= 1e-10 * np.sqrt(p1 * p2)
+            assert abs(_inner(basis.b1, basis.b2)) <= 1e-10 * np.sqrt(p1 * p2)
 
     def test_identical_patterns_zero_db(self, small_grid):
         rng = np.random.default_rng(20)
@@ -416,7 +432,7 @@ class TestBasisMetrics:
         basis = perturbed_basis(states)
         p1 = integrate_power(basis.b1)
         p2 = integrate_power(basis.b2)
-        ip = inner_product(basis.b1, basis.b2)
+        ip = _inner(basis.b1, basis.b2)
         want_corr = 20 * np.log10(abs(ip) / np.sqrt(p1 * p2))
         want_imb = abs(10 * np.log10(p1 / p2))
         assert basis_correlation_db(basis) == pytest.approx(want_corr, abs=1e-6)
@@ -441,15 +457,20 @@ class TestBasisMetrics:
 
 class TestGenerators:
     def test_mirror_pattern_is_involution_and_flips_phi(self, small_grid):
-        rng = np.random.default_rng(24)
-        p = _random_pattern(small_grid, rng)
-        m = mirror_pattern(p)
-        back = mirror_pattern(m)
-        assert np.array_equal(back.e_theta, p.e_theta)
-        assert np.array_equal(back.e_phi, p.e_phi)
+        # the -1 state is the +1 state reflected about phi = 0: azimuth node j goes to
+        # node -j mod n_phi and the phi component changes sign; reflecting twice is the identity
+        lobe = GaussianLobe(theta=1.1, phi=0.7, width=0.6, polarization=(0.8, 0.6j))
+        states = generate_mirror_pair([lobe], small_grid, RATIOS)
+        p, m = states.state(0), states.state(2)
+        mirror = (-np.arange(small_grid.n_phi)) % small_grid.n_phi
+        assert np.array_equal(m.e_theta, p.e_theta[:, mirror])
+        assert np.array_equal(m.e_phi, -p.e_phi[:, mirror])
+        assert np.array_equal(m.e_theta[:, mirror], p.e_theta)
+        assert np.array_equal(-m.e_phi[:, mirror], p.e_phi)
         # phi = 0 column is fixed up to the sign flip of the phi component
         assert np.array_equal(m.e_theta[:, 0], p.e_theta[:, 0])
         assert np.array_equal(m.e_phi[:, 0], -p.e_phi[:, 0])
+        assert np.any(m.e_theta != p.e_theta)  # an off-plane lobe: not its own mirror
 
     def test_empty_profile_rejected(self, small_grid):
         with pytest.raises(InvalidArgumentError):
@@ -481,7 +502,7 @@ class TestGenerators:
         states = generate_mirror_pair(default_mirror_profile(), small_grid, RATIOS)
         basis = perturbed_basis(states)
         for k, r in enumerate(RATIOS.values):
-            want = synthesize_pattern(basis, 1.0, r)
+            want = _sum(basis.b1, r, basis.b2)
             if k in (1, 3):
                 # the +-j states are stored exactly as synthesized
                 assert np.array_equal(want.e_theta, states.state(k).e_theta)
