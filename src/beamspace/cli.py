@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (BeamspaceError, DegenerateAngleError, DegenerateBasisError,
-                     SingularChannelError)
+                     SingularChannelError, require_state_samples)
 from .iokit import (
     RunConfig,
     load_config,
@@ -57,7 +57,10 @@ def _assemble(cfg: RunConfig, keep_free: bool = False) -> Assembly:
     constellation = PskConstellation(cfg.constellation_order, cfg.constellation_offset)
     ratios = constellation.ratio_set
     if cfg.pattern_files is not None:
-        patterns = {k: load_pattern_csv(p) for k, p in cfg.pattern_files.items()}
+        files = cfg.pattern_files
+        patterns = {0: load_pattern_csv(files[0])}  # the files' grid, counted before the rest
+        require_state_samples(ratios.order, *patterns[0].grid.shape, f"the grid of {files[0]}")
+        patterns.update((k, load_pattern_csv(p)) for k, p in files.items() if k)
         free = StatePatternSet(ratios=ratios, patterns=patterns)
     else:
         lobes = cfg.antenna_lobes if cfg.antenna_lobes is not None else default_mirror_profile()

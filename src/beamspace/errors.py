@@ -78,6 +78,13 @@ def require_float(value, name: str, finite: bool = True) -> float:
     raise InvalidArgumentError(f"{name} must be a {'finite ' * finite}number, got {value!r}")
 
 
+def require_state_samples(order: int, n_theta: int, n_phi: int, grid: str) -> None:
+    """Refuse over MAX_STATE_SAMPLES samples in ``order`` patterns on the grid ``grid`` names."""
+    if order * n_theta * n_phi > MAX_STATE_SAMPLES:
+        raise ConfigError(f"constellation.order x {grid} must be <= {MAX_STATE_SAMPLES}; "
+                          f"got {order} x {n_theta} x {n_phi}")
+
+
 def require_condition_cap(value) -> float:
     """``value`` as a cap on a channel's condition number: a number above 1, ``inf`` included."""
     cap = require_float(value, "condition_cap", finite=False)

@@ -27,8 +27,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import (DEFAULT_CONDITION_CAP, MAX_SCENARIOS, MAX_STATE_SAMPLES, ConfigError,
-                     InvalidArgumentError, PatternFormatError)
+from .errors import (DEFAULT_CONDITION_CAP, MAX_SCENARIOS, ConfigError, InvalidArgumentError,
+                     PatternFormatError, require_state_samples)
 from .modulation import ratio_label
 from .patterns import EvmMap, GaussianLobe, PerturbationLobe
 from .sphere import POLARIZATIONS, VectorPattern, build_grid
@@ -100,9 +100,10 @@ def _blocks(column: np.ndarray):
 
 @contextlib.contextmanager
 def _text(path: Path, raw: bytes):
-    """``raw``, the bytes of ``path``, as UTF-8 text; a byte that is not is a PatternFormatError."""
+    """``raw``, the bytes of ``path``, as UTF-8 text less any leading byte-order mark; a byte
+    that is not UTF-8 is a PatternFormatError."""
     try:
-        yield io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+        yield io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise PatternFormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
@@ -142,19 +143,18 @@ def _read_table(path: Path, columns) -> tuple[bytes, list[str]]:
     return raw, above
 
 
-def _rows(path: Path, raw: bytes, n_fields: int) -> np.ndarray:
-    """The data rows under the column row of ``path`` (bytes ``raw``), bitwise float()."""
-    with _text(path, raw) as fh:
-        n_header = len(_scan_header(fh)[0]) + 1
+def _rows(path: Path, raw: bytes, n_header: int, n_fields: int) -> np.ndarray:
+    """The data rows of ``path`` (bytes ``raw``) below its ``n_header`` header lines, the
+    column row included, bitwise float()."""
+    with _text(path, raw) as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                data = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2)
+            data = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2, skiprows=n_header)
         except ValueError as exc:
             bad = _first_bad_line(path, raw, n_header, n_fields)
             raise PatternFormatError(bad or f"{path}: {exc}") from exc
-    if data.size and data.shape[1] != n_fields:
-        raise PatternFormatError(_first_bad_line(path, raw, n_header, n_fields))
+        if data.size and data.shape[1] != n_fields:
+            raise PatternFormatError(_first_bad_line(path, raw, n_header, n_fields))
     return data.reshape(-1, n_fields)
 
 
@@ -166,22 +166,22 @@ def _own_dir(path: Path) -> bool:
     return False
 
 
-def _cached_rows(path: Path, raw: bytes) -> np.ndarray:
-    """The data rows of pattern CSV ``path`` (bytes ``raw``): its cache entry if that reads
-    as a (rows, 6) float64 array, else (whatever failed in the read) parsed and stored in
-    place of the file's older entries.  The cache is skipped if it is not this user's own
-    directory or cannot be written."""
+def _cached_rows(path: Path, raw: bytes, n_header: int) -> np.ndarray:
+    """The data rows of pattern CSV ``path`` (bytes ``raw``, ``n_header`` header lines): its
+    cache entry if that reads as a (rows, 6) float64 array, else (whatever failed in the
+    read) parsed and stored in place of the file's older entries.  The cache is skipped if
+    it is not this user's own directory or cannot be written."""
     cache = path.parent / ".beamspace-cache"
     with contextlib.suppress(OSError):
         cache.mkdir(mode=0o755)
     if not _own_dir(cache):  # an entry another user could write is never read
-        return _rows(path, raw, len(PATTERN_COLUMNS))
+        return _rows(path, raw, n_header, len(PATTERN_COLUMNS))
     entry = cache / f"{path.name}.{importlib.util.source_hash(raw).hex()}.npy"
     with contextlib.suppress(Exception), entry.open("rb") as fh:
         data = np.lib.format.read_array(fh, allow_pickle=False)
         if data.dtype == np.float64 and data.ndim == 2 and data.shape[1] == len(PATTERN_COLUMNS):
             return data
-    data = _rows(path, raw, len(PATTERN_COLUMNS))
+    data = _rows(path, raw, n_header, len(PATTERN_COLUMNS))
     tmp = cache / f"{entry.name}.{os.getpid()}-{id(data)}.tmp"  # unique among live writers
     try:
         with tmp.open("xb") as fh:
@@ -199,19 +199,18 @@ def _cached_rows(path: Path, raw: bytes) -> np.ndarray:
 
 
 def _first_bad_line(path: Path, raw: bytes, n_header: int, n_fields: int) -> str | None:
-    """Name the first data line with a wrong field count or a field ``_rows`` cannot read."""
+    """Name the first data line with a field ``_rows`` cannot read or a wrong field count,
+    each line read alone as ``_rows`` reads the file, its comment and quotes included."""
     with _text(path, raw) as fh:
         for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].rstrip("\n")
-            if lineno <= n_header or not body:
+            if lineno <= n_header:
                 continue
-            fields = body.split(",")
-            if len(fields) != n_fields:
-                return f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}"
-            try:  # the line alone, read as _rows reads the file
-                np.loadtxt([body], delimiter=",", quotechar='"')
+            try:
+                row = np.loadtxt([line], delimiter=",", quotechar='"', ndmin=2)
             except ValueError as exc:  # "could not convert string 'x' to float64 at row 0, ..."
                 return f"{path}:{lineno}: {str(exc).split(' at row')[0]}"
+            if row.size and row.shape[1] != n_fields:
+                return f"{path}:{lineno}: expected {n_fields} fields, got {row.shape[1]}"
     return None
 
 
@@ -262,7 +261,7 @@ def load_pattern_csv(path) -> VectorPattern:
     """
     path = Path(path)
     raw, above = _read_table(path, PATTERN_COLUMNS)
-    data = _cached_rows(path, raw)
+    data = _cached_rows(path, raw, len(above) + 1)
     del raw  # 1.5 MB for 16,380 rows; the checks below peak with only the rows held
     declared, degrees = _pattern_header(path, above)
     if data.shape[0] == 0:
@@ -293,19 +292,17 @@ def load_pattern_csv(path) -> VectorPattern:
     except InvalidArgumentError as exc:
         raise PatternFormatError(f"{path}: {exc}") from exc
 
-    expected_theta = np.repeat(grid.theta, n_phi)
-    expected_phi = np.tile(grid.phi, n_theta)
-    if (np.max(np.abs(theta_col - expected_theta)) > _ANGLE_MATCH_TOL
-            or np.max(np.abs(phi_col - expected_phi)) > _ANGLE_MATCH_TOL):
+    if (np.max(np.abs(theta_col.reshape(grid.shape) - grid.theta[:, None])) > _ANGLE_MATCH_TOL
+            or np.max(np.abs(phi_col.reshape(grid.shape) - grid.phi)) > _ANGLE_MATCH_TOL):
         raise PatternFormatError(
             f"{path}: angles are not a regular theta-major "
             f"{n_theta}x{n_phi} full-sphere grid"
         )
-    fields = np.ascontiguousarray(data[:, 2:]).view(complex)  # a + 1j*b loses -0.0
-    e_theta = fields[:, 0].reshape(n_theta, n_phi)
-    e_phi = fields[:, 1].reshape(n_theta, n_phi)
+    fields = np.empty((2, n_theta, n_phi), complex)  # e_theta, e_phi; a + 1j*b loses -0.0
+    fields.real[...] = data[:, 2::2].T.reshape(fields.shape)
+    fields.imag[...] = data[:, 3::2].T.reshape(fields.shape)
     try:
-        return VectorPattern(grid=grid, e_theta=e_theta, e_phi=e_phi)
+        return VectorPattern(grid=grid, e_theta=fields[0], e_phi=fields[1])
     except InvalidArgumentError as exc:
         raise PatternFormatError(f"{path}: {exc}") from exc
 
@@ -318,7 +315,8 @@ def save_cdf_csv(path, errors, probabilities) -> Path:
 
 def load_cdf_csv(path) -> tuple[np.ndarray, np.ndarray]:
     path = Path(path)
-    data = _rows(path, _read_table(path, CDF_COLUMNS)[0], len(CDF_COLUMNS))
+    raw, above = _read_table(path, CDF_COLUMNS)
+    data = _rows(path, raw, len(above) + 1, len(CDF_COLUMNS))
     return data[:, 0], data[:, 1]
 
 
@@ -573,13 +571,14 @@ def load_config(path, overrides=()) -> RunConfig:
 
     con = top.section("constellation", ("order", "phase_offset_deg"))
     order = con.integer("order", 4, 2)
-    if order * n_theta * n_phi > MAX_STATE_SAMPLES:
-        raise ConfigError(f"constellation.order x grid.n_theta x grid.n_phi must be <= "
-                          f"{MAX_STATE_SAMPLES}; got {order} x {n_theta} x {n_phi}")
+    ant = top.section("antenna", ("profile", "pattern_files"))
+    if "pattern_files" in ant.raw:  # cli._assemble counts the grid of the first file it reads
+        require_state_samples(order, 3, 4, "the coarsest pattern grid")
+    else:
+        require_state_samples(order, n_theta, n_phi, "grid.n_theta x grid.n_phi")
     labels = [ratio_label(k, order) for k in range(order)]
 
     antenna_lobes = pattern_files = None
-    ant = top.section("antenna", ("profile", "pattern_files"))
     if "profile" in ant.raw and "pattern_files" in ant.raw:
         raise ConfigError("antenna: give either profile or pattern_files, not both")
     if "profile" in ant.raw:

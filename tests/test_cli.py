@@ -27,6 +27,7 @@ from beamspace import (
     load_cdf_csv,
     load_config,
     load_pattern_csv,
+    ratio_label,
     save_cdf_csv,
 )
 from beamspace.cli import main
@@ -612,6 +613,41 @@ class TestMalformedInput:
         assert cfg.constellation_order * cfg.n_theta * cfg.n_phi == MAX_STATE_SAMPLES
         with pytest.raises(ConfigError, match="must be <= 10000000; got 4 x 1001 x 2500"):
             load_config(hand_config, [("grid.n_theta", 1001), ("grid.n_phi", 2500)])
+
+    def test_state_sample_limit_counts_the_pattern_files_grid(self, tmp_path, state_files,
+                                                              monkeypatch):
+        # four 5 x 8 files are 160 samples whatever the grid section says: with the limit
+        # at 100, a 3 x 4 grid section does not let them through, and the count is made
+        # on the first file, before a second one is read
+        monkeypatch.setattr("beamspace.errors.MAX_STATE_SAMPLES", 100)
+        config = _write_config(tmp_path, {
+            "grid": {"n_theta": 3, "n_phi": 4},
+            "antenna": {"pattern_files": {k: str(v) for k, v in state_files.items()}}})
+        loads = []
+        monkeypatch.setattr(cli, "load_pattern_csv",
+                            lambda path: loads.append(path) or load_pattern_csv(path))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["evm-map", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert (code, loads) == (2, [state_files["+1"]])
+        assert err.getvalue() == (f"error: constellation.order x the grid of {state_files['+1']}"
+                                  " must be <= 100; got 4 x 5 x 8\n")
+
+    def test_state_sample_limit_is_not_the_grid_section_for_pattern_files(self, tmp_path,
+                                                                         state_files):
+        # 620 states of 5 x 8 files are 24,800 samples, not the 620 x 91 x 180 of the
+        # absent grid section; each label names one file here
+        labels = [ratio_label(k, 620) for k in range(620)]
+        config = _write_config(tmp_path, {
+            "constellation": {"order": 620},
+            "antenna": {"pattern_files": dict.fromkeys(labels, str(state_files["+1"]))}})
+        cfg = load_config(config)
+        assert (cfg.constellation_order, cfg.n_theta, cfg.n_phi) == (620, 91, 180)
+        assert cli._assemble(cfg).perturbed_states.grid.shape == (5, 8)
+        # an order no pattern grid could hold is refused before its labels are made
+        with pytest.raises(ConfigError, match="the coarsest pattern grid must be <= 10000000; "
+                                              "got 833334 x 3 x 4$"):
+            load_config(config, [("constellation.order", 833334)])
 
     def test_unreadable_config_exit_2(self, tmp_path):
         (tmp_path / "bytes.json").write_bytes(b"\xff\xfe{}")

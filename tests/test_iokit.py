@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -160,19 +161,44 @@ class TestPatternCsv:
         (",".join(iokit.PATTERN_COLUMNS) + "\n"
          + "".join(f"{t},{phi},1,0,0,0\n" for t in (0, 180) for phi in (0, 90, 180, 270)),
          "p.csv: n_theta must be >= 3, got 2"),
-        # fields the table reader refuses though float() reads them (the last once stripped
-        # of its quote), each named by its file line
+        # fields the table reader refuses though float() reads them (the third once stripped
+        # of its quote), and a quoted comma or comment sign, one field as the reader parses
+        # it, each named by its file line
         *(pytest.param(",".join(iokit.PATTERN_COLUMNS) + "\n"
                        + "".join(f"{t},{phi},{field if (t, phi) == (180, 90) else 1},0,0,0\n"
                                  for t in (0, 90, 180) for phi in (0, 90, 180, 270)),
-                       f"p.csv:11: could not convert string '{field}' to float64$",
-                       id=f"field-{field!a}") for field in ("1_0", "\u0661", '1"')),
+                       f"p.csv:11: could not convert string '{parsed}' to float64$",
+                       id=f"field-{field!a}")
+          for field, parsed in (("1_0", "1_0"), ("\u0661", "\u0661"), ('1"', '1"'),
+                                ('"1,5"', "1,5"), ('"1#5"', "1#5"))),
     ])
     def test_malformed_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "p.csv"
         path.write_text(text)
         with pytest.raises(PatternFormatError, match=message):
             load_pattern_csv(path)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # a leading UTF-8 BOM, as spreadsheet exports write one: the copy loads bitwise as
+        # the original, and a bad field in it is named by the same file line
+        pattern = _random_pattern(build_grid(3, 4), np.random.default_rng(9))
+        saved = save_pattern_csv(pattern, tmp_path / "p.csv").read_bytes()
+        cdf = save_cdf_csv(tmp_path / "c.csv", [-0.0, 5e-324, 0.25], [0.5, 0.75, 1.0])
+        (tmp_path / "bom").mkdir()
+        bom_pattern, bom_cdf = tmp_path / "bom" / "p.csv", tmp_path / "bom" / "c.csv"
+        bom_pattern.write_bytes(b"\xef\xbb\xbf" + saved)
+        bom_cdf.write_bytes(b"\xef\xbb\xbf" + cdf.read_bytes())
+        loaded = load_pattern_csv(bom_pattern)
+        assert loaded.e_theta.tobytes() == pattern.e_theta.tobytes()
+        assert loaded.e_phi.tobytes() == pattern.e_phi.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(load_cdf_csv(bom_cdf),
+                                                              load_cdf_csv(cdf)))
+        lines = saved.splitlines(keepends=True)
+        lines[7] = b"0.0,90.0,x,0.0,0.0,0.0\n"
+        for prefix, path in ((b"", tmp_path / "p.csv"), (b"\xef\xbb\xbf", bom_pattern)):
+            path.write_bytes(prefix + b"".join(lines))
+            with pytest.raises(PatternFormatError, match=r"p.csv:8: could not convert string 'x'"):
+                load_pattern_csv(path)
 
     def test_hand_written_small_file_lands_on_indices(self, tmp_path):
         # 3x4 grid written by hand with two marked samples; then again with
@@ -281,6 +307,31 @@ class TestPatternCache:
             assert loaded.e_theta.tobytes() == pattern.e_theta.tobytes()
             assert loaded.e_phi.tobytes() == pattern.e_phi.tobytes()
             assert loaded.grid.shape == pattern.grid.shape
+
+    def test_cold_load_scans_each_header_once(self, tmp_path, monkeypatch):
+        _, path = self._saved(tmp_path)
+        cdf = save_cdf_csv(tmp_path / "c.csv", [0.0, 0.5], [0.5, 1.0])
+        scans = []
+        scan = iokit._scan_header
+        monkeypatch.setattr(iokit, "_scan_header", lambda fh: scans.append(1) or scan(fh))
+        load_pattern_csv(path)
+        assert len(scans) == 1
+        load_cdf_csv(cdf)
+        assert len(scans) == 2
+
+    def test_warm_load_holds_the_bytes_and_rows_once(self, tmp_path):
+        # the traced peak of a cached 91 x 180 load: the file's bytes, its (16,380, 6) rows
+        # and small arrays, not a second copy of the rows or of either component
+        pattern = _random_pattern(build_grid(91, 180), np.random.default_rng(11))
+        path = save_pattern_csv(pattern, tmp_path / "p.csv")
+        load_pattern_csv(path)
+        tracemalloc.start()
+        try:
+            load_pattern_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.stat().st_size + 91 * 180 * 6 * 8 + 64 * 1024
 
     def test_same_size_same_mtime_rewrite_is_parsed(self, tmp_path, monkeypatch):
         _, path = self._saved(tmp_path)
