@@ -30,48 +30,70 @@ from .iokit import (
 from .modulation import PskConstellation
 from .patterns import (
     StatePatternSet,
-    apply_perturbation,
+    _basis,
+    _mirror_states,
+    _perturbed,
     basis_correlation_db,
     default_mirror_profile,
     evm_map,
-    generate_mirror_pair,
     generate_perturbation,
     perturbed_basis,
     power_imbalance_db,
 )
-from .sphere import POLARIZATIONS, build_grid, integrate_power
+from .sphere import POLARIZATIONS, build_grid, integrate_power, require_same_grid
 
 _DEGENERATE_ERRORS = (DegenerateBasisError, DegenerateAngleError, SingularChannelError)
 
 
 @dataclass(frozen=True)
 class Assembly:
-    """Domain objects of one run configuration; ``free_states`` is kept for ``metrics`` only."""
+    """Domain objects of one run configuration; ``free_space``, for ``metrics`` only, is what
+    it reads of the free states: their powers by ratio index and their basis's metrics."""
 
     constellation: PskConstellation
     perturbed_states: StatePatternSet
-    free_states: StatePatternSet | None = None
+    free_space: dict | None = None
 
 
-def _assemble(cfg: RunConfig, keep_free: bool = False) -> Assembly:
+def _free_states(cfg: RunConfig, ratios):
+    """Each free state as (ratio index, pattern), made or read when the previous is taken."""
+    if cfg.pattern_files is None:
+        lobes = cfg.antenna_lobes if cfg.antenna_lobes is not None else default_mirror_profile()
+        yield from _mirror_states(lobes, build_grid(cfg.n_theta, cfg.n_phi), ratios)
+        return
+    for k, path in cfg.pattern_files.items():
+        state = load_pattern_csv(path)
+        if k == 0:  # the files' grid, counted before the rest are read
+            require_state_samples(ratios.order, *state.grid.shape, f"the grid of {path}")
+        yield k, state
+        del state
+
+
+def _assemble(cfg: RunConfig, free_space: bool = False) -> Assembly:
+    """The perturbed states, each free state multiplied by its factors as it is made and
+    then dropped; with ``free_space``, what ``metrics`` reads of the free states on the way."""
     constellation = PskConstellation(cfg.constellation_order, cfg.constellation_offset)
     ratios = constellation.ratio_set
-    if cfg.pattern_files is not None:
-        files = cfg.pattern_files
-        patterns = {0: load_pattern_csv(files[0])}  # the files' grid, counted before the rest
-        require_state_samples(ratios.order, *patterns[0].grid.shape, f"the grid of {files[0]}")
-        patterns.update((k, load_pattern_csv(p)) for k, p in files.items() if k)
-        free = StatePatternSet(ratios=ratios, patterns=patterns)
-    else:
-        lobes = cfg.antenna_lobes if cfg.antenna_lobes is not None else default_mirror_profile()
-        free = generate_mirror_pair(lobes, build_grid(cfg.n_theta, cfg.n_phi), ratios)
-    factors = generate_perturbation(cfg.perturbation_lobes, free.grid, ratios)
-    perturbed = apply_perturbation(free, factors)
-    return Assembly(
-        constellation=constellation,
-        perturbed_states=perturbed,
-        free_states=free if keep_free else None,
-    )
+    perturbed, power, measured = {}, {}, {}
+    for k, state in _free_states(cfg, ratios):
+        if not perturbed:
+            grid = state.grid
+            factors = generate_perturbation(cfg.perturbation_lobes, grid, ratios)
+        require_same_grid(grid, state.grid)
+        if free_space:
+            power[k] = integrate_power(state)
+        perturbed[k] = _perturbed(state, factors[k])
+        if free_space and k == 0:
+            plus = state  # the free +1 state, held until the -1 state is made
+        elif free_space and 2 * k == ratios.order:  # the -1 state: measure the free basis
+            basis = _basis(plus, state)
+            measured = {"basis_correlation_db": basis_correlation_db(basis),
+                        "power_imbalance_db": power_imbalance_db(basis)}
+            del plus, basis
+        del state
+    return Assembly(constellation=constellation,
+                    perturbed_states=StatePatternSet(ratios=ratios, patterns=perturbed),
+                    free_space={"power": power, **measured} if free_space else None)
 
 
 def _rx_polarizations(cfg: RunConfig):
@@ -90,27 +112,26 @@ def _load_config_with_overrides(args) -> RunConfig:
 
 def cmd_metrics(args) -> int:
     cfg = _load_config_with_overrides(args)
-    asm = _assemble(cfg, keep_free=True)
+    asm = _assemble(cfg, free_space=True)
     emap = evm_map(asm.perturbed_states)
-    basis, free_basis = perturbed_basis(asm.perturbed_states), perturbed_basis(asm.free_states)
+    basis, free = perturbed_basis(asm.perturbed_states), asm.free_space
     ratios = asm.constellation.ratio_set
     state_power_ratio = {
-        ratios.label(k): integrate_power(asm.perturbed_states.state(k))
-        / integrate_power(asm.free_states.state(k))
+        ratios.label(k): integrate_power(asm.perturbed_states.state(k)) / free["power"][k]
         for k in range(ratios.order)
     }
     metrics = {
         "basis_correlation_db": basis_correlation_db(basis),
         "power_imbalance_db": power_imbalance_db(basis),
         "free_space": {
-            "basis_correlation_db": basis_correlation_db(free_basis),
-            "power_imbalance_db": power_imbalance_db(free_basis),
+            "basis_correlation_db": free["basis_correlation_db"],
+            "power_imbalance_db": free["power_imbalance_db"],
         },
         "state_power_ratio": state_power_ratio,
         "average_evm_db": emap.average(),
         "evm_masked_fraction": emap.masked_fraction(),
-        "grid": {"n_theta": asm.free_states.grid.n_theta,
-                 "n_phi": asm.free_states.grid.n_phi},
+        "grid": {"n_theta": asm.perturbed_states.grid.n_theta,
+                 "n_phi": asm.perturbed_states.grid.n_phi},
         "constellation_order": asm.constellation.order,
     }
     written = save_results(cfg.out_dir, metrics=metrics)
@@ -145,6 +166,7 @@ def cmd_constellation(args) -> int:
                                 condition_cap=cfg.condition_cap)
     scenario = build_channel(asm.perturbed_states, (cfg.rx1, cfg.rx2), asm.constellation,
                              rx_polarizations=_rx_polarizations(cfg))
+    del asm  # the states go before the pairs are made and tabled
     rx = received_constellation(scenario, condition_cap=cfg.condition_cap)
     path = save_constellation_csv(cfg.out_dir / "constellation.csv", tx, rx)
     print(f"constellation written to {path} ({rx.k1.size} pairs per side)")

@@ -3,21 +3,27 @@
 Angle columns are degrees at every file boundary (radians in memory).
 One writer makes every table cell by one rule (a float by its shortest
 repr) and one reader parses tables with ``np.loadtxt``, so writer/reader
-pairs are lossless at double precision; each version of a pattern CSV is
-parsed once, its rows kept in ``.beamspace-cache/`` beside it.  Monte-Carlo
-CDF tables have at most 10^4 rows and ``sketch.npz`` holds the error sketches
-they are read from, each row's counts spanning only its own keys.  Non-finite
-metric values are encoded as the JSON strings "inf", "-inf", "nan".
+pairs are lossless at double precision.  Each version of a pattern CSV is
+parsed once: its (2, n_theta, n_phi) fields are kept in ``.beamspace-cache/``
+beside it, keyed by a hash streamed over its 64 KiB blocks, so a cached read
+holds neither the file's bytes nor its rows; loads of one shape share one grid.
+Monte-Carlo CDF tables have at most 10^4 rows and ``sketch.npz`` holds the
+error sketches they are read from, each row's counts spanning only its own
+keys.  Non-finite metric values are encoded as the JSON strings "inf", "-inf",
+"nan".
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
+import re
 import stat
 import sys
 import warnings
@@ -31,7 +37,7 @@ from .errors import (DEFAULT_CONDITION_CAP, MAX_SCENARIOS, ConfigError, InvalidA
                      PatternFormatError, require_state_samples)
 from .modulation import ratio_label
 from .patterns import EvmMap, GaussianLobe, PerturbationLobe
-from .sphere import POLARIZATIONS, VectorPattern, build_grid
+from .sphere import POLARIZATIONS, SphericalGrid, VectorPattern
 
 __all__ = [
     "RunConfig",
@@ -52,6 +58,9 @@ _ANGLE_MATCH_TOL = 1e-9  # radians; any looser is an irregular grid
 # Table rows formatted and written at a time.  Joined, a block of 512 is 9-55 KB, under
 # glibc's 128 KiB mmap threshold; blocks of 4,096 (94-397 KB) raised peak RSS.
 _BLOCK_ROWS = 512
+_KEY_BLOCK = 64 * 1024  # bytes of a pattern CSV hashed at a time into its cache key
+_comment = re.compile(r"\s*#").match  # a line whose first non-blank character is "#"
+_grid = functools.lru_cache(maxsize=None)(SphericalGrid)  # one grid per shape, for every load
 
 
 def _create(path: Path, mode: str = "w", **kwargs):
@@ -99,11 +108,16 @@ def _blocks(column: np.ndarray):
 
 
 @contextlib.contextmanager
-def _text(path: Path, raw: bytes):
-    """``raw``, the bytes of ``path``, as UTF-8 text less any leading byte-order mark; a byte
-    that is not UTF-8 is a PatternFormatError."""
+def _reading(path: Path):
+    """``path`` open as UTF-8 text less any leading byte-order mark; a missing file raises
+    FileNotFoundError, a failed read or a byte that is not UTF-8 a PatternFormatError."""
     try:
-        yield io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig")
+        with path.open(encoding="utf-8-sig") as fh:
+            yield fh
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise PatternFormatError(f"{path}: cannot be read: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise PatternFormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
@@ -112,26 +126,16 @@ def _scan_header(fh) -> tuple[list[str], str]:
     """Stripped lines above the column row (first neither blank nor ``#``), then that row."""
     above = []
     for line in iter(fh.readline, ""):
-        if line.strip() and not line.lstrip().startswith("#"):
+        if line.strip() and not _comment(line):
             return above, line
         above.append(line.strip())
     return above, ""
 
 
-def _read_table(path: Path, columns) -> tuple[bytes, list[str]]:
-    """The bytes of ``path`` and the lines above its column row, which must be ``columns``.
-
-    A missing file raises FileNotFoundError; any other read failure is a
-    PatternFormatError naming the file.
-    """
-    try:
-        raw = path.read_bytes()
-    except FileNotFoundError:
-        raise
-    except OSError as exc:
-        raise PatternFormatError(f"{path}: cannot be read: {exc}") from exc
-    with _text(path, raw) as fh:
-        above, line = _scan_header(fh)
+def _header(path: Path, fh, columns) -> list[str]:
+    """The lines above the column row of open table ``fh``, which must be ``columns``."""
+    fh.seek(0)
+    above, line = _scan_header(fh)
     if not line:
         raise PatternFormatError(f"{path}: no column row {','.join(columns)}")
     names = [c.strip().strip('"') for c in line.split(",")]
@@ -140,22 +144,50 @@ def _read_table(path: Path, columns) -> tuple[bytes, list[str]]:
         raise PatternFormatError(f"{path}: missing column(s) {', '.join(missing)}")
     if names != list(columns):
         raise PatternFormatError(f"{path}: columns must be exactly {','.join(columns)}")
-    return raw, above
+    return above
 
 
-def _rows(path: Path, raw: bytes, n_header: int, n_fields: int) -> np.ndarray:
-    """The data rows of ``path`` (bytes ``raw``) below its ``n_header`` header lines, the
-    column row included, bitwise float()."""
-    with _text(path, raw) as fh, warnings.catch_warnings():
+def _rows(path: Path, fh, n_header: int, n_fields: int) -> np.ndarray:
+    """The data rows of open table ``fh`` below its ``n_header`` header lines, the column row
+    included, bitwise float(); a line whose first non-blank character is ``#`` is skipped."""
+    fh.seek(0)
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        lines = itertools.filterfalse(_comment, itertools.islice(fh, n_header, None))
         try:
-            data = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2, skiprows=n_header)
+            data = np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2)
         except ValueError as exc:
-            bad = _first_bad_line(path, raw, n_header, n_fields)
+            bad = _first_bad_line(path, fh, n_header, n_fields)
             raise PatternFormatError(bad or f"{path}: {exc}") from exc
         if data.size and data.shape[1] != n_fields:
-            raise PatternFormatError(_first_bad_line(path, raw, n_header, n_fields))
+            raise PatternFormatError(_first_bad_line(path, fh, n_header, n_fields))
     return data.reshape(-1, n_fields)
+
+
+def _first_bad_line(path: Path, fh, n_header: int, n_fields: int) -> str | None:
+    """Name the first data line with a field ``_rows`` cannot read or a wrong field count,
+    each line read alone as ``_rows`` reads the file, its comment and quotes included."""
+    fh.seek(0)
+    for lineno, line in enumerate(fh, start=1):
+        if lineno <= n_header or _comment(line):
+            continue
+        try:
+            row = np.loadtxt([line], delimiter=",", quotechar='"', ndmin=2)
+        except ValueError as exc:  # "could not convert string 'x' to float64 at row 0, ..."
+            return f"{path}:{lineno}: {str(exc).split(' at row')[0]}"
+        if row.size and row.shape[1] != n_fields:
+            return f"{path}:{lineno}: expected {n_fields} fields, got {row.shape[1]}"
+    return None
+
+
+def _key(fh) -> str:
+    """16 hex digits naming the bytes of open file ``fh``: the source hash of the source
+    hashes of its ``_KEY_BLOCK``-byte blocks, read one at a time into one buffer."""
+    fh.seek(0)  # and a text read seeks back to 0 before it reads
+    block, digests = bytearray(_KEY_BLOCK), []
+    while size := fh.buffer.readinto(block):
+        digests.append(importlib.util.source_hash(memoryview(block)[:size]))
+    return importlib.util.source_hash(b"".join(digests)).hex()
 
 
 def _own_dir(path: Path) -> bool:
@@ -166,26 +198,28 @@ def _own_dir(path: Path) -> bool:
     return False
 
 
-def _cached_rows(path: Path, raw: bytes, n_header: int) -> np.ndarray:
-    """The data rows of pattern CSV ``path`` (bytes ``raw``, ``n_header`` header lines): its
-    cache entry if that reads as a (rows, 6) float64 array, else (whatever failed in the
-    read) parsed and stored in place of the file's older entries.  The cache is skipped if
-    it is not this user's own directory or cannot be written."""
+def _cached_fields(path: Path, fh, above: list[str]) -> np.ndarray:
+    """The (2, n_theta, n_phi) e_theta and e_phi of pattern CSV ``fh`` (header lines
+    ``above``): its cache entry if that is a complex array of this form and of the sizes the
+    header declares, else (whatever failed in the read) parsed and stored in place of the
+    file's older entries.  The cache is skipped if not this user's own or not writable."""
     cache = path.parent / ".beamspace-cache"
     with contextlib.suppress(OSError):
         cache.mkdir(mode=0o755)
     if not _own_dir(cache):  # an entry another user could write is never read
-        return _rows(path, raw, n_header, len(PATTERN_COLUMNS))
-    entry = cache / f"{path.name}.{importlib.util.source_hash(raw).hex()}.npy"
-    with contextlib.suppress(Exception), entry.open("rb") as fh:
-        data = np.lib.format.read_array(fh, allow_pickle=False)
-        if data.dtype == np.float64 and data.ndim == 2 and data.shape[1] == len(PATTERN_COLUMNS):
-            return data
-    data = _rows(path, raw, n_header, len(PATTERN_COLUMNS))
-    tmp = cache / f"{entry.name}.{os.getpid()}-{id(data)}.tmp"  # unique among live writers
+        return _fields(path, fh, above)
+    entry = cache / f"{path.name}.{_key(fh)}.npy"
+    with contextlib.suppress(Exception), entry.open("rb") as efh:
+        fields = np.lib.format.read_array(efh, allow_pickle=False)
+        sizes = dict(zip(("n_theta", "n_phi"), fields.shape[1:]))
+        if (fields.dtype == complex and fields.ndim == 3 and len(fields) == 2
+                and _pattern_header(path, above)[0].items() <= sizes.items()):
+            return fields
+    fields = _fields(path, fh, above)
+    tmp = cache / f"{entry.name}.{os.getpid()}-{id(fields)}.tmp"  # unique among live writers
     try:
-        with tmp.open("xb") as fh:
-            np.save(fh, data)
+        with tmp.open("xb") as efh:
+            np.save(efh, fields)
         tmp.replace(entry)
         for old in cache.iterdir():  # "<name>.<16 hex digits>.npy", and its ".<pid>-<id>.tmp"
             if old != entry and old.name.rpartition(".npy")[0][:-17] == path.name:
@@ -195,23 +229,7 @@ def _cached_rows(path: Path, raw: bytes, n_header: int) -> np.ndarray:
     finally:
         with contextlib.suppress(OSError):
             tmp.unlink()  # left only by an error or an interrupt
-    return data
-
-
-def _first_bad_line(path: Path, raw: bytes, n_header: int, n_fields: int) -> str | None:
-    """Name the first data line with a field ``_rows`` cannot read or a wrong field count,
-    each line read alone as ``_rows`` reads the file, its comment and quotes included."""
-    with _text(path, raw) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno <= n_header:
-                continue
-            try:
-                row = np.loadtxt([line], delimiter=",", quotechar='"', ndmin=2)
-            except ValueError as exc:  # "could not convert string 'x' to float64 at row 0, ..."
-                return f"{path}:{lineno}: {str(exc).split(' at row')[0]}"
-            if row.size and row.shape[1] != n_fields:
-                return f"{path}:{lineno}: expected {n_fields} fields, got {row.shape[1]}"
-    return None
+    return fields
 
 
 def save_pattern_csv(
@@ -260,9 +278,18 @@ def load_pattern_csv(path) -> VectorPattern:
     reordered or interpolated; any irregularity is a hard error.
     """
     path = Path(path)
-    raw, above = _read_table(path, PATTERN_COLUMNS)
-    data = _cached_rows(path, raw, len(above) + 1)
-    del raw  # 1.5 MB for 16,380 rows; the checks below peak with only the rows held
+    with _reading(path) as fh:
+        fields = _cached_fields(path, fh, _header(path, fh, PATTERN_COLUMNS))
+    try:
+        return VectorPattern(grid=_grid(*fields.shape[1:]), e_theta=fields[0], e_phi=fields[1])
+    except InvalidArgumentError as exc:
+        raise PatternFormatError(f"{path}: {exc}") from exc
+
+
+def _fields(path: Path, fh, above: list[str]) -> np.ndarray:
+    """The (2, n_theta, n_phi) e_theta and e_phi of pattern CSV ``fh`` (header lines
+    ``above``) as parsed, once every row and the grid they sample are checked."""
+    data = _rows(path, fh, len(above) + 1, len(PATTERN_COLUMNS))
     declared, degrees = _pattern_header(path, above)
     if data.shape[0] == 0:
         raise PatternFormatError(f"{path}: no data rows")
@@ -279,32 +306,25 @@ def load_pattern_csv(path) -> VectorPattern:
         raise PatternFormatError(f"{path}: single polar angle; full grid required")
     n_phi = int(changes[0])
     if data.shape[0] % n_phi:
-        raise PatternFormatError(
-            f"{path}: {data.shape[0]} rows is not a multiple of n_phi={n_phi}"
-        )
+        raise PatternFormatError(f"{path}: {data.shape[0]} rows is not a multiple of n_phi={n_phi}")
     n_theta = data.shape[0] // n_phi
     for key, size in (("n_theta", n_theta), ("n_phi", n_phi)):
         if declared.get(key, size) != size:
             raise PatternFormatError(
                 f"{path}: header declares {key}={declared[key]}, data has {size}")
     try:
-        grid = build_grid(n_theta, n_phi)
+        grid = _grid(n_theta, n_phi)
     except InvalidArgumentError as exc:
         raise PatternFormatError(f"{path}: {exc}") from exc
 
     if (np.max(np.abs(theta_col.reshape(grid.shape) - grid.theta[:, None])) > _ANGLE_MATCH_TOL
             or np.max(np.abs(phi_col.reshape(grid.shape) - grid.phi)) > _ANGLE_MATCH_TOL):
-        raise PatternFormatError(
-            f"{path}: angles are not a regular theta-major "
-            f"{n_theta}x{n_phi} full-sphere grid"
-        )
+        raise PatternFormatError(f"{path}: angles are not a regular theta-major "
+                                 f"{n_theta}x{n_phi} full-sphere grid")
     fields = np.empty((2, n_theta, n_phi), complex)  # e_theta, e_phi; a + 1j*b loses -0.0
     fields.real[...] = data[:, 2::2].T.reshape(fields.shape)
     fields.imag[...] = data[:, 3::2].T.reshape(fields.shape)
-    try:
-        return VectorPattern(grid=grid, e_theta=fields[0], e_phi=fields[1])
-    except InvalidArgumentError as exc:
-        raise PatternFormatError(f"{path}: {exc}") from exc
+    return fields
 
 
 def save_cdf_csv(path, errors, probabilities) -> Path:
@@ -315,8 +335,8 @@ def save_cdf_csv(path, errors, probabilities) -> Path:
 
 def load_cdf_csv(path) -> tuple[np.ndarray, np.ndarray]:
     path = Path(path)
-    raw, above = _read_table(path, CDF_COLUMNS)
-    data = _rows(path, raw, len(above) + 1, len(CDF_COLUMNS))
+    with _reading(path) as fh:
+        data = _rows(path, fh, len(_header(path, fh, CDF_COLUMNS)) + 1, len(CDF_COLUMNS))
     return data[:, 0], data[:, 1]
 
 

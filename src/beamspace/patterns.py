@@ -132,13 +132,15 @@ def apply_perturbation(s: StatePatternSet, factors: Mapping[int, VectorPattern])
             f"perturbation keys {sorted(factors)} do not cover ratio indices "
             f"0..{s.ratios.order - 1}"
         )
-    out = {}
-    for k, p in s.patterns.items():
-        f = factors[k]
-        require_same_grid(p.grid, f.grid)
-        out[k] = VectorPattern(grid=p.grid, e_theta=_scaled(f.e_theta, p.e_theta),
-                               e_phi=_scaled(f.e_phi, p.e_phi))
-    return StatePatternSet(ratios=s.ratios, patterns=out)
+    return StatePatternSet(ratios=s.ratios,
+                           patterns={k: _perturbed(p, factors[k]) for k, p in s.patterns.items()})
+
+
+def _perturbed(p: VectorPattern, factor: VectorPattern) -> VectorPattern:
+    """State ``p`` with each component multiplied pointwise by that of ``factor``."""
+    require_same_grid(p.grid, factor.grid)
+    return VectorPattern(grid=p.grid, e_theta=_scaled(factor.e_theta, p.e_theta),
+                         e_phi=_scaled(factor.e_phi, p.e_phi))
 
 
 def _scaled(factor: np.ndarray, component: np.ndarray) -> np.ndarray:
@@ -344,6 +346,12 @@ def generate_mirror_pair(
     b1 + ratio_k * b2 on the resulting basis, so that the free-space set
     decomposes onto it identically.
     """
+    return StatePatternSet(ratios=ratios, patterns=dict(_mirror_states(lobes, grid, ratios)))
+
+
+def _mirror_states(lobes: Sequence[GaussianLobe], grid: SphericalGrid, ratios: RatioSet):
+    """The states of ``generate_mirror_pair``, one (ratio index, pattern) at a time: +1,
+    -1, then the others in index order, each made when the previous one is taken."""
     if len(lobes) == 0:
         raise InvalidArgumentError("profile needs at least one lobe")
     if ratios.order % 2:
@@ -357,15 +365,14 @@ def generate_mirror_pair(
     mirror = (-np.arange(grid.n_phi)) % grid.n_phi
     e_plus = VectorPattern(grid=grid, e_theta=e_theta, e_phi=e_phi)
     e_minus = VectorPattern(grid=grid, e_theta=e_theta[:, mirror], e_phi=-e_phi[:, mirror])
+    del e_theta, e_phi, g
+    yield ratios.plus_one_index, e_plus
+    yield ratios.minus_one_index, e_minus
     basis = _basis(e_plus, e_minus)
-    patterns: dict[int, VectorPattern] = {
-        ratios.plus_one_index: e_plus,
-        ratios.minus_one_index: e_minus,
-    }
+    del e_plus, e_minus
     for k, xbar in enumerate(ratios.values):
-        if k not in patterns:
-            patterns[k] = _lincomb(1.0, basis.b1, xbar, basis.b2)
-    return StatePatternSet(ratios=ratios, patterns=patterns)
+        if k not in (ratios.plus_one_index, ratios.minus_one_index):
+            yield k, _lincomb(1.0, basis.b1, xbar, basis.b2)
 
 
 def default_mirror_profile() -> tuple[GaussianLobe, ...]:

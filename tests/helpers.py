@@ -14,6 +14,9 @@ and the sketches are pinned to; ``upfront_sketches`` folds its errors into
 the rows of ``sketch.npz``.  ``result_arrays`` are those rows for a sweep's
 result, and ``sketch_rows`` and ``pooled`` rebuild sketches from them.
 
+``pattern_cache_entry`` names the cache entry of a pattern CSV by the
+reader's key, computed here with a loop of its own over the file's bytes.
+
 ``reference_responses``, ``reference_condition_2x2`` and
 ``reference_zf_gains`` are the decode kernel with the scenario axis first:
 (n, 2, K) responses from one stencil with real weights per receiver, and
@@ -21,6 +24,7 @@ result, and ``sketch_rows`` and ``pooled`` rebuild sketches from them.
 give the same bits.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -50,6 +54,14 @@ def sample_pattern(p: VectorPattern, theta, phi) -> tuple[np.ndarray, np.ndarray
     """
     stencil = bilinear_stencil(p.grid, theta, phi)
     return apply_stencil(stencil, p.e_theta), apply_stencil(stencil, p.e_phi)
+
+
+def pattern_cache_entry(path, block: int = 64 * 1024) -> str:
+    """The name of pattern CSV ``path``'s entry in ``.beamspace-cache/``: the file's name and
+    the source hash of the source hashes of its ``block``-byte slices, in hex."""
+    data = Path(path).read_bytes()
+    digests = [importlib.util.source_hash(data[i:i + block]) for i in range(0, len(data), block)]
+    return f"{Path(path).name}.{importlib.util.source_hash(b''.join(digests)).hex()}.npy"
 
 
 def parse_ratio_label(label: str, order: int) -> int:

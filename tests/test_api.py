@@ -10,7 +10,7 @@ import pytest
 import beamspace
 
 # Lines of the package's source, as the last change to its size left them.
-LINE_BUDGET = 2879
+LINE_BUDGET = 2928
 
 # Every public name of the package; adding or removing one means editing this set.
 PUBLIC_NAMES = {

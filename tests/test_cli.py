@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -338,28 +339,30 @@ class TestOutputDirectory:
 
 
 class TestAssemblyLifetime:
-    """Only ``metrics`` keeps the free-space states; the other commands let them
-    and the perturbation factors go before their work starts."""
+    """Each free state goes once it is perturbed, and the perturbation factors go before a
+    command's work starts; no command holds two state sets."""
 
     @pytest.mark.parametrize("command, work", [
         ("monte-carlo", "run_monte_carlo"), ("evm-map", "evm_map"),
-        ("constellation", "constellation_at_angle")])
+        ("constellation", "constellation_at_angle"), ("metrics", "evm_map")])
     def test_free_states_and_perturbation_released(self, hand_config, tmp_path, monkeypatch,
                                                    command, work):
         refs, alive = [], []
+        made = cli._free_states
 
-        def referenced(name, parts):
-            make = getattr(cli, name)
+        def free_states(*args):
+            for k, state in made(*args):
+                refs.append(weakref.ref(state))
+                yield k, state
+        monkeypatch.setattr(cli, "_free_states", free_states)
+        perturbation = cli.generate_perturbation
 
-            def wrapped(*args, **kwargs):
-                made = make(*args, **kwargs)
-                refs.extend(weakref.ref(part) for part in parts(made))
-                return made
-            monkeypatch.setattr(cli, name, wrapped)
-
-        referenced("generate_mirror_pair", lambda states: [states])
-        # a read-only mapping cannot be weakly referenced: follow its factor patterns
-        referenced("generate_perturbation", lambda factors: set(factors.values()))
+        def factors(*args):
+            # a read-only mapping cannot be weakly referenced: follow its factor patterns
+            made = perturbation(*args)
+            refs.extend(weakref.ref(f) for f in set(made.values()))
+            return made
+        monkeypatch.setattr(cli, "generate_perturbation", factors)
         home = cli if work == "evm_map" else link  # the link layer loads when its command runs
         run = getattr(home, work)
 
@@ -370,8 +373,33 @@ class TestAssemblyLifetime:
 
         monkeypatch.setattr(home, work, checked)
         assert main([command, "--config", str(hand_config), "--out", str(tmp_path)]) == 0
-        # the free states and four factor patterns: each state has a lobe of its own
-        assert len(refs) == 5 and alive == []
+        # four free states and four factor patterns: each state has a lobe of its own
+        assert len(refs) == 8 and alive == []
+
+    def test_metrics_assembly_peaks_at_one_state_set(self, tmp_path):
+        # an order-64 copy of the hand config, its lobes on the states of ratios +1, -1, +j
+        # and -j (ratio indices 0, 32, 16 and 48): assembling it for metrics holds the
+        # perturbed states, the factors and at most four more patterns at any one time
+        payload = json.loads((CONFIGS / "hand_scenario.json").read_text())
+        payload["constellation"] = {"order": 64}
+        names = {"+1": "ratio_0", "-1": "ratio_32", "+j": "ratio_16", "-j": "ratio_48"}
+        for lobe in payload["perturbation"]["lobes"]:
+            if lobe["states"] is not None:
+                lobe["states"] = [names[s] for s in lobe["states"]]
+        cfg = load_config(_write_config(tmp_path, payload))
+        tracemalloc.start()
+        try:
+            asm = cli._assemble(cfg, free_space=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pattern = 2 * 91 * 180 * 16  # bytes of one state's two complex components
+        factors = cli.generate_perturbation(cfg.perturbation_lobes, asm.perturbed_states.grid,
+                                            asm.constellation.ratio_set)
+        factor_bytes = sum({id(a): a.nbytes for f in factors.values()
+                            for a in (f.e_theta, f.e_phi)}.values())
+        assert len(asm.free_space["power"]) == 64
+        assert peak <= 64 * pattern + factor_bytes + 4 * pattern
 
 
 class TestPatternFilePipeline:
@@ -775,11 +803,20 @@ def test_pattern_files_on_different_grids_exit_2(tmp_path, state_files, command)
 
 
 def test_unreadable_pattern_file_exit_2(tmp_path, state_files, monkeypatch):
-    # a chmod does not stop root from reading, so the read itself is made to fail
-    def refused(path):
-        raise PermissionError(13, "Permission denied", str(path))
+    # a chmod does not stop root from reading, so the key pass's streamed read of each
+    # pattern CSV is made to fail
+    class Refused(io.BufferedReader):
+        def readinto(self, buffer):
+            raise PermissionError(13, "Permission denied", self.name)
 
-    monkeypatch.setattr(Path, "read_bytes", refused)
+    opened = Path.open
+
+    def refusing(path, mode="r", *args, **kwargs):
+        if path.suffix == ".csv" and mode == "r":
+            return io.TextIOWrapper(Refused(io.FileIO(path)), *args, **kwargs)
+        return opened(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", refusing)
     config = _write_config(tmp_path, {
         "antenna": {"pattern_files": {k: str(v) for k, v in state_files.items()}}})
     err = io.StringIO()

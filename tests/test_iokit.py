@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import subprocess
@@ -41,7 +40,7 @@ from beamspace.patterns import (
 from beamspace import iokit
 from beamspace.link import SKETCH_ALPHA
 from beamspace.modulation import PskConstellation
-from helpers import load_metrics_json, upfront_errors
+from helpers import load_metrics_json, pattern_cache_entry, upfront_errors
 
 QPSK = PskConstellation.qpsk()
 
@@ -225,6 +224,28 @@ class TestPatternCsv:
             assert loaded.e_phi[2, 0] == -7.0 + 0.125j
             assert loaded.e_theta[0, 0] == 0.0
 
+    def test_indented_comment_among_rows_is_a_comment(self, tmp_path):
+        # a line whose first non-blank character is "#" is a comment among the data rows,
+        # as it is above the column row; a bad field below it is named by its own line
+        pattern = _random_pattern(build_grid(3, 4), np.random.default_rng(15))
+        plain = save_pattern_csv(pattern, tmp_path / "p.csv")
+        lines = plain.read_text().splitlines(keepends=True)
+        lines[9:9] = ["  # note\n"]  # line 10, after the fifth data row
+        lines[13:13] = ["\t #\n"]
+        path = tmp_path / "q.csv"
+        path.write_text("".join(lines))
+        loaded, expected = load_pattern_csv(path), load_pattern_csv(plain)
+        assert loaded.e_theta.tobytes() == expected.e_theta.tobytes()
+        assert loaded.e_phi.tobytes() == expected.e_phi.tobytes()
+        fields = lines[10].split(",")
+        lines[10] = ",".join(fields[:2] + ["x"] + fields[3:])
+        path.write_text("".join(lines))
+        with pytest.raises(PatternFormatError, match="q.csv:11: could not convert string 'x'"):
+            load_pattern_csv(path)
+        cdf = tmp_path / "c.csv"
+        cdf.write_text("error,cumulative_probability\n0.25,0.5\n   # note\n0.5,1.0\n")
+        assert [a.tolist() for a in load_cdf_csv(cdf)] == [[0.25, 0.5], [0.5, 1.0]]
+
     def test_radian_unit_header(self, tmp_path):
         grid = build_grid(3, 4)
         # the unit is read also after a blank line
@@ -274,7 +295,7 @@ class TestPatternCsv:
 
 
 class TestPatternCache:
-    """Each version of a pattern CSV is parsed once; its rows sit in ``.beamspace-cache/``."""
+    """Each version of a pattern CSV is parsed once; its fields sit in ``.beamspace-cache/``."""
 
     @staticmethod
     def _entries(folder):
@@ -301,8 +322,11 @@ class TestPatternCache:
         parses = self._count_parses(monkeypatch)
         cold, warm = load_pattern_csv(path), load_pattern_csv(path)
         assert len(parses) == 1
-        assert self._entries(tmp_path) == [
-            f"p.csv.{importlib.util.source_hash(path.read_bytes()).hex()}.npy"]
+        assert self._entries(tmp_path) == [pattern_cache_entry(path)]
+        entry = np.load(tmp_path / ".beamspace-cache" / pattern_cache_entry(path))
+        assert entry.dtype == complex and entry.shape == (2, 3, 4)
+        assert entry.tobytes() == np.stack([pattern.e_theta, pattern.e_phi]).tobytes()
+        assert cold.grid is warm.grid  # one grid per shape, whichever file it comes from
         for loaded in (cold, warm):
             assert loaded.e_theta.tobytes() == pattern.e_theta.tobytes()
             assert loaded.e_phi.tobytes() == pattern.e_phi.tobytes()
@@ -320,8 +344,9 @@ class TestPatternCache:
         assert len(scans) == 2
 
     def test_warm_load_holds_the_bytes_and_rows_once(self, tmp_path):
-        # the traced peak of a cached 91 x 180 load: the file's bytes, its (16,380, 6) rows
-        # and small arrays, not a second copy of the rows or of either component
+        # the traced peak of a cached 91 x 180 load: its (2, 91, 180) complex fields, one
+        # 64 KiB block of the key pass and small objects; neither the file's bytes nor its
+        # (16,380, 6) rows, and no second copy of either component
         pattern = _random_pattern(build_grid(91, 180), np.random.default_rng(11))
         path = save_pattern_csv(pattern, tmp_path / "p.csv")
         load_pattern_csv(path)
@@ -331,7 +356,7 @@ class TestPatternCache:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= path.stat().st_size + 91 * 180 * 6 * 8 + 64 * 1024
+        assert peak <= 2 * 91 * 180 * 16 + 64 * 1024 + 16 * 1024
 
     def test_same_size_same_mtime_rewrite_is_parsed(self, tmp_path, monkeypatch):
         _, path = self._saved(tmp_path)
@@ -351,21 +376,53 @@ class TestPatternCache:
         assert load_pattern_csv(path).e_theta[0, 0].real == float(fields[2])
         assert len(parses) == 1
 
+    @pytest.mark.parametrize("length", ["any", "whole blocks"])
+    def test_rewrite_in_the_last_block_is_parsed(self, tmp_path, monkeypatch, length):
+        # a same-size, same-mtime edit of the last data row, in the last 64 KiB block the
+        # key hashes, on a 91 x 180 file and on one padded to exactly 24 blocks
+        pattern = _random_pattern(build_grid(91, 180), np.random.default_rng(14))
+        path = save_pattern_csv(pattern, tmp_path / "p.csv")
+        if length == "whole blocks":
+            pad = -path.stat().st_size % (64 * 1024)
+            path.write_text("#" + "-" * (pad - 2) + "\n" + path.read_text())
+            assert path.stat().st_size == 24 * 64 * 1024
+        load_pattern_csv(path)
+        stat = path.stat()
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[-1].split(",")  # the last data row: theta 180, phi 358
+        digit = next(i for i, c in enumerate(fields[2]) if c in "123456789")
+        fields[2] = fields[2][:digit] + ("1" if fields[2][digit] != "1" else "2") \
+            + fields[2][digit + 1:]
+        lines[-1] = ",".join(fields)
+        path.write_text("".join(lines))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        parses = self._count_parses(monkeypatch)
+        assert load_pattern_csv(path).e_theta[-1, -1].real == float(fields[2])
+        assert len(parses) == 1
+        assert self._entries(tmp_path) == [pattern_cache_entry(path)]
+
     @pytest.mark.parametrize("corrupt", ["empty", "truncated", "five columns", "float32",
-                                         "one-dimensional", "object"])
+                                         "one-dimensional", "object", "one component",
+                                         "rows table", "sizes swapped"])
     def test_bad_entry_is_parsed_and_rewritten(self, tmp_path, monkeypatch, corrupt):
+        # an entry must be a complex (2, n_theta, n_phi) array of the sizes the header
+        # declares (3 x 4 here); any other entry is a miss
         pattern, path = self._saved(tmp_path)
         load_pattern_csv(path)
         [name] = self._entries(tmp_path)
         entry = tmp_path / ".beamspace-cache" / name
         good = entry.read_bytes()
-        rows = np.load(entry)
+        fields = np.load(entry)
         if corrupt in ("empty", "truncated"):
             entry.write_bytes(good[:len(good) // 2] if corrupt == "truncated" else b"")
         else:
-            bad = {"five columns": rows[:, :5], "float32": rows.astype(np.float32),
-                   "one-dimensional": rows.ravel(),
-                   "object": rows.astype(object)}[corrupt]
+            bad = {"five columns": fields[:, :, [0, 1, 2, 3, 0]],
+                   "float32": fields.real.astype(np.float32),
+                   "one-dimensional": fields.ravel(), "object": fields.astype(object),
+                   "one component": fields[:1],
+                   "rows table": np.zeros((12, 6)),  # the form of an entry of older versions
+                   "sizes swapped": fields.transpose(0, 2, 1)}[corrupt]
             np.save(entry, bad, allow_pickle=True)
         parses = self._count_parses(monkeypatch)
         loaded = load_pattern_csv(path)
@@ -410,9 +467,7 @@ class TestPatternCache:
         load_pattern_csv(path)
         cache = tmp_path / ".beamspace-cache"
         [name] = self._entries(tmp_path)
-        rows = np.load(cache / name)
-        rows[:, 2:] += 1.0
-        np.save(cache / name, rows)
+        np.save(cache / name, np.load(cache / name) + 1.0)
         planted = (cache / name).read_bytes()
         # in this user's own directory the entry is trusted ...
         assert load_pattern_csv(path).e_theta.tobytes() != pattern.e_theta.tobytes()
@@ -450,9 +505,8 @@ class TestPatternCache:
         for name in ("p.csv.0123456789abcdef.npy.4242-1.tmp", "p.csv.csv.0123456789abcdef.npy"):
             (cache / name).write_bytes(b"\x93NUMPY")
         load_pattern_csv(path)
-        assert self._entries(tmp_path) == [
-            f"p.csv.{importlib.util.source_hash(path.read_bytes()).hex()}.npy",
-            "p.csv.csv.0123456789abcdef.npy"]
+        assert self._entries(tmp_path) == sorted([pattern_cache_entry(path),
+                                                  "p.csv.csv.0123456789abcdef.npy"])
 
     def test_one_entry_per_file(self, tmp_path):
         _, path = self._saved(tmp_path, seed=11)
@@ -463,9 +517,7 @@ class TestPatternCache:
         load_pattern_csv(neighbour)
         newer, _ = self._saved(tmp_path, seed=13)
         assert load_pattern_csv(path).e_phi.tobytes() == newer.e_phi.tobytes()
-        assert self._entries(tmp_path) == sorted(
-            f"{f.name}.{importlib.util.source_hash(f.read_bytes()).hex()}.npy"
-            for f in (path, neighbour))
+        assert self._entries(tmp_path) == sorted(map(pattern_cache_entry, (path, neighbour)))
 
     def test_concurrent_loads(self, tmp_path):
         # more readers than cores on two files of one directory, switching often
@@ -496,8 +548,7 @@ class TestPatternCache:
         assert not any(t.is_alive() for t in threads)
         assert raised == []
         assert wrong == []
-        assert self._entries(tmp_path) == sorted(
-            f"{f.name}.{importlib.util.source_hash(f.read_bytes()).hex()}.npy" for f in paths)
+        assert self._entries(tmp_path) == sorted(map(pattern_cache_entry, paths))
 
     @pytest.mark.parametrize("error", [SystemError, RecursionError, KeyError])
     def test_any_failed_entry_read_is_a_miss(self, tmp_path, monkeypatch, error):
