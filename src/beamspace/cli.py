@@ -11,7 +11,9 @@ only when they run, so the other commands start without it.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import gc
 import sys
 import time
 from dataclasses import dataclass
@@ -280,6 +282,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The final collections at exit walk every tracked object and free none (the OS takes
+    # the memory back), so exit freezes the heap first; one handler, however many calls.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -363,11 +363,13 @@ def save_constellation_csv(path, transmit, receive) -> Path:
 
 
 def _json_encode(obj: Any) -> Any:
-    """Recursively map non-finite floats to sentinel strings."""
+    """Recursively map non-finite floats to sentinel strings and numpy scalars to JSON's."""
     if isinstance(obj, dict):
         return {str(k): _json_encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_encode(v) for v in obj]
+    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
         return x if math.isfinite(x) else repr(x)

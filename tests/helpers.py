@@ -16,6 +16,8 @@ result, and ``sketch_rows`` and ``pooled`` rebuild sketches from them.
 
 ``pattern_cache_entry`` names the cache entry of a pattern CSV by the
 reader's key, computed here with a loop of its own over the file's bytes.
+``package_env`` is the environment a child interpreter imports this package
+in.
 
 ``reference_responses``, ``reference_condition_2x2`` and
 ``reference_zf_gains`` are the decode kernel with the scenario axis first:
@@ -26,6 +28,7 @@ give the same bits.
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +65,13 @@ def pattern_cache_entry(path, block: int = 64 * 1024) -> str:
     data = Path(path).read_bytes()
     digests = [importlib.util.source_hash(data[i:i + block]) for i in range(0, len(data), block)]
     return f"{Path(path).name}.{importlib.util.source_hash(b''.join(digests)).hex()}.npy"
+
+
+def package_env() -> dict:
+    """The environment with the tested package's ``src`` first on a child's module path."""
+    src = str(Path(link.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def parse_ratio_label(label: str, order: int) -> int:

@@ -3,6 +3,8 @@ import dataclasses
 import gc
 import io
 import json
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
@@ -33,7 +35,7 @@ from beamspace import (
 )
 from beamspace.cli import main
 from beamspace.errors import MAX_STATE_SAMPLES
-from helpers import load_metrics_json, pooled, sketch_rows
+from helpers import load_metrics_json, package_env, pooled, sketch_rows
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -429,6 +431,38 @@ class TestPatternFilePipeline:
         assert ((tmp_path / "gen" / "metrics.json").read_bytes()
                 == (tmp_path / "files" / "metrics.json").read_bytes())
 
+    def test_perturbed_states_from_files_reproduce_the_scenario(self, tmp_path):
+        # the benchmark's measured-pattern config: the hand scenario's perturbed states as
+        # pattern CSVs and no lobes, so every unity factor passes its field through; its
+        # tables are the hand config's byte for byte, and so are the metrics of the perturbed
+        # states (free_space differs: the measured config's free states are perturbed ones)
+        import beamspace as bs
+
+        cfg = load_config(CONFIGS / "hand_scenario.json")
+        ratios = bs.PskConstellation(cfg.constellation_order, cfg.constellation_offset).ratio_set
+        grid = bs.build_grid(cfg.n_theta, cfg.n_phi)
+        states = bs.apply_perturbation(
+            bs.generate_mirror_pair(bs.default_mirror_profile(), grid, ratios),
+            bs.generate_perturbation(cfg.perturbation_lobes, grid, ratios))
+        hand = json.loads((CONFIGS / "hand_scenario.json").read_text())
+        files = {}
+        for k in range(ratios.order):
+            files[ratios.label(k)] = f"state_{k}.csv"
+            bs.save_pattern_csv(states.state(k), tmp_path / files[ratios.label(k)],
+                                state=ratios.label(k))
+        measured = _write_config(tmp_path, dict(hand, antenna={"pattern_files": files},
+                                                perturbation={"lobes": []}), name="pattern.json")
+        for command in ("metrics", "evm-map", "constellation"):
+            for config, out in ((CONFIGS / "hand_scenario.json", "hand"), (measured, "measured")):
+                assert main([command, "--config", str(config),
+                             "--out", str(tmp_path / out)]) == 0
+        for name in ("evm_map.csv", "constellation.csv"):
+            assert ((tmp_path / "hand" / name).read_bytes()
+                    == (tmp_path / "measured" / name).read_bytes()), name
+        a, b = (load_metrics_json(tmp_path / out / "metrics.json") for out in ("hand", "measured"))
+        for key in ("basis_correlation_db", "power_imbalance_db", "average_evm_db"):
+            assert a[key] == b[key], key
+
     def test_file_grid_overrides_configured_grid(self, tmp_path):
         import beamspace as bs
 
@@ -460,6 +494,57 @@ class TestByteReproducibility:
         for name in ("metrics.json", "evm_map.csv", "constellation.csv"):
             assert ((tmp_path / "r1" / name).read_bytes()
                     == (tmp_path / "r2" / name).read_bytes())
+
+
+class TestExitPath:
+    """A command freezes the heap only as its process exits, so the interpreter's final
+    collections walk nothing; a process still exits clean and writes what a call writes."""
+
+    def test_one_exit_handler_and_nothing_frozen_while_running(self, freespace_config,
+                                                               tmp_path):
+        # three calls in one process: the heap is not frozen when they return, and the
+        # process freezes it once as it exits; the last handler to run counts the freezes
+        script = """if True:
+            import atexit, gc, sys
+            import beamspace.cli as cli
+            freezes = []
+            atexit.register(lambda: print("freezes", len(freezes)))
+            gc.freeze = lambda freeze=gc.freeze: freezes.append(freeze())
+            config, missing = sys.argv[1:]
+            codes = [cli.main(["evm-map", "--config", config]),
+                     cli.main(["metrics", "--config", config]),
+                     cli.main(["metrics", "--config", missing])]
+            print("codes", *codes, "frozen", gc.get_freeze_count())
+        """
+        done = subprocess.run([sys.executable, "-c", script, str(freespace_config),
+                               str(tmp_path / "missing.json")], env=package_env(),
+                              cwd=tmp_path, capture_output=True, text=True)
+        assert done.stdout.splitlines()[-2:] == ["codes 0 0 2 frozen 0", "freezes 1"], done
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics"], ["evm-map"], ["constellation"], ["monte-carlo", "--scenarios", "300"],
+        ["selftest"]], ids=lambda argv: argv[0])
+    def test_dev_mode_process_exits_clean(self, hand_config, tmp_path, argv):
+        writes = argv[0] != "selftest"
+        if writes:
+            argv = argv + ["--config", str(hand_config)]
+        out = ["--out", str(tmp_path / "process")] if writes else []
+        done = subprocess.run([sys.executable, "-X", "dev", "-m", "beamspace.cli", *argv, *out],
+                              env=package_env(), cwd=tmp_path, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert "ResourceWarning" not in done.stderr and "Traceback" not in done.stderr
+        if not writes:
+            assert "8/8 criteria passed" in done.stdout
+            return
+        assert main(argv + ["--out", str(tmp_path / "call")]) == 0
+        names = sorted(p.name for p in (tmp_path / "call").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "process").iterdir())
+        for name in names:
+            process, call = ((tmp_path / d / name).read_bytes() for d in ("process", "call"))
+            if name == "mc_report.json":  # all but the run's own duration
+                process, call = ({k: v for k, v in json.loads(b).items() if k != "seconds"}
+                                 for b in (process, call))
+            assert process == call, name
 
 
 class TestSelftestCommand:

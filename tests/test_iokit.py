@@ -40,7 +40,7 @@ from beamspace.patterns import (
 from beamspace import iokit
 from beamspace.link import SKETCH_ALPHA
 from beamspace.modulation import PskConstellation
-from helpers import load_metrics_json, pattern_cache_entry, upfront_errors
+from helpers import load_metrics_json, package_env, pattern_cache_entry, upfront_errors
 
 QPSK = PskConstellation.qpsk()
 
@@ -577,10 +577,7 @@ class TestPatternCache:
             "assert cold.e_theta.tobytes() == warm.e_theta.tobytes()\n"
             "print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+        done = subprocess.run([sys.executable, "-c", script, str(path)], env=package_env(),
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
         assert len(self._entries(tmp_path)) == 1
@@ -747,6 +744,13 @@ class TestMetricsJson:
         assert loaded["nested"]["b"][1] == float("-inf")
         assert loaded["imbalance_db"] == 0.8234
         assert loaded["label"] == "free space"
+
+    def test_booleans_written_as_json_booleans(self, tmp_path):
+        metrics = {"a": True, "b": np.bool_(False), "c": [np.True_, 1, np.int64(0)]}
+        text = save_metrics_json(metrics, tmp_path / "m.json").read_text()
+        assert '"a": true' in text and '"b": false' in text
+        assert json.loads(text) == {"a": True, "b": False, "c": [True, 1, 0]}
+        assert [type(v) for v in json.loads(text)["c"]] == [bool, int, int]
 
 
 class TestSaveResults:
