@@ -19,10 +19,8 @@ __version__ = "0.1.0"
 
 # The home module of each public name.
 _HOMES = {name: module for module, names in {
-    "errors": ("AngleOutOfRangeError", "BeamspaceError", "ConfigError", "DEFAULT_CONDITION_CAP",
-               "DegenerateAngleError", "DegenerateBasisError", "GridMismatchError",
-               "InvalidArgumentError", "PatternFormatError", "RatioSetMismatchError",
-               "SingularChannelError"),
+    "errors": ("BeamspaceError", "DEFAULT_CONDITION_CAP", "DegenerateError",
+               "InvalidArgumentError"),
     "iokit": ("RunConfig", "load_cdf_csv", "load_config", "load_pattern_csv", "save_cdf_csv",
               "save_metrics_json", "save_pattern_csv", "save_results"),
     "link": ("CdfSummary", "LinkScenario", "MonteCarloResult", "SymbolPairs",

@@ -2,10 +2,11 @@
 
 Every subcommand is a pure function of (config, seed); re-runs reproduce
 output files byte for byte.  Exit codes: 0 success, 1 degenerate
-computation (a degenerate basis, angle or channel, or every Monte-Carlo
-scenario rejected), 2 any other simulator error or a missing file.  Only
-``constellation``, ``monte-carlo`` and ``selftest`` import ``link``, and
-only when they run, so the other commands start without it.
+computation (a ``DegenerateError``: a degenerate basis, angle or channel;
+or every Monte-Carlo scenario rejected), 2 invalid input (an
+``InvalidArgumentError``) or a missing file.  Only ``constellation``,
+``monte-carlo`` and ``selftest`` import ``link``, and only when they run,
+so the other commands start without it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (BeamspaceError, DegenerateAngleError, DegenerateBasisError,
-                     SingularChannelError, require_state_samples)
+from .errors import BeamspaceError, DegenerateError, require_state_samples
 from .iokit import (
     RunConfig,
     load_config,
@@ -43,8 +43,6 @@ from .patterns import (
     power_imbalance_db,
 )
 from .sphere import POLARIZATIONS, build_grid, integrate_power, require_same_grid
-
-_DEGENERATE_ERRORS = (DegenerateBasisError, DegenerateAngleError, SingularChannelError)
 
 
 @dataclass(frozen=True)
@@ -289,7 +287,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _DEGENERATE_ERRORS as exc:
+    except DegenerateError as exc:
         print(f"degenerate computation: {exc}", file=sys.stderr)
         return 1
     except (BeamspaceError, FileNotFoundError) as exc:

@@ -4,7 +4,7 @@ import contextlib
 import math
 import operator
 
-# Default cap on a receive channel's 2-norm condition number (SingularChannelError above).
+# Default cap on a receive channel's 2-norm condition number (DegenerateError above).
 DEFAULT_CONDITION_CAP = 1e8
 # Largest Monte-Carlo sweep a config or run_monte_carlo accepts; it bounds run
 # time (5.8 s, 5.9 s CPU, for the whole command on a 2-vCPU host).
@@ -19,39 +19,12 @@ class BeamspaceError(Exception):
 
 
 class InvalidArgumentError(BeamspaceError, ValueError):
-    """A parameter violates an operation precondition."""
+    """Invalid input: an argument, a config key or a file that violates a precondition."""
 
 
-class GridMismatchError(BeamspaceError):
-    """Two fields that must live on one grid do not."""
-
-
-class AngleOutOfRangeError(BeamspaceError):
-    """A requested solid angle lies outside the grid coverage."""
-
-
-class RatioSetMismatchError(BeamspaceError):
-    """State keys or a requested ratio do not match the ratio alphabet."""
-
-
-class DegenerateBasisError(BeamspaceError):
-    """A basis pattern radiates zero total power."""
-
-
-class DegenerateAngleError(BeamspaceError):
-    """The EVM denominator vanishes at the requested angle."""
-
-
-class SingularChannelError(BeamspaceError):
-    """Channel matrix is singular or exceeds the condition-number cap."""
-
-
-class PatternFormatError(BeamspaceError):
-    """A pattern file is malformed or its angular grid is irregular."""
-
-
-class ConfigError(BeamspaceError):
-    """A run configuration is invalid or references missing files."""
+class DegenerateError(BeamspaceError):
+    """Valid input whose computation is degenerate: a zero-power basis, an EVM map with
+    no usable angle, or a channel singular or conditioned above its cap."""
 
 
 def require_integer(value, name: str) -> int:
@@ -81,8 +54,8 @@ def require_float(value, name: str, finite: bool = True) -> float:
 def require_state_samples(order: int, n_theta: int, n_phi: int, grid: str) -> None:
     """Refuse over MAX_STATE_SAMPLES samples in ``order`` patterns on the grid ``grid`` names."""
     if order * n_theta * n_phi > MAX_STATE_SAMPLES:
-        raise ConfigError(f"constellation.order x {grid} must be <= {MAX_STATE_SAMPLES}; "
-                          f"got {order} x {n_theta} x {n_phi}")
+        raise InvalidArgumentError(f"constellation.order x {grid} must be <= "
+                                   f"{MAX_STATE_SAMPLES}; got {order} x {n_theta} x {n_phi}")
 
 
 def require_condition_cap(value) -> float:

@@ -33,8 +33,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import (DEFAULT_CONDITION_CAP, MAX_SCENARIOS, ConfigError, InvalidArgumentError,
-                     PatternFormatError, require_state_samples)
+from .errors import (DEFAULT_CONDITION_CAP, MAX_SCENARIOS, InvalidArgumentError,
+                     require_state_samples)
 from .modulation import ratio_label
 from .patterns import EvmMap, GaussianLobe, PerturbationLobe
 from .sphere import POLARIZATIONS, SphericalGrid, VectorPattern
@@ -110,16 +110,16 @@ def _blocks(column: np.ndarray):
 @contextlib.contextmanager
 def _reading(path: Path):
     """``path`` open as UTF-8 text less any leading byte-order mark; a missing file raises
-    FileNotFoundError, a failed read or a byte that is not UTF-8 a PatternFormatError."""
+    FileNotFoundError, a failed read or a byte that is not UTF-8 an InvalidArgumentError."""
     try:
         with path.open(encoding="utf-8-sig") as fh:
             yield fh
     except FileNotFoundError:
         raise
     except OSError as exc:
-        raise PatternFormatError(f"{path}: cannot be read: {exc}") from exc
+        raise InvalidArgumentError(f"{path}: cannot be read: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise PatternFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise InvalidArgumentError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _scan_header(fh) -> tuple[list[str], str]:
@@ -137,13 +137,13 @@ def _header(path: Path, fh, columns) -> list[str]:
     fh.seek(0)
     above, line = _scan_header(fh)
     if not line:
-        raise PatternFormatError(f"{path}: no column row {','.join(columns)}")
+        raise InvalidArgumentError(f"{path}: no column row {','.join(columns)}")
     names = [c.strip().strip('"') for c in line.split(",")]
     missing = [c for c in columns if c not in names]
     if missing:
-        raise PatternFormatError(f"{path}: missing column(s) {', '.join(missing)}")
+        raise InvalidArgumentError(f"{path}: missing column(s) {', '.join(missing)}")
     if names != list(columns):
-        raise PatternFormatError(f"{path}: columns must be exactly {','.join(columns)}")
+        raise InvalidArgumentError(f"{path}: columns must be exactly {','.join(columns)}")
     return above
 
 
@@ -158,9 +158,9 @@ def _rows(path: Path, fh, n_header: int, n_fields: int) -> np.ndarray:
             data = np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2)
         except ValueError as exc:
             bad = _first_bad_line(path, fh, n_header, n_fields)
-            raise PatternFormatError(bad or f"{path}: {exc}") from exc
+            raise InvalidArgumentError(bad or f"{path}: {exc}") from exc
         if data.size and data.shape[1] != n_fields:
-            raise PatternFormatError(_first_bad_line(path, fh, n_header, n_fields))
+            raise InvalidArgumentError(_first_bad_line(path, fh, n_header, n_fields))
     return data.reshape(-1, n_fields)
 
 
@@ -232,14 +232,10 @@ def _cached_fields(path: Path, fh, above: list[str]) -> np.ndarray:
     return fields
 
 
-def save_pattern_csv(
-    pattern: VectorPattern, path, state: str = "", frequency: str = ""
-) -> Path:
+def save_pattern_csv(pattern: VectorPattern, path, state: str = "") -> Path:
     """Write a pattern in theta-major order with a commented header."""
     grid = pattern.grid
     header = [f"# n_theta: {grid.n_theta}", f"# n_phi: {grid.n_phi}", "# angle_unit: deg"]
-    if frequency:
-        header.append(f"# frequency: {frequency}")
     if state:
         header.append(f"# state: {state}")
     header.append(",".join(PATTERN_COLUMNS))
@@ -262,10 +258,10 @@ def _pattern_header(path, lines) -> tuple[dict[str, int], bool]:
     try:
         sizes = {key: int(meta[key]) for key in ("n_theta", "n_phi") if key in meta}
     except ValueError as exc:
-        raise PatternFormatError(f"bad header metadata in {path}: {exc}") from exc
+        raise InvalidArgumentError(f"{path}: bad header metadata: {exc}") from exc
     unit = meta.get("angle_unit", "deg")
     if unit not in ("deg", "rad"):
-        raise PatternFormatError(f"angle unit must be 'deg' or 'rad', got {unit!r}")
+        raise InvalidArgumentError(f"{path}: angle unit must be 'deg' or 'rad', got {unit!r}")
     return sizes, unit == "deg"
 
 
@@ -283,7 +279,7 @@ def load_pattern_csv(path) -> VectorPattern:
     try:
         return VectorPattern(grid=_grid(*fields.shape[1:]), e_theta=fields[0], e_phi=fields[1])
     except InvalidArgumentError as exc:
-        raise PatternFormatError(f"{path}: {exc}") from exc
+        raise InvalidArgumentError(f"{path}: {exc}") from exc
 
 
 def _fields(path: Path, fh, above: list[str]) -> np.ndarray:
@@ -292,10 +288,10 @@ def _fields(path: Path, fh, above: list[str]) -> np.ndarray:
     data = _rows(path, fh, len(above) + 1, len(PATTERN_COLUMNS))
     declared, degrees = _pattern_header(path, above)
     if data.shape[0] == 0:
-        raise PatternFormatError(f"{path}: no data rows")
+        raise InvalidArgumentError(f"{path}: no data rows")
     if np.any(np.isnan(data)):
         bad = int(np.argwhere(np.isnan(data))[0][0])
-        raise PatternFormatError(f"{path}: NaN value in data row {bad + 1}")
+        raise InvalidArgumentError(f"{path}: NaN value in data row {bad + 1}")
 
     to_rad = np.deg2rad if degrees else (lambda x: x)
     theta_col = to_rad(data[:, 0])
@@ -303,24 +299,25 @@ def _fields(path: Path, fh, above: list[str]) -> np.ndarray:
 
     changes = np.nonzero(theta_col != theta_col[0])[0]
     if changes.size == 0:
-        raise PatternFormatError(f"{path}: single polar angle; full grid required")
+        raise InvalidArgumentError(f"{path}: single polar angle; full grid required")
     n_phi = int(changes[0])
     if data.shape[0] % n_phi:
-        raise PatternFormatError(f"{path}: {data.shape[0]} rows is not a multiple of n_phi={n_phi}")
+        raise InvalidArgumentError(
+            f"{path}: {data.shape[0]} rows is not a multiple of n_phi={n_phi}")
     n_theta = data.shape[0] // n_phi
     for key, size in (("n_theta", n_theta), ("n_phi", n_phi)):
         if declared.get(key, size) != size:
-            raise PatternFormatError(
+            raise InvalidArgumentError(
                 f"{path}: header declares {key}={declared[key]}, data has {size}")
     try:
         grid = _grid(n_theta, n_phi)
     except InvalidArgumentError as exc:
-        raise PatternFormatError(f"{path}: {exc}") from exc
+        raise InvalidArgumentError(f"{path}: {exc}") from exc
 
     if (np.max(np.abs(theta_col.reshape(grid.shape) - grid.theta[:, None])) > _ANGLE_MATCH_TOL
             or np.max(np.abs(phi_col.reshape(grid.shape) - grid.phi)) > _ANGLE_MATCH_TOL):
-        raise PatternFormatError(f"{path}: angles are not a regular theta-major "
-                                 f"{n_theta}x{n_phi} full-sphere grid")
+        raise InvalidArgumentError(f"{path}: angles are not a regular theta-major "
+                                   f"{n_theta}x{n_phi} full-sphere grid")
     fields = np.empty((2, n_theta, n_phi), complex)  # e_theta, e_phi; a + 1j*b loses -0.0
     fields.real[...] = data[:, 2::2].T.reshape(fields.shape)
     fields.imag[...] = data[:, 3::2].T.reshape(fields.shape)
@@ -454,15 +451,16 @@ class _Section:
     """One JSON object of a run config at dotted path ``where``; unknown keys are errors.
 
     A read returns the key's value, or ``default`` if the key is absent (None:
-    required), and raises ConfigError naming ``where.key`` if the value is wrong.
+    required), and raises InvalidArgumentError naming ``where.key`` if the value is wrong.
     """
 
     def __init__(self, raw, where: str, keys) -> None:
         if not isinstance(raw, dict):
-            raise ConfigError(f"{where or 'config'} must be a JSON object; got {raw!r:.60}")
+            raise InvalidArgumentError(
+                f"{where or 'config'} must be a JSON object; got {raw!r:.60}")
         unknown = set(raw) - set(keys)
         if unknown:
-            raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where or 'config'}")
+            raise InvalidArgumentError(f"unknown key(s) {sorted(unknown)} in {where or 'config'}")
         self.raw, self.where = raw, where
 
     def path(self, key) -> str:
@@ -470,7 +468,7 @@ class _Section:
 
     def fail(self, key, rule: str):
         got = f"got {self.raw[key]!r:.60}" if key in self.raw else "missing"
-        raise ConfigError(f"{self.path(key)} must be {rule}; {got}")
+        raise InvalidArgumentError(f"{self.path(key)} must be {rule}; {got}")
 
     def integer(self, key, default: int, lo: int, hi: float = math.inf) -> int:
         """A JSON integer or integral float (``1.4e6``) in [lo, hi]; never a bool."""
@@ -513,7 +511,7 @@ class _Section:
             self.fail(key, "null or a list of the labels " + _named(known))
         repeated = [v for i, v in enumerate(value or ()) if v in value[:i]]
         if repeated:
-            raise ConfigError(f'{self.path(key)} lists "{repeated[0]}" twice')
+            raise InvalidArgumentError(f'{self.path(key)} lists "{repeated[0]}" twice')
         return None if value is None else tuple(map(known.index, value))
 
     def section(self, key, keys) -> _Section:
@@ -537,14 +535,13 @@ _LOBE_KEYS = ("theta_deg", "phi_deg", "width_deg", "amplitude", "phase_deg", "po
 
 def _lobe(sec: _Section, cls, amplitude: float | None, **extra):
     """A GaussianLobe or PerturbationLobe from its entry; angles to radians."""
-    try:
-        return cls(theta=sec.angle("theta_deg", None, 0.0, 180.0),
-                   phi=sec.angle("phi_deg", None),
-                   width=sec.angle("width_deg", None),
-                   amplitude=sec.number("amplitude", amplitude),
-                   phase=sec.angle("phase_deg", 0.0), **extra)
+    fields = dict(theta=sec.angle("theta_deg", None, 0.0, 180.0), phi=sec.angle("phi_deg", None),
+                  width=sec.angle("width_deg", None), amplitude=sec.number("amplitude", amplitude),
+                  phase=sec.angle("phase_deg", 0.0))
+    try:  # the key reads name their keys; the constructor's checks get the entry's path
+        return cls(**fields, **extra)
     except InvalidArgumentError as exc:
-        raise ConfigError(f"{sec.where}: {exc}") from exc
+        raise InvalidArgumentError(f"{sec.where}: {exc}") from exc
 
 
 def _polarization_vector(sec: _Section) -> tuple[complex, complex]:
@@ -570,11 +567,11 @@ def load_config(path, overrides=()) -> RunConfig:
     """
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"config file not found (or not a file): {path}")
+        raise InvalidArgumentError(f"config file not found (or not a file): {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        raise InvalidArgumentError(f"{path}: invalid JSON: {exc}") from exc
     top = _Section(raw, "", ("grid", "constellation", "antenna", "perturbation",
                              "receive", "monte_carlo", "output"))
     for dotted, value in overrides:
@@ -589,10 +586,12 @@ def load_config(path, overrides=()) -> RunConfig:
     grid = top.section("grid", ("n_theta", "n_phi"))
     n_theta, n_phi = grid.integer("n_theta", 91, 1), grid.integer("n_phi", 180, 1)
     if n_theta < 3 or n_phi < 4:
-        raise ConfigError(f"grid too coarse: n_theta={n_theta}, n_phi={n_phi}")
+        raise InvalidArgumentError(f"grid too coarse: n_theta={n_theta}, n_phi={n_phi}")
 
     con = top.section("constellation", ("order", "phase_offset_deg"))
     order = con.integer("order", 4, 2)
+    if order % 2:  # every command needs ratio -1, which only an even order has
+        con.fail("order", "an even integer >= 2")
     ant = top.section("antenna", ("profile", "pattern_files"))
     if "pattern_files" in ant.raw:  # cli._assemble counts the grid of the first file it reads
         require_state_samples(order, 3, 4, "the coarsest pattern grid")
@@ -602,24 +601,24 @@ def load_config(path, overrides=()) -> RunConfig:
 
     antenna_lobes = pattern_files = None
     if "profile" in ant.raw and "pattern_files" in ant.raw:
-        raise ConfigError("antenna: give either profile or pattern_files, not both")
+        raise InvalidArgumentError("antenna: give either profile or pattern_files, not both")
     if "profile" in ant.raw:
         entries = ant.section("profile", ("lobes",)).sections("lobes", _LOBE_KEYS)
         if not entries:
-            raise ConfigError("antenna.profile.lobes must not be empty")
+            raise InvalidArgumentError("antenna.profile.lobes must not be empty")
         antenna_lobes = tuple(_lobe(s, GaussianLobe, 1.0, polarization=_polarization_vector(s))
                               for s in entries)
     elif "pattern_files" in ant.raw:
         files = ant.section("pattern_files", labels)
         missing = [label for label in labels if label not in files.raw]
         if missing:
-            raise ConfigError(f"antenna.pattern_files must cover states {_named(labels)}; "
-                              f"missing {_named(missing)}")
+            raise InvalidArgumentError(f"antenna.pattern_files must cover states "
+                                       f"{_named(labels)}; missing {_named(missing)}")
         pattern_files = {}
         for k, label in enumerate(labels):
             fpath = base / files.string(label, None)
             if not fpath.is_file():
-                raise ConfigError(
+                raise InvalidArgumentError(
                     f"{files.path(label)}: pattern file not found (or not a file): {fpath}")
             pattern_files[k] = fpath.resolve()
 
@@ -636,7 +635,8 @@ def load_config(path, overrides=()) -> RunConfig:
                                      "condition_cap"))
     condition_cap = mc.number("condition_cap", DEFAULT_CONDITION_CAP)
     if not condition_cap > 1.0:
-        raise ConfigError(f"monte_carlo.condition_cap must exceed 1, got {condition_cap!r}")
+        raise InvalidArgumentError(
+            f"monte_carlo.condition_cap must exceed 1, got {condition_cap!r}")
 
     out_dir = base / top.section("output", ("dir",)).string("dir", "out")
 

@@ -51,11 +51,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DEFAULT_CONDITION_CAP, MAX_SCENARIOS, InvalidArgumentError,
-                     RatioSetMismatchError, SingularChannelError, require_condition_cap,
-                     require_integer)
+from .errors import (DEFAULT_CONDITION_CAP, MAX_SCENARIOS, DegenerateError,
+                     InvalidArgumentError, require_condition_cap, require_integer)
 from .modulation import PskConstellation, RatioSet
-from .patterns import BasisPair, StatePatternSet
+from .patterns import BasisPair, StatePatternSet, perturbed_basis
 from .sphere import PHI_POL, THETA_POL, apply_stencil, bilinear_stencil, require_same_grid
 
 __all__ = [
@@ -197,7 +196,7 @@ def _order(ratios: RatioSet) -> list[int]:
 def _states(s_hat: StatePatternSet, constellation: PskConstellation):
     """``_order`` and the states' patterns in it; checked against the alphabet."""
     if constellation.order != s_hat.ratios.order:
-        raise RatioSetMismatchError("constellation order does not match the state-pattern alphabet")
+        raise InvalidArgumentError("constellation order does not match the state-pattern alphabet")
     order = _order(s_hat.ratios)
     return order, tuple(s_hat.state(k) for k in order)
 
@@ -219,7 +218,7 @@ def build_channel(
     equalization time.
 
     Raises:
-        RatioSetMismatchError: the alphabet differs from the states' or is odd.
+        InvalidArgumentError: the alphabet differs from the states' or is odd.
         InvalidArgumentError: the angles are not two rows of two numbers, or the
             polarizations not two unit 2-vectors.
     """
@@ -259,15 +258,15 @@ def received_constellation(
     sent, and any other pair as x1 * g_k with k = (k2 - k1) mod M.
 
     Raises:
-        SingularChannelError: channel singular or conditioned above the cap.
+        DegenerateError: channel singular or conditioned above the cap.
         InvalidArgumentError: the cap is not a number above 1.
     """
     condition_cap = require_condition_cap(condition_cap)
     order = _order(scenario.constellation.ratio_set)
     keep, g, cond = _decode(scenario.responses[:, order, None], condition_cap)
     if not keep[0]:
-        raise SingularChannelError(f"channel condition number {cond[0]:.3g} "
-                                   f"exceeds cap {condition_cap:.3g}")
+        raise DegenerateError(f"channel condition number {cond[0]:.3g} "
+                              f"exceeds cap {condition_cap:.3g}")
     points, m = scenario.constellation.points, len(order)
     k1, k2 = np.divmod(np.arange(m * m), m)
     ideal = np.stack([points[k1], points[k2]])
@@ -296,7 +295,7 @@ def constellation_at_angle(
     THETA/PHI receivers); ideal points are the transmitted symbols.
 
     Raises:
-        SingularChannelError: the basis polarization matrix at the angle
+        DegenerateError: the basis polarization matrix at the angle
             is singular or conditioned above the cap.
     """
     scenario = build_channel(s_hat, ((theta, phi), (theta, phi)), constellation,
@@ -626,11 +625,11 @@ def run_monte_carlo(
         raise InvalidArgumentError("threads must be >= 1")
     order, states = _states(s_hat, constellation)
     require_same_grid(s_hat.grid, basis_hat.grid)
-    for b, beta in ((basis_hat.b1, 0.5), (basis_hat.b2, -0.5)):  # perturbed_basis's arithmetic
-        for c in ("e_theta", "e_phi"):
-            want = 0.5 * getattr(states[0], c) + beta * getattr(states[1], c)
-            if not np.array_equal(want.view(np.int64), getattr(b, c).view(np.int64)):
-                raise InvalidArgumentError("basis_hat must be perturbed_basis(s_hat)")
+    want = perturbed_basis(s_hat)
+    if not all(np.array_equal(getattr(getattr(want, b), c).view(np.int64),
+                              getattr(getattr(basis_hat, b), c).view(np.int64))
+               for b in ("b1", "b2") for c in ("e_theta", "e_phi")):
+        raise InvalidArgumentError("basis_hat must be perturbed_basis(s_hat)")
     del want
     pols = _unit_polarizations(rx_polarizations)
     separation = _separation(separation_deg)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, RatioSetMismatchError, require_float, require_whole
+from .errors import InvalidArgumentError, require_float, require_whole
 
 __all__ = ["RatioSet", "PskConstellation", "ratio_label"]
 
@@ -62,7 +62,7 @@ class RatioSet:
     def minus_one_index(self) -> int:
         """Index of ratio -1; only even orders contain it."""
         if self.order % 2:
-            raise RatioSetMismatchError(
+            raise InvalidArgumentError(
                 f"ratio -1 requires an even order, got {self.order}"
             )
         return self.order // 2

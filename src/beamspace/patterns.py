@@ -19,14 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateAngleError,
-    DegenerateBasisError,
-    InvalidArgumentError,
-    RatioSetMismatchError,
-    require_float,
-    require_integer,
-)
+from .errors import DegenerateError, InvalidArgumentError, require_float, require_integer
 from .modulation import RatioSet
 from .sphere import (
     THETA_POL,
@@ -83,7 +76,7 @@ class StatePatternSet:
     def __post_init__(self) -> None:
         patterns = dict(self.patterns)
         if set(patterns) != set(range(self.ratios.order)):
-            raise RatioSetMismatchError(
+            raise InvalidArgumentError(
                 f"state keys {sorted(patterns)} do not cover ratio indices "
                 f"0..{self.ratios.order - 1}"
             )
@@ -128,7 +121,7 @@ def apply_perturbation(s: StatePatternSet, factors: Mapping[int, VectorPattern])
     through uncopied.
     """
     if set(factors) != set(range(s.ratios.order)):
-        raise RatioSetMismatchError(
+        raise InvalidArgumentError(
             f"perturbation keys {sorted(factors)} do not cover ratio indices "
             f"0..{s.ratios.order - 1}"
         )
@@ -196,7 +189,7 @@ class EvmMap:
         w = self.grid.weights[ok]
         total = float(np.sum(w))
         if total == 0.0:
-            raise DegenerateAngleError("every angle of the EVM map is degenerate")
+            raise DegenerateError("every angle of the EVM map is degenerate")
         v = self.values[ok]
         mean = float(np.sum(w * v) / total)
         rms = float(np.sqrt(np.sum(w * v * v) / total))
@@ -255,7 +248,7 @@ def _basis_powers(basis: BasisPair) -> tuple[float, float]:
     p1 = integrate_power(basis.b1)
     p2 = integrate_power(basis.b2)
     if min(p1, p2) <= _CORRELATION_ZERO**2 * max(p1, p2):
-        raise DegenerateBasisError(
+        raise DegenerateError(
             "basis pattern with (numerically) zero power; metrics undefined"
         )
     return p1, p2
@@ -355,7 +348,7 @@ def _mirror_states(lobes: Sequence[GaussianLobe], grid: SphericalGrid, ratios: R
     if len(lobes) == 0:
         raise InvalidArgumentError("profile needs at least one lobe")
     if ratios.order % 2:
-        raise RatioSetMismatchError("mirror pair generation needs an even ratio order")
+        raise InvalidArgumentError("mirror pair generation needs an even ratio order")
     e_theta = np.zeros(grid.shape, dtype=complex)
     e_phi = np.zeros(grid.shape, dtype=complex)
     for lobe in lobes:
@@ -444,7 +437,7 @@ def generate_perturbation(
     for i, lobe in enumerate(lobes):
         for k in range(ratios.order) if lobe.states is None else lobe.states:
             if not 0 <= k < ratios.order:
-                raise RatioSetMismatchError(f"perturbation lobe targets unknown state index {k}")
+                raise InvalidArgumentError(f"perturbation lobe targets unknown state index {k}")
             for pol, subset in zip(("theta", "phi"), touched[k]):
                 if lobe.polarization in (pol, "both"):
                     subset.append(i)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AngleOutOfRangeError, GridMismatchError, InvalidArgumentError, require_whole
+from .errors import InvalidArgumentError, require_whole
 
 __all__ = [
     "FOUR_PI",
@@ -129,7 +129,7 @@ def build_grid(n_theta: int, n_phi: int) -> SphericalGrid:
 
 def require_same_grid(a: SphericalGrid, b: SphericalGrid) -> None:
     if a.shape != b.shape:
-        raise GridMismatchError(f"grids differ: {a.shape} vs {b.shape}")
+        raise InvalidArgumentError(f"grids differ: {a.shape} vs {b.shape}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,15 +191,15 @@ def bilinear_stencil(grid: SphericalGrid, theta, phi):
     to any number of fields on ``grid`` with :func:`apply_stencil`.
 
     Raises:
-        AngleOutOfRangeError: theta outside [0, pi] or non-finite input.
+        InvalidArgumentError: theta outside [0, pi] or non-finite input.
     """
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                      np.asarray(phi, dtype=float))
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
-        raise AngleOutOfRangeError("sample angles must be finite")
+        raise InvalidArgumentError("sample angles must be finite")
     lo, hi = np.min(theta, initial=1.0), np.max(theta, initial=1.0)  # initial: empty input passes
     if lo < -1e-12 or hi > np.pi + 1e-12:
-        raise AngleOutOfRangeError("theta outside grid coverage [0, pi]")
+        raise InvalidArgumentError("theta outside grid coverage [0, pi]")
     # the clip and the mod are identities strictly inside their ranges (the mod maps -0.0 to 0.0)
     tq = theta if 0.0 < lo and hi <= np.pi else np.clip(theta, 0.0, np.pi)
     inside = 0.0 < np.min(phi, initial=1.0) and np.max(phi, initial=1.0) < 2.0 * np.pi

@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from beamspace import (
-    RatioSetMismatchError,
-    SingularChannelError,
+    DegenerateError,
+    InvalidArgumentError,
     VectorPattern,
     draw_geometries,
     link,
@@ -53,7 +53,7 @@ def sample_pattern(p: VectorPattern, theta, phi) -> tuple[np.ndarray, np.ndarray
     Accepts scalars or broadcast-compatible arrays of radians.
 
     Raises:
-        AngleOutOfRangeError: theta outside [0, pi] or non-finite input.
+        InvalidArgumentError: theta outside [0, pi] or non-finite input.
     """
     stencil = bilinear_stencil(p.grid, theta, phi)
     return apply_stencil(stencil, p.e_theta), apply_stencil(stencil, p.e_phi)
@@ -79,7 +79,7 @@ def parse_ratio_label(label: str, order: int) -> int:
     for k in range(order):
         if ratio_label(k, order) == label:
             return k
-    raise RatioSetMismatchError(f"unknown ratio label {label!r} for order {order}")
+    raise InvalidArgumentError(f"unknown ratio label {label!r} for order {order}")
 
 
 def index_of(ratios, ratio: complex, tol: float = 1e-9) -> int:
@@ -87,7 +87,7 @@ def index_of(ratios, ratio: complex, tol: float = 1e-9) -> int:
     diffs = np.abs(np.asarray(ratios.values) - complex(ratio))
     k = int(np.argmin(diffs))
     if diffs[k] > tol:
-        raise RatioSetMismatchError(
+        raise InvalidArgumentError(
             f"ratio {ratio!r} is not in the {ratios.order}-PSK ratio alphabet"
         )
     return k
@@ -119,13 +119,13 @@ def zf_equalize(y, s_hat, scenario, condition_cap=DEFAULT_CONDITION_CAP) -> np.n
     """Zero-forcing estimate H^-1 y by a LAPACK solve, H = ``basis_channel(s_hat, scenario)``.
 
     Raises:
-        SingularChannelError: H singular or its 2-norm condition number above the cap.
+        DegenerateError: H singular or its 2-norm condition number above the cap.
     """
     h = basis_channel(s_hat, scenario)
     cond = np.linalg.cond(h)
     if not cond <= condition_cap:
-        raise SingularChannelError(f"channel condition number {cond:.3g} "
-                                   f"exceeds cap {condition_cap:.3g}")
+        raise DegenerateError(f"channel condition number {cond:.3g} "
+                              f"exceeds cap {condition_cap:.3g}")
     return np.linalg.solve(h, np.asarray(y, dtype=complex))
 
 

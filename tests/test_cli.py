@@ -19,18 +19,25 @@ from hypothesis import strategies as st
 import beamspace.cli as cli
 import beamspace.link as link
 from beamspace import (
+    BasisPair,
     BeamspaceError,
-    ConfigError,
-    DegenerateAngleError,
-    DegenerateBasisError,
-    PatternFormatError,
+    DegenerateError,
+    EvmMap,
+    InvalidArgumentError,
+    PskConstellation,
     RunConfig,
-    SingularChannelError,
     VectorPattern,
+    basis_correlation_db,
+    build_channel,
+    build_grid,
+    constellation_at_angle,
+    default_mirror_profile,
+    generate_mirror_pair,
     load_cdf_csv,
     load_config,
     load_pattern_csv,
     ratio_label,
+    received_constellation,
     save_cdf_csv,
 )
 from beamspace.cli import main
@@ -724,7 +731,7 @@ class TestMalformedInput:
         # read only: 4 x 1000 x 2500 samples is MAX_STATE_SAMPLES, one more row is not
         cfg = load_config(hand_config, [("grid.n_theta", 1000), ("grid.n_phi", 2500)])
         assert cfg.constellation_order * cfg.n_theta * cfg.n_phi == MAX_STATE_SAMPLES
-        with pytest.raises(ConfigError, match="must be <= 10000000; got 4 x 1001 x 2500"):
+        with pytest.raises(InvalidArgumentError, match="must be <= 10000000; got 4 x 1001 x 2500"):
             load_config(hand_config, [("grid.n_theta", 1001), ("grid.n_phi", 2500)])
 
     def test_state_sample_limit_counts_the_pattern_files_grid(self, tmp_path, state_files,
@@ -758,9 +765,26 @@ class TestMalformedInput:
         assert (cfg.constellation_order, cfg.n_theta, cfg.n_phi) == (620, 91, 180)
         assert cli._assemble(cfg).perturbed_states.grid.shape == (5, 8)
         # an order no pattern grid could hold is refused before its labels are made
-        with pytest.raises(ConfigError, match="the coarsest pattern grid must be <= 10000000; "
-                                              "got 833334 x 3 x 4$"):
+        with pytest.raises(InvalidArgumentError, match="the coarsest pattern grid must be "
+                                                       "<= 10000000; got 833334 x 3 x 4$"):
             load_config(config, [("constellation.order", 833334)])
+
+    @pytest.mark.parametrize("antenna", ["lobes", "pattern_files"])
+    def test_odd_order_refused_by_its_key(self, tmp_path, state_files, monkeypatch, antenna):
+        # every command needs ratio -1, which no odd order has: the config reader refuses
+        # the order by its key, and no command reads a pattern file
+        payload = json.loads((CONFIGS / "hand_scenario.json").read_text())
+        payload["constellation"]["order"] = 3
+        if antenna == "pattern_files":
+            payload["antenna"] = {"pattern_files": {k: str(v) for k, v in state_files.items()}}
+        monkeypatch.setattr(cli, "load_pattern_csv", mock.Mock(side_effect=AssertionError))
+        config = str(_write_config(tmp_path, payload))
+        for command in ("metrics", "evm-map", "constellation", "monte-carlo"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+            assert err.getvalue() == (
+                "error: constellation.order must be an even integer >= 2; got 3\n")
 
     def test_unreadable_config_exit_2(self, tmp_path):
         (tmp_path / "bytes.json").write_bytes(b"\xff\xfe{}")
@@ -804,7 +828,7 @@ class TestConfigContract:
         config.write_text(json.dumps(payload))
         try:
             accepted = isinstance(load_config(config), RunConfig)
-        except ConfigError:
+        except InvalidArgumentError:
             accepted = False
         code, err = _exit_code(["monte-carlo", "--config", str(config)])
         if accepted:
@@ -931,26 +955,78 @@ def test_unreadable_pattern_field_exit_2(tmp_path, state_files):
                               "could not convert string '1_0' to float64\n")
 
 
-@pytest.mark.parametrize("error", [BeamspaceError, *BeamspaceError.__subclasses__(),
-                                   FileNotFoundError], ids=lambda error: error.__name__)
-def test_exit_code_of_every_error_class(monkeypatch, capsys, error):
-    # the degenerate classes exit 1, every other simulator error and a missing file 2
-    def raising(args):
+def _injected(error):
+    def raising(tmp_path):
         raise error("injected")
+    return pytest.param(raising, 1 if error is DegenerateError else 2, "injected",
+                        id=error.__name__)
 
-    monkeypatch.setattr(cli, "cmd_metrics", raising)
+
+def _qpsk_states():
+    return generate_mirror_pair(default_mirror_profile(), build_grid(5, 8),
+                                PskConstellation.qpsk().ratio_set)
+
+
+def _zero_pattern(grid):
+    return VectorPattern(grid, np.zeros(grid.shape, complex), np.zeros(grid.shape, complex))
+
+
+def _written(path, text):
+    path.write_text(text)
+    return path
+
+
+# Each case named after one of the eight classes the two above replaced: the library call
+# that raised it, whose error now exits as an InvalidArgumentError (2) or a DegenerateError (1).
+_FOLDED_ERRORS = [
+    pytest.param(lambda tmp_path: BasisPair(_qpsk_states().state(0),
+                                            _zero_pattern(build_grid(7, 8))),
+                 2, "grids differ: (5, 8) vs (7, 8)", id="GridMismatchError"),
+    pytest.param(lambda tmp_path: constellation_at_angle(
+                     _qpsk_states(), PskConstellation.qpsk(), 4.0, 0.0),
+                 2, "theta outside grid coverage [0, pi]", id="AngleOutOfRangeError"),
+    pytest.param(lambda tmp_path: constellation_at_angle(
+                     _qpsk_states(), PskConstellation(8), 1.0, 0.5),
+                 2, "constellation order does not match the state-pattern alphabet",
+                 id="RatioSetMismatchError"),
+    pytest.param(lambda tmp_path: load_pattern_csv(_written(tmp_path / "plain.csv", "a,b\n")),
+                 2, ("{tmp_path}/plain.csv: missing column(s) theta_deg, phi_deg, "
+                     "re_etheta, im_etheta, re_ephi, im_ephi"), id="PatternFormatError"),
+    pytest.param(lambda tmp_path: load_config(_written(tmp_path / "list.json", "[]")),
+                 2, "config must be a JSON object; got []", id="ConfigError"),
+    pytest.param(lambda tmp_path: basis_correlation_db(
+                     BasisPair(_zero_pattern(build_grid(5, 8)), _zero_pattern(build_grid(5, 8)))),
+                 1, "basis pattern with (numerically) zero power; metrics undefined",
+                 id="DegenerateBasisError"),
+    pytest.param(lambda tmp_path: EvmMap(build_grid(5, 8), np.zeros((5, 8)),
+                                         np.ones((5, 8), bool)).average(),
+                 1, "every angle of the EVM map is degenerate", id="DegenerateAngleError"),
+    pytest.param(lambda tmp_path: received_constellation(build_channel(
+                     _qpsk_states(), ((1.0, 0.5), (1.0, 0.5)), PskConstellation.qpsk())),
+                 1, "channel condition number inf exceeds cap 1e+08", id="SingularChannelError"),
+]
+
+
+@pytest.mark.parametrize("raising, exit_code, message", [
+    *map(_injected, [BeamspaceError, *BeamspaceError.__subclasses__(), FileNotFoundError]),
+    *_FOLDED_ERRORS])
+def test_exit_code_of_every_error_class(monkeypatch, capsys, tmp_path, raising, exit_code,
+                                        message):
+    # the degenerate class exits 1, every other simulator error and a missing file 2
+    monkeypatch.setattr(cli, "cmd_metrics", lambda args: raising(tmp_path))
     code = main(["metrics", "--config", "unused.json"])
-    degenerate = error in (DegenerateBasisError, DegenerateAngleError, SingularChannelError)
-    assert code == (1 if degenerate else 2)
+    assert code == exit_code
     assert capsys.readouterr().err == (
-        "degenerate computation: injected\n" if degenerate else "error: injected\n")
+        ("degenerate computation: " if exit_code == 1 else "error: ")
+        + message.format(tmp_path=tmp_path) + "\n")
 
 
 class TestPatternFileContract:
-    """A mutated pattern or CDF file is read, or rejected with PatternFormatError alone.
+    """A mutated pattern or CDF file is read, or rejected with an InvalidArgumentError alone,
+    whose message starts with the file's path.
 
     ``metrics`` on a config naming a mutated pattern file runs when the
-    reader accepts the file and exits 2 with an ``error:`` line otherwise.
+    reader accepts the file and exits 2 with an ``error:`` line naming it otherwise.
     """
 
     @settings(max_examples=80, deadline=None)
@@ -961,7 +1037,8 @@ class TestPatternFileContract:
         path.write_bytes(data.draw(_mutated(state_files["+1"].read_bytes())))
         try:
             accepted = isinstance(load_pattern_csv(path), VectorPattern)
-        except PatternFormatError:
+        except InvalidArgumentError as exc:
+            assert str(exc).startswith(f"{path}:")
             accepted = False
         config = _write_config(folder, {
             "antenna": {"pattern_files": {**{k: str(v) for k, v in state_files.items()},
@@ -973,7 +1050,7 @@ class TestPatternFileContract:
             assert code == 0
         else:
             assert code == 2
-            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().startswith(f"error: {path.resolve()}:")
             assert "Traceback" not in err.getvalue()
 
     @settings(max_examples=80, deadline=None)
@@ -984,7 +1061,8 @@ class TestPatternFileContract:
         path.write_bytes(data.draw(_mutated(path.read_bytes())))
         try:
             errors, probs = load_cdf_csv(path)
-        except PatternFormatError:
+        except InvalidArgumentError as exc:
+            assert str(exc).startswith(f"{path}:")
             return
         assert errors.dtype == probs.dtype == float
         assert errors.ndim == 1 and errors.shape == probs.shape

@@ -12,10 +12,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from beamspace import (
-    ConfigError,
     GaussianLobe,
     InvalidArgumentError,
-    PatternFormatError,
     PerturbationLobe,
     SymbolPairs,
     VectorPattern,
@@ -62,15 +60,14 @@ class TestPatternCsv:
         e_theta[0, 1] = complex(-0.0, 5e-324)
         e_phi[2, 3] = complex(1.7976931348623157e308, -0.0)
         pattern = VectorPattern(grid=grid, e_theta=e_theta, e_phi=e_phi)
-        path = save_pattern_csv(pattern, tmp_path / "p.csv", state="+1",
-                                frequency="2.45 GHz")
+        path = save_pattern_csv(pattern, tmp_path / "p.csv", state="+1")
         loaded = load_pattern_csv(path)
         assert loaded.e_theta.tobytes() == pattern.e_theta.tobytes()
         assert loaded.e_phi.tobytes() == pattern.e_phi.tobytes()
         assert loaded.grid.shape == grid.shape
-        assert path.read_text().splitlines()[:6] == [
-            "# n_theta: 3", "# n_phi: 4", "# angle_unit: deg", "# frequency: 2.45 GHz",
-            "# state: +1", "theta_deg,phi_deg,re_etheta,im_etheta,re_ephi,im_ephi"]
+        assert path.read_text().splitlines()[:5] == [
+            "# n_theta: 3", "# n_phi: 4", "# angle_unit: deg", "# state: +1",
+            "theta_deg,phi_deg,re_etheta,im_etheta,re_ephi,im_ephi"]
 
     def test_round_trip_various_sizes(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -88,7 +85,7 @@ class TestPatternCsv:
             "theta_deg,phi_deg,re_etheta,im_etheta,re_ephi\n"
             "0,0,1,0,0\n"
         )
-        with pytest.raises(PatternFormatError, match="im_ephi"):
+        with pytest.raises(InvalidArgumentError, match="im_ephi"):
             load_pattern_csv(path)
 
     def test_malformed_row_reports_line_number(self, tmp_path):
@@ -107,7 +104,7 @@ class TestPatternCsv:
             lines = path.read_text().splitlines()
             lines[index] = row
             path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
-            with pytest.raises(PatternFormatError, match=message):
+            with pytest.raises(InvalidArgumentError, match=message):
                 load_pattern_csv(path)
 
     def test_nan_rejected(self, tmp_path):
@@ -120,7 +117,7 @@ class TestPatternCsv:
         parts[2] = "nan"
         lines[6] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(PatternFormatError, match="NaN"):
+        with pytest.raises(InvalidArgumentError, match="NaN"):
             load_pattern_csv(path)
 
     def test_shuffled_rows_rejected(self, tmp_path):
@@ -131,7 +128,8 @@ class TestPatternCsv:
         header, data = lines[:4], lines[4:]
         data[0], data[5] = data[5], data[0]
         path.write_text("\n".join(header + data) + "\n")
-        with pytest.raises(PatternFormatError):
+        with pytest.raises(InvalidArgumentError,
+                           match="p.csv: header declares n_theta=3, data has 12"):
             load_pattern_csv(path)
 
     def test_declared_shape_must_match(self, tmp_path):
@@ -142,7 +140,7 @@ class TestPatternCsv:
         for declared in ("# n_theta: 5", "\n# n_theta: 9"):
             path = tmp_path / "p.csv"
             path.write_text(saved.replace("# n_theta: 3", declared))
-            with pytest.raises(PatternFormatError, match="n_theta"):
+            with pytest.raises(InvalidArgumentError, match="n_theta"):
                 load_pattern_csv(path)
 
     @pytest.mark.parametrize("text, message", [
@@ -150,7 +148,7 @@ class TestPatternCsv:
         ("theta_deg,phi_deg,re_etheta,im_etheta,im_ephi,re_ephi\n0,0,1,0,0,0\n",
          "columns must be exactly theta_deg,phi_deg,"),
         ("# n_theta: 3.5\n" + ",".join(iokit.PATTERN_COLUMNS) + "\n0,0,1,0,0,0\n",
-         "bad header metadata in .*p.csv"),
+         "p.csv: bad header metadata: invalid literal for int"),
         ("# n_theta: 3\n" + ",".join(iokit.PATTERN_COLUMNS) + "\n", "p.csv: no data rows"),
         # one polar angle over four azimuths
         (",".join(iokit.PATTERN_COLUMNS) + "\n"
@@ -174,7 +172,7 @@ class TestPatternCsv:
     def test_malformed_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "p.csv"
         path.write_text(text)
-        with pytest.raises(PatternFormatError, match=message):
+        with pytest.raises(InvalidArgumentError, match=message):
             load_pattern_csv(path)
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
@@ -196,7 +194,8 @@ class TestPatternCsv:
         lines[7] = b"0.0,90.0,x,0.0,0.0,0.0\n"
         for prefix, path in ((b"", tmp_path / "p.csv"), (b"\xef\xbb\xbf", bom_pattern)):
             path.write_bytes(prefix + b"".join(lines))
-            with pytest.raises(PatternFormatError, match=r"p.csv:8: could not convert string 'x'"):
+            with pytest.raises(InvalidArgumentError,
+                               match=r"p.csv:8: could not convert string 'x'"):
                 load_pattern_csv(path)
 
     def test_hand_written_small_file_lands_on_indices(self, tmp_path):
@@ -240,7 +239,7 @@ class TestPatternCsv:
         fields = lines[10].split(",")
         lines[10] = ",".join(fields[:2] + ["x"] + fields[3:])
         path.write_text("".join(lines))
-        with pytest.raises(PatternFormatError, match="q.csv:11: could not convert string 'x'"):
+        with pytest.raises(InvalidArgumentError, match="q.csv:11: could not convert string 'x'"):
             load_pattern_csv(path)
         cdf = tmp_path / "c.csv"
         cdf.write_text("error,cumulative_probability\n0.25,0.5\n   # note\n0.5,1.0\n")
@@ -269,7 +268,7 @@ class TestPatternCsv:
         # any other read failure, here a directory where the file should be
         (tmp_path / "dir.csv").mkdir()
         for load in (load_pattern_csv, load_cdf_csv):
-            with pytest.raises(PatternFormatError, match="dir.csv: cannot be read"):
+            with pytest.raises(InvalidArgumentError, match="dir.csv: cannot be read"):
                 load(tmp_path / "dir.csv")
 
     def test_infinite_value_rejected(self, tmp_path):
@@ -281,7 +280,7 @@ class TestPatternCsv:
         parts[4] = "inf"
         lines[5] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(PatternFormatError, match="finite"):
+        with pytest.raises(InvalidArgumentError, match="finite"):
             load_pattern_csv(path)
 
     def test_invalid_angle_unit_rejected(self, tmp_path):
@@ -290,8 +289,9 @@ class TestPatternCsv:
         path = save_pattern_csv(pattern, tmp_path / "p.csv")
         path.write_text(path.read_text().replace("angle_unit: deg",
                                                  "angle_unit: grad"))
-        with pytest.raises(PatternFormatError, match="angle unit"):
+        with pytest.raises(InvalidArgumentError) as caught:
             load_pattern_csv(path)
+        assert str(caught.value) == f"{path}: angle unit must be 'deg' or 'rad', got 'grad'"
 
 
 class TestPatternCache:
@@ -448,7 +448,7 @@ class TestPatternCache:
         lines = good.splitlines()
         lines[7] = "0.0,90.0,not_a_number,0.0,0.0,0.0"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(PatternFormatError, match=":8: could not convert"):
+        with pytest.raises(InvalidArgumentError, match=":8: could not convert"):
             load_pattern_csv(path)
         assert self._entries(tmp_path) == []
         # a cached earlier version does not hide the error either
@@ -456,7 +456,7 @@ class TestPatternCache:
         load_pattern_csv(path)
         cached = self._entries(tmp_path)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(PatternFormatError, match=":8: could not convert"):
+        with pytest.raises(InvalidArgumentError, match=":8: could not convert"):
             load_pattern_csv(path)
         assert self._entries(tmp_path) == cached
 
@@ -610,7 +610,7 @@ class TestCdfCsv:
             ("error,cumulative_probability\n0.1,0.5\nx,1.0\n", ":3: could not convert"),
         ]:
             path.write_text(text)
-            with pytest.raises(PatternFormatError, match=message):
+            with pytest.raises(InvalidArgumentError, match=message):
                 load_cdf_csv(path)
 
 
@@ -907,7 +907,7 @@ class TestRunConfig:
         payload = {"antenna": {"pattern_files": {
             "+1": "missing.csv", "-1": "missing.csv",
             "+j": "missing.csv", "-j": "missing.csv"}}}
-        with pytest.raises(ConfigError, match="missing.csv"):
+        with pytest.raises(InvalidArgumentError, match="missing.csv"):
             load_config(self._write(tmp_path, payload))
 
     def test_pattern_files_loadable_when_present(self, tmp_path):
@@ -931,7 +931,7 @@ class TestRunConfig:
         states = generate_mirror_pair(default_mirror_profile(), grid, QPSK.ratio_set)
         save_pattern_csv(states.state(0), tmp_path / "p.csv")
         payload = {"antenna": {"pattern_files": {"+1": "p.csv"}}}
-        with pytest.raises(ConfigError, match="cover"):
+        with pytest.raises(InvalidArgumentError, match="cover"):
             load_config(self._write(tmp_path, payload))
 
     def test_perturbation_lobes_parsed_with_state_labels(self, tmp_path):
@@ -955,23 +955,23 @@ class TestRunConfig:
             ({"receive": {"polarization": "circular"}}, "polarization"),
             ({"constellation": {"order": 1}}, "order"),
         ]:
-            with pytest.raises(ConfigError, match=match):
+            with pytest.raises(InvalidArgumentError, match=match):
                 load_config(self._write(tmp_path, payload))
 
     def test_unknown_keys_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown"):
+        with pytest.raises(InvalidArgumentError, match="unknown"):
             load_config(self._write(tmp_path, {"gird": {}}))
-        with pytest.raises(ConfigError, match="unknown"):
+        with pytest.raises(InvalidArgumentError, match="unknown"):
             load_config(self._write(tmp_path, {"grid": {"n_thetas": 10}}))
 
     def test_missing_config_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
+        with pytest.raises(InvalidArgumentError, match="not found"):
             load_config(tmp_path / "absent.json")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigError, match="JSON"):
+        with pytest.raises(InvalidArgumentError, match="JSON"):
             load_config(path)
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):

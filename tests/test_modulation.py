@@ -7,7 +7,6 @@ from beamspace import (
     InvalidArgumentError,
     PskConstellation,
     RatioSet,
-    RatioSetMismatchError,
     ratio_label,
 )
 from helpers import index_of, parse_ratio_label
@@ -62,14 +61,14 @@ class TestRatioSet:
     def test_index_of_with_tolerance(self):
         ratios = RatioSet(4)
         assert index_of(ratios, 1j + 1e-12) == 1
-        with pytest.raises(RatioSetMismatchError):
+        with pytest.raises(InvalidArgumentError, match="not in the 4-PSK ratio alphabet"):
             index_of(ratios, np.exp(1j * 0.3))
 
     def test_plus_minus_one_indices(self):
         ratios = RatioSet(4)
         assert ratios.plus_one_index == 0
         assert ratios.minus_one_index == 2
-        with pytest.raises(RatioSetMismatchError):
+        with pytest.raises(InvalidArgumentError, match="ratio -1 requires an even order, got 3"):
             _ = RatioSet(3).minus_one_index
 
     def test_labels_round_trip(self):
